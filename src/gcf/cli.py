@@ -7,8 +7,9 @@ echoed configuration.  Numeric fields carry 17 significant digits, so
 identical configurations reproduce byte-identical CSVs.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 early flow termination (lost convexity or step underflow), 4 law outside
-the Harnack-bound hypotheses when enforcement is requested.
+3 early flow termination (lost convexity, the origin leaving the body, or
+step underflow), 4 law outside the Harnack-bound hypotheses when
+enforcement is requested.  A configuration error prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import GcfError
+from .errors import GcfError, InvalidConfig
 from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, run
 from .harnack import monitor, theorem_hypotheses
 from .speedlaw import SpeedLaw
@@ -36,9 +37,21 @@ EXIT_CONFIG = 2
 EXIT_NONCONVEX = 3
 EXIT_HYPOTHESES = 4
 
+# What a malformed config raises while it is read: bad JSON is a
+# ValueError, a missing field a KeyError, a field of the wrong type a
+# TypeError.
+CONFIG_ERRORS = (GcfError, KeyError, ValueError, TypeError)
+
 
 def _fmt(x) -> str:
     return "%.17g" % float(x)
+
+
+def _number_or_blank(x) -> str:
+    try:
+        return _fmt(x)
+    except (TypeError, ValueError):
+        return ""
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -57,11 +70,21 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InvalidConfig("the config must be a JSON object")
+    return doc
+
+
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{key!r} must be a JSON object, got {value!r}")
+    return value
 
 
 def _law_from_doc(doc: dict) -> SpeedLaw:
-    speed = doc.get("speed", {})
+    speed = _section(doc, "speed")
     kind = speed.get("kind", "power")
     if kind == "exp":
         return SpeedLaw.exponential()
@@ -71,8 +94,8 @@ def _law_from_doc(doc: dict) -> SpeedLaw:
 def _flow_config_from_doc(doc: dict) -> FlowConfig:
     law = _law_from_doc(doc)
     n = int(doc["n"])
-    size = int(doc.get("grid", {}).get("N", 256))
-    init = doc.get("initial", {})
+    size = int(_section(doc, "grid").get("N", 256))
+    init = _section(doc, "initial")
     kind = init.get("type", "circle")
     if kind in ("circle", "sphere", "round"):
         shape = InitialShape("round", R0=float(init.get("R0", 1.0)))
@@ -81,7 +104,7 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
         shape = InitialShape("fourier", R0=float(init.get("R0", 1.0)), modes=modes)
     else:
         raise GcfError(f"unknown initial type {kind!r}")
-    tdoc = doc.get("time", {})
+    tdoc = _section(doc, "time")
     return FlowConfig(
         n=n,
         size=size,
@@ -90,7 +113,7 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
         t_end=float(tdoc["t_end"]),
         t0=float(tdoc.get("t0", 0.0)),
         safety=float(tdoc.get("safety", DEFAULT_SAFETY)),
-        stride=int(doc.get("output", {}).get("stride", 1)),
+        stride=int(_section(doc, "output").get("stride", 1)),
     )
 
 
@@ -177,7 +200,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     try:
         doc = _load_json(config_path)
         cfg = _flow_config_from_doc(doc)
-    except (GcfError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     start = time.monotonic()
@@ -200,7 +223,7 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         doc = _load_json(config_path)
         law = _law_from_doc(doc)
         n = int(doc["n"])
-    except (GcfError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if enforce_hypotheses and not theorem_hypotheses(law, n):
@@ -212,7 +235,7 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         return EXIT_HYPOTHESES
     try:
         cfg = _flow_config_from_doc(doc)
-    except (GcfError, KeyError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     start = time.monotonic()
@@ -261,26 +284,31 @@ def cmd_verify(suite: str, out_dir: str | None = None) -> int:
 
 
 def _sweep_one(index: int, tup: dict, base_doc: dict, out_dir: str) -> dict:
+    """Run one sweep tuple; any exception it raises ends up in its row."""
     sub = os.path.join(out_dir, f"tuple_{index:04d}")
-    doc = {
-        "n": tup["n"],
-        "speed": {"a": -1.0, "beta": -float(tup["b"])},
-        "grid": dict(base_doc.get("grid", {"N": 256})),
-        "initial": dict(tup.get("shape", {"type": "circle", "R0": 1.0})),
-        "time": dict(base_doc.get("time", {"t_end": 2.0})),
-        "output": dict(base_doc.get("output", {"stride": 50})),
-    }
+    fields = tup if isinstance(tup, dict) else {}
+    shape = fields.get("shape", {"type": "circle", "R0": 1.0})
     row = {
         "index": index,
-        "n": tup.get("n"),
-        "b": tup.get("b"),
-        "shape": doc["initial"].get("type", "circle"),
+        "n": fields.get("n"),
+        "b": fields.get("b"),
+        "shape": shape.get("type", "circle") if isinstance(shape, dict) else "",
         "status": "ok",
         "min_margin": float("nan"),
         "min_margin_rel": float("nan"),
         "max_abs_P": float("nan"),
     }
     try:
+        if not isinstance(tup, dict):
+            raise InvalidConfig(f"a sweep tuple must be a JSON object, got {tup!r}")
+        doc = {
+            "n": tup["n"],
+            "speed": {"a": -1.0, "beta": -float(tup["b"])},
+            "grid": dict(base_doc.get("grid", {"N": 256})),
+            "initial": dict(shape),
+            "time": dict(base_doc.get("time", {"t_end": 2.0})),
+            "output": dict(base_doc.get("output", {"stride": 50})),
+        }
         cfg = _flow_config_from_doc(doc)
         trace = run(cfg)
         if trace.reason != "completed":
@@ -297,9 +325,12 @@ def _sweep_one(index: int, tup: dict, base_doc: dict, out_dir: str) -> dict:
             os.path.join(sub, "meta.json"),
             _meta(doc, cfg.law, 0.0, trace.reason, "sweep"),
         )
-    except (GcfError, KeyError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         row["status"] = "failed:config"
-        print(f"tuple {index} rejected: {exc}", file=sys.stderr)
+        sys.stderr.write(f"tuple {index} rejected: {exc}\n")  # one write per line across threads
+    except Exception as exc:
+        row["status"] = "failed:error"
+        sys.stderr.write(f"tuple {index} failed: {type(exc).__name__}: {exc}\n")
     return row
 
 
@@ -307,14 +338,18 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
     try:
         doc = _load_json(config_path)
         tuples = doc.get("tuples", [])
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not tuples:
+    if not isinstance(tuples, list) or not tuples:
         print("config error: sweep needs a non-empty 'tuples' list", file=sys.stderr)
         return EXIT_CONFIG
     workers = os.environ.get("GCF_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
+    try:
+        max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
+    except ValueError:
+        print(f"config error: GCF_THREADS must be an integer, got {workers!r}", file=sys.stderr)
+        return EXIT_CONFIG
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         rows = list(
             pool.map(
@@ -328,7 +363,7 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
                 [
                     str(row["index"]),
                     str(row["n"]),
-                    _fmt(row["b"]) if row["b"] is not None else "",
+                    _number_or_blank(row["b"]),
                     str(row["shape"]),
                     row["status"],
                     _fmt(row["min_margin"]),

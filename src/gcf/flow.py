@@ -7,9 +7,11 @@ expanding negative-power law (a = -1, beta = -b) the speed is K**(-b).
 
 Stepping is classical RK4 with an explicit parabolic step bound: each
 right-hand-side evaluation re-derives the curvature from the stage values,
-and any stage that loses strict convexity aborts the step.  Round initial
-data stays exactly round, so closed-form radius ODEs provide oracles for
-the integrator.
+and any stage that loses strict convexity aborts the step.  The state a
+step produces is checked the same way, once; that checked curvature is
+kept on the grid and serves the next step bound and the next first stage.
+Round initial data stays exactly round, so closed-form radius ODEs provide
+oracles for the integrator.
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stencils
-from .errors import InvalidConfig, NonConvex
-from .geometry import (
-    RADIUS_FLOOR,
-    SupportGrid,
-    fourier_grid,
-    round_grid,
-)
+from .errors import InvalidConfig, NonConvex, OriginOutside
+from .geometry import SupportGrid, fourier_grid, radii_and_K, round_grid
 from .speedlaw import SpeedLaw
 
 DT_FLOOR = 1e-12
@@ -85,27 +81,26 @@ class FlowConfig:
             )
         try:
             grid = self.shape.build(self.n, self.size)
-            _radii_and_K(self.n, grid.values, grid.spacing, _angle_cache(self.n, self.size))
+            grid.curvature()
         except InvalidConfig:
             raise
         except Exception as exc:
             raise InvalidConfig(f"initial shape is not admissible: {exc}") from exc
+        object.__setattr__(self, "_grid", grid)
 
     def build_grid(self) -> SupportGrid:
-        return self.shape.build(self.n, self.size)
+        """The validated initial grid, with its checked curvature."""
+        return self._grid
 
 
 @dataclass
 class FlowTrace:
-    """Stored states plus per-step diagnostics of one run."""
+    """Stored states of one run and the reason it stopped."""
 
     n: int
     law: SpeedLaw
     times: list = field(default_factory=list)
     grids: list = field(default_factory=list)
-    dt_history: list = field(default_factory=list)
-    min_radius: list = field(default_factory=list)
-    max_speed: list = field(default_factory=list)
     reason: str = "completed"
 
     def __len__(self) -> int:
@@ -123,53 +118,31 @@ class FlowTrace:
         return float(d[0])
 
 
-def _angle_cache(n: int, size: int):
-    if n == 1:
-        return None
-    phi = (np.arange(size) + 0.5) * np.pi / size
-    return np.cos(phi) / np.sin(phi)
-
-
-def _radii_and_K(n: int, h: np.ndarray, dx: float, cot) -> tuple:
-    """Radii and Gaussian curvature; cheap path used inside RK stages."""
-    if n == 1:
-        r1 = stencils.d2_periodic(h, dx) + h
-        if np.any(r1 <= RADIUS_FLOOR) or not np.all(np.isfinite(r1)):
-            raise NonConvex("stage lost convexity")
-        return (r1,), 1.0 / r1
-    r1 = stencils.d2_reflect(h, dx, "even") + h
-    r2 = stencils.d1_reflect(h, dx, "even") * cot + h
-    bad = (
-        np.any(r1 <= RADIUS_FLOOR)
-        or np.any(r2 <= RADIUS_FLOOR)
-        or not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2)))
-    )
-    if bad:
-        raise NonConvex("stage lost convexity")
-    return (r1, r2), 1.0 / (r1 * r2)
-
-
-def _speed(law: SpeedLaw, n: int, h: np.ndarray, dx: float, cot) -> np.ndarray:
-    _, K = _radii_and_K(n, h, dx, cot)
-    return -law.f(K)
+def _speed(law: SpeedLaw, n: int, h: np.ndarray, dx: float) -> np.ndarray:
+    return -law.f(radii_and_K(n, h, dx)[1])
 
 
 def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
     """One classical RK4 update of the support values.
 
-    Every stage re-derives the curvature from the stage grid; a stage that
-    loses convexity raises NonConvex and the step is rejected.  dt = 0
-    returns the input values unchanged.
+    Every stage derives the curvature from its stage values (the first
+    from the grid's cached curvature); a stage that loses convexity raises
+    NonConvex and the step is rejected.  The new grid is validated and its
+    curvature checked before it is returned, so a new state that is not
+    strictly convex raises NonConvex and one that leaves the origin
+    outside raises OriginOutside.  dt = 0 returns the input values
+    unchanged.
     """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
     n, h, dx = grid.n, grid.values, grid.spacing
-    cot = _angle_cache(n, h.size)
-    k1 = _speed(law, n, h, dx, cot)
-    k2 = _speed(law, n, h + 0.5 * dt * k1, dx, cot)
-    k3 = _speed(law, n, h + 0.5 * dt * k2, dx, cot)
-    k4 = _speed(law, n, h + dt * k3, dx, cot)
-    return SupportGrid(n, h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    k1 = -law.f(grid.curvature()[1])
+    k2 = _speed(law, n, h + 0.5 * dt * k1, dx)
+    k3 = _speed(law, n, h + 0.5 * dt * k2, dx)
+    k4 = _speed(law, n, h + dt * k3, dx)
+    new = SupportGrid(n, h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    new.curvature()
+    return new
 
 
 def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) -> float:
@@ -178,13 +151,12 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) 
     lambda bounds the linearized speed sensitivity to the curvature radii:
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
     """
-    n, h, dx = grid.n, grid.values, grid.spacing
-    cot = _angle_cache(n, h.size)
-    radii, K = _radii_and_K(n, h, dx, cot)
+    dx = grid.spacing
+    radii, K = grid.curvature()
     lam = law.f1(K) * K**2
-    if n == 2:
+    if grid.n == 2:
         lam = lam * np.maximum(radii[0], radii[1])
-    return safety * dx * dx / float(np.max(lam))
+    return safety * dx * dx / float(lam.max())
 
 
 def run(config: FlowConfig) -> FlowTrace:
@@ -192,70 +164,47 @@ def run(config: FlowConfig) -> FlowTrace:
 
     Steps adaptively with stable_dt unless fixed_dt is set.  Stores the
     initial state, every stride-th state, and the final state.  Loss of
-    convexity or a dt underflow terminates early; the partial trace is
+    convexity, the origin leaving the body, or a dt underflow terminates
+    early: the last accepted state is stored and the partial trace is
     returned with the reason recorded.
     """
-    law = config.law
-    grid = config.build_grid()
-    trace = FlowTrace(n=config.n, law=law)
-    t = config.t0
-    trace.times.append(t)
-    trace.grids.append(grid)
-
-    if config.fixed_dt is not None:
-        total = config.t_end - config.t0
-        n_steps = max(1, round(total / config.fixed_dt))
-        if not math.isclose(n_steps * config.fixed_dt, total, rel_tol=1e-9):
+    law, t0, t_end, fixed_dt = config.law, config.t0, config.t_end, config.fixed_dt
+    if fixed_dt is not None:
+        n_steps = max(1, round((t_end - t0) / fixed_dt))
+        if not math.isclose(n_steps * fixed_dt, t_end - t0, rel_tol=1e-9):
             raise InvalidConfig(
-                f"fixed_dt = {config.fixed_dt} does not divide the time span {total}"
+                f"fixed_dt = {fixed_dt} does not divide the time span {t_end - t0}"
             )
-        for i in range(1, n_steps + 1):
-            dt = config.fixed_dt
-            try:
-                grid = step(grid, law, dt)
-            except NonConvex:
-                trace.reason = "nonconvex"
-                _store_last(trace, grid, t)
-                return trace
-            t = config.t0 + i * dt
-            _record(trace, grid, dt)
-            if i % config.stride == 0 or i == n_steps:
+    t_stop = t_end - 1e-14 * max(1.0, t_end)
+    grid = config.build_grid()
+    trace = FlowTrace(n=config.n, law=law, times=[t0], grids=[grid])
+    t, i = t0, 0
+    try:
+        while (i < n_steps) if fixed_dt is not None else (t < t_stop):
+            if fixed_dt is None:
+                dt = stable_dt(grid, law, config.safety)
+                if dt < DT_FLOOR:
+                    trace.reason = "dt_underflow"
+                    break
+                dt = min(dt, t_end - t)
+            else:
+                dt = fixed_dt
+            grid = step(grid, law, dt)
+            i += 1
+            if fixed_dt is None:
+                t += dt
+                last = t >= t_stop
+            else:
+                t = t0 + i * dt
+                last = i == n_steps
+            if i % config.stride == 0 or last:
                 trace.times.append(t)
                 trace.grids.append(grid)
-        return trace
-
-    i = 0
-    while t < config.t_end - 1e-14 * max(1.0, config.t_end):
-        try:
-            dt_bound = stable_dt(grid, law, config.safety)
-            if dt_bound < DT_FLOOR:
-                trace.reason = "dt_underflow"
-                _store_last(trace, grid, t)
-                return trace
-            dt = min(dt_bound, config.t_end - t)
-            grid = step(grid, law, dt)
-        except NonConvex:
-            trace.reason = "nonconvex"
-            _store_last(trace, grid, t)
-            return trace
-        t += dt
-        i += 1
-        _record(trace, grid, dt)
-        if i % config.stride == 0 or t >= config.t_end - 1e-14 * max(1.0, config.t_end):
-            trace.times.append(t)
-            trace.grids.append(grid)
-    return trace
-
-
-def _store_last(trace: FlowTrace, grid: SupportGrid, t: float) -> None:
-    if trace.times and trace.times[-1] < t:
+    except NonConvex:
+        trace.reason = "nonconvex"
+    except OriginOutside:
+        trace.reason = "origin_outside"
+    if trace.reason != "completed" and trace.times[-1] < t:
         trace.times.append(t)
         trace.grids.append(grid)
-
-
-def _record(trace: FlowTrace, grid: SupportGrid, dt: float) -> None:
-    cot = _angle_cache(grid.n, grid.size)
-    radii, K = _radii_and_K(grid.n, grid.values, grid.spacing, cot)
-    trace.dt_history.append(dt)
-    trace.min_radius.append(float(min(np.min(r) for r in radii)))
-    trace.max_speed.append(float(np.max(np.abs(trace.law.f(K)))))
+    return trace

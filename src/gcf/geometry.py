@@ -30,6 +30,7 @@ there and fourth-order elsewhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,9 @@ class SupportGrid:
 
     n = 1: values[i] = h(theta_i), theta_i = 2*pi*i/N on the normal circle.
     n = 2: values[j] = h(phi_j), phi_j = (j + 1/2)*pi/M, axisymmetric.
+
+    A grid is a value: its support values are never changed in place, so
+    its checked curvature is derived once and kept (see curvature()).
     """
 
     n: int
@@ -63,9 +67,9 @@ class SupportGrid:
             raise ValueError(f"grid needs at least 16 nodes, got {m}")
         if self.n == 1 and m % 2 != 0:
             raise ValueError(f"n=1 grid size must be even, got {m}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise OriginOutside("support values must be finite")
-        if np.any(v <= 0.0):
+        if (v <= 0.0).any():
             raise OriginOutside("support values must be strictly positive")
 
     @property
@@ -82,6 +86,21 @@ class SupportGrid:
     @property
     def spacing(self) -> float:
         return 2.0 * np.pi / self.size if self.n == 1 else np.pi / self.size
+
+    def curvature(self) -> tuple:
+        """Checked (radii, K) of this grid, derived on first use and cached.
+
+        The cached arrays are read-only, since every later user of this
+        grid shares them.  Raises NonConvex as radii_and_K does.
+        """
+        cached = self.__dict__.get("_curvature")
+        if cached is None:
+            radii, K = radii_and_K(self.n, self.values, self.spacing)
+            for a in (*radii, K):
+                a.flags.writeable = False
+            cached = (radii, K)
+            object.__setattr__(self, "_curvature", cached)
+        return cached
 
 
 def round_grid(n: int, radius: float, size: int) -> SupportGrid:
@@ -104,6 +123,34 @@ def fourier_grid(n: int, base_radius: float, modes, size: int) -> SupportGrid:
     return SupportGrid(n, h)
 
 
+@functools.lru_cache(maxsize=32)
+def _polar_cot(size: int) -> np.ndarray:
+    phi = (np.arange(size) + 0.5) * np.pi / size
+    cot = np.cos(phi) / np.sin(phi)
+    cot.flags.writeable = False
+    return cot
+
+
+def radii_and_K(n: int, h: np.ndarray, dx: float) -> tuple:
+    """Principal curvature radii and Gauss curvature of support values h.
+
+    Returns ((r,), 1/r) with r = h'' + h for n=1, and ((r1, r2), 1/(r1 r2))
+    with r1 = h_pp + h, r2 = h_p cot(phi) + h for n=2.  Raises NonConvex if
+    a radius is not finite or does not exceed RADIUS_FLOOR.  This is the
+    only place the radii are formed from h; RK stages call it on stage
+    values, and SupportGrid.curvature() on accepted states.
+    """
+    if n == 1:
+        r1 = stencils.d2_periodic(h, dx) + h
+        _require_convex(r1)
+        return (r1,), 1.0 / r1
+    r1 = stencils.d2_reflect(h, dx, "even") + h
+    _require_convex(r1)
+    r2 = stencils.d1_reflect(h, dx, "even") * _polar_cot(h.size) + h
+    _require_convex(r2)
+    return (r1, r2), 1.0 / (r1 * r2)
+
+
 def _d1(n, u, dx, parity="even"):
     if n == 1:
         return stencils.d1_periodic(u, dx)
@@ -120,10 +167,9 @@ def _d2(n, u, dx, parity="even"):
 class GeometryState:
     """All pointwise geometry derived from one support grid.
 
-    Radii, curvatures, metric and second-fundamental-form components, the
-    embedding, and the chain-rule derivative bundle (first and second
-    angular derivatives of the radii, K and H) used by downstream fields.
-    For n=1, r2 and the azimuthal entries are None.
+    Radii, curvatures, the embedding, and the chain-rule derivative bundle
+    (first and second angular derivatives of the radii, K and H) used by
+    downstream fields.  For n=1, r2 and the azimuthal entries are None.
     """
 
     grid: SupportGrid
@@ -154,21 +200,6 @@ class GeometryState:
     def radii(self) -> tuple:
         return (self.r1,) if self.n == 1 else (self.r1, self.r2)
 
-    @property
-    def metric(self) -> tuple:
-        """Diagonal metric components in the normal-angle parameterization."""
-        if self.n == 1:
-            return (self.r1**2,)
-        rho = self.r2 * self.sinphi
-        return (self.r1**2, rho**2)
-
-    @property
-    def sff(self) -> tuple:
-        """Diagonal second-fundamental-form components."""
-        if self.n == 1:
-            return (self.r1,)
-        return (self.r1, self.r2 * self.sinphi**2)
-
     def d1(self, u, parity="even"):
         return _d1(self.n, u, self.dx, parity)
 
@@ -181,18 +212,18 @@ def derive_state(grid: SupportGrid) -> GeometryState:
 
     Raises NonConvex if any curvature radius falls below the strict
     positivity floor, OriginOutside if any support value is non-positive
-    (already enforced by the grid itself).
+    (already enforced by the grid itself).  The radii and K are the grid's
+    cached curvature().
     """
     n, h, dx = grid.n, grid.values, grid.spacing
     ang = grid.angles
+    radii, K = grid.curvature()
 
     if n == 1:
+        (r1,) = radii
         hp = stencils.d1_periodic(h, dx)
-        r1 = stencils.d2_periodic(h, dx) + h
-        _require_convex(r1)
         r1p = stencils.d1_periodic(r1, dx)
         r1pp = stencils.d2_periodic(r1, dx)
-        K = 1.0 / r1
         Kp = -r1p / r1**2
         Kpp = -r1pp / r1**2 + 2.0 * r1p**2 / r1**3
         H, Hp = K, Kp
@@ -208,19 +239,15 @@ def derive_state(grid: SupportGrid) -> GeometryState:
             sinphi=None, cosphi=None, cot=None,
         )
 
+    r1, r2 = radii
     sin_p, cos_p = np.sin(ang), np.cos(ang)
-    cot = cos_p / sin_p
+    cot = _polar_cot(h.size)
     hp = stencils.d1_reflect(h, dx, "even")
-    r1 = stencils.d2_reflect(h, dx, "even") + h
-    r2 = hp * cot + h
-    _require_convex(r1)
-    _require_convex(r2)
     r1p = stencils.d1_reflect(r1, dx, "even")
     # Closed forms below keep every pole-singular factor analytic.
     r2p = (r1 - r2) * cot
     r1pp = stencils.d2_reflect(r1, dx, "even")
     r2pp = (r1p - r2p) * cot - (r1 - r2) / sin_p**2
-    K = 1.0 / (r1 * r2)
     L1 = r1p / r1 + r2p / r2
     Kp = -K * L1
     Kpp = -Kp * L1 - K * (r1pp / r1 - (r1p / r1) ** 2 + r2pp / r2 - (r2p / r2) ** 2)
@@ -241,7 +268,7 @@ def derive_state(grid: SupportGrid) -> GeometryState:
 
 
 def _require_convex(radii: np.ndarray) -> None:
-    if not np.all(np.isfinite(radii)) or np.any(radii <= RADIUS_FLOOR):
+    if not np.isfinite(radii).all() or (radii <= RADIUS_FLOOR).any():
         raise NonConvex(
             f"curvature radius dropped to {float(np.min(radii)):.3e} (floor {RADIUS_FLOOR:g})"
         )

@@ -38,7 +38,6 @@ from .geometry import (
     GeometryState,
     box_op,
     derive_state,
-    grad_norm_sq_g,
     grad_norm_sq_h,
 )
 from .speedlaw import SpeedLaw
@@ -194,7 +193,6 @@ class HarnackSample:
     dt_u_spatial: np.ndarray
     dt_u_fd: np.ndarray
     grad_sq_h: np.ndarray
-    grad_sq_g: np.ndarray
     lhs_12: np.ndarray        # differential Harnack expression (NaN if law not -K^-b)
     lhs_317: np.ndarray       # equivalent speed-form expression, expected >= 0
     p_trace: np.ndarray
@@ -246,7 +244,6 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
         du = st.d1(u) if st.n == 1 else st.d1(u, "even")
         dt_u_fd = _central_dt(u_fields[m - 1], u, u_fields[m + 1], dm, dp) + v * du
         gsq_h = grad_norm_sq_h(st, u)
-        gsq_g = grad_norm_sq_g(st, u)
         p_tr = P_trace(st, law)
         if paper_form:
             b = -law.beta
@@ -269,7 +266,6 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
                 dt_u_spatial=dt_u_spatial,
                 dt_u_fd=dt_u_fd,
                 grad_sq_h=gsq_h,
-                grad_sq_g=gsq_g,
                 lhs_12=lhs12,
                 lhs_317=lhs317,
                 p_trace=p_tr,

@@ -108,7 +108,7 @@ class SpeedLaw:
 
 
 def _check_positive(x) -> None:
-    if np.any(np.asarray(x) <= 0.0):
+    if (np.asarray(x) <= 0.0).any():
         raise NonPositiveArgument("speed laws are defined for positive arguments only")
 
 

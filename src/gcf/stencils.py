@@ -14,32 +14,35 @@ from __future__ import annotations
 import numpy as np
 
 
+def _extend_periodic(u: np.ndarray) -> np.ndarray:
+    # Two wrapped ghost cells per side: e[k + 2] = u[k], e[1] = u[-1], e[N + 2] = u[0].
+    return np.concatenate((u[-2:], u, u[:2]))
+
+
 def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     """4th-order first derivative on a periodic grid."""
-    return (
-        -np.roll(u, -2) + 8.0 * np.roll(u, -1) - 8.0 * np.roll(u, 1) + np.roll(u, 2)
-    ) / (12.0 * dx)
+    e = _extend_periodic(u)
+    return (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * dx)
 
 
 def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     """4th-order second derivative on a periodic grid."""
-    return (
-        -np.roll(u, -2)
-        + 16.0 * np.roll(u, -1)
-        - 30.0 * u
-        + 16.0 * np.roll(u, 1)
-        - np.roll(u, 2)
-    ) / (12.0 * dx * dx)
+    e = _extend_periodic(u)
+    return (-e[4:] + 16.0 * e[3:-1] - 30.0 * u + 16.0 * e[1:-3] - e[:-4]) / (
+        12.0 * dx * dx
+    )
 
 
 def d1_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
     """2nd-order first derivative on a periodic grid."""
-    return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+    e = _extend_periodic(u)
+    return (e[3:-1] - e[1:-3]) / (2.0 * dx)
 
 
 def d2_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
     """2nd-order second derivative on a periodic grid."""
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
+    e = _extend_periodic(u)
+    return (e[3:-1] - 2.0 * u + e[1:-3]) / (dx * dx)
 
 
 def _extend_reflect(u: np.ndarray, parity: str) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -146,3 +147,96 @@ def test_repeated_runs_byte_identical(tmp_path):
         outs.append(out)
     for fname in ("trace.csv", "harnack.csv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "beta,modes,safety,reason",
+    [
+        (1.1700967619904363, [[5, 0.017207980635981685]], 1.0, "nonconvex"),
+        (1.7070944094947509, [[3, 0.03747968438365297]], 0.6, "origin_outside"),
+    ],
+)
+def test_run_early_end_exits_3(tmp_path, capsys, beta, modes, safety, reason):
+    cfg = tmp_path / "cfg.json"
+    write_config(
+        cfg,
+        speed={"a": 1.0, "beta": beta},
+        initial={"type": "fourier", "modes": modes},
+        grid={"N": 32},
+        time={"t_end": 3.0, "safety": safety},
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"flow terminated early: {reason}\n"
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["termination_reason"] == reason
+    assert (out / "trace.csv").exists()
+
+
+def test_run_rejects_non_object_section(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, speed="fast")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_sweep_rejects_non_integer_threads(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"tuples": [{"n": 1, "b": 0.3}]}))
+    monkeypatch.setenv("GCF_THREADS", "abc")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "GCF_THREADS" in err and err.count("\n") == 1
+
+
+def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "tuples": [
+            {"n": None, "b": 0.3},
+            {"n": 1, "b": 0.3},
+            "not a tuple",
+            {"n": 1, "b": 0.45, "shape": {"type": "fourier", "modes": [[3, 0.03]]}},
+            {"n": 1, "b": "x"},
+        ],
+        "grid": {"N": 32},
+        "time": {"t_end": 1.0, "safety": 1.0},
+        "output": {"stride": 2},
+    }))
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    header, rows = read_csv(out / "sweep.csv")
+    status = [r[header.index("status")] for r in rows]
+    assert status == ["failed:config", "ok", "failed:config", "failed:nonconvex", "failed:config"]
+    assert all(len(r) == len(header) for r in rows)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_output_independent_of_threads(tmp_path, monkeypatch):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "tuples": [
+            {"n": 1 + (i % 3 == 2), "b": 0.1 + 0.1 * (i % 3),
+             "shape": {"type": "fourier", "modes": [[2 + i % 3, 0.005 + 0.003 * i]]}}
+            for i in range(6)
+        ],
+        "grid": {"N": 32},
+        "time": {"t_end": 0.5},
+        "output": {"stride": 2},
+    }))
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "6"):
+            monkeypatch.setenv("GCF_THREADS", threads)
+            out = tmp_path / f"s{threads}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append({
+                p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))
+            })
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1]

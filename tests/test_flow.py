@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gcf import flow, geometry
 from gcf.errors import InvalidConfig, NonConvex
 from gcf.flow import FlowConfig, InitialShape, run, stable_dt, step
 from gcf.geometry import derive_state, fourier_grid, round_grid
@@ -167,3 +168,55 @@ def test_fixed_dt_must_divide_span():
                 t_end=1.0, fixed_dt=0.3,
             )
         )
+
+
+# Contracting laws (speed -K^beta) that end a run early: (beta, modes,
+# safety, fixed_dt, t_end, reason).  The first loses convexity in the state
+# a step produces while every RK stage stays convex; the second and fourth
+# move the origin out of the body (the fourth is a circle centred off the
+# origin, shrinking towards its centre).
+EARLY_ENDS = [
+    (1.1700967619904363, ((5, 0.017207980635981685),), 1.0, None, 3.0, "nonconvex"),
+    (1.7070944094947509, ((3, 0.03747968438365297),), 0.6, None, 3.0, "origin_outside"),
+    (1.1700967619904363, ((5, 0.017207980635981685),), 1.0, 3.0 / 750, 3.0, "nonconvex"),
+    (1.0, ((1, 0.5),), 1.0, 1e-3, 1.0, "origin_outside"),
+]
+
+
+@pytest.mark.parametrize("beta,modes,safety,fixed_dt,t_end,reason", EARLY_ENDS)
+def test_run_ends_early_with_reason(beta, modes, safety, fixed_dt, t_end, reason):
+    cfg = FlowConfig(
+        n=1, size=32, law=SpeedLaw.power(1.0, beta),
+        shape=InitialShape("fourier", 1.0, modes), t_end=t_end, safety=safety,
+        fixed_dt=fixed_dt, stride=7,
+    )
+    trace = run(cfg)
+    assert trace.reason == reason
+    assert trace.times[-1] < t_end
+    assert len(trace.times) == len(trace.grids) >= 2
+    assert trace.times[-1] > trace.times[-2]  # the last accepted state is stored
+    derive_state(trace.grids[-1])
+
+
+def test_each_accepted_state_derived_once(monkeypatch):
+    calls = []
+
+    def counting(n, h, dx):
+        calls.append(h.size)
+        return radii_and_K(n, h, dx)
+
+    radii_and_K = geometry.radii_and_K
+    monkeypatch.setattr(geometry, "radii_and_K", counting)
+    monkeypatch.setattr(flow, "radii_and_K", counting)
+    cfg = FlowConfig(
+        n=2, size=32, law=SpeedLaw.power(-1.0, -0.25),
+        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.5, stride=1,
+    )
+    assert len(calls) == 1  # the initial state, checked by the config
+    trace = run(cfg)
+    steps = len(trace) - 1
+    # three RK stages plus the produced state per step; the initial state,
+    # the step bound and the first stage reuse what is already checked
+    assert len(calls) == 1 + 4 * steps
+    r1, _ = trace.grids[-1].curvature()[0]
+    assert not r1.flags.writeable
