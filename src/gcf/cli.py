@@ -4,7 +4,8 @@ execute verification suites, sweep parameters.
 All outputs are flat files written atomically (temp file + rename):
 trace.csv, harnack.csv, report.csv, sweep.csv, and a meta.json with the
 echoed configuration.  Numeric fields carry 17 significant digits, so
-identical configurations reproduce byte-identical CSVs.
+identical configurations reproduce byte-identical CSVs.  A sweep steps its
+tuples as ensembles (see flow.ensembles), one run per ensemble.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 early flow termination (lost convexity, the origin leaving the body, or
@@ -20,13 +21,13 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .errors import GcfError, InvalidConfig
-from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, run
+from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, ensembles, run
+from .geometry import derive_state
 from .harnack import monitor, theorem_hypotheses
 from .speedlaw import SpeedLaw
 from .verify import SUITES
@@ -54,13 +55,18 @@ def _number_or_blank(x) -> str:
         return ""
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text) -> None:
+    """Write text, a string or an iterable of string chunks, to path.
+
+    Chunks go to a temporary file one at a time, which is renamed to path
+    once complete, so the text is never held whole in memory.
+    """
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -117,7 +123,7 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
     )
 
 
-def _meta(doc: dict, law: SpeedLaw, wall: float, reason: str, command: str) -> str:
+def _meta(doc: dict, law: SpeedLaw, wall: float, reason: str, command: str, **extra) -> str:
     payload = {
         "command": command,
         "config": doc,
@@ -132,55 +138,34 @@ def _meta(doc: dict, law: SpeedLaw, wall: float, reason: str, command: str) -> s
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
         "wall_time_s": wall,
+        **extra,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _trace_csv(trace) -> str:
-    lines = []
+def _trace_csv(trace):
+    """trace.csv as text chunks, one per stored state."""
     if trace.n == 1:
-        lines.append("t,node_index,angle,h,r,K,H")
+        yield "t,node_index,angle,h,r,K,H\n"
     else:
-        lines.append("t,node_index,angle,h,r1,r2,K,H")
-    from .geometry import derive_state
-
+        yield "t,node_index,angle,h,r1,r2,K,H\n"
     for t, grid in zip(trace.times, trace.grids):
         st = derive_state(grid)
-        ang = st.angles
-        for i in range(grid.size):
-            if trace.n == 1:
-                row = (t, i, ang[i], st.h[i], st.r1[i], st.K[i], st.H[i])
-            else:
-                row = (t, i, ang[i], st.h[i], st.r1[i], st.r2[i], st.K[i], st.H[i])
-            lines.append(",".join([_fmt(t), str(i)] + [_fmt(v) for v in row[2:]]))
-    return "\n".join(lines) + "\n"
+        cols = (st.angles, st.h, *st.radii, st.K, st.H)
+        row = _fmt(t) + ",%d" + ",%.17g" * len(cols) + "\n"
+        yield "".join(row % r for r in zip(range(grid.size), *(c.tolist() for c in cols)))
 
 
-def _harnack_csv(samples) -> str:
-    lines = [
-        "t,node_index,u,dt_u_spatial,dt_u_fd,grad_sq_h,lhs_eq12,P_trace,bound_eq316,margin"
-    ]
+def _harnack_csv(samples):
+    """harnack.csv as text chunks, one per sample."""
+    yield "t,node_index,u,dt_u_spatial,dt_u_fd,grad_sq_h,lhs_eq12,P_trace,bound_eq316,margin\n"
     for s in samples:
-        for i in range(s.u.size):
-            lines.append(
-                ",".join(
-                    [_fmt(s.t), str(i)]
-                    + [
-                        _fmt(v)
-                        for v in (
-                            s.u[i],
-                            s.dt_u_spatial[i],
-                            s.dt_u_fd[i],
-                            s.grad_sq_h[i],
-                            s.lhs_12[i],
-                            s.p_trace[i],
-                            s.bound,
-                            s.margin[i],
-                        )
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+        cols = (s.u, s.dt_u_spatial, s.dt_u_fd, s.grad_sq_h, s.lhs_12, s.p_trace)
+        row = _fmt(s.t) + ",%d" + ",%.17g" * len(cols) + "," + _fmt(s.bound) + ",%.17g\n"
+        yield "".join(
+            row % r
+            for r in zip(range(s.u.size), *(c.tolist() for c in cols), s.margin.tolist())
+        )
 
 
 def _report_csv(reports) -> str:
@@ -283,12 +268,10 @@ def cmd_verify(suite: str, out_dir: str | None = None) -> int:
     return EXIT_OK
 
 
-def _sweep_one(index: int, tup: dict, base_doc: dict, out_dir: str) -> dict:
-    """Run one sweep tuple; any exception it raises ends up in its row."""
-    sub = os.path.join(out_dir, f"tuple_{index:04d}")
+def _sweep_row(index: int, tup) -> dict:
     fields = tup if isinstance(tup, dict) else {}
     shape = fields.get("shape", {"type": "circle", "R0": 1.0})
-    row = {
+    return {
         "index": index,
         "n": fields.get("n"),
         "b": fields.get("b"),
@@ -298,40 +281,51 @@ def _sweep_one(index: int, tup: dict, base_doc: dict, out_dir: str) -> dict:
         "min_margin_rel": float("nan"),
         "max_abs_P": float("nan"),
     }
-    try:
-        if not isinstance(tup, dict):
-            raise InvalidConfig(f"a sweep tuple must be a JSON object, got {tup!r}")
-        doc = {
-            "n": tup["n"],
-            "speed": {"a": -1.0, "beta": -float(tup["b"])},
-            "grid": dict(base_doc.get("grid", {"N": 256})),
-            "initial": dict(shape),
-            "time": dict(base_doc.get("time", {"t_end": 2.0})),
-            "output": dict(base_doc.get("output", {"stride": 50})),
-        }
-        cfg = _flow_config_from_doc(doc)
-        trace = run(cfg)
-        if trace.reason != "completed":
-            row["status"] = f"failed:{trace.reason}"
-            return row
-        samples = monitor(trace, cfg.law, t0=0.0)
-        mm = min(s.min_margin for s in samples)
-        scale = max(s.max_abs_p for s in samples)
-        row["min_margin"] = mm
-        row["min_margin_rel"] = mm / scale if scale > 0 else float("nan")
-        row["max_abs_P"] = scale
-        _atomic_write(os.path.join(sub, "harnack.csv"), _harnack_csv(samples))
-        _atomic_write(
-            os.path.join(sub, "meta.json"),
-            _meta(doc, cfg.law, 0.0, trace.reason, "sweep"),
-        )
-    except CONFIG_ERRORS as exc:
+
+
+def _sweep_doc(tup, base_doc: dict) -> dict:
+    if not isinstance(tup, dict):
+        raise InvalidConfig(f"a sweep tuple must be a JSON object, got {tup!r}")
+    return {
+        "n": tup["n"],
+        "speed": {"a": -1.0, "beta": -float(tup["b"])},
+        "grid": dict(base_doc.get("grid", {"N": 256})),
+        "initial": dict(tup.get("shape", {"type": "circle", "R0": 1.0})),
+        "time": dict(base_doc.get("time", {"t_end": 2.0})),
+        "output": dict(base_doc.get("output", {"stride": 50})),
+    }
+
+
+def _sweep_failed(row: dict, exc: Exception) -> None:
+    """Record a tuple's exception in its row."""
+    if isinstance(exc, CONFIG_ERRORS):
         row["status"] = "failed:config"
-        sys.stderr.write(f"tuple {index} rejected: {exc}\n")  # one write per line across threads
-    except Exception as exc:
+        print(f"tuple {row['index']} rejected: {exc}", file=sys.stderr)
+    else:
         row["status"] = "failed:error"
-        sys.stderr.write(f"tuple {index} failed: {type(exc).__name__}: {exc}\n")
-    return row
+        print(f"tuple {row['index']} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+
+
+def _sweep_one(row, doc, cfg, trace, wall: float, ensemble_size: int, out_dir: str) -> None:
+    """Monitor one tuple's trace; write its harnack.csv and meta.json.
+
+    wall is the stepping time of the tuple's whole ensemble.
+    """
+    if trace.reason != "completed":
+        row["status"] = f"failed:{trace.reason}"
+        return
+    samples = monitor(trace, cfg.law, t0=0.0)
+    mm = min(s.min_margin for s in samples)
+    scale = max(s.max_abs_p for s in samples)
+    row["min_margin"] = mm
+    row["min_margin_rel"] = mm / scale if scale > 0 else float("nan")
+    row["max_abs_P"] = scale
+    sub = os.path.join(out_dir, f"tuple_{row['index']:04d}")
+    _atomic_write(os.path.join(sub, "harnack.csv"), _harnack_csv(samples))
+    _atomic_write(
+        os.path.join(sub, "meta.json"),
+        _meta(doc, cfg.law, wall, trace.reason, "sweep", ensemble_size=ensemble_size),
+    )
 
 
 def cmd_sweep(config_path: str, out_dir: str) -> int:
@@ -344,18 +338,33 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
     if not isinstance(tuples, list) or not tuples:
         print("config error: sweep needs a non-empty 'tuples' list", file=sys.stderr)
         return EXIT_CONFIG
-    workers = os.environ.get("GCF_THREADS")
-    try:
-        max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
-    except ValueError:
-        print(f"config error: GCF_THREADS must be an integer, got {workers!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(
-            pool.map(
-                lambda it: _sweep_one(it[0], it[1], doc, out_dir), enumerate(tuples)
-            )
-        )
+    rows, valid = [], []
+    for index, tup in enumerate(tuples):
+        rows.append(_sweep_row(index, tup))
+        try:
+            tuple_doc = _sweep_doc(tup, doc)
+            valid.append((rows[-1], tuple_doc, _flow_config_from_doc(tuple_doc)))
+        except Exception as exc:
+            _sweep_failed(rows[-1], exc)
+    pending = [[valid[j] for j in members] for members in ensembles([v[2] for v in valid])]
+    while pending:
+        members = pending.pop(0)
+        start = time.monotonic()
+        try:
+            # run takes a list too; perfbench/probe.py ends its set-up timing at run
+            traces = run([cfg for _, _, cfg in members])
+        except Exception as exc:
+            if len(members) == 1:
+                _sweep_failed(members[0][0], exc)
+            else:  # each tuple runs alone, so that only the failing ones fail
+                pending[:0] = [[m] for m in members]
+            continue
+        wall = time.monotonic() - start
+        for (row, tuple_doc, cfg), trace in zip(members, traces):
+            try:
+                _sweep_one(row, tuple_doc, cfg, trace, wall, len(members), out_dir)
+            except Exception as exc:
+                _sweep_failed(row, exc)
     lines = ["index,n,b,shape,status,min_margin,min_margin_rel,max_abs_P"]
     for row in rows:
         lines.append(

@@ -9,9 +9,14 @@ Stepping is classical RK4 with an explicit parabolic step bound: each
 right-hand-side evaluation re-derives the curvature from the stage values,
 and any stage that loses strict convexity aborts the step.  The state a
 step produces is checked the same way, once; that checked curvature is
-kept on the grid and serves the next step bound and the next first stage.
-Round initial data stays exactly round, so closed-form radius ODEs provide
+kept and serves the next step bound and the next first stage.  Round
+initial data stays exactly round, so closed-form radius ODEs provide
 oracles for the integrator.
+
+Runs are stepped as ensembles: the configs of one call that share
+(n, size, law kind) are the rows of one (B, N) array, and every RK4 stage
+updates all rows at once.  The arithmetic of each row is that of a solo
+run, so a config's trace does not depend on the ensemble it ran in.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, NonConvex, OriginOutside
-from .geometry import SupportGrid, fourier_grid, radii_and_K, round_grid
+from .geometry import SupportGrid, fourier_grid, radii_and_K, require_admissible, round_grid
 from .speedlaw import SpeedLaw
 
 DT_FLOOR = 1e-12
@@ -72,8 +77,16 @@ class FlowConfig:
             raise InvalidConfig(f"safety must lie in (0, 1], got {self.safety}")
         if self.stride < 1:
             raise InvalidConfig(f"stride must be >= 1, got {self.stride}")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise InvalidConfig(f"fixed_dt must be positive, got {self.fixed_dt}")
+        if self.fixed_dt is not None:
+            if self.fixed_dt <= 0.0:
+                raise InvalidConfig(f"fixed_dt must be positive, got {self.fixed_dt}")
+            span = self.t_end - self.t0
+            n_steps = max(1, round(span / self.fixed_dt))
+            if not math.isclose(n_steps * self.fixed_dt, span, rel_tol=1e-9):
+                raise InvalidConfig(
+                    f"fixed_dt = {self.fixed_dt} does not divide the time span {span}"
+                )
+            object.__setattr__(self, "_n_steps", n_steps)
         if self.law.is_power and self.law.a < 0.0 and not (-1.0 / self.n < self.law.beta < 0.0):
             raise InvalidConfig(
                 f"expanding power law needs b < 1/n (and b > 0): "
@@ -122,6 +135,25 @@ def _speed(law: SpeedLaw, n: int, h: np.ndarray, dx: float) -> np.ndarray:
     return -law.f(radii_and_K(n, h, dx)[1])
 
 
+def _rk4(law: SpeedLaw, n: int, h: np.ndarray, K: np.ndarray, dx: float, dt) -> tuple:
+    """One classical RK4 update of support values h along the last axis.
+
+    K is the checked curvature of h.  h is one grid (N,) with a scalar dt,
+    or a batch (B, N) with a (B, 1) column of per-row steps.  Every stage
+    derives the curvature from its stage values and raises NonConvex if
+    one is lost.  Returns the new values with their checked (radii, K);
+    new values that are not finite and positive raise OriginOutside, and
+    a new state that is not strictly convex raises NonConvex.
+    """
+    k1 = -law.f(K)
+    k2 = _speed(law, n, h + 0.5 * dt * k1, dx)
+    k3 = _speed(law, n, h + 0.5 * dt * k2, dx)
+    k4 = _speed(law, n, h + dt * k3, dx)
+    new = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    require_admissible(new)
+    return (new, *radii_and_K(n, new, dx))
+
+
 def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
     """One classical RK4 update of the support values.
 
@@ -135,14 +167,16 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
     """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
-    n, h, dx = grid.n, grid.values, grid.spacing
-    k1 = -law.f(grid.curvature()[1])
-    k2 = _speed(law, n, h + 0.5 * dt * k1, dx)
-    k3 = _speed(law, n, h + 0.5 * dt * k2, dx)
-    k4 = _speed(law, n, h + dt * k3, dx)
-    new = SupportGrid(n, h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    new.curvature()
-    return new
+    values, radii, K = _rk4(law, grid.n, grid.values, grid.curvature()[1], grid.spacing, dt)
+    return SupportGrid.with_curvature(grid.n, values, radii, K)
+
+
+def _dt_bound(law: SpeedLaw, n: int, radii: tuple, K: np.ndarray, dx: float, safety):
+    """safety * dx**2 / lambda, lambda maximised along the last axis."""
+    lam = law.f1(K) * K**2
+    if n == 2:
+        lam = lam * np.maximum(radii[0], radii[1])
+    return safety * dx * dx / lam.max(axis=-1)
 
 
 def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) -> float:
@@ -151,60 +185,184 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) 
     lambda bounds the linearized speed sensitivity to the curvature radii:
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
     """
-    dx = grid.spacing
-    radii, K = grid.curvature()
-    lam = law.f1(K) * K**2
-    if grid.n == 2:
-        lam = lam * np.maximum(radii[0], radii[1])
-    return safety * dx * dx / float(lam.max())
+    return float(_dt_bound(law, grid.n, *grid.curvature(), grid.spacing, safety))
 
 
-def run(config: FlowConfig) -> FlowTrace:
+def run(config):
     """Integrate the flow from the initial shape at t0 to t_end.
 
     Steps adaptively with stable_dt unless fixed_dt is set.  Stores the
     initial state, every stride-th state, and the final state.  Loss of
     convexity, the origin leaving the body, or a dt underflow terminates
     early: the last accepted state is stored and the partial trace is
-    returned with the reason recorded.
+    returned with the reason recorded.  Given a list of configs instead
+    of one config, returns their traces from run_ensemble.
     """
-    law, t0, t_end, fixed_dt = config.law, config.t0, config.t_end, config.fixed_dt
-    if fixed_dt is not None:
-        n_steps = max(1, round((t_end - t0) / fixed_dt))
-        if not math.isclose(n_steps * fixed_dt, t_end - t0, rel_tol=1e-9):
-            raise InvalidConfig(
-                f"fixed_dt = {fixed_dt} does not divide the time span {t_end - t0}"
-            )
-    t_stop = t_end - 1e-14 * max(1.0, t_end)
-    grid = config.build_grid()
-    trace = FlowTrace(n=config.n, law=law, times=[t0], grids=[grid])
-    t, i = t0, 0
-    try:
-        while (i < n_steps) if fixed_dt is not None else (t < t_stop):
-            if fixed_dt is None:
-                dt = stable_dt(grid, law, config.safety)
-                if dt < DT_FLOOR:
-                    trace.reason = "dt_underflow"
-                    break
-                dt = min(dt, t_end - t)
-            else:
-                dt = fixed_dt
-            grid = step(grid, law, dt)
-            i += 1
-            if fixed_dt is None:
-                t += dt
-                last = t >= t_stop
-            else:
-                t = t0 + i * dt
-                last = i == n_steps
-            if i % config.stride == 0 or last:
-                trace.times.append(t)
-                trace.grids.append(grid)
-    except NonConvex:
-        trace.reason = "nonconvex"
-    except OriginOutside:
-        trace.reason = "origin_outside"
-    if trace.reason != "completed" and trace.times[-1] < t:
-        trace.times.append(t)
-        trace.grids.append(grid)
-    return trace
+    if isinstance(config, FlowConfig):
+        return run_ensemble([config])[0]
+    return run_ensemble(config)
+
+
+def run_ensemble(configs) -> list:
+    """Run each config as run() does, stepping configs together.
+
+    Each ensemble (see ensembles()) holds its configs' support values as
+    the rows of one (B, N) array.  Each row keeps its own law
+    parameters, step (its fixed_dt, or the smaller of its own step bound
+    and its remaining time), time, step count, stored states and
+    termination reason.  A row that completes or ends early leaves the
+    ensemble and the other rows run on.  Each row is computed with the
+    arithmetic of a solo run, so every trace equals run(config) exactly.
+    A law evaluated outside its domain raises, as it does in run().
+    Returns the traces in the order of configs.
+    """
+    configs = list(configs)
+    traces = [None] * len(configs)
+    for members in ensembles(configs):
+        for j, trace in zip(members, _run_rows([_Row(configs[j]) for j in members])):
+            traces[j] = trace
+    return traces
+
+
+def ensembles(configs) -> list:
+    """Indices of the configs that run_ensemble steps together, per ensemble.
+
+    Configs share an ensemble when they share (n, size, law kind); the
+    ensembles and their members keep the order of configs.
+    """
+    groups = {}
+    for j, cfg in enumerate(configs):
+        groups.setdefault((cfg.n, cfg.size, cfg.law.kind), []).append(j)
+    return list(groups.values())
+
+
+class _Row:
+    """The time, step count, next step and trace of one config in an ensemble."""
+
+    def __init__(self, cfg: FlowConfig):
+        self.cfg = cfg
+        self.trace = FlowTrace(n=cfg.n, law=cfg.law, times=[cfg.t0], grids=[cfg.build_grid()])
+        self.t, self.i, self.dt = cfg.t0, 0, None
+        self.t_stop = cfg.t_end - 1e-14 * max(1.0, cfg.t_end)
+
+    @property
+    def running(self) -> bool:
+        if self.cfg.fixed_dt is None:
+            return self.t < self.t_stop
+        return self.i < self.cfg._n_steps
+
+    def plan(self, bound: float) -> bool:
+        """Set the next step from the row's step bound; False if it underflows."""
+        cfg = self.cfg
+        if cfg.fixed_dt is not None:
+            self.dt = cfg.fixed_dt
+        elif bound < DT_FLOOR:
+            return False
+        else:
+            self.dt = min(bound, cfg.t_end - self.t)
+        return True
+
+    def advance(self) -> bool:
+        """Count one accepted step; whether its state is to be stored."""
+        cfg = self.cfg
+        self.i += 1
+        if cfg.fixed_dt is None:
+            self.t += self.dt
+        else:
+            self.t = cfg.t0 + self.i * self.dt
+        return self.i % cfg.stride == 0 or not self.running
+
+    def store(self, grid: SupportGrid) -> None:
+        self.trace.times.append(self.t)
+        self.trace.grids.append(grid)
+
+    def end(self, reason: str, grid: SupportGrid) -> None:
+        """End early at the last accepted state, stored unless it already is."""
+        self.trace.reason = reason
+        if self.trace.times[-1] < self.t:
+            self.store(grid)
+
+
+class _Batch:
+    """The running rows of an ensemble and their (B, N) checked states."""
+
+    def __init__(self, rows: list, h: np.ndarray, radii: tuple, K: np.ndarray):
+        self.rows, self.h, self.radii, self.K = rows, h, radii, K
+        if rows:
+            self.law = SpeedLaw.stacked([row.cfg.law for row in rows])
+            self.safety = np.array([row.cfg.safety for row in rows])
+
+    def grid(self, j: int) -> SupportGrid:
+        """Row j's state as a grid of its own, with its curvature kept."""
+        return SupportGrid.with_curvature(
+            self.rows[j].cfg.n,
+            self.h[j].copy(),
+            tuple(r[j].copy() for r in self.radii),
+            self.K[j].copy(),
+        )
+
+    def keep(self, mask: list) -> "_Batch":
+        if all(mask):
+            return self
+        m = np.asarray(mask, dtype=bool)
+        rows = [row for row, k in zip(self.rows, mask) if k]
+        return _Batch(rows, self.h[m], tuple(r[m] for r in self.radii), self.K[m])
+
+
+def _run_rows(rows: list) -> list:
+    """Step rows that share (n, size, law kind) until each has ended."""
+    traces = [row.trace for row in rows]
+    grids = [row.trace.grids[0] for row in rows]
+    n, dx = grids[0].n, grids[0].spacing
+    batch = _Batch(
+        rows,
+        np.stack([g.values for g in grids]),
+        tuple(np.stack(r) for r in zip(*(g.curvature()[0] for g in grids))),
+        np.stack([g.curvature()[1] for g in grids]),
+    ).keep([row.running for row in rows])
+    while batch.rows:
+        bounds = _dt_bound(batch.law, n, batch.radii, batch.K, dx, batch.safety).tolist()
+        planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
+        for j, ok in enumerate(planned):
+            if not ok:
+                batch.rows[j].end("dt_underflow", batch.grid(j))
+        batch = batch.keep(planned)
+        if not batch.rows:
+            break
+        dt = np.array([row.dt for row in batch.rows])[:, None]
+        try:
+            batch.h, batch.radii, batch.K = _rk4(batch.law, n, batch.h, batch.K, dx, dt)
+        except (NonConvex, OriginOutside):
+            batch = _step_rows_alone(batch, n, dx, dt)
+        for j, row in enumerate(batch.rows):
+            if row.advance():
+                row.store(batch.grid(j))
+        batch = batch.keep([row.running for row in batch.rows])
+    return traces
+
+
+def _step_rows_alone(batch: _Batch, n: int, dx: float, dt: np.ndarray) -> _Batch:
+    """Step each row of a batch whose joint step failed on its own.
+
+    A row whose step fails ends with that failure as its reason, exactly
+    where a solo run would; the batch of the other rows is returned
+    stepped.
+    """
+    results = []
+    for j, row in enumerate(batch.rows):
+        s = slice(j, j + 1)
+        try:
+            results.append(_rk4(row.cfg.law, n, batch.h[s], batch.K[s], dx, dt[s]))
+            continue
+        except NonConvex:
+            row.end("nonconvex", batch.grid(j))
+        except OriginOutside:
+            row.end("origin_outside", batch.grid(j))
+        results.append(None)
+    stepped = [r for r in results if r is not None]
+    batch = batch.keep([r is not None for r in results])
+    if stepped:
+        h, radii, K = zip(*stepped)
+        batch.h, batch.K = np.concatenate(h), np.concatenate(K)
+        batch.radii = tuple(np.concatenate(r) for r in zip(*radii))
+    return batch

@@ -67,10 +67,19 @@ class SupportGrid:
             raise ValueError(f"grid needs at least 16 nodes, got {m}")
         if self.n == 1 and m % 2 != 0:
             raise ValueError(f"n=1 grid size must be even, got {m}")
-        if not np.isfinite(v).all():
-            raise OriginOutside("support values must be finite")
-        if (v <= 0.0).any():
-            raise OriginOutside("support values must be strictly positive")
+        require_admissible(v)
+
+    @classmethod
+    def with_curvature(cls, n: int, values: np.ndarray, radii: tuple, K: np.ndarray):
+        """A grid whose curvature (radii, K) was already derived and checked.
+
+        The arrays are kept as curvature() would keep them, read-only.
+        """
+        grid = cls(n, values)
+        for a in (*radii, K):
+            a.flags.writeable = False
+        object.__setattr__(grid, "_curvature", (radii, K))
+        return grid
 
     @property
     def size(self) -> int:
@@ -101,6 +110,14 @@ class SupportGrid:
             cached = (radii, K)
             object.__setattr__(self, "_curvature", cached)
         return cached
+
+
+def require_admissible(values: np.ndarray) -> None:
+    """Raise OriginOutside unless all support values are finite and positive."""
+    if not np.isfinite(values).all():
+        raise OriginOutside("support values must be finite")
+    if (values <= 0.0).any():
+        raise OriginOutside("support values must be strictly positive")
 
 
 def round_grid(n: int, radius: float, size: int) -> SupportGrid:
@@ -138,7 +155,9 @@ def radii_and_K(n: int, h: np.ndarray, dx: float) -> tuple:
     with r1 = h_pp + h, r2 = h_p cot(phi) + h for n=2.  Raises NonConvex if
     a radius is not finite or does not exceed RADIUS_FLOOR.  This is the
     only place the radii are formed from h; RK stages call it on stage
-    values, and SupportGrid.curvature() on accepted states.
+    values, and SupportGrid.curvature() on accepted states.  h may be one
+    grid (N,) or a batch (B, N) of grids, one per row; the check then
+    covers every row.
     """
     if n == 1:
         r1 = stencils.d2_periodic(h, dx) + h
@@ -146,7 +165,7 @@ def radii_and_K(n: int, h: np.ndarray, dx: float) -> tuple:
         return (r1,), 1.0 / r1
     r1 = stencils.d2_reflect(h, dx, "even") + h
     _require_convex(r1)
-    r2 = stencils.d1_reflect(h, dx, "even") * _polar_cot(h.size) + h
+    r2 = stencils.d1_reflect(h, dx, "even") * _polar_cot(h.shape[-1]) + h
     _require_convex(r2)
     return (r1, r2), 1.0 / (r1 * r2)
 

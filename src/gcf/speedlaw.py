@@ -23,7 +23,6 @@ identities remain genuine cross-checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ class SpeedLaw:
         ``"power"`` for f(x) = a*x**beta, ``"exp"`` for f(x) = exp(x).
     a, beta : float
         Power-law coefficient and exponent; ignored for the exponential law.
+        A law made by stacked() carries them as (B, 1) columns instead.
     """
 
     kind: str
@@ -54,9 +54,9 @@ class SpeedLaw:
         if self.kind not in (POWER, EXPONENTIAL):
             raise InvalidSpeedLaw(f"unknown speed-law kind {self.kind!r}")
         if self.kind == POWER:
-            if not (math.isfinite(self.a) and math.isfinite(self.beta)):
+            if not (np.isfinite(self.a).all() and np.isfinite(self.beta).all()):
                 raise InvalidSpeedLaw("power-law parameters must be finite")
-            if self.a * self.beta <= 0.0:
+            if (np.multiply(self.a, self.beta) <= 0.0).any():
                 raise InvalidSpeedLaw(
                     f"power law needs a*beta > 0 for f' > 0; got a={self.a}, beta={self.beta}"
                 )
@@ -68,6 +68,23 @@ class SpeedLaw:
     @staticmethod
     def exponential() -> "SpeedLaw":
         return SpeedLaw(EXPONENTIAL)
+
+    @staticmethod
+    def stacked(laws) -> "SpeedLaw":
+        """One law that evaluates laws[i] on row i of a (len(laws), N) argument.
+
+        Equal laws give that law itself.  Power laws with different
+        parameters give a power law whose a and beta are (len(laws), 1)
+        columns, so each row is computed with its own law's arithmetic.
+        """
+        first = laws[0]
+        if all(law == first for law in laws):
+            return first
+        if not all(law.is_power for law in laws):
+            raise InvalidSpeedLaw("laws of different kinds cannot be stacked")
+        return SpeedLaw.power(
+            np.array([[law.a] for law in laws]), np.array([[law.beta] for law in laws])
+        )
 
     @property
     def is_power(self) -> bool:

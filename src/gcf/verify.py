@@ -23,7 +23,7 @@ import numpy as np
 
 from . import stencils
 from .errors import BadExponent, InsufficientTrace
-from .flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
+from .flow import FlowConfig, FlowTrace, InitialShape, run_ensemble, stable_dt, step
 from .geometry import (
     GeometryState,
     SupportGrid,
@@ -666,15 +666,16 @@ ORACLE_CASES = (
 
 def oracle_suite(t_end: float = 2.0, tolerance: float = 1e-6) -> list:
     """Round flows against the closed-form radius, relative error."""
-    reports = []
-    for n, b, size in ORACLE_CASES:
-        law = SpeedLaw.power(-1.0, -b)
-        cfg = FlowConfig(
-            n=n, size=size, law=law,
+    configs = [
+        FlowConfig(
+            n=n, size=size, law=SpeedLaw.power(-1.0, -b),
             shape=InitialShape("round", R0=1.0),
             t_end=t_end, stride=10**9,
         )
-        trace = run(cfg)
+        for n, b, size in ORACLE_CASES
+    ]
+    reports = []
+    for (n, b, size), trace in zip(ORACLE_CASES, run_ensemble(configs)):
         r_exact = sphere_radius_exact(1.0, t_end, n, b)
         h_final = trace.grids[-1].values
         rel = float(np.max(np.abs(h_final - r_exact)) / r_exact)

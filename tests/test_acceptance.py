@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gcf.cli import main as cli_main
-from gcf.flow import FlowConfig, InitialShape, run
+from gcf.flow import FlowConfig, InitialShape, run, run_ensemble
 from gcf.harnack import monitor
 from gcf.speedlaw import (
     SpeedLaw,
@@ -93,9 +93,11 @@ def test_criterion_3_harnack_property_on_perturbed_circles():
     rng = np.random.default_rng(2024)
     worst_margin_rel = np.inf
     worst_lhs_rel = -np.inf
-    for shape in _perturbed_shapes(20, rng):
-        cfg = FlowConfig(n=1, size=256, law=HALF, shape=shape, t_end=2.0, stride=40)
-        trace = run(cfg)
+    configs = [
+        FlowConfig(n=1, size=256, law=HALF, shape=shape, t_end=2.0, stride=40)
+        for shape in _perturbed_shapes(20, rng)
+    ]
+    for trace in run_ensemble(configs):
         assert trace.reason == "completed"
         samples = monitor(trace, HALF, t0=0.0)
         p_scale = max(s.max_abs_p for s in samples)

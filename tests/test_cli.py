@@ -1,10 +1,12 @@
 import json
-import sys
 
 import numpy as np
 import pytest
 
-from gcf.cli import main
+from gcf.cli import _atomic_write, _harnack_csv, main
+from gcf.flow import FlowConfig, InitialShape, run
+from gcf.harnack import monitor
+from gcf.speedlaw import SpeedLaw
 
 
 def write_config(path, **overrides):
@@ -181,15 +183,7 @@ def test_run_rejects_non_object_section(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-def test_sweep_rejects_non_integer_threads(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({"tuples": [{"n": 1, "b": 0.3}]}))
-    monkeypatch.setenv("GCF_THREADS", "abc")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
-    err = capsys.readouterr().err
-    assert "GCF_THREADS" in err and err.count("\n") == 1
-
-
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -199,6 +193,9 @@ def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
             "not a tuple",
             {"n": 1, "b": 0.45, "shape": {"type": "fourier", "modes": [[3, 0.03]]}},
             {"n": 1, "b": "x"},
+            # so large that K = 1/(r1*r2) underflows to 0, which the law rejects
+            {"n": 2, "b": 0.3, "shape": {"type": "sphere", "R0": 1e160}},
+            {"n": 2, "b": 0.1},
         ],
         "grid": {"N": 32},
         "time": {"t_end": 1.0, "safety": 1.0},
@@ -208,35 +205,70 @@ def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     header, rows = read_csv(out / "sweep.csv")
     status = [r[header.index("status")] for r in rows]
-    assert status == ["failed:config", "ok", "failed:config", "failed:nonconvex", "failed:config"]
+    assert status == [
+        "failed:config", "ok", "failed:config", "failed:nonconvex", "failed:config",
+        "failed:config", "ok",
+    ]
     assert all(len(r) == len(header) for r in rows)
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_sweep_output_independent_of_threads(tmp_path, monkeypatch):
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({
-        "tuples": [
-            {"n": 1 + (i % 3 == 2), "b": 0.1 + 0.1 * (i % 3),
-             "shape": {"type": "fourier", "modes": [[2 + i % 3, 0.005 + 0.003 * i]]}}
-            for i in range(6)
-        ],
-        "grid": {"N": 32},
-        "time": {"t_end": 0.5},
-        "output": {"stride": 2},
-    }))
-    outputs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for threads in ("1", "6"):
-            monkeypatch.setenv("GCF_THREADS", threads)
-            out = tmp_path / f"s{threads}"
-            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-            outputs.append({
-                p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))
-            })
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(outputs[0]) == 7
-    assert outputs[0] == outputs[1]
+SWEEP_BASE = {"grid": {"N": 32}, "time": {"t_end": 0.5}, "output": {"stride": 2}}
+SWEEP_TUPLES = [
+    {"n": 1 + (i % 3 == 2), "b": 0.1 + 0.1 * (i % 3),
+     "shape": {"type": "fourier", "modes": [[2 + i % 3, 0.005 + 0.003 * i]]}}
+    for i in range(6)
+]
+
+
+def run_sweep(tmp_path, name, tuples):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"tuples": tuples, **SWEEP_BASE}))
+    out = tmp_path / name
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def test_sweep_tuples_match_solo_runs(tmp_path):
+    out = run_sweep(tmp_path, "s", SWEEP_TUPLES)
+    for i, tup in enumerate(SWEEP_TUPLES):
+        cfg = FlowConfig(
+            n=tup["n"], size=32, law=SpeedLaw.power(-1.0, -tup["b"]),
+            shape=InitialShape("fourier", 1.0, tuple(map(tuple, tup["shape"]["modes"]))),
+            t_end=0.5, stride=2,
+        )
+        solo = "".join(_harnack_csv(monitor(run(cfg), cfg.law, t0=0.0)))
+        sub = out / f"tuple_{i:04d}"
+        assert (sub / "harnack.csv").read_bytes() == solo.encode()
+        meta = json.loads((sub / "meta.json").read_text())
+        # tuples 2 and 5 have n=2; the other four share the n=1 ensemble
+        assert meta["ensemble_size"] == (2 if tup["n"] == 2 else 4)
+        assert meta["wall_time_s"] > 0.0
+
+
+def test_sweep_csv_independent_of_tuple_order(tmp_path):
+    order = [4, 2, 0, 5, 1, 3]
+    outs = [
+        run_sweep(tmp_path, "a", SWEEP_TUPLES),
+        run_sweep(tmp_path, "b", [SWEEP_TUPLES[i] for i in order]),
+    ]
+    (_, rows_a), (_, rows_b) = (read_csv(out / "sweep.csv") for out in outs)
+    assert [rows_a[i][1:] for i in order] == [row[1:] for row in rows_b]
+    for k, i in enumerate(order):
+        csv_a = (outs[0] / f"tuple_{i:04d}" / "harnack.csv").read_bytes()
+        assert csv_a == (outs[1] / f"tuple_{k:04d}" / "harnack.csv").read_bytes()
+
+
+def test_atomic_write_of_chunks_keeps_old_file_on_error(tmp_path):
+    path = tmp_path / "x.csv"
+    _atomic_write(str(path), (f"{i}\n" for i in range(3)))
+    assert path.read_bytes() == b"0\n1\n2\n"
+
+    def failing():
+        yield "partial\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError):
+        _atomic_write(str(path), failing())
+    assert path.read_bytes() == b"0\n1\n2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]  # no temporary file left

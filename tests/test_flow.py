@@ -3,7 +3,7 @@ import pytest
 
 from gcf import flow, geometry
 from gcf.errors import InvalidConfig, NonConvex
-from gcf.flow import FlowConfig, InitialShape, run, stable_dt, step
+from gcf.flow import FlowConfig, InitialShape, run, run_ensemble, stable_dt, step
 from gcf.geometry import derive_state, fourier_grid, round_grid
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import sphere_radius_exact
@@ -220,3 +220,62 @@ def test_each_accepted_state_derived_once(monkeypatch):
     assert len(calls) == 1 + 4 * steps
     r1, _ = trace.grids[-1].curvature()[0]
     assert not r1.flags.writeable
+
+
+def _mixed_configs(seed):
+    """n=1 and n=2 expanding flows with mixed b, t_end, safety and stride,
+    plus one fixed_dt flow."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for j in range(9):
+        n = 2 if j % 4 == 3 else 1
+        mode = (int(rng.integers(2, 5)), float(rng.uniform(0.005, 0.03)))
+        configs.append(FlowConfig(
+            n=n, size=32 if n == 1 else 16,
+            law=SpeedLaw.power(-1.0, -float(rng.uniform(0.1, 0.9 / n))),
+            shape=InitialShape("fourier", 1.0, (mode,)),
+            t_end=float(rng.uniform(0.05, 0.4)), safety=float(rng.uniform(0.1, 0.6)),
+            stride=int(rng.integers(1, 25)),
+        ))
+    configs.append(FlowConfig(
+        n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
+        t_end=0.3, fixed_dt=0.3 / 200, stride=13,
+    ))
+    return configs
+
+
+def assert_same_trace(a, b):
+    assert a.reason == b.reason
+    assert a.times == b.times
+    assert len(a.grids) == len(b.grids)
+    for ga, gb in zip(a.grids, b.grids):
+        assert np.array_equal(ga.values, gb.values)
+        assert np.array_equal(ga.curvature()[1], gb.curvature()[1])
+
+
+def test_ensemble_traces_equal_solo_runs():
+    configs = _mixed_configs(11)
+    solo = [run(cfg) for cfg in configs]
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        pick = rng.permutation(len(configs))[: rng.integers(2, len(configs) + 1)]
+        for j, trace in zip(pick, run_ensemble([configs[j] for j in pick])):
+            assert_same_trace(trace, solo[j])
+    for trace, ref in zip(run(configs[:3]), solo):  # run() takes a list as well
+        assert_same_trace(trace, ref)
+
+
+@pytest.mark.parametrize("early", [EARLY_ENDS[0], EARLY_ENDS[3]], ids=lambda e: e[-1])
+def test_ensemble_row_ends_early_as_alone(early):
+    beta, modes, safety, fixed_dt, t_end, reason = early
+    ending = FlowConfig(
+        n=1, size=32, law=SpeedLaw.power(1.0, beta),
+        shape=InitialShape("fourier", 1.0, modes), t_end=t_end, safety=safety,
+        fixed_dt=fixed_dt, stride=7,
+    )
+    configs = [c for c in _mixed_configs(5) if c.n == 1][:4]
+    configs.insert(2, ending)
+    traces = run_ensemble(configs)
+    assert traces[2].reason == reason
+    for cfg, trace in zip(configs, traces):
+        assert_same_trace(trace, run(cfg))

@@ -133,3 +133,18 @@ def test_quadratic_power_law_alpha_beta_vanish_exactly_at_one():
     law = SpeedLaw.power(1.0, 2.0)
     assert abs(float(alpha_fn(law, 1.0))) <= 1e-15
     assert abs(float(beta_fn(law, 1.0))) <= 1e-15
+
+
+def test_stacked_law_evaluates_each_row_with_its_own_law():
+    laws = [SpeedLaw.power(-1.0, -0.3), SpeedLaw.power(1.0, 1.7), SpeedLaw.power(-1.0, -0.45)]
+    x = np.random.default_rng(0).uniform(0.1, 5.0, (3, 64))
+    stacked = SpeedLaw.stacked(laws)
+    for name in ("f", "f1"):
+        rows = getattr(stacked, name)(x)
+        for i, law in enumerate(laws):
+            assert np.array_equal(rows[i], getattr(law, name)(x[i]))
+    assert SpeedLaw.stacked([laws[0], SpeedLaw.power(-1.0, -0.3)]) is laws[0]
+    with pytest.raises(InvalidSpeedLaw):
+        SpeedLaw.stacked([laws[0], SpeedLaw.exponential()])
+    with pytest.raises(NonPositiveArgument):
+        stacked.f(np.where(np.arange(64) == 5, 0.0, x))
