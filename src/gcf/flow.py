@@ -56,12 +56,18 @@ class InitialShape:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Validated description of one flow run."""
+    """Validated description of one flow run.
+
+    shape is an InitialShape, built on the (n, size) grid, or a
+    SupportGrid of that (n, size) to start from as it is, such as the
+    last state of an earlier run.  The initial state must be strictly
+    convex and the law defined on its curvature.
+    """
 
     n: int
     size: int
     law: SpeedLaw
-    shape: InitialShape
+    shape: InitialShape | SupportGrid
     t_end: float
     t0: float = 0.0
     safety: float = DEFAULT_SAFETY
@@ -93,8 +99,15 @@ class FlowConfig:
                 f"got b = {-self.law.beta} with n = {self.n}"
             )
         try:
-            grid = self.shape.build(self.n, self.size)
-            grid.curvature()
+            grid = self.shape
+            if not isinstance(grid, SupportGrid):
+                grid = grid.build(self.n, self.size)
+            elif (grid.n, grid.size) != (self.n, self.size):
+                raise InvalidConfig(
+                    f"initial grid has (n, size) = ({grid.n}, {grid.size}), "
+                    f"the config ({self.n}, {self.size})"
+                )
+            self.law.f(grid.curvature()[1])
         except InvalidConfig:
             raise
         except Exception as exc:
@@ -191,12 +204,14 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) 
 def run(config):
     """Integrate the flow from the initial shape at t0 to t_end.
 
-    Steps adaptively with stable_dt unless fixed_dt is set.  Stores the
-    initial state, every stride-th state, and the final state.  Loss of
-    convexity, the origin leaving the body, or a dt underflow terminates
-    early: the last accepted state is stored and the partial trace is
-    returned with the reason recorded.  Given a list of configs instead
-    of one config, returns their traces from run_ensemble.
+    The initial state is the config's InitialShape built on its grid, or
+    the SupportGrid it was given.  Steps adaptively with stable_dt unless
+    fixed_dt is set.  Stores the initial state, every stride-th state, and
+    the final state.  Loss of convexity, the origin leaving the body, or a
+    dt underflow terminates early: the last accepted state is stored and
+    the partial trace is returned with the reason recorded.  Given a list
+    of configs instead of one config, returns their traces from
+    run_ensemble.
     """
     if isinstance(config, FlowConfig):
         return run_ensemble([config])[0]

@@ -49,20 +49,18 @@ class SpeedFields(NamedTuple):
     f: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    f3: np.ndarray
     fp: np.ndarray        # first angular derivative, f'(K) * K'
     fpp: np.ndarray       # second angular derivative
     hess: np.ndarray      # covariant meridian Hessian component
     box: np.ndarray       # h^-1-contracted covariant Hessian
     gradsq_h: np.ndarray  # |grad f|^2 in the h norm
-    gradsq_g: np.ndarray  # |grad f|^2 in the induced metric
     f1K: np.ndarray       # f'(K) * K
 
 
 def speed_fields(state: GeometryState, law: SpeedLaw) -> SpeedFields:
     """Evaluate f(K) and its spatial derivatives by exact chain rule."""
     K = state.K
-    f, f1, f2, f3 = law.f(K), law.f1(K), law.f2(K), law.f3(K)
+    f, f1, f2 = law.f(K), law.f1(K), law.f2(K)
     fp = f1 * state.Kp
     fpp = f2 * state.Kp**2 + f1 * state.Kpp
     hess = fpp - state.Gamma * fp
@@ -71,8 +69,7 @@ def speed_fields(state: GeometryState, law: SpeedLaw) -> SpeedFields:
     else:
         box = hess / state.r1 + state.cot * fp / state.r1
     gradsq_h = fp * fp / state.r1
-    gradsq_g = fp * fp / state.r1**2
-    return SpeedFields(f, f1, f2, f3, fp, fpp, hess, box, gradsq_h, gradsq_g, f1 * K)
+    return SpeedFields(f, f1, f2, fp, fpp, hess, box, gradsq_h, f1 * K)
 
 
 def dt_f_spatial(state: GeometryState, law: SpeedLaw) -> np.ndarray:
@@ -241,7 +238,7 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
         dm = trace.times[m] - trace.times[m - 1]
         dp = trace.times[m + 1] - trace.times[m]
         v = sf.fp / st.r1  # turning rate of the normal at a material point
-        du = st.d1(u) if st.n == 1 else st.d1(u, "even")
+        du = st.d1(u)
         dt_u_fd = _central_dt(u_fields[m - 1], u, u_fields[m + 1], dm, dp) + v * du
         gsq_h = grad_norm_sq_h(st, u)
         p_tr = P_trace(st, law)
@@ -249,11 +246,7 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
             b = -law.beta
             nb = st.n * b
             lhs12 = dt_u_spatial + gsq_h - (nb / ((1.0 - nb) * t)) * u
-            lhs317 = (
-                dt_f_spatial(st, law)
-                - grad_norm_sq_h(st, law.f(st.K))
-                + sf.f1K / ((1.0 / st.n + law.beta) * t)
-            )
+            lhs317 = -dt_u_spatial - gsq_h + sf.f1K / ((1.0 / st.n + law.beta) * t)
         else:
             lhs12 = np.full_like(u, np.nan)
             lhs317 = np.full_like(u, np.nan)

@@ -17,13 +17,14 @@ absolute tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import stencils
-from .errors import BadExponent, InsufficientTrace
-from .flow import FlowConfig, FlowTrace, InitialShape, run_ensemble, stable_dt, step
+from .errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
+from .flow import FlowConfig, FlowTrace, InitialShape, run, run_ensemble, stable_dt
 from .geometry import (
     GeometryState,
     SupportGrid,
@@ -129,6 +130,9 @@ def estimate_order(resolutions, residuals) -> float | None:
 # traces with uniformly spaced stored states
 
 
+HEADROOM = 0.5
+
+
 def uniform_trace(
     n: int,
     size: int,
@@ -137,59 +141,111 @@ def uniform_trace(
     spacing: float,
     n_stored: int,
     burn_in: float = 0.0,
-    headroom: float = 0.5,
 ) -> FlowTrace:
     """Run the flow so stored states sit exactly spacing apart.
 
     An optional burn-in phase integrates past the fast startup transients
     of the high harmonics before storing begins; residual checks centered
-    on the stored window then see only the slow dynamics.  The fixed step
-    divides the spacing and respects the explicit stability bound with the
-    given headroom factor.
+    on the stored window then see only the slow dynamics.  Both phases are
+    flow.run calls: the burn-in steps adaptively, the window with a fixed
+    step that divides the spacing and is at most HEADROOM times the
+    explicit step bound of the window's first state.  A phase that ends
+    early raises (NonConvex, OriginOutside, or InsufficientTrace on a step
+    underflow) instead of returning a partial trace.
     """
-    grid = shape.build(n, size)
-    t = 0.0
-    while t < burn_in - 1e-15:
-        dt = min(stable_dt(grid, law), burn_in - t)
-        grid = step(grid, law, dt)
-        t += dt
-    m = max(1, math.ceil(spacing / (headroom * stable_dt(grid, law))))
-    dt = spacing / m
-    trace = FlowTrace(n=n, law=law)
-    trace.times.append(burn_in)
-    trace.grids.append(grid)
-    for j in range(1, (n_stored - 1) * m + 1):
-        grid = step(grid, law, dt)
-        if j % m == 0:
-            trace.times.append(burn_in + j * dt)
-            trace.grids.append(grid)
-    return trace
+    if burn_in > 0.0:
+        burn = FlowConfig(n=n, size=size, law=law, shape=shape, t_end=burn_in, stride=10**9)
+        grid = _completed(run(burn)).grids[-1]
+    else:
+        grid = shape.build(n, size)
+    m = max(1, math.ceil(spacing / (HEADROOM * stable_dt(grid, law))))
+    window = FlowConfig(
+        n=n, size=size, law=law, shape=grid,
+        t0=burn_in, t_end=burn_in + (n_stored - 1) * spacing,
+        fixed_dt=spacing / m, stride=m,
+    )
+    return _completed(run(window))
+
+
+def _completed(trace: FlowTrace) -> FlowTrace:
+    """The trace of a run that reached its end; raise if it ended early."""
+    if trace.reason == "completed":
+        return trace
+    error = {"nonconvex": NonConvex, "origin_outside": OriginOutside}.get(
+        trace.reason, InsufficientTrace
+    )
+    raise error(f"flow ended early at t = {trace.times[-1]!r}: {trace.reason}")
 
 
 def _central_diff(qm, qp, dt):
     return (qp - qm) / (2.0 * dt)
 
 
-@dataclass
-class _MidBundle:
-    state: GeometryState
-    sf: object
-    V: np.ndarray
-    Vp: np.ndarray
+class _Ladder(NamedTuple):
+    """Where a residual ladder sits on a trace of uniformly spaced states:
+    the middle stored index, the offsets (4, 2, 1) around it as far as the
+    trace allows, the stored spacing, and the derived states at mid and at
+    mid -+ each offset, keyed by stored index."""
+
+    states: dict
+    mid: int
+    ks: list
+    base: float
 
 
-def _mid_bundle(state: GeometryState, law: SpeedLaw) -> _MidBundle:
-    sf = speed_fields(state, law)
-    V = sf.fp / state.r1
-    Vp = sf.fpp / state.r1 - sf.fp * state.r1p / state.r1**2
-    return _MidBundle(state=state, sf=sf, V=V, Vp=Vp)
+def _ladder_states(trace: FlowTrace) -> _Ladder:
+    """The ladder of a trace; raises InsufficientTrace if it has none."""
+    if len(trace) < 3:
+        raise InsufficientTrace("need at least 3 stored states")
+    base = trace.stored_spacing
+    if base is None:
+        raise InsufficientTrace("stored states are not uniformly spaced")
+    mid = len(trace) // 2
+    ks = [k for k in (4, 2, 1) if k <= min(mid, len(trace) - 1 - mid)]
+    needed = sorted({mid} | {mid + s * k for k in ks for s in (-1, 1)})
+    return _Ladder({j: derive_state(trace.grids[j]) for j in needed}, mid, ks, base)
 
 
-def _evolution_parts(mb: _MidBundle, law: SpeedLaw, which: str):
-    """Per-component (state -> field) extractors, advection terms and
-    right-hand sides of the evolution equation for one quantity."""
-    st, sf, V, Vp = mb.state, mb.sf, mb.V, mb.Vp
+def _ladder_report(
+    identity: str, parts, ladder: _Ladder, tolerance: float, order_window, relative=False
+) -> IdentityReport:
+    """Central-time-difference residuals of one evolution equation.
+
+    parts holds one (extract, corr, rhs) per component: extract maps a
+    state to the field, corr is the advection term and rhs the right-hand
+    side at the middle state.  At each spacing of the ladder the residual
+    is the largest over all components and nodes; a NaN residual stays NaN
+    and so fails.  scale is the largest left-hand side seen.
+    """
+    states, mid, ks, base = ladder
+    spacings, residuals, scales = [], [], []
+    for k in ks:
+        dt = k * base
+        res = []
+        for extract, corr, rhs in parts:
+            lhs = _central_diff(extract(states[mid - k]), extract(states[mid + k]), dt) + corr
+            res.append(np.max(np.abs(lhs - rhs)))
+            scales.append(np.max(np.abs(lhs)))
+        spacings.append(dt)
+        residuals.append(float(np.max(res)))
+    return IdentityReport(
+        identity=identity,
+        resolutions=tuple(spacings),
+        residuals=tuple(residuals),
+        tolerance=tolerance,
+        order=estimate_order(spacings, residuals),
+        order_window=order_window,
+        relative=relative,
+        scale=float(np.max(scales)),
+    )
+
+
+def _evolution_parts(st: GeometryState, sf, law: SpeedLaw, which: str):
+    """The (extract, corr, rhs) parts of the evolution equation of one
+    quantity at the middle state st with speed fields sf."""
     n = st.n
+    V = sf.fp / st.r1
+    Vp = sf.fpp / st.r1 - sf.fp * st.r1p / st.r1**2
     if which == "g":
         if n == 1:
             extract = [lambda s: s.r1**2]
@@ -229,15 +285,7 @@ def _evolution_parts(mb: _MidBundle, law: SpeedLaw, which: str):
         rhs = [laplace_beltrami(st, f_field) + f_field * ksq]
     else:
         raise ValueError(f"unknown evolution quantity {which!r}; use g, h, f, H")
-    return extract, corr, rhs
-
-
-_EVOLUTION_IDS = {
-    "g": "evolve-g",
-    "h": "evolve-h",
-    "f": "evolve-f",
-    "H": "evolve-H",
-}
+    return list(zip(extract, corr, rhs))
 
 
 def check_evolution(
@@ -253,53 +301,15 @@ def check_evolution(
     middle stored state for spacings (1, 2, 4) * base (as far as the trace
     allows), all centered at the same state so the measured order is clean.
     """
-    if len(trace) < 3:
-        raise InsufficientTrace("need at least 3 stored states")
-    base = trace.stored_spacing
-    if base is None:
-        raise InsufficientTrace("stored states are not uniformly spaced")
-    mid = len(trace) // 2
-    ks = [k for k in (4, 2, 1) if k <= min(mid, len(trace) - 1 - mid)]
-    states = {
-        j: derive_state(trace.grids[j])
-        for k in ks
-        for j in (mid - k, mid + k)
-    }
-    states[mid] = derive_state(trace.grids[mid])
-    mb = _mid_bundle(states[mid], law)
-    reports = []
-    for q in which:
-        extract, corr, rhs = _evolution_parts(mb, law, q)
-        spacings, residuals = [], []
-        scale = 0.0
-        for k in ks:
-            dt = k * base
-            res = 0.0
-            for comp in range(len(extract)):
-                lhs = (
-                    _central_diff(
-                        extract[comp](states[mid - k]),
-                        extract[comp](states[mid + k]),
-                        dt,
-                    )
-                    + corr[comp]
-                )
-                res = max(res, float(np.max(np.abs(lhs - rhs[comp]))))
-                scale = max(scale, float(np.max(np.abs(lhs))))
-            spacings.append(dt)
-            residuals.append(res)
-        reports.append(
-            IdentityReport(
-                identity=_EVOLUTION_IDS[q],
-                resolutions=tuple(spacings),
-                residuals=tuple(residuals),
-                tolerance=tolerance,
-                order=estimate_order(spacings, residuals),
-                order_window=order_window,
-                scale=scale,
-            )
+    ladder = _ladder_states(trace)
+    st = ladder.states[ladder.mid]
+    sf = speed_fields(st, law)
+    return [
+        _ladder_report(
+            f"evolve-{q}", _evolution_parts(st, sf, law, q), ladder, tolerance, order_window
         )
-    return reports
+        for q in which
+    ]
 
 
 def check_P_evolution(
@@ -313,25 +323,16 @@ def check_P_evolution(
     d_t trP = f'K box trP + 2(1 + f''K/f') <grad f, grad trP>_h + |P|^2_h
               + (1 + f''K/f') trP^2 + (H beta - beta'/(f f') |grad f|^2_h) trP,
     with beta, beta' the structural functions of the law (identically zero
-    for power laws, where the last group drops).
+    for power laws, where the last group drops).  The residual is relative
+    to the largest left-hand side.
     """
     if trace.n != 1:
         raise ValueError("the trace-evolution residual is implemented for n=1")
-    if len(trace) < 3:
-        raise InsufficientTrace("need at least 3 stored states")
-    base = trace.stored_spacing
-    if base is None:
-        raise InsufficientTrace("stored states are not uniformly spaced")
-    mid = len(trace) // 2
-    ks = [k for k in (4, 2, 1) if k <= min(mid, len(trace) - 1 - mid)]
-    needed = sorted({mid} | {mid + s * k for k in ks for s in (-1, 1)})
-    states = {j: derive_state(trace.grids[j]) for j in needed}
-    p_fields = {j: P_trace(states[j], law) for j in needed}
-
-    st = states[mid]
+    ladder = _ladder_states(trace)
+    st = ladder.states[ladder.mid]
     sf = speed_fields(st, law)
     V = sf.fp / st.r1
-    p_mid = p_fields[mid]
+    p_mid = P_trace(st, law)
     dP = st.d1(p_mid)
     c = 1.0 + sf.f2 * st.K / sf.f1
     box_p = box_op(st, p_mid)
@@ -340,25 +341,8 @@ def check_P_evolution(
     beta_prime_vals = sf.f * alpha_fn(law, st.K) / st.K
     group = (st.H * beta_vals - beta_prime_vals / (sf.f * sf.f1) * sf.gradsq_h) * p_mid
     rhs = sf.f1K * box_p + 2.0 * c * grad_f_p + P_norm_sq_h(st, law) + c * p_mid**2 + group
-
-    spacings, residuals = [], []
-    scale = 0.0
-    for k in ks:
-        dt = k * base
-        lhs = _central_diff(p_fields[mid - k], p_fields[mid + k], dt) + V * dP
-        spacings.append(dt)
-        residuals.append(float(np.max(np.abs(lhs - rhs))))
-        scale = max(scale, float(np.max(np.abs(lhs))))
-    return IdentityReport(
-        identity="evolve-P",
-        resolutions=tuple(spacings),
-        residuals=tuple(residuals),
-        tolerance=tolerance,
-        order=estimate_order(spacings, residuals),
-        order_window=order_window,
-        relative=True,
-        scale=scale,
-    )
+    part = (lambda s: P_trace(s, law), V * dP, rhs)
+    return _ladder_report("evolve-P", [part], ladder, tolerance, order_window, relative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +648,9 @@ ORACLE_CASES = (
 )
 
 
-def oracle_suite(t_end: float = 2.0, tolerance: float = 1e-6) -> list:
-    """Round flows against the closed-form radius, relative error."""
+def oracle_suite() -> list:
+    """Round flows against the closed-form radius at t = 2, relative error."""
+    t_end = 2.0
     configs = [
         FlowConfig(
             n=n, size=size, law=SpeedLaw.power(-1.0, -b),
@@ -684,7 +669,7 @@ def oracle_suite(t_end: float = 2.0, tolerance: float = 1e-6) -> list:
                 f"round-oracle-n{n}-b{b:g}",
                 (float(size),),
                 (rel,),
-                tolerance=tolerance,
+                tolerance=1e-6,
                 relative=False,
                 note=f"t_end={t_end:g}",
             )
@@ -696,8 +681,9 @@ def _perturbed_circle_shape(amp: float = 0.02, mode: int = 3) -> InitialShape:
     return InitialShape("fourier", R0=1.0, modes=((mode, amp), (2, amp / 2.0)))
 
 
-def evolution_suite(size: int = 512, spacing: float = 1e-3, burn_in: float = 0.1) -> list:
-    """Evolution-equation residual ladder on a perturbed circle.
+def evolution_suite() -> list:
+    """Evolution-equation residual ladder on a perturbed circle (N = 512,
+    stored spacing 1e-3 after a burn-in to t = 0.1).
 
     The ladder sits past a short burn-in: the identities hold at any time,
     but fast harmonic startup transients would dominate the central-time-
@@ -706,8 +692,7 @@ def evolution_suite(size: int = 512, spacing: float = 1e-3, burn_in: float = 0.1
     """
     law = SpeedLaw.power(-1.0, -0.5)
     trace = uniform_trace(
-        1, size, law, _perturbed_circle_shape(), spacing=spacing, n_stored=9,
-        burn_in=burn_in,
+        1, 512, law, _perturbed_circle_shape(), spacing=1e-3, n_stored=9, burn_in=0.1
     )
     return check_evolution(trace, law)
 
@@ -733,11 +718,11 @@ def _ellipsoid_grid(a: float, c: float, size: int) -> SupportGrid:
     return SupportGrid(2, h)
 
 
-def pexpand_suite(n_states: int = 10, seed: int = 20240) -> list:
-    """Algebraic expansions on a deterministic family of random convex states."""
-    rng = np.random.default_rng(seed)
+def pexpand_suite() -> list:
+    """Algebraic expansions on a deterministic family of 10 random convex states."""
+    rng = np.random.default_rng(20240)
     worst = {}
-    for i in range(n_states):
+    for i in range(10):
         n = 1 if i % 5 < 3 else 2
         size = 256 if n == 1 else 128
         grid = random_convex_grid(n, size, rng)
@@ -750,45 +735,24 @@ def pexpand_suite(n_states: int = 10, seed: int = 20240) -> list:
     ]
 
 
-def pevol_suite(
-    size: int = 128,
-    spacing: float = 8e-3,
-    burn_in: float = 0.25,
-    include_exponential: bool = True,
-) -> list:
+def pevol_suite() -> list:
     """Trace-evolution residual ladders: power law, plus the exponential
     control law whose structural-function group is active.
 
     The right-hand side stacks six angular derivatives of the support
     function, so the roundoff floor scales like eps/dx**6; a coarse grid
-    and a gentle single-mode shape keep that floor far below the measured
-    time-truncation residual.
+    (N = 128) and a gentle single-mode shape keep that floor far below the
+    measured time-truncation residual.
     """
     law = SpeedLaw.power(-1.0, -0.5)
     shape = InitialShape("fourier", R0=1.0, modes=((2, 0.01),))
-    trace = uniform_trace(
-        1, size, law, shape, spacing=spacing, n_stored=9, burn_in=burn_in
-    )
-    reports = [check_P_evolution(trace, law)]
-    if include_exponential:
-        exp_law = SpeedLaw.exponential()
-        exp_trace = uniform_trace(
-            1, size, exp_law, shape, spacing=1e-3, n_stored=9, burn_in=0.02
-        )
-        rep = check_P_evolution(exp_trace, exp_law)
-        reports.append(
-            IdentityReport(
-                identity="evolve-P-exp",
-                resolutions=rep.resolutions,
-                residuals=rep.residuals,
-                tolerance=rep.tolerance,
-                order=rep.order,
-                order_window=rep.order_window,
-                relative=rep.relative,
-                scale=rep.scale,
-            )
-        )
-    return reports
+    trace = uniform_trace(1, 128, law, shape, spacing=8e-3, n_stored=9, burn_in=0.25)
+    exp_law = SpeedLaw.exponential()
+    exp_trace = uniform_trace(1, 128, exp_law, shape, spacing=1e-3, n_stored=9, burn_in=0.02)
+    return [
+        check_P_evolution(trace, law),
+        replace(check_P_evolution(exp_trace, exp_law), identity="evolve-P-exp"),
+    ]
 
 
 SUITES = {

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gcf import cli
 from gcf.cli import _atomic_write, _harnack_csv, main
 from gcf.flow import FlowConfig, InitialShape, run
 from gcf.harnack import monitor
@@ -184,6 +185,19 @@ def test_run_rejects_non_object_section(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "harnack"])
+def test_run_rejects_initial_curvature_outside_law_domain(tmp_path, capsys, command):
+    # so large that K = 1/(r1*r2) underflows to 0, where the law is undefined
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, n=2, speed={"a": -1.0, "beta": -0.3}, grid={"N": 32},
+                 initial={"type": "sphere", "R0": 1e160}, time={"t_end": 1.0})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial shape is not admissible")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -257,6 +271,31 @@ def test_sweep_csv_independent_of_tuple_order(tmp_path):
     for k, i in enumerate(order):
         csv_a = (outs[0] / f"tuple_{i:04d}" / "harnack.csv").read_bytes()
         assert csv_a == (outs[1] / f"tuple_{k:04d}" / "harnack.csv").read_bytes()
+
+
+def test_sweep_reruns_a_failed_ensemble_one_tuple_at_a_time(tmp_path, monkeypatch, capsys):
+    # the three tuples share an ensemble, whose run fails; rerun alone, only
+    # the b = 0.2 tuple fails again
+    real_run = cli.run
+
+    def failing_run(configs):
+        if len(configs) > 1 or configs[0].law.beta == -0.2:
+            raise RuntimeError("run failed")
+        return real_run(configs)
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"tuples": [{"n": 1, "b": b} for b in (0.1, 0.2, 0.3)],
+                               **SWEEP_BASE}))
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    header, rows = read_csv(out / "sweep.csv")
+    assert [r[header.index("status")] for r in rows] == ["ok", "failed:error", "ok"]
+    assert "tuple 1 failed: RuntimeError: run failed" in capsys.readouterr().err
+    for i in (0, 2):
+        meta = json.loads((out / f"tuple_{i:04d}" / "meta.json").read_text())
+        assert meta["ensemble_size"] == 1
+    assert not (out / "tuple_0001").exists()
 
 
 def test_atomic_write_of_chunks_keeps_old_file_on_error(tmp_path):

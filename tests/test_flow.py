@@ -158,6 +158,12 @@ def test_config_validation():
             n=1, size=64, law=HALF, shape=InitialShape("round", 1.0),
             t_end=1.0, safety=1.5,
         )
+    for n, size in ((1, 32), (2, 64)):  # a start grid of another (n, size)
+        with pytest.raises(InvalidConfig, match="initial grid"):
+            FlowConfig(
+                n=n, size=size, law=SpeedLaw.power(-1.0, -0.25),
+                shape=round_grid(2, 1.0, 32), t_end=1.0,
+            )
 
 
 def test_fixed_dt_must_divide_span():

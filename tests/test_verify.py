@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from gcf.errors import BadExponent, InsufficientTrace
-from gcf.flow import InitialShape
+from gcf.errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
+from gcf.flow import InitialShape, stable_dt, step
 from gcf.geometry import derive_state, fourier_grid, hessian_principal, round_grid
 from gcf.harnack import P_trace
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import (
+    _ladder_report,
+    _ladder_states,
     check_evolution,
     check_identities,
     check_P_evolution,
@@ -124,6 +128,76 @@ def test_uniform_trace_spacing_and_count():
     assert tr.stored_spacing == pytest.approx(1e-3, rel=1e-12)
 
 
+def reference_uniform_trace(n, size, law, shape, spacing, n_stored, burn_in=0.0):
+    """uniform_trace as a hand-written step loop: adaptive stable_dt steps
+    to burn_in, then spacing / m steps at half the step bound."""
+    grid = shape.build(n, size)
+    t = 0.0
+    while t < burn_in - 1e-15:
+        dt = min(stable_dt(grid, law), burn_in - t)
+        grid = step(grid, law, dt)
+        t += dt
+    m = max(1, math.ceil(spacing / (0.5 * stable_dt(grid, law))))
+    dt = spacing / m
+    times, grids = [burn_in], [grid]
+    for j in range(1, (n_stored - 1) * m + 1):
+        grid = step(grid, law, dt)
+        if j % m == 0:
+            times.append(burn_in + j * dt)
+            grids.append(grid)
+    return times, grids
+
+
+QUARTER = SpeedLaw.power(-1.0, -0.25)
+PERTURBED = InitialShape("fourier", 1.0, ((3, 0.02), (2, 0.01)))
+GENTLE = InitialShape("fourier", 1.0, ((2, 0.01),))
+
+
+@pytest.mark.parametrize(
+    "n,size,law,shape,spacing,n_stored,burn_in",
+    [
+        (1, 64, HALF, InitialShape("round", 1.0), 1e-3, 5, 0.0),
+        (1, 128, HALF, PERTURBED, 1e-3, 9, 0.0),
+        (1, 128, HALF, PERTURBED, 1e-3, 9, 0.1),
+        (1, 128, HALF, GENTLE, 8e-3, 9, 0.25),
+        (2, 64, QUARTER, InitialShape("round", 1.0), 1e-3, 3, 0.0),
+        (2, 64, QUARTER, InitialShape("fourier", 1.0, ((2, 0.02),)), 2e-2, 9, 0.1),
+        (1, 128, SpeedLaw.exponential(), GENTLE, 5e-4, 3, 0.0),
+        (1, 128, SpeedLaw.exponential(), GENTLE, 1e-3, 9, 0.02),
+    ],
+)
+def test_uniform_trace_equals_step_loop(n, size, law, shape, spacing, n_stored, burn_in):
+    tr = uniform_trace(n, size, law, shape, spacing, n_stored, burn_in)
+    times, grids = reference_uniform_trace(n, size, law, shape, spacing, n_stored, burn_in)
+    assert tr.reason == "completed"
+    assert np.array_equal(tr.times, times)
+    assert len(tr.grids) == len(grids)
+    for got, ref in zip(tr.grids, grids):
+        assert np.array_equal(got.values, ref.values)
+
+
+# contracting power-law flows of tests/test_flow.py that end early
+CONTRACTING = SpeedLaw.power(1.0, 1.1700967619904363)
+FIVE_LOBES = InitialShape("fourier", 1.0, ((5, 0.017207980635981685),))
+
+
+@pytest.mark.parametrize(
+    "law,shape,spacing,burn_in,error",
+    [
+        # the burn-in's step bound underflows as the curve shrinks
+        (CONTRACTING, FIVE_LOBES, 1e-2, 3.0, InsufficientTrace),
+        # the fixed-step window loses convexity
+        (CONTRACTING, FIVE_LOBES, 0.5, 0.0, NonConvex),
+        # an off-centre circle shrinks past the origin during the burn-in
+        (SpeedLaw.power(1.0, 1.0), InitialShape("fourier", 1.0, ((1, 0.5),)), 1e-2, 3.0,
+         OriginOutside),
+    ],
+)
+def test_uniform_trace_raises_when_the_flow_ends_early(law, shape, spacing, burn_in, error):
+    with pytest.raises(error, match="ended early"):
+        uniform_trace(1, 32, law, shape, spacing=spacing, n_stored=7, burn_in=burn_in)
+
+
 def test_check_evolution_round_circle_values():
     # on rounds: the speed field is linear in t for b=1/2, so its residual
     # is at integrator level; the metric residual follows the predicted
@@ -167,6 +241,15 @@ def test_check_evolution_guards():
     tr.times[-1] += 1e-6  # break uniformity
     with pytest.raises(InsufficientTrace):
         check_evolution(tr, HALF)
+
+
+def test_ladder_residual_nan_fails():
+    # a NaN residual in any component must not fold away into a PASS
+    tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=3)
+    parts = [(lambda s: s.r1, 0.0, np.nan), (lambda s: s.r1, 0.0, 0.0)]
+    rep = _ladder_report("nan", parts, _ladder_states(tr), 1.0, None)
+    assert np.isnan(rep.finest_residual)
+    assert not rep.passed
 
 
 def test_p_evolution_round_circle():
