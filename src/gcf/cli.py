@@ -123,7 +123,7 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
     )
 
 
-def _meta(doc: dict, law: SpeedLaw, wall: float, reason: str, command: str, **extra) -> str:
+def _meta(doc: dict, law: SpeedLaw, wall: float, trace, command: str, **extra) -> str:
     payload = {
         "command": command,
         "config": doc,
@@ -133,7 +133,10 @@ def _meta(doc: dict, law: SpeedLaw, wall: float, reason: str, command: str, **ex
             "beta": law.beta if law.is_power else None,
             "paper_b": law.paper_b,
         },
-        "termination_reason": reason,
+        "termination_reason": trace.reason,
+        "steps": trace.steps,
+        "dt_min": trace.dt_min,
+        "dt_max": trace.dt_max,
         "gcf_version": __version__,
         "numpy_version": np.__version__,
         "python_version": sys.version.split()[0],
@@ -194,7 +197,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(trace))
     _atomic_write(
         os.path.join(out_dir, "meta.json"),
-        _meta(doc, cfg.law, wall, trace.reason, "run"),
+        _meta(doc, cfg.law, wall, trace, "run"),
     )
     if trace.reason != "completed":
         print(f"flow terminated early: {trace.reason}", file=sys.stderr)
@@ -232,7 +235,7 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         _atomic_write(os.path.join(out_dir, "harnack.csv"), _harnack_csv(samples))
     _atomic_write(
         os.path.join(out_dir, "meta.json"),
-        _meta(doc, cfg.law, wall, trace.reason, "harnack"),
+        _meta(doc, cfg.law, wall, trace, "harnack"),
     )
     if samples:
         mm = min(s.min_margin for s in samples)
@@ -324,7 +327,7 @@ def _sweep_one(row, doc, cfg, trace, wall: float, ensemble_size: int, out_dir: s
     _atomic_write(os.path.join(sub, "harnack.csv"), _harnack_csv(samples))
     _atomic_write(
         os.path.join(sub, "meta.json"),
-        _meta(doc, cfg.law, wall, trace.reason, "sweep", ensemble_size=ensemble_size),
+        _meta(doc, cfg.law, wall, trace, "sweep", ensemble_size=ensemble_size),
     )
 
 

@@ -121,13 +121,20 @@ class FlowConfig:
 
 @dataclass
 class FlowTrace:
-    """Stored states of one run and the reason it stopped."""
+    """Stored states of one run, the reason it stopped, and its steps.
+
+    steps counts the accepted RK4 steps; dt_min and dt_max bound their
+    sizes, and are None while no step has been accepted.
+    """
 
     n: int
     law: SpeedLaw
     times: list = field(default_factory=list)
     grids: list = field(default_factory=list)
     reason: str = "completed"
+    steps: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -144,25 +151,25 @@ class FlowTrace:
         return float(d[0])
 
 
-def _speed(law: SpeedLaw, n: int, h: np.ndarray, dx: float) -> np.ndarray:
-    return -law.f(radii_and_K(n, h, dx)[1])
-
-
 def _rk4(law: SpeedLaw, n: int, h: np.ndarray, K: np.ndarray, dx: float, dt) -> tuple:
     """One classical RK4 update of support values h along the last axis.
 
-    K is the checked curvature of h.  h is one grid (N,) with a scalar dt,
-    or a batch (B, N) with a (B, 1) column of per-row steps.  Every stage
-    derives the curvature from its stage values and raises NonConvex if
-    one is lost.  Returns the new values with their checked (radii, K);
+    K is the checked curvature of h.  h is one grid (N,) or a batch (B, N)
+    of grids, with a scalar dt or a (B, 1) column of per-row steps.  Every
+    stage derives the curvature from its stage values and raises NonConvex
+    if one is lost.  Returns the new values with their checked (radii, K);
     new values that are not finite and positive raise OriginOutside, and
     a new state that is not strictly convex raises NonConvex.
+
+    The stages carry the law values f rather than the rates -f: negating
+    a product or a sum is exact, so h - c*f is bit for bit h + c*(-f).
     """
-    k1 = -law.f(K)
-    k2 = _speed(law, n, h + 0.5 * dt * k1, dx)
-    k3 = _speed(law, n, h + 0.5 * dt * k2, dx)
-    k4 = _speed(law, n, h + dt * k3, dx)
-    new = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * dt
+    f1 = law.f(K)
+    f2 = law.f(radii_and_K(n, h - half * f1, dx)[1])
+    f3 = law.f(radii_and_K(n, h - half * f2, dx)[1])
+    f4 = law.f(radii_and_K(n, h - dt * f3, dx)[1])
+    new = h - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     require_admissible(new)
     return (new, *radii_and_K(n, new, dx))
 
@@ -184,12 +191,12 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
     return SupportGrid.with_curvature(grid.n, values, radii, K)
 
 
-def _dt_bound(law: SpeedLaw, n: int, radii: tuple, K: np.ndarray, dx: float, safety):
-    """safety * dx**2 / lambda, lambda maximised along the last axis."""
+def _dt_bound(law: SpeedLaw, n: int, radii: tuple, K: np.ndarray, scale):
+    """scale / lambda with scale = safety * dx**2, lambda maximised along the last axis."""
     lam = law.f1(K) * K**2
     if n == 2:
         lam = lam * np.maximum(radii[0], radii[1])
-    return safety * dx * dx / lam.max(axis=-1)
+    return scale / np.maximum.reduce(lam, axis=-1)
 
 
 def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) -> float:
@@ -198,7 +205,8 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) 
     lambda bounds the linearized speed sensitivity to the curvature radii:
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
     """
-    return float(_dt_bound(law, grid.n, *grid.curvature(), grid.spacing, safety))
+    dx = grid.spacing
+    return float(_dt_bound(law, grid.n, *grid.curvature(), safety * dx * dx))
 
 
 def run(config):
@@ -252,39 +260,47 @@ def ensembles(configs) -> list:
 
 
 class _Row:
-    """The time, step count, next step and trace of one config in an ensemble."""
+    """One config in an ensemble: its time, step count, next step and trace,
+    and whether it still runs."""
 
     def __init__(self, cfg: FlowConfig):
         self.cfg = cfg
-        self.trace = FlowTrace(n=cfg.n, law=cfg.law, times=[cfg.t0], grids=[cfg.build_grid()])
-        self.t, self.i, self.dt = cfg.t0, 0, None
+        grid = cfg.build_grid()
+        self.trace = FlowTrace(n=cfg.n, law=cfg.law, times=[cfg.t0], grids=[grid])
+        self.scale = cfg.safety * grid.spacing * grid.spacing  # the step bound's safety * dx**2
+        self.t, self.i, self.dt = cfg.t0, 0, cfg.fixed_dt
         self.t_stop = cfg.t_end - 1e-14 * max(1.0, cfg.t_end)
-
-    @property
-    def running(self) -> bool:
-        if self.cfg.fixed_dt is None:
-            return self.t < self.t_stop
-        return self.i < self.cfg._n_steps
+        self.running = cfg.fixed_dt is not None or self.t < self.t_stop
 
     def plan(self, bound: float) -> bool:
-        """Set the next step from the row's step bound; False if it underflows."""
+        """Set the next step from the row's step bound; False if it underflows.
+
+        A fixed_dt row keeps its step.
+        """
         cfg = self.cfg
-        if cfg.fixed_dt is not None:
-            self.dt = cfg.fixed_dt
-        elif bound < DT_FLOOR:
-            return False
-        else:
+        if cfg.fixed_dt is None:
+            if bound < DT_FLOOR:
+                return False
             self.dt = min(bound, cfg.t_end - self.t)
         return True
 
     def advance(self) -> bool:
         """Count one accepted step; whether its state is to be stored."""
-        cfg = self.cfg
+        cfg, dt, trace = self.cfg, self.dt, self.trace
         self.i += 1
         if cfg.fixed_dt is None:
-            self.t += self.dt
+            self.t += dt
+            self.running = self.t < self.t_stop
         else:
-            self.t = cfg.t0 + self.i * self.dt
+            self.t = cfg.t0 + self.i * dt
+            self.running = self.i < cfg._n_steps
+        trace.steps = self.i
+        if self.i == 1:
+            trace.dt_min = trace.dt_max = dt
+        elif dt < trace.dt_min:
+            trace.dt_min = dt
+        elif dt > trace.dt_max:
+            trace.dt_max = dt
         return self.i % cfg.stride == 0 or not self.running
 
     def store(self, grid: SupportGrid) -> None:
@@ -299,13 +315,24 @@ class _Row:
 
 
 class _Batch:
-    """The running rows of an ensemble and their (B, N) checked states."""
+    """The running rows of an ensemble and their (B, N) checked states.
+
+    Per batch, not per step: the rows' stacked law, their safety * dx**2,
+    and whether any row steps adaptively (else no step bound is needed).
+    """
 
     def __init__(self, rows: list, h: np.ndarray, radii: tuple, K: np.ndarray):
         self.rows, self.h, self.radii, self.K = rows, h, radii, K
         if rows:
             self.law = SpeedLaw.stacked([row.cfg.law for row in rows])
-            self.safety = np.array([row.cfg.safety for row in rows])
+            self.scale = np.array([row.scale for row in rows])
+            self.adaptive = any(row.cfg.fixed_dt is None for row in rows)
+
+    def dt(self):
+        """The rows' planned steps: a float for one row, else a (B, 1) column."""
+        if len(self.rows) == 1:
+            return self.rows[0].dt
+        return np.array([row.dt for row in self.rows])[:, None]
 
     def grid(self, j: int) -> SupportGrid:
         """Row j's state as a grid of its own, with its curvature kept."""
@@ -336,19 +363,20 @@ def _run_rows(rows: list) -> list:
         np.stack([g.curvature()[1] for g in grids]),
     ).keep([row.running for row in rows])
     while batch.rows:
-        bounds = _dt_bound(batch.law, n, batch.radii, batch.K, dx, batch.safety).tolist()
-        planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
-        for j, ok in enumerate(planned):
-            if not ok:
-                batch.rows[j].end("dt_underflow", batch.grid(j))
-        batch = batch.keep(planned)
-        if not batch.rows:
-            break
-        dt = np.array([row.dt for row in batch.rows])[:, None]
+        if batch.adaptive:
+            bounds = _dt_bound(batch.law, n, batch.radii, batch.K, batch.scale).tolist()
+            planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
+            if not all(planned):
+                for j, ok in enumerate(planned):
+                    if not ok:
+                        batch.rows[j].end("dt_underflow", batch.grid(j))
+                batch = batch.keep(planned)
+                if not batch.rows:
+                    break
         try:
-            batch.h, batch.radii, batch.K = _rk4(batch.law, n, batch.h, batch.K, dx, dt)
+            batch.h, batch.radii, batch.K = _rk4(batch.law, n, batch.h, batch.K, dx, batch.dt())
         except (NonConvex, OriginOutside):
-            batch = _step_rows_alone(batch, n, dx, dt)
+            batch = _step_rows_alone(batch, n, dx)
         for j, row in enumerate(batch.rows):
             if row.advance():
                 row.store(batch.grid(j))
@@ -356,7 +384,7 @@ def _run_rows(rows: list) -> list:
     return traces
 
 
-def _step_rows_alone(batch: _Batch, n: int, dx: float, dt: np.ndarray) -> _Batch:
+def _step_rows_alone(batch: _Batch, n: int, dx: float) -> _Batch:
     """Step each row of a batch whose joint step failed on its own.
 
     A row whose step fails ends with that failure as its reason, exactly
@@ -367,7 +395,7 @@ def _step_rows_alone(batch: _Batch, n: int, dx: float, dt: np.ndarray) -> _Batch
     for j, row in enumerate(batch.rows):
         s = slice(j, j + 1)
         try:
-            results.append(_rk4(row.cfg.law, n, batch.h[s], batch.K[s], dx, dt[s]))
+            results.append(_rk4(row.cfg.law, n, batch.h[s], batch.K[s], dx, row.dt))
             continue
         except NonConvex:
             row.end("nonconvex", batch.grid(j))

@@ -113,10 +113,18 @@ class SupportGrid:
 
 
 def require_admissible(values: np.ndarray) -> None:
-    """Raise OriginOutside unless all support values are finite and positive."""
-    if not np.isfinite(values).all():
+    """Raise OriginOutside unless all support values are finite and positive.
+
+    A NaN makes the minimum and maximum NaN, so it fails as not finite.
+    """
+    values = np.asarray(values)
+    if not values.size:
+        return
+    lo = np.minimum.reduce(values, axis=None)
+    hi = np.maximum.reduce(values, axis=None)
+    if not (-np.inf < lo and hi < np.inf):
         raise OriginOutside("support values must be finite")
-    if (values <= 0.0).any():
+    if not lo > 0.0:
         raise OriginOutside("support values must be strictly positive")
 
 
@@ -163,9 +171,10 @@ def radii_and_K(n: int, h: np.ndarray, dx: float) -> tuple:
         r1 = stencils.d2_periodic(h, dx) + h
         _require_convex(r1)
         return (r1,), 1.0 / r1
-    r1 = stencils.d2_reflect(h, dx, "even") + h
+    hp, hpp = stencils.d1_d2_reflect(h, dx, "even")
+    r1 = hpp + h
     _require_convex(r1)
-    r2 = stencils.d1_reflect(h, dx, "even") * _polar_cot(h.shape[-1]) + h
+    r2 = hp * _polar_cot(h.shape[-1]) + h
     _require_convex(r2)
     return (r1, r2), 1.0 / (r1 * r2)
 
@@ -287,10 +296,13 @@ def derive_state(grid: SupportGrid) -> GeometryState:
 
 
 def _require_convex(radii: np.ndarray) -> None:
-    if not np.isfinite(radii).all() or (radii <= RADIUS_FLOOR).any():
-        raise NonConvex(
-            f"curvature radius dropped to {float(np.min(radii)):.3e} (floor {RADIUS_FLOOR:g})"
-        )
+    # Finite and above the floor: a NaN makes the minimum NaN, so it fails too.
+    radii = np.asarray(radii)
+    if not radii.size:
+        return
+    lo = np.minimum.reduce(radii, axis=None)
+    if not (lo > RADIUS_FLOOR and np.maximum.reduce(radii, axis=None) < np.inf):
+        raise NonConvex(f"curvature radius dropped to {float(lo):.3e} (floor {RADIUS_FLOOR:g})")
 
 
 def embed(grid: SupportGrid):

@@ -139,7 +139,10 @@ def P_trace(state: GeometryState, law: SpeedLaw) -> np.ndarray:
     agreement of the two is a real consistency check on the curvature
     divergence identity used to rewrite the trace.
     """
-    sf = speed_fields(state, law)
+    return _p_trace(state, speed_fields(state, law))
+
+
+def _p_trace(state: GeometryState, sf: SpeedFields) -> np.ndarray:
     return sf.box + sf.f * state.H - sf.gradsq_h / sf.f1K
 
 
@@ -234,14 +237,15 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
         st = states[m]
         sf = speed_fields(st, law)
         u = u_fields[m]
-        dt_u_spatial = -dt_f_spatial(st, law)
+        # -dt_f_spatial(st, law), from the speed fields already at hand
+        dt_u_spatial = -(sf.f1K * (box_op(st, sf.f) + st.H * sf.f))
         dm = trace.times[m] - trace.times[m - 1]
         dp = trace.times[m + 1] - trace.times[m]
         v = sf.fp / st.r1  # turning rate of the normal at a material point
         du = st.d1(u)
         dt_u_fd = _central_dt(u_fields[m - 1], u, u_fields[m + 1], dm, dp) + v * du
         gsq_h = grad_norm_sq_h(st, u)
-        p_tr = P_trace(st, law)
+        p_tr = _p_trace(st, sf)
         if paper_form:
             b = -law.beta
             nb = st.n * b

@@ -60,6 +60,9 @@ class SpeedLaw:
                 raise InvalidSpeedLaw(
                     f"power law needs a*beta > 0 for f' > 0; got a={self.a}, beta={self.beta}"
                 )
+            # f1's coefficient and exponent, formed once rather than per call
+            object.__setattr__(self, "_a_beta", self.a * self.beta)
+            object.__setattr__(self, "_beta_1", self.beta - 1.0)
 
     @staticmethod
     def power(a: float, beta: float) -> "SpeedLaw":
@@ -106,7 +109,7 @@ class SpeedLaw:
     def f1(self, x):
         _check_positive(x)
         if self.kind == POWER:
-            return self.a * self.beta * np.power(x, self.beta - 1.0)
+            return self._a_beta * np.power(x, self._beta_1)
         return np.exp(x)
 
     def f2(self, x):
@@ -125,7 +128,9 @@ class SpeedLaw:
 
 
 def _check_positive(x) -> None:
-    if (np.asarray(x) <= 0.0).any():
+    # fmin skips NaN, so this raises exactly when some element is <= 0.
+    x = np.asarray(x)
+    if x.size and np.fmin.reduce(x, axis=None) <= 0.0:
         raise NonPositiveArgument("speed laws are defined for positive arguments only")
 
 

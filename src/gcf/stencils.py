@@ -22,18 +22,56 @@ def _extend_periodic(u: np.ndarray) -> np.ndarray:
     return np.concatenate((u[..., -2:], u, u[..., :2]), axis=-1)
 
 
+def _extend_reflect(u: np.ndarray, parity: str) -> np.ndarray:
+    # Cell-centered mirror: ghost[-1-k] pairs with u[k], ghost[M-1+k] with u[M-k].
+    left, right = u[..., 1::-1], u[..., -1:-3:-1]
+    if parity == "odd":
+        left, right = -left, -right
+    elif parity != "even":
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return np.concatenate((left, u, right), axis=-1)
+
+
+# 4th-order stencils on values e extended by two ghost cells per side.  The
+# rows of e are taken end to end, so that every term is one contiguous slice:
+# the output at flat index k reads e.flat[k:k + 5], which lies in k's own row
+# for the first N outputs of each row; the 4 outputs per row that straddle
+# two rows are computed and dropped.  The textbook forms lead with -e[4:];
+# starting from the next term instead subtracts it, the same floating-point
+# operation, and the two terms of equal weight share one scaled copy of e.
+# The weights are 0-d arrays: a Python float operand is converted on every call.
+_W8, _W16, _W30 = np.array(8.0), np.array(16.0), np.array(30.0)
+
+
+def _d1(e: np.ndarray, dx: float) -> np.ndarray:
+    u, out = e.reshape(-1), np.empty(e.shape)
+    s = _W8 * u
+    d = np.subtract(s[3:-1], u[4:], out=out.reshape(-1)[:-4])
+    d -= s[1:-3]
+    d += u[:-4]
+    d /= 12.0 * dx
+    return out[..., :-4]
+
+
+def _d2(e: np.ndarray, dx: float) -> np.ndarray:
+    u, out = e.reshape(-1), np.empty(e.shape)
+    s = _W16 * u
+    d = np.subtract(s[3:-1], u[4:], out=out.reshape(-1)[:-4])
+    d -= _W30 * u[2:-2]
+    d += s[1:-3]
+    d -= u[:-4]
+    d /= 12.0 * dx * dx
+    return out[..., :-4]
+
+
 def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     """4th-order first derivative on a periodic grid."""
-    e = _extend_periodic(u)
-    return (-e[..., 4:] + 8.0 * e[..., 3:-1] - 8.0 * e[..., 1:-3] + e[..., :-4]) / (12.0 * dx)
+    return _d1(_extend_periodic(u), dx)
 
 
 def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     """4th-order second derivative on a periodic grid."""
-    e = _extend_periodic(u)
-    return (
-        -e[..., 4:] + 16.0 * e[..., 3:-1] - 30.0 * u + 16.0 * e[..., 1:-3] - e[..., :-4]
-    ) / (12.0 * dx * dx)
+    return _d2(_extend_periodic(u), dx)
 
 
 def d1_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
@@ -48,32 +86,20 @@ def d2_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
     return (e[..., 3:-1] - 2.0 * u + e[..., 1:-3]) / (dx * dx)
 
 
-def _extend_reflect(u: np.ndarray, parity: str) -> np.ndarray:
-    # Cell-centered mirror: ghost[-1-k] pairs with u[k], ghost[M-1+k] with u[M-k].
-    left, right = u[..., 1::-1], u[..., -1:-3:-1]
-    if parity == "odd":
-        left, right = -left, -right
-    elif parity != "even":
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return np.concatenate((left, u, right), axis=-1)
-
-
 def d1_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
     """4th-order first derivative on a cell-centered grid with pole reflection."""
-    e = _extend_reflect(u, parity)
-    return (-e[..., 4:] + 8.0 * e[..., 3:-1] - 8.0 * e[..., 1:-3] + e[..., :-4]) / (12.0 * dx)
+    return _d1(_extend_reflect(u, parity), dx)
 
 
 def d2_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
     """4th-order second derivative on a cell-centered grid with pole reflection."""
+    return _d2(_extend_reflect(u, parity), dx)
+
+
+def d1_d2_reflect(u: np.ndarray, dx: float, parity: str = "even") -> tuple:
+    """(d1_reflect, d2_reflect) of u from one shared reflected extension."""
     e = _extend_reflect(u, parity)
-    return (
-        -e[..., 4:]
-        + 16.0 * e[..., 3:-1]
-        - 30.0 * e[..., 2:-2]
-        + 16.0 * e[..., 1:-3]
-        - e[..., :-4]
-    ) / (12.0 * dx * dx)
+    return _d1(e, dx), _d2(e, dx)
 
 
 def d1_reflect_o2(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:

@@ -43,6 +43,14 @@ def test_run_writes_trace_and_meta(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["law_mapping"]["paper_b"] == pytest.approx(0.5)
     assert meta["termination_reason"] == "completed"
+    trace = run(FlowConfig(
+        n=1, size=64, law=SpeedLaw.power(-1.0, -0.5), shape=InitialShape("round", 1.0),
+        t_end=2.0, stride=100,
+    ))
+    assert (meta["steps"], meta["dt_min"], meta["dt_max"]) == (
+        trace.steps, trace.dt_min, trace.dt_max
+    )
+    assert 0.0 < meta["dt_min"] <= meta["dt_max"]
 
 
 def test_run_rejects_exponent_out_of_range(tmp_path, capsys):
@@ -77,6 +85,9 @@ def test_harnack_outputs_and_summary(tmp_path, capsys):
     assert "min_margin" in capsys.readouterr().out
     margins = np.array([float(r[-1]) for r in rows])
     assert np.all(np.isfinite(margins))
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["command"] == "harnack"
+    assert meta["steps"] > 0 and 0.0 < meta["dt_min"] <= meta["dt_max"]
 
 
 def test_harnack_enforce_hypotheses_exit_code(tmp_path):
@@ -173,6 +184,7 @@ def test_run_early_end_exits_3(tmp_path, capsys, beta, modes, safety, reason):
     assert capsys.readouterr().err == f"flow terminated early: {reason}\n"
     meta = json.loads((out / "meta.json").read_text())
     assert meta["termination_reason"] == reason
+    assert meta["steps"] > 0 and 0.0 < meta["dt_min"] <= meta["dt_max"]
     assert (out / "trace.csv").exists()
 
 
@@ -251,10 +263,14 @@ def test_sweep_tuples_match_solo_runs(tmp_path):
             shape=InitialShape("fourier", 1.0, tuple(map(tuple, tup["shape"]["modes"]))),
             t_end=0.5, stride=2,
         )
-        solo = "".join(_harnack_csv(monitor(run(cfg), cfg.law, t0=0.0)))
+        trace = run(cfg)
+        solo = "".join(_harnack_csv(monitor(trace, cfg.law, t0=0.0)))
         sub = out / f"tuple_{i:04d}"
         assert (sub / "harnack.csv").read_bytes() == solo.encode()
         meta = json.loads((sub / "meta.json").read_text())
+        assert (meta["steps"], meta["dt_min"], meta["dt_max"]) == (
+            trace.steps, trace.dt_min, trace.dt_max
+        )
         # tuples 2 and 5 have n=2; the other four share the n=1 ensemble
         assert meta["ensemble_size"] == (2 if tup["n"] == 2 else 4)
         assert meta["wall_time_s"] > 0.0

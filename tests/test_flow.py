@@ -3,7 +3,7 @@ import pytest
 
 from gcf import flow, geometry
 from gcf.errors import InvalidConfig, NonConvex
-from gcf.flow import FlowConfig, InitialShape, run, run_ensemble, stable_dt, step
+from gcf.flow import FlowConfig, FlowTrace, InitialShape, run, run_ensemble, stable_dt, step
 from gcf.geometry import derive_state, fourier_grid, round_grid
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import sphere_radius_exact
@@ -285,3 +285,102 @@ def test_ensemble_row_ends_early_as_alone(early):
     assert traces[2].reason == reason
     for cfg, trace in zip(configs, traces):
         assert_same_trace(trace, run(cfg))
+
+
+# Reference for the RK4 step: the update with the rates k = -f and the
+# textbook stencil expressions, term for term.
+def _ref_extend(n, u):
+    if n == 1:
+        return np.concatenate((u[..., -2:], u, u[..., :2]), axis=-1)
+    return np.concatenate((u[..., 1::-1], u, u[..., -1:-3:-1]), axis=-1)
+
+
+def _ref_radii_and_K(n, h, dx):
+    e = _ref_extend(n, h)
+    d2 = (
+        -e[..., 4:] + 16.0 * e[..., 3:-1] - 30.0 * e[..., 2:-2] + 16.0 * e[..., 1:-3]
+        - e[..., :-4]
+    ) / (12.0 * dx * dx)
+    r1 = d2 + h
+    if n == 1:
+        return (r1,), 1.0 / r1
+    d1 = (-e[..., 4:] + 8.0 * e[..., 3:-1] - 8.0 * e[..., 1:-3] + e[..., :-4]) / (12.0 * dx)
+    phi = (np.arange(h.shape[-1]) + 0.5) * np.pi / h.shape[-1]
+    r2 = d1 * (np.cos(phi) / np.sin(phi)) + h
+    return (r1, r2), 1.0 / (r1 * r2)
+
+
+def _ref_rk4(law, n, h, K, dx, dt):
+    def speed(v):
+        return -law.f(_ref_radii_and_K(n, v, dx)[1])
+
+    k1 = -law.f(K)
+    k2 = speed(h + 0.5 * dt * k1)
+    k3 = speed(h + 0.5 * dt * k2)
+    k4 = speed(h + dt * k3)
+    new = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return (new, *_ref_radii_and_K(n, new, dx))
+
+
+def _random_batch(rng, n, size, rows):
+    """Random convex support values, one perturbed round shape per row."""
+    if n == 1:
+        ang = 2.0 * np.pi * np.arange(size) / size
+    else:
+        ang = np.pi * (np.arange(size) + 0.5) / size
+    return np.stack([
+        rng.uniform(0.5, 2.0)
+        * (1.0 + sum(rng.uniform(-0.02, 0.02) * np.cos(k * ang) for k in range(2, 6)))
+        for _ in range(rows)
+    ])
+
+
+@pytest.mark.parametrize("n,size", [(1, 256), (2, 128)])
+@pytest.mark.parametrize("kind", ["stacked-power", "exp"])
+def test_rk4_step_equals_reference(n, size, kind):
+    rng = np.random.default_rng(size + len(kind))
+    h = _random_batch(rng, n, size, 4)
+    dx = 2.0 * np.pi / size if n == 1 else np.pi / size
+    if kind == "exp":
+        laws = [SpeedLaw.exponential()] * 4
+    else:
+        laws = [SpeedLaw.power(-1.0, -rng.uniform(0.05, 0.95 / n)) for _ in range(4)]
+    law = SpeedLaw.stacked(laws)
+    radii, K = geometry.radii_and_K(n, h, dx)
+    for got, want in zip(radii, _ref_radii_and_K(n, h, dx)[0]):
+        assert np.array_equal(got, want)
+    bounds = flow._dt_bound(law, n, radii, K, 0.3 * dx * dx)
+    # the batch with a float step and with a (B, 1) column of steps, and
+    # each row alone with its float step, as a batch of one row is stepped
+    cases = [(law, h, K, float(bounds.min())), (law, h, K, bounds[:, None])]
+    cases += [(laws[j], h[j:j + 1], K[j:j + 1], float(bounds[j])) for j in range(4)]
+    for case_law, case_h, case_K, dt in cases:
+        new, new_radii, new_K = flow._rk4(case_law, n, case_h, case_K, dx, dt)
+        ref, ref_radii, ref_K = _ref_rk4(case_law, n, case_h, case_K, dx, dt)
+        assert not np.array_equal(new, case_h)
+        assert np.array_equal(new, ref)
+        assert len(new_radii) == len(ref_radii) == n
+        for got, want in zip(new_radii, ref_radii):
+            assert np.array_equal(got, want)
+        assert np.array_equal(new_K, ref_K)
+
+
+def test_trace_records_steps_and_dt_range():
+    fixed = run(FlowConfig(
+        n=2, size=32, law=SpeedLaw.power(-1.0, -0.25),
+        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.1, fixed_dt=1e-3, stride=7,
+    ))
+    assert fixed.steps == 100
+    assert fixed.dt_min == fixed.dt_max == 1e-3
+    adaptive = run(FlowConfig(
+        n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
+        t_end=0.3, stride=1,
+    ))
+    assert adaptive.steps == len(adaptive.times) - 1 > 1
+    steps = np.diff(adaptive.times)
+    assert adaptive.dt_min == pytest.approx(steps.min(), rel=1e-12)
+    assert adaptive.dt_max == pytest.approx(steps.max(), rel=1e-12)
+    assert adaptive.dt_min < adaptive.dt_max
+    # a trace without an accepted step has no dt range
+    done = FlowTrace(n=1, law=HALF)
+    assert (done.steps, done.dt_min, done.dt_max) == (0, None, None)
