@@ -1,56 +1,4 @@
 """Simulator and verification harness for power-of-Gauss-curvature flows
 of compact convex hypersurfaces in the support-function representation."""
 
-from .errors import (
-    BadExponent,
-    GcfError,
-    InsufficientTrace,
-    InvalidConfig,
-    InvalidSpeedLaw,
-    NonConvex,
-    NonPositiveArgument,
-    NonPositiveTime,
-    OriginOutside,
-    WrongLawForm,
-)
-from .flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
-from .geometry import (
-    GeometryState,
-    SupportGrid,
-    box_op,
-    derive_state,
-    embed,
-    fourier_grid,
-    grad_norm_sq_g,
-    grad_norm_sq_h,
-    laplace_beltrami,
-    round_grid,
-)
-from .harnack import (
-    HarnackSample,
-    P_tensor,
-    P_trace,
-    dt_f_spatial,
-    harnack_bound,
-    harnack_lhs,
-    monitor,
-)
-from .speedlaw import (
-    SpeedLaw,
-    alpha_fn,
-    beta_fn,
-    check_power_law_identities,
-    eval_derivs,
-    gamma_fn,
-)
-from .verify import (
-    IdentityReport,
-    check_evolution,
-    check_identities,
-    check_P_evolution,
-    check_P_expansion,
-    hessian_oracle,
-    sphere_radius_exact,
-)
-
 __version__ = "0.1.0"

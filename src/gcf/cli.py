@@ -25,10 +25,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import GcfError, InvalidConfig
+from .errors import GcfError, InsufficientTrace, InvalidConfig
 from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, ensembles, run
 from .geometry import derive_state
-from .harnack import monitor, theorem_hypotheses
+from .harnack import margin_summary, monitor, theorem_hypotheses
 from .speedlaw import SpeedLaw
 from .verify import SUITES
 
@@ -184,6 +184,19 @@ def _report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_run(out_dir: str, doc: dict, law: SpeedLaw, wall: float, trace, command: str) -> int:
+    """Write trace.csv and meta.json of a run; the exit code its end gives.
+
+    A flow that ended early is reported on stderr and exits 3.
+    """
+    _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(trace))
+    _atomic_write(os.path.join(out_dir, "meta.json"), _meta(doc, law, wall, trace, command))
+    if trace.reason != "completed":
+        print(f"flow terminated early: {trace.reason}", file=sys.stderr)
+        return EXIT_NONCONVEX
+    return EXIT_OK
+
+
 def cmd_run(config_path: str, out_dir: str) -> int:
     try:
         doc = _load_json(config_path)
@@ -193,17 +206,10 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         return EXIT_CONFIG
     start = time.monotonic()
     trace = run(cfg)
-    wall = time.monotonic() - start
-    _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(trace))
-    _atomic_write(
-        os.path.join(out_dir, "meta.json"),
-        _meta(doc, cfg.law, wall, trace, "run"),
-    )
-    if trace.reason != "completed":
-        print(f"flow terminated early: {trace.reason}", file=sys.stderr)
-        return EXIT_NONCONVEX
-    print(f"completed: {len(trace)} stored states -> {out_dir}/trace.csv")
-    return EXIT_OK
+    code = _write_run(out_dir, doc, cfg.law, time.monotonic() - start, trace, "run")
+    if code == EXIT_OK:
+        print(f"completed: {len(trace)} stored states -> {out_dir}/trace.csv")
+    return code
 
 
 def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False) -> int:
@@ -228,24 +234,24 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         return EXIT_CONFIG
     start = time.monotonic()
     trace = run(cfg)
-    samples = monitor(trace, cfg.law, t0=0.0) if len(trace) >= 3 else []
+    try:
+        samples = monitor(trace, cfg.law, t0=0.0)
+    except InsufficientTrace as exc:
+        # A completed run that stored too few states is misconfigured
+        # (output.stride too coarse); an early end keeps its own exit code.
+        code = _write_run(out_dir, doc, cfg.law, time.monotonic() - start, trace, "harnack")
+        if code != EXIT_OK:
+            return code
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     wall = time.monotonic() - start
-    _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(trace))
-    if samples:
-        _atomic_write(os.path.join(out_dir, "harnack.csv"), _harnack_csv(samples))
-    _atomic_write(
-        os.path.join(out_dir, "meta.json"),
-        _meta(doc, cfg.law, wall, trace, "harnack"),
+    _atomic_write(os.path.join(out_dir, "harnack.csv"), _harnack_csv(samples))
+    summary = margin_summary(samples)
+    print(
+        f"min_margin = {summary.min_margin:.6e} (relative {summary.min_margin_rel:.6e}, "
+        f"scale {summary.max_abs_P:.6e})"
     )
-    if samples:
-        mm = min(s.min_margin for s in samples)
-        scale = max(s.max_abs_p for s in samples)
-        rel = mm / scale if scale > 0 else float("nan")
-        print(f"min_margin = {mm:.6e} (relative {rel:.6e}, scale {scale:.6e})")
-    if trace.reason != "completed":
-        print(f"flow terminated early: {trace.reason}", file=sys.stderr)
-        return EXIT_NONCONVEX
-    return EXIT_OK
+    return _write_run(out_dir, doc, cfg.law, wall, trace, "harnack")
 
 
 def cmd_verify(suite: str, out_dir: str | None = None) -> int:
@@ -318,11 +324,7 @@ def _sweep_one(row, doc, cfg, trace, wall: float, ensemble_size: int, out_dir: s
         row["status"] = f"failed:{trace.reason}"
         return
     samples = monitor(trace, cfg.law, t0=0.0)
-    mm = min(s.min_margin for s in samples)
-    scale = max(s.max_abs_p for s in samples)
-    row["min_margin"] = mm
-    row["min_margin_rel"] = mm / scale if scale > 0 else float("nan")
-    row["max_abs_P"] = scale
+    row.update(margin_summary(samples)._asdict())
     sub = os.path.join(out_dir, f"tuple_{row['index']:04d}")
     _atomic_write(os.path.join(sub, "harnack.csv"), _harnack_csv(samples))
     _atomic_write(

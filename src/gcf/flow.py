@@ -62,6 +62,12 @@ class FlowConfig:
     SupportGrid of that (n, size) to start from as it is, such as the
     last state of an earlier run.  The initial state must be strictly
     convex and the law defined on its curvature.
+
+    safety scales the explicit step bound dx**2 / lambda (see stable_dt).
+    RK4's linear stability limit with the 4th-order d2 stencil is about
+    0.52 of that bound, so a safety near 1 can step unstably: perturbed
+    circles at t_end = 0.5 end nonconvex at safety 0.8 and 1.0 and
+    complete at 0.6 or below.
     """
 
     n: int

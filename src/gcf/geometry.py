@@ -325,12 +325,6 @@ def grad_norm_sq_h(state: GeometryState, u: np.ndarray) -> np.ndarray:
     return du * du / state.r1
 
 
-def grad_norm_sq_g(state: GeometryState, u: np.ndarray) -> np.ndarray:
-    """Squared gradient in the induced metric."""
-    du = state.d1(u)
-    return du * du / state.r1**2
-
-
 def box_op(state: GeometryState, u: np.ndarray) -> np.ndarray:
     """Covariant Hessian of u contracted with the inverse second fundamental form.
 

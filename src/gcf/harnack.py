@@ -1,6 +1,8 @@
 """Harnack quantities along a power-of-Gauss-curvature flow.
 
-Central objects, all pointwise over a geometry state:
+Central objects, all pointwise over a geometry state.  speed_fields(state,
+law) evaluates the speed field once per state; every other quantity below
+is a function of the SpeedFields it returns:
 
 * the speed field f(K) and its exact chain-rule derivatives,
 * the Harnack tensor
@@ -34,18 +36,19 @@ import numpy as np
 
 from .errors import InsufficientTrace, NonPositiveTime, WrongLawForm
 from .flow import FlowTrace
-from .geometry import (
-    GeometryState,
-    box_op,
-    derive_state,
-    grad_norm_sq_h,
-)
+from .geometry import GeometryState, box_op, derive_state, grad_norm_sq_h
 from .speedlaw import SpeedLaw
 
 
 class SpeedFields(NamedTuple):
-    """Chain-rule derivative bundle of the speed function on a state."""
+    """Chain-rule derivative bundle of the speed function on a state.
 
+    Carries the state and law it was evaluated for, so every other Harnack
+    quantity is a function of this one bundle.
+    """
+
+    state: GeometryState
+    law: SpeedLaw
     f: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
@@ -69,53 +72,56 @@ def speed_fields(state: GeometryState, law: SpeedLaw) -> SpeedFields:
     else:
         box = hess / state.r1 + state.cot * fp / state.r1
     gradsq_h = fp * fp / state.r1
-    return SpeedFields(f, f1, f2, fp, fpp, hess, box, gradsq_h, f1 * K)
+    return SpeedFields(state, law, f, f1, f2, fp, fpp, hess, box, gradsq_h, f1 * K)
 
 
-def dt_f_spatial(state: GeometryState, law: SpeedLaw) -> np.ndarray:
+def dt_f_spatial(sf: SpeedFields) -> np.ndarray:
     """Material time derivative of the speed field from spatial data alone.
 
     d_t f = f'(K) K (box f + H f); the contracted Hessian is taken by
     finite differences of the f(K) field, matching the monitored quantity.
     """
-    f_field = law.f(state.K)
-    bx = box_op(state, f_field)
-    return law.f1(state.K) * state.K * (bx + state.H * f_field)
+    return sf.f1K * (box_op(sf.state, sf.f) + sf.state.H * sf.f)
 
 
-def require_expanding_power(law: SpeedLaw, n: int) -> float:
-    """Validate the -K^(-b) form with 0 < b < 1/n; return b."""
-    if not (law.is_power and law.a == -1.0 and -1.0 / n < law.beta < 0.0):
-        raise WrongLawForm(
-            f"need a = -1 and -1/n < beta < 0 for the curvature-power bound; "
-            f"got kind={law.kind}, a={law.a}, beta={law.beta}, n={n}"
-        )
-    return -law.beta
+def expanding_b(law: SpeedLaw, n: int) -> float | None:
+    """Exponent b when the law is -K^(-b) with 0 < b < 1/n, else None."""
+    if law.is_power and law.a == -1.0 and -1.0 / n < law.beta < 0.0:
+        return -law.beta
+    return None
 
 
-def harnack_lhs(state: GeometryState, law: SpeedLaw, t: float) -> np.ndarray:
+def _lhs_eq12(dt_u, gsq_h, u, nb: float, t: float) -> np.ndarray:
+    """harnack_lhs from its parts, which monitor already holds."""
+    return dt_u + gsq_h - (nb / ((1.0 - nb) * t)) * u
+
+
+def harnack_lhs(sf: SpeedFields, t: float) -> np.ndarray:
     """Differential-Harnack expression for u = K^(-b) at time t since start.
 
     d_t u + |grad u|^2_h - (n b / ((1 - n b) t)) u, non-positive along
     flows of compact convex initial data started at t = 0.
     """
-    b = require_expanding_power(law, state.n)
+    state, law = sf.state, sf.law
+    b = expanding_b(law, state.n)
+    if b is None:
+        raise WrongLawForm(
+            f"need a = -1 and -1/n < beta < 0 for the curvature-power bound; "
+            f"got kind={law.kind}, a={law.a}, beta={law.beta}, n={state.n}"
+        )
     if t <= 0.0:
         raise NonPositiveTime(f"need t > 0, got {t}")
-    u = -law.f(state.K)
-    dt_u = -dt_f_spatial(state, law)
-    gsq = grad_norm_sq_h(state, u)
-    nb = state.n * b
-    return dt_u + gsq - (nb / ((1.0 - nb) * t)) * u
+    u = -sf.f
+    return _lhs_eq12(-dt_f_spatial(sf), grad_norm_sq_h(state, u), u, state.n * b, t)
 
 
-def P_tensor(state: GeometryState, law: SpeedLaw) -> np.ndarray:
+def P_tensor(sf: SpeedFields) -> np.ndarray:
     """Components of the Harnack tensor in normal-angle coordinates.
 
     n=1: the single theta-theta component, shape (N,).
     n=2 axisymmetric: diagonal (phi-phi, psi-psi) components, shape (M, 2).
     """
-    sf = speed_fields(state, law)
+    state = sf.state
     if state.n == 1:
         r = state.r1
         grad_h_cov = -state.r1p  # covariant derivative of the sff component
@@ -132,34 +138,32 @@ def P_tensor(state: GeometryState, law: SpeedLaw) -> np.ndarray:
     return np.stack([p11, p22], axis=1)
 
 
-def P_trace(state: GeometryState, law: SpeedLaw) -> np.ndarray:
+def P_trace(sf: SpeedFields) -> np.ndarray:
     """Trace of the Harnack tensor, computed from its scalar formula.
 
     box f + f H - |grad f|^2_h / (f' K); independent of P_tensor, so the
     agreement of the two is a real consistency check on the curvature
     divergence identity used to rewrite the trace.
     """
-    return _p_trace(state, speed_fields(state, law))
+    return sf.box + sf.f * sf.state.H - sf.gradsq_h / sf.f1K
 
 
-def _p_trace(state: GeometryState, sf: SpeedFields) -> np.ndarray:
-    return sf.box + sf.f * state.H - sf.gradsq_h / sf.f1K
+def _P_h(sf: SpeedFields) -> np.ndarray:
+    """P_tensor's components contracted with h^-1, stacked on axis 0."""
+    P, state = P_tensor(sf), sf.state
+    if state.n == 1:
+        return (P / state.r1)[None]
+    return np.stack([P[:, 0] / state.r1, P[:, 1] / (state.r2 * state.sinphi**2)])
 
 
-def P_tensor_trace(state: GeometryState, law: SpeedLaw) -> np.ndarray:
+def P_tensor_trace(sf: SpeedFields) -> np.ndarray:
     """Contraction of P_tensor with the inverse second fundamental form."""
-    P = P_tensor(state, law)
-    if state.n == 1:
-        return P / state.r1
-    return P[:, 0] / state.r1 + P[:, 1] / (state.r2 * state.sinphi**2)
+    return _P_h(sf).sum(axis=0)
 
 
-def P_norm_sq_h(state: GeometryState, law: SpeedLaw) -> np.ndarray:
+def P_norm_sq_h(sf: SpeedFields) -> np.ndarray:
     """|P|^2 in the h norm; for n=1 this equals the squared trace."""
-    P = P_tensor(state, law)
-    if state.n == 1:
-        return (P / state.r1) ** 2
-    return (P[:, 0] / state.r1) ** 2 + (P[:, 1] / (state.r2 * state.sinphi**2)) ** 2
+    return (_P_h(sf) ** 2).sum(axis=0)
 
 
 def harnack_bound(law: SpeedLaw, n: int, t: float) -> float:
@@ -222,14 +226,11 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
     times at or before t0 are skipped.
     """
     if len(trace) < 3:
-        raise InsufficientTrace(
-            f"monitor needs at least 3 stored states, got {len(trace)}"
-        )
+        raise InsufficientTrace(f"monitor needs at least 3 stored states, got {len(trace)}")
     states = [derive_state(g) for g in trace.grids]
     u_fields = [-law.f(s.K) for s in states]
+    b = expanding_b(law, trace.n)
     samples = []
-    paper_form = law.is_power and law.a == -1.0 and -1.0 / trace.n < law.beta < 0.0
-    in_hyp = theorem_hypotheses(law, trace.n)
     for m in range(1, len(trace) - 1):
         t = trace.times[m] - t0
         if t <= 0.0:
@@ -237,39 +238,39 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
         st = states[m]
         sf = speed_fields(st, law)
         u = u_fields[m]
-        # -dt_f_spatial(st, law), from the speed fields already at hand
-        dt_u_spatial = -(sf.f1K * (box_op(st, sf.f) + st.H * sf.f))
+        dt_u_spatial = -dt_f_spatial(sf)
         dm = trace.times[m] - trace.times[m - 1]
         dp = trace.times[m + 1] - trace.times[m]
         v = sf.fp / st.r1  # turning rate of the normal at a material point
         du = st.d1(u)
         dt_u_fd = _central_dt(u_fields[m - 1], u, u_fields[m + 1], dm, dp) + v * du
         gsq_h = grad_norm_sq_h(st, u)
-        p_tr = _p_trace(st, sf)
-        if paper_form:
-            b = -law.beta
-            nb = st.n * b
-            lhs12 = dt_u_spatial + gsq_h - (nb / ((1.0 - nb) * t)) * u
-            lhs317 = -dt_u_spatial - gsq_h + sf.f1K / ((1.0 / st.n + law.beta) * t)
+        p_tr = P_trace(sf)
+        if b is None:
+            lhs12 = lhs317 = np.full_like(u, np.nan)
         else:
-            lhs12 = np.full_like(u, np.nan)
-            lhs317 = np.full_like(u, np.nan)
-        bound = harnack_bound(law, st.n, t) if in_hyp else float("nan")
-        margin = p_tr - bound
-        samples.append(
-            HarnackSample(
-                t=t,
-                u=u,
-                dt_u_spatial=dt_u_spatial,
-                dt_u_fd=dt_u_fd,
-                grad_sq_h=gsq_h,
-                lhs_12=lhs12,
-                lhs_317=lhs317,
-                p_trace=p_tr,
-                bound=bound,
-                margin=margin,
-            )
-        )
+            lhs12 = _lhs_eq12(dt_u_spatial, gsq_h, u, st.n * b, t)
+            lhs317 = -dt_u_spatial - gsq_h + sf.f1K / ((1.0 / st.n + law.beta) * t)
+        bound = harnack_bound(law, st.n, t)
+        samples.append(HarnackSample(
+            t=t, u=u, dt_u_spatial=dt_u_spatial, dt_u_fd=dt_u_fd, grad_sq_h=gsq_h,
+            lhs_12=lhs12, lhs_317=lhs317, p_trace=p_tr, bound=bound, margin=p_tr - bound,
+        ))
     if not samples:
         raise InsufficientTrace("no stored times after the bound's time origin")
     return samples
+
+
+class MarginSummary(NamedTuple):
+    """Margin to the trace bound over all samples of a monitored run."""
+
+    min_margin: float
+    max_abs_P: float       # the scale: largest |trP| seen
+    min_margin_rel: float  # min_margin / max_abs_P, NaN when the scale is 0
+
+
+def margin_summary(samples) -> MarginSummary:
+    """Smallest margin, largest |trP| and their ratio over monitor samples."""
+    mm = min(s.min_margin for s in samples)
+    scale = max(s.max_abs_p for s in samples)
+    return MarginSummary(mm, scale, mm / scale if scale > 0 else float("nan"))

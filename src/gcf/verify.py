@@ -33,12 +33,7 @@ from .geometry import (
     fourier_grid,
     laplace_beltrami,
 )
-from .harnack import (
-    P_norm_sq_h,
-    P_trace,
-    dt_f_spatial,
-    speed_fields,
-)
+from .harnack import P_norm_sq_h, P_trace, SpeedFields, dt_f_spatial, speed_fields
 from .speedlaw import (
     SpeedLaw,
     alpha_fn,
@@ -240,9 +235,10 @@ def _ladder_report(
     )
 
 
-def _evolution_parts(st: GeometryState, sf, law: SpeedLaw, which: str):
+def _evolution_parts(sf: SpeedFields, which: str):
     """The (extract, corr, rhs) parts of the evolution equation of one
-    quantity at the middle state st with speed fields sf."""
+    quantity at the middle state, given its speed fields sf."""
+    st, law = sf.state, sf.law
     n = st.n
     V = sf.fp / st.r1
     Vp = sf.fpp / st.r1 - sf.fp * st.r1p / st.r1**2
@@ -276,13 +272,12 @@ def _evolution_parts(st: GeometryState, sf, law: SpeedLaw, which: str):
     elif which == "f":
         extract = [lambda s: law.f(s.K)]
         corr = [V * sf.fp]
-        rhs = [dt_f_spatial(st, law)]
+        rhs = [dt_f_spatial(sf)]
     elif which == "H":
         extract = [lambda s: s.H]
         corr = [V * st.Hp]
-        f_field = law.f(st.K)
         ksq = 1.0 / st.r1**2 if n == 1 else 1.0 / st.r1**2 + 1.0 / st.r2**2
-        rhs = [laplace_beltrami(st, f_field) + f_field * ksq]
+        rhs = [laplace_beltrami(st, sf.f) + sf.f * ksq]
     else:
         raise ValueError(f"unknown evolution quantity {which!r}; use g, h, f, H")
     return list(zip(extract, corr, rhs))
@@ -302,12 +297,9 @@ def check_evolution(
     allows), all centered at the same state so the measured order is clean.
     """
     ladder = _ladder_states(trace)
-    st = ladder.states[ladder.mid]
-    sf = speed_fields(st, law)
+    sf = speed_fields(ladder.states[ladder.mid], law)
     return [
-        _ladder_report(
-            f"evolve-{q}", _evolution_parts(st, sf, law, q), ladder, tolerance, order_window
-        )
+        _ladder_report(f"evolve-{q}", _evolution_parts(sf, q), ladder, tolerance, order_window)
         for q in which
     ]
 
@@ -332,7 +324,7 @@ def check_P_evolution(
     st = ladder.states[ladder.mid]
     sf = speed_fields(st, law)
     V = sf.fp / st.r1
-    p_mid = P_trace(st, law)
+    p_mid = P_trace(sf)
     dP = st.d1(p_mid)
     c = 1.0 + sf.f2 * st.K / sf.f1
     box_p = box_op(st, p_mid)
@@ -340,8 +332,8 @@ def check_P_evolution(
     beta_vals = beta_fn(law, st.K)
     beta_prime_vals = sf.f * alpha_fn(law, st.K) / st.K
     group = (st.H * beta_vals - beta_prime_vals / (sf.f * sf.f1) * sf.gradsq_h) * p_mid
-    rhs = sf.f1K * box_p + 2.0 * c * grad_f_p + P_norm_sq_h(st, law) + c * p_mid**2 + group
-    part = (lambda s: P_trace(s, law), V * dP, rhs)
+    rhs = sf.f1K * box_p + 2.0 * c * grad_f_p + P_norm_sq_h(sf) + c * p_mid**2 + group
+    part = (lambda s: P_trace(speed_fields(s, law)), V * dP, rhs)
     return _ladder_report("evolve-P", [part], ladder, tolerance, order_window, relative=True)
 
 
@@ -485,7 +477,7 @@ def check_P_expansion(state: GeometryState, law: SpeedLaw, tolerance: float = 1e
     level when the identities are implemented correctly.
     """
     sf = speed_fields(state, law)
-    p_tr = P_trace(state, law)
+    p_tr = P_trace(sf)
     w = sf.gradsq_h / sf.f1K
     fH = sf.f * state.H
     expansion = (
@@ -517,7 +509,7 @@ def check_P_expansion(state: GeometryState, law: SpeedLaw, tolerance: float = 1e
     t5 = 2.0 * sf.f * hess / r**2
     t6 = -2.0 * sf.f * state.Hp * sf.fp / r
     norm_terms = t1 + t2 + t3 + t4 + t5 + t6
-    p_norm = P_norm_sq_h(state, law)
+    p_norm = P_norm_sq_h(sf)
     reports.append(
         IdentityReport(
             "p-tensor-norm-terms",

@@ -188,6 +188,52 @@ def test_run_early_end_exits_3(tmp_path, capsys, beta, modes, safety, reason):
     assert (out / "trace.csv").exists()
 
 
+def test_harnack_with_too_few_stored_states_is_a_config_error(tmp_path, capsys):
+    # a completed run that stores only its two ends leaves nothing to monitor
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, output={"stride": 1000000})
+    out = tmp_path / "o"
+    assert main(["harnack", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert (out / "trace.csv").exists()
+    assert not (out / "harnack.csv").exists()
+    assert json.loads((out / "meta.json").read_text())["termination_reason"] == "completed"
+
+
+def test_harnack_early_end_with_too_few_stored_states_exits_3(tmp_path, capsys):
+    # the nonconvex flow of test_run_early_end_exits_3, storing only its two ends
+    cfg = tmp_path / "cfg.json"
+    write_config(
+        cfg,
+        speed={"a": 1.0, "beta": 1.1700967619904363},
+        initial={"type": "fourier", "modes": [[5, 0.017207980635981685]]},
+        grid={"N": 32},
+        time={"t_end": 3.0, "safety": 1.0},
+        output={"stride": 1000000},
+    )
+    out = tmp_path / "o"
+    assert main(["harnack", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "flow terminated early: nonconvex\n"
+    assert (out / "trace.csv").exists()
+    assert not (out / "harnack.csv").exists()
+    assert json.loads((out / "meta.json").read_text())["termination_reason"] == "nonconvex"
+
+
+def test_sweep_tuple_with_too_few_stored_states_fails_config(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "tuples": [{"n": 1, "b": 0.3}],
+        "grid": {"N": 64},
+        "time": {"t_end": 1.0},
+        "output": {"stride": 1000000},
+    }))
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    header, rows = read_csv(out / "sweep.csv")
+    assert rows[0][header.index("status")] == "failed:config"
+
+
 def test_run_rejects_non_object_section(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, speed="fast")

@@ -13,6 +13,7 @@ from gcf.harnack import (
     harnack_bound,
     harnack_lhs,
     monitor,
+    speed_fields,
     theorem_hypotheses,
 )
 from gcf.speedlaw import SpeedLaw
@@ -30,12 +31,12 @@ def test_dt_f_spatial_round_values():
     # on rounds d_t u = b * R^(2b-1) for n=1 and 2b * R^(4b-1) for n=2,
     # from the closed-form radius ODE; dt_f_spatial returns d_t f = -d_t u
     st = round_state(1, 2.0)
-    got = dt_f_spatial(st, SpeedLaw.power(-1.0, -0.3))
+    got = dt_f_spatial(speed_fields(st, SpeedLaw.power(-1.0, -0.3)))
     expect = -0.3 * 2.0 ** (2 * 0.3 - 1.0)
     assert np.max(np.abs(got - expect)) <= 1e-12
 
     st2 = round_state(2, 1.5)
-    got2 = dt_f_spatial(st2, SpeedLaw.power(-1.0, -0.25))
+    got2 = dt_f_spatial(speed_fields(st2, SpeedLaw.power(-1.0, -0.25)))
     assert np.max(np.abs(got2 - (-0.5))) <= 1e-12
 
 
@@ -44,7 +45,7 @@ def test_harnack_lhs_equality_on_self_similar_circle():
     # and the time factor removes exactly u/t = 1/2
     t = 0.8
     st = round_state(1, (t / 2.0) ** 2)
-    lhs = harnack_lhs(st, HALF, t)
+    lhs = harnack_lhs(speed_fields(st, HALF), t)
     assert np.max(np.abs(lhs)) <= 1e-12
 
 
@@ -52,18 +53,18 @@ def test_harnack_lhs_unit_circle_value():
     # R0=1: R(t) = (1 + t/2)^2, u = 1 + t/2, LHS = 1/2 - u/t = -1/t
     t = 2.0
     st = round_state(1, (1.0 + t / 2.0) ** 2)
-    lhs = harnack_lhs(st, HALF, t)
+    lhs = harnack_lhs(speed_fields(st, HALF), t)
     assert np.max(np.abs(lhs + 1.0 / t)) <= 1e-12
 
 
 def test_harnack_lhs_law_and_time_guards():
     st = round_state(1, 1.0)
     with pytest.raises(WrongLawForm):
-        harnack_lhs(st, SpeedLaw.power(1.0, 0.5), 1.0)
+        harnack_lhs(speed_fields(st, SpeedLaw.power(1.0, 0.5)), 1.0)
     with pytest.raises(WrongLawForm):
-        harnack_lhs(st, SpeedLaw.power(-1.0, -1.2), 1.0)
+        harnack_lhs(speed_fields(st, SpeedLaw.power(-1.0, -1.2)), 1.0)
     with pytest.raises(NonPositiveTime):
-        harnack_lhs(st, HALF, 0.0)
+        harnack_lhs(speed_fields(st, HALF), 0.0)
 
 
 def test_p_tensor_and_trace_on_rounds():
@@ -71,17 +72,17 @@ def test_p_tensor_and_trace_on_rounds():
     # squared-sff contraction and the trace to f*H
     R, b = 2.0, 0.5
     st = round_state(1, R)
-    P = P_tensor(st, HALF)
+    P = P_tensor(speed_fields(st, HALF))
     assert np.max(np.abs(P - (-(R**b)))) <= 1e-12
-    assert np.max(np.abs(P_trace(st, HALF) - (-(R ** (b - 1.0))))) <= 1e-12
+    assert np.max(np.abs(P_trace(speed_fields(st, HALF)) - (-(R ** (b - 1.0))))) <= 1e-12
 
     law2 = SpeedLaw.power(-1.0, -0.25)
     st2 = round_state(2, R)
-    P2 = P_tensor(st2, law2)
+    P2 = P_tensor(speed_fields(st2, law2))
     f = -(R**0.5)
     assert np.max(np.abs(P2[:, 0] - f)) <= 1e-12
     assert np.max(np.abs(P2[:, 1] - f * st2.sinphi**2)) <= 1e-12
-    assert np.max(np.abs(P_trace(st2, law2) - 2.0 * f / R)) <= 1e-12
+    assert np.max(np.abs(P_trace(speed_fields(st2, law2)) - 2.0 * f / R)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,size,law", [(1, 256, HALF), (2, 128, SpeedLaw.power(-1.0, -0.25))])
@@ -89,22 +90,22 @@ def test_trace_equals_tensor_contraction(n, size, law):
     rng = np.random.default_rng(5 + n)
     for _ in range(4):
         st = derive_state(random_convex_grid(n, size, rng))
-        direct = P_trace(st, law)
-        contracted = P_tensor_trace(st, law)
+        direct = P_trace(speed_fields(st, law))
+        contracted = P_tensor_trace(speed_fields(st, law))
         assert np.max(np.abs(direct - contracted)) <= 1e-10
 
 
 def test_p_norm_equals_trace_square_for_curves():
     rng = np.random.default_rng(11)
-    st = derive_state(random_convex_grid(1, 256, rng))
-    assert np.max(np.abs(P_norm_sq_h(st, HALF) - P_trace(st, HALF) ** 2)) <= 1e-10
+    sf = speed_fields(derive_state(random_convex_grid(1, 256, rng)), HALF)
+    assert np.max(np.abs(P_norm_sq_h(sf) - P_trace(sf) ** 2)) <= 1e-10
 
 
 def test_bound_equality_on_self_similar_state():
     # trace = -2/t equals the lower bound -1/((1/n + beta) t) exactly
     t = 1.3
     st = round_state(1, (t / 2.0) ** 2)
-    p = P_trace(st, HALF)
+    p = P_trace(speed_fields(st, HALF))
     bound = harnack_bound(HALF, 1, t)
     assert bound == pytest.approx(-2.0 / t, rel=1e-14)
     assert np.max(np.abs(p - bound)) <= 1e-12 * abs(bound)
@@ -130,9 +131,38 @@ def test_p_tensor_matches_embedding_oracle_assembly():
         dr = d1_periodic_o2(st.r1, st.grid.spacing)
         df = d1_periodic_o2(f_field, st.grid.spacing)
         brute = hess + (dr / st.r1) * df + f_field
-        errs.append(np.max(np.abs(brute - P_tensor(st, HALF))))
+        errs.append(np.max(np.abs(brute - P_tensor(speed_fields(st, HALF)))))
     order = np.log2(errs[0] / errs[1])
     assert 1.5 <= order <= 3.0
+
+
+@pytest.mark.parametrize(
+    "n,size,law,t_end",
+    [
+        (1, 64, HALF, 0.5),
+        (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5),
+        (1, 64, SpeedLaw.exponential(), 0.01),
+    ],
+    ids=["n1-power", "n2-power", "n1-exp"],
+)
+def test_monitor_columns_equal_the_speed_fields_functions(n, size, law, t_end):
+    # monitor builds its columns from the same functions of one SpeedFields
+    # per state that a caller would use, so they agree bit for bit
+    cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
+                     t_end=t_end, stride=3)
+    trace = run(cfg)
+    samples = monitor(trace, law, t0=0.0)
+    assert len(samples) == len(trace) - 2 >= 3
+    for s, grid in zip(samples, trace.grids[1:-1]):
+        sf = speed_fields(derive_state(grid), law)
+        assert np.array_equal(s.dt_u_spatial, -dt_f_spatial(sf))
+        assert np.array_equal(s.p_trace, P_trace(sf))
+        if law.is_power:
+            assert np.array_equal(s.lhs_12, harnack_lhs(sf, s.t))
+        else:
+            assert np.all(np.isnan(s.lhs_12))
+            with pytest.raises(WrongLawForm):
+                harnack_lhs(sf, s.t)
 
 
 def test_monitor_requires_three_states():

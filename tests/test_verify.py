@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gcf import harnack, verify
 from gcf.errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
 from gcf.flow import InitialShape, stable_dt, step
 from gcf.geometry import derive_state, fourier_grid, hessian_principal, round_grid
-from gcf.harnack import P_trace
+from gcf.harnack import P_trace, speed_fields
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import (
     _ladder_report,
@@ -18,6 +19,8 @@ from gcf.verify import (
     estimate_order,
     hessian_oracle,
     identity_convergence,
+    pevol_suite,
+    pexpand_suite,
     random_convex_grid,
     sphere_radius_exact,
     uniform_trace,
@@ -265,7 +268,7 @@ def test_p_evolution_self_similar_rate():
     R0 = 0.25
     tr = uniform_trace(1, 64, HALF, InitialShape("round", R0), spacing=1e-3, n_stored=3)
     states = [derive_state(g) for g in tr.grids]
-    p = [float(P_trace(s, HALF)[0]) for s in states]
+    p = [float(P_trace(speed_fields(s, HALF))[0]) for s in states]
     dP = (p[2] - p[0]) / (2e-3)
     t_mid = 2.0 * np.sqrt(states[1].r1[0])  # self-similar time of the middle state
     assert dP == pytest.approx(2.0 / t_mid**2, rel=1e-5)
@@ -315,6 +318,40 @@ def test_p_evolution_requires_curve_trace():
 
 
 # --- algebraic expansions ------------------------------------------------------
+
+
+def _count_speed_fields(monkeypatch) -> list:
+    """The states that speed_fields is called on from now on, in verify and harnack."""
+    states, original = [], harnack.speed_fields
+
+    def counting(state, law):
+        states.append(state)
+        return original(state, law)
+
+    monkeypatch.setattr(harnack, "speed_fields", counting)
+    monkeypatch.setattr(verify, "speed_fields", counting)
+    return states
+
+
+def test_p_checks_evaluate_speed_fields_once_per_state(monkeypatch):
+    calls = _count_speed_fields(monkeypatch)
+    rng = np.random.default_rng(3)
+    for n, size, law in ((1, 128, HALF), (2, 64, SpeedLaw.power(-1.0, -0.25))):
+        st = derive_state(random_convex_grid(n, size, rng))
+        calls.clear()
+        check_P_expansion(st, law)
+        assert len(calls) == 1 and calls[0] is st
+    tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=9)
+    calls.clear()
+    check_P_evolution(tr, HALF)
+    # the middle state, then each state of the (4, 2, 1) ladder around it
+    assert len(calls) == len({id(s) for s in calls}) == 1 + 2 * len(_ladder_states(tr).ks)
+    calls.clear()
+    pexpand_suite()
+    assert len(calls) == 10
+    calls.clear()
+    pevol_suite()
+    assert len(calls) == 14
 
 
 def test_p_expansion_round_states():

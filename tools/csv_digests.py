@@ -1,0 +1,60 @@
+"""Print the sha256 of every CSV that a fixed set of `gcf` runs writes.
+
+    python3 tools/csv_digests.py OUT_DIR [--seed N]
+
+Runs, in-process through `gcf.cli.main` and from the `src/` of this
+checkout, the benchmark's surface-dense and sweep-mixed configs for the
+seed (generated by `perfbench/workloads.build`) and the six verification
+suites with `--out`, all under OUT_DIR.  Prints one `sha256  path` line per
+CSV, paths relative to OUT_DIR, sorted.  Run it in two checkouts and diff
+the outputs to show that a change leaves every CSV byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from gcf.cli import main as gcf_main  # noqa: E402
+
+
+def calls(out_dir: str, seed: int) -> list:
+    """The argv lists of every run, writing under out_dir."""
+    argvs = [
+        call.argv
+        for name in ("surface-dense", "sweep-mixed")
+        for call in workloads.build(name, seed, os.path.join(out_dir, name), 1).calls
+    ]
+    argvs += [
+        ["verify", "--suite", s, "--out", os.path.join(out_dir, "verify", s)]
+        for s in workloads.SUITES
+    ]
+    return argvs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    for call in calls(args.out_dir, args.seed):
+        with contextlib.redirect_stdout(sys.stderr):
+            rc = gcf_main(call)
+        if rc != 0:
+            print(f"gcf {' '.join(call)} exited {rc}", file=sys.stderr)
+            return 1
+    digests, _, _ = workloads.scan(args.out_dir)
+    for path, digest in digests.items():
+        print(f"{digest}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
