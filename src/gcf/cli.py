@@ -3,9 +3,11 @@ execute verification suites, sweep parameters.
 
 All outputs are flat files written atomically (temp file + rename):
 trace.csv, harnack.csv, report.csv, sweep.csv, and a meta.json with the
-echoed configuration.  Numeric fields carry 17 significant digits, so
-identical configurations reproduce byte-identical CSVs.  A sweep steps its
-tuples as ensembles (see flow.ensembles), one run per ensemble.
+echoed configuration, the run's steps and the wall time of each of its
+phases (step, monitor, write).  Timing goes only into meta.json: numeric
+CSV fields carry 17 significant digits, so identical configurations
+reproduce byte-identical CSVs.  A sweep steps its tuples as ensembles
+(see flow.ensembles), one run per ensemble.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 early flow termination (lost convexity, the origin leaving the body, or
@@ -27,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import GcfError, InsufficientTrace, InvalidConfig
 from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, ensembles, run
-from .geometry import derive_state
+from .geometry import mean_curvature
 from .harnack import margin_summary, monitor, theorem_hypotheses
 from .speedlaw import SpeedLaw
 from .verify import SUITES
@@ -146,29 +148,37 @@ def _meta(doc: dict, law: SpeedLaw, wall: float, trace, command: str, **extra) -
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# Both CSV writers format a state's rows with one % over a template of its
+# rows.  What a row holds besides its %.17g values (the time, the node index
+# and angle, the bound) is text in the template: the per-node part is
+# formatted once per trace, and the time and bound once per state.
+
+
 def _trace_csv(trace):
     """trace.csv as text chunks, one per stored state."""
     if trace.n == 1:
         yield "t,node_index,angle,h,r,K,H\n"
     else:
         yield "t,node_index,angle,h,r1,r2,K,H\n"
+    values = ",%.17g" * (trace.n + 3) + "\n"  # h, the radii, K and H
+    angles = trace.grids[0].angles.tolist()
+    tails = [",%d,%s%s" % (i, _fmt(a), values) for i, a in enumerate(angles)]
     for t, grid in zip(trace.times, trace.grids):
-        st = derive_state(grid)
-        cols = (st.angles, st.h, *st.radii, st.K, st.H)
-        row = _fmt(t) + ",%d" + ",%.17g" * len(cols) + "\n"
-        yield "".join(row % r for r in zip(range(grid.size), *(c.tolist() for c in cols)))
+        radii, K = grid.curvature()
+        cols = np.stack((grid.values, *radii, K, mean_curvature(radii, K)), axis=-1)
+        t = _fmt(t)
+        yield (t + t.join(tails)) % tuple(cols.ravel().tolist())
 
 
 def _harnack_csv(samples):
     """harnack.csv as text chunks, one per sample."""
     yield "t,node_index,u,dt_u_spatial,dt_u_fd,grad_sq_h,lhs_eq12,P_trace,bound_eq316,margin\n"
+    heads = [",%d%s," % (i, ",%.17g" * 6) for i in range(samples[0].u.size)]
     for s in samples:
-        cols = (s.u, s.dt_u_spatial, s.dt_u_fd, s.grad_sq_h, s.lhs_12, s.p_trace)
-        row = _fmt(s.t) + ",%d" + ",%.17g" * len(cols) + "," + _fmt(s.bound) + ",%.17g\n"
-        yield "".join(
-            row % r
-            for r in zip(range(s.u.size), *(c.tolist() for c in cols), s.margin.tolist())
-        )
+        cols = (s.u, s.dt_u_spatial, s.dt_u_fd, s.grad_sq_h, s.lhs_12, s.p_trace, s.margin)
+        t, tail = _fmt(s.t), _fmt(s.bound) + ",%.17g\n"
+        template = t + (tail + t).join(heads) + tail
+        yield template % tuple(np.stack(cols, axis=-1).ravel().tolist())
 
 
 def _report_csv(reports) -> str:
@@ -184,13 +194,22 @@ def _report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_run(out_dir: str, doc: dict, law: SpeedLaw, wall: float, trace, command: str) -> int:
+def _write_run(
+    out_dir: str, doc: dict, law: SpeedLaw, wall: float, trace, command: str, phases: dict
+) -> int:
     """Write trace.csv and meta.json of a run; the exit code its end gives.
 
-    A flow that ended early is reported on stderr and exits 3.
+    phases holds the wall seconds of the run's phases so far; the time of
+    writing trace.csv is added to its "write", and meta.json records it as
+    phase_wall_s.  A flow that ended early is reported on stderr and exits 3.
     """
+    start = time.monotonic()
     _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(trace))
-    _atomic_write(os.path.join(out_dir, "meta.json"), _meta(doc, law, wall, trace, command))
+    phases["write"] = phases.get("write", 0.0) + time.monotonic() - start
+    _atomic_write(
+        os.path.join(out_dir, "meta.json"),
+        _meta(doc, law, wall, trace, command, phase_wall_s=phases),
+    )
     if trace.reason != "completed":
         print(f"flow terminated early: {trace.reason}", file=sys.stderr)
         return EXIT_NONCONVEX
@@ -206,7 +225,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         return EXIT_CONFIG
     start = time.monotonic()
     trace = run(cfg)
-    code = _write_run(out_dir, doc, cfg.law, time.monotonic() - start, trace, "run")
+    wall = time.monotonic() - start
+    code = _write_run(out_dir, doc, cfg.law, wall, trace, "run", {"step": wall})
     if code == EXIT_OK:
         print(f"completed: {len(trace)} stored states -> {out_dir}/trace.csv")
     return code
@@ -234,24 +254,28 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         return EXIT_CONFIG
     start = time.monotonic()
     trace = run(cfg)
+    phases = {"step": time.monotonic() - start}
     try:
         samples = monitor(trace, cfg.law, t0=0.0)
     except InsufficientTrace as exc:
         # A completed run that stored too few states is misconfigured
         # (output.stride too coarse); an early end keeps its own exit code.
-        code = _write_run(out_dir, doc, cfg.law, time.monotonic() - start, trace, "harnack")
+        wall = time.monotonic() - start
+        code = _write_run(out_dir, doc, cfg.law, wall, trace, "harnack", phases)
         if code != EXIT_OK:
             return code
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     wall = time.monotonic() - start
+    phases["monitor"] = wall - phases["step"]
     _atomic_write(os.path.join(out_dir, "harnack.csv"), _harnack_csv(samples))
+    phases["write"] = time.monotonic() - start - wall
     summary = margin_summary(samples)
     print(
         f"min_margin = {summary.min_margin:.6e} (relative {summary.min_margin_rel:.6e}, "
         f"scale {summary.max_abs_P:.6e})"
     )
-    return _write_run(out_dir, doc, cfg.law, wall, trace, "harnack")
+    return _write_run(out_dir, doc, cfg.law, wall, trace, "harnack", phases)
 
 
 def cmd_verify(suite: str, out_dir: str | None = None) -> int:
@@ -318,18 +342,22 @@ def _sweep_failed(row: dict, exc: Exception) -> None:
 def _sweep_one(row, doc, cfg, trace, wall: float, ensemble_size: int, out_dir: str) -> None:
     """Monitor one tuple's trace; write its harnack.csv and meta.json.
 
-    wall is the stepping time of the tuple's whole ensemble.
+    wall is the stepping time of the tuple's whole ensemble, which is also
+    the "step" of its phase_wall_s.
     """
     if trace.reason != "completed":
         row["status"] = f"failed:{trace.reason}"
         return
+    start = time.monotonic()
     samples = monitor(trace, cfg.law, t0=0.0)
     row.update(margin_summary(samples)._asdict())
+    monitored = time.monotonic()
     sub = os.path.join(out_dir, f"tuple_{row['index']:04d}")
     _atomic_write(os.path.join(sub, "harnack.csv"), _harnack_csv(samples))
+    phases = {"step": wall, "monitor": monitored - start, "write": time.monotonic() - monitored}
     _atomic_write(
         os.path.join(sub, "meta.json"),
-        _meta(doc, cfg.law, wall, trace, "sweep", ensemble_size=ensemble_size),
+        _meta(doc, cfg.law, wall, trace, "sweep", ensemble_size=ensemble_size, phase_wall_s=phases),
     )
 
 

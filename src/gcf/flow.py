@@ -27,7 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, NonConvex, OriginOutside
-from .geometry import SupportGrid, fourier_grid, radii_and_K, require_admissible, round_grid
+from .geometry import (
+    SupportGrid,
+    fourier_grid,
+    radii_and_K,
+    require_admissible,
+    round_grid,
+    stack_grids,
+)
 from .speedlaw import SpeedLaw
 
 DT_FLOOR = 1e-12
@@ -362,12 +369,7 @@ def _run_rows(rows: list) -> list:
     traces = [row.trace for row in rows]
     grids = [row.trace.grids[0] for row in rows]
     n, dx = grids[0].n, grids[0].spacing
-    batch = _Batch(
-        rows,
-        np.stack([g.values for g in grids]),
-        tuple(np.stack(r) for r in zip(*(g.curvature()[0] for g in grids))),
-        np.stack([g.curvature()[1] for g in grids]),
-    ).keep([row.running for row in rows])
+    batch = _Batch(rows, *stack_grids(grids)).keep([row.running for row in rows])
     while batch.rows:
         if batch.adaptive:
             bounds = _dt_bound(batch.law, n, batch.radii, batch.K, batch.scale).tolist()

@@ -193,14 +193,17 @@ def _d2(n, u, dx, parity="even"):
 
 @dataclass(frozen=True)
 class GeometryState:
-    """All pointwise geometry derived from one support grid.
+    """All pointwise geometry derived from one support grid, or a stack.
 
     Radii, curvatures, the embedding, and the chain-rule derivative bundle
     (first and second angular derivatives of the radii, K and H) used by
     downstream fields.  For n=1, r2 and the azimuthal entries are None.
+    A stacked state (see derive_state) holds S grids as (S, N) rows; d1,
+    d2, grad_norm_sq_h, h_norm_sq and box_op work along the last axis, so
+    they serve both.
     """
 
-    grid: SupportGrid
+    grid: SupportGrid | tuple
     n: int
     angles: np.ndarray
     dx: float
@@ -235,17 +238,55 @@ class GeometryState:
         return _d2(self.n, u, self.dx, parity)
 
 
-def derive_state(grid: SupportGrid) -> GeometryState:
+def stack_grids(grids) -> tuple:
+    """(values, radii, K) of grids of one (n, size), stacked as (S, N) rows.
+
+    radii and K are each grid's checked curvature(), so nothing is
+    derived again for grids that already hold it.
+    """
+    first = grids[0]
+    if any((g.n, g.size) != (first.n, first.size) for g in grids):
+        raise ValueError("stacked grids must share their dimension and size")
+    curv = [g.curvature() for g in grids]
+    return (
+        np.stack([g.values for g in grids]),
+        tuple(np.stack(r) for r in zip(*(radii for radii, _ in curv))),
+        np.stack([K for _, K in curv]),
+    )
+
+
+def mean_curvature(radii: tuple, K: np.ndarray) -> np.ndarray:
+    """H from the radii and K: K itself for n=1, 1/r1 + 1/r2 for n=2."""
+    if len(radii) == 1:
+        return K
+    r1, r2 = radii
+    return 1.0 / r1 + 1.0 / r2
+
+
+def derive_state(grid) -> GeometryState:
     """Differentiate a support grid into its full geometry.
+
+    grid is one SupportGrid, or a sequence of S grids of one (n, size).
+    A sequence gives one stacked state: every per-node field is an (S, N)
+    array whose row s is that of derive_state(grid[s]), bit for bit, and
+    positions are (S, N, 2); angles, normals and the polar factors, which
+    depend on the node alone, stay (N,) and (N, 2).  Its grid field is the
+    tuple of grids.
 
     Raises NonConvex if any curvature radius falls below the strict
     positivity floor, OriginOutside if any support value is non-positive
-    (already enforced by the grid itself).  The radii and K are the grid's
+    (already enforced by the grid itself).  The radii and K are the grids'
     cached curvature().
     """
-    n, h, dx = grid.n, grid.values, grid.spacing
-    ang = grid.angles
-    radii, K = grid.curvature()
+    if isinstance(grid, SupportGrid):
+        first, h = grid, grid.values
+        radii, K = grid.curvature()
+    else:
+        grid = tuple(grid)
+        first = grid[0]
+        h, radii, K = stack_grids(grid)
+    n, dx, ang = first.n, first.spacing, first.angles
+    H = mean_curvature(radii, K)
 
     if n == 1:
         (r1,) = radii
@@ -254,22 +295,21 @@ def derive_state(grid: SupportGrid) -> GeometryState:
         r1pp = stencils.d2_periodic(r1, dx)
         Kp = -r1p / r1**2
         Kpp = -r1pp / r1**2 + 2.0 * r1p**2 / r1**3
-        H, Hp = K, Kp
         cos_t, sin_t = np.cos(ang), np.sin(ang)
-        normals = np.stack([cos_t, sin_t], axis=1)
-        tangents = np.stack([-sin_t, cos_t], axis=1)
-        positions = h[:, None] * normals + hp[:, None] * tangents
+        normals = np.stack([cos_t, sin_t], axis=-1)
+        tangents = np.stack([-sin_t, cos_t], axis=-1)
+        positions = h[..., None] * normals + hp[..., None] * tangents
         return GeometryState(
             grid=grid, n=1, angles=ang, dx=dx, h=h, hp=hp,
             r1=r1, r2=None, r1p=r1p, r2p=None, r1pp=r1pp, r2pp=None,
-            K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Hp, Gamma=r1p / r1,
+            K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Kp, Gamma=r1p / r1,
             positions=positions, normals=normals,
             sinphi=None, cosphi=None, cot=None,
         )
 
     r1, r2 = radii
     sin_p, cos_p = np.sin(ang), np.cos(ang)
-    cot = _polar_cot(h.size)
+    cot = _polar_cot(h.shape[-1])
     hp = stencils.d1_reflect(h, dx, "even")
     r1p = stencils.d1_reflect(r1, dx, "even")
     # Closed forms below keep every pole-singular factor analytic.
@@ -279,13 +319,12 @@ def derive_state(grid: SupportGrid) -> GeometryState:
     L1 = r1p / r1 + r2p / r2
     Kp = -K * L1
     Kpp = -Kp * L1 - K * (r1pp / r1 - (r1p / r1) ** 2 + r2pp / r2 - (r2p / r2) ** 2)
-    H = 1.0 / r1 + 1.0 / r2
     Hp = -r1p / r1**2 - r2p / r2**2
     # Meridian-plane embedding: distance from axis and height.
     rho = h * sin_p + hp * cos_p
     z = h * cos_p - hp * sin_p
-    positions = np.stack([rho, z], axis=1)
-    normals = np.stack([sin_p, cos_p], axis=1)
+    positions = np.stack([rho, z], axis=-1)
+    normals = np.stack([sin_p, cos_p], axis=-1)
     return GeometryState(
         grid=grid, n=2, angles=ang, dx=dx, h=h, hp=hp,
         r1=r1, r2=r2, r1p=r1p, r2p=r2p, r1pp=r1pp, r2pp=r2pp,
@@ -321,7 +360,11 @@ def grad_norm_sq_h(state: GeometryState, u: np.ndarray) -> np.ndarray:
 
     n=1: (u_theta)**2 / r; n=2 axisymmetric: (u_phi)**2 / r1.
     """
-    du = state.d1(u)
+    return h_norm_sq(state, state.d1(u))
+
+
+def h_norm_sq(state: GeometryState, du: np.ndarray) -> np.ndarray:
+    """grad_norm_sq_h of a field whose angular derivative du is at hand."""
     return du * du / state.r1
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InsufficientTrace, NonPositiveTime, WrongLawForm
 from .flow import FlowTrace
-from .geometry import GeometryState, box_op, derive_state, grad_norm_sq_h
+from .geometry import GeometryState, box_op, derive_state, grad_norm_sq_h, h_norm_sq
 from .speedlaw import SpeedLaw
 
 
@@ -166,16 +166,17 @@ def P_norm_sq_h(sf: SpeedFields) -> np.ndarray:
     return (_P_h(sf) ** 2).sum(axis=0)
 
 
-def harnack_bound(law: SpeedLaw, n: int, t: float) -> float:
+def harnack_bound(law: SpeedLaw, n: int, t):
     """Lower bound -1/((1/n + beta) t) for the trace of the Harnack tensor.
 
     Valid for power laws with a > 0, beta > 0 or a < 0, -1/n < beta < 0;
-    returns NaN outside those hypotheses.
+    NaN outside those hypotheses.  t is a time or an array of times, which
+    gives the bound at each.
     """
-    if t <= 0.0:
+    if np.any(np.less_equal(t, 0.0)):
         raise NonPositiveTime(f"need t > 0, got {t}")
     if not theorem_hypotheses(law, n):
-        return float("nan")
+        return t * float("nan")  # NaN, in t's shape
     return -1.0 / ((1.0 / n + law.beta) * t)
 
 
@@ -190,7 +191,10 @@ def theorem_hypotheses(law: SpeedLaw, n: int) -> bool:
 
 @dataclass(frozen=True)
 class HarnackSample:
-    """Per-node Harnack diagnostics at one stored time."""
+    """Per-node Harnack diagnostics at one stored time.
+
+    monitor's samples hold row views of (S, N) arrays shared by the trace.
+    """
 
     t: float
     u: np.ndarray
@@ -212,9 +216,18 @@ class HarnackSample:
         return float(np.max(np.abs(self.p_trace)))
 
 
-def _central_dt(qm, q0, qp, dm: float, dp: float) -> np.ndarray:
-    # Quadratic-interpolation derivative; exact central difference when dm == dp.
-    return (dm**2 * qp - dp**2 * qm + (dp**2 - dm**2) * q0) / (dm * dp * (dm + dp))
+def _central_dt(qm, q0, qp, dm: list, dp: list) -> np.ndarray:
+    """Quadratic-interpolation derivative at the middle of rows qm, q0, qp.
+
+    dm and dp list each row's steps to the previous and next stored time.
+    Exact central difference when dm == dp.  The weights are formed in
+    Python floats, as a per-state evaluation forms them: their x**2 is the
+    C library's pow, which differs from x*x in the last bit for about one
+    value in a thousand.
+    """
+    w = np.array([(a**2, b**2, b**2 - a**2, a * b * (a + b)) for a, b in zip(dm, dp)])
+    wm, wp, w0, den = (w[:, j:j + 1] for j in range(4))
+    return (wm * qp - wp * qm + w0 * q0) / den
 
 
 def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
@@ -224,41 +237,50 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
     stored time minus t0, so traces whose initial data logically sits at a
     later moment of a longer flow can be tested with shifted time.  Stored
     times at or before t0 are skipped.
+
+    The stored states from the one before the first sample on are derived
+    as one (S, N) stack, and every column is evaluated on that stack, with
+    the times, the time-step weights and the bound as (S, 1) columns; each
+    sample holds row views of those arrays.
     """
     if len(trace) < 3:
         raise InsufficientTrace(f"monitor needs at least 3 stored states, got {len(trace)}")
-    states = [derive_state(g) for g in trace.grids]
-    u_fields = [-law.f(s.K) for s in states]
-    b = expanding_b(law, trace.n)
-    samples = []
-    for m in range(1, len(trace) - 1):
-        t = trace.times[m] - t0
-        if t <= 0.0:
-            continue
-        st = states[m]
-        sf = speed_fields(st, law)
-        u = u_fields[m]
-        dt_u_spatial = -dt_f_spatial(sf)
-        dm = trace.times[m] - trace.times[m - 1]
-        dp = trace.times[m + 1] - trace.times[m]
-        v = sf.fp / st.r1  # turning rate of the normal at a material point
-        du = st.d1(u)
-        dt_u_fd = _central_dt(u_fields[m - 1], u, u_fields[m + 1], dm, dp) + v * du
-        gsq_h = grad_norm_sq_h(st, u)
-        p_tr = P_trace(sf)
-        if b is None:
-            lhs12 = lhs317 = np.full_like(u, np.nan)
-        else:
-            lhs12 = _lhs_eq12(dt_u_spatial, gsq_h, u, st.n * b, t)
-            lhs317 = -dt_u_spatial - gsq_h + sf.f1K / ((1.0 / st.n + law.beta) * t)
-        bound = harnack_bound(law, st.n, t)
-        samples.append(HarnackSample(
-            t=t, u=u, dt_u_spatial=dt_u_spatial, dt_u_fd=dt_u_fd, grad_sq_h=gsq_h,
-            lhs_12=lhs12, lhs_317=lhs317, p_trace=p_tr, bound=bound, margin=p_tr - bound,
-        ))
-    if not samples:
+    times = trace.times
+    # Stored times increase, so the samples are the interior rows from lo on.
+    lo = next((m for m in range(1, len(trace) - 1) if times[m] - t0 > 0.0), None)
+    if lo is None:
         raise InsufficientTrace("no stored times after the bound's time origin")
-    return samples
+    times = times[lo - 1:]
+    st = derive_state(trace.grids[lo - 1:])
+    sf = speed_fields(st, law)
+    u = -sf.f
+    du = st.d1(u)
+    v = sf.fp / st.r1  # turning rate of the normal at a material point
+    mid = slice(1, -1)
+    steps = [q - p for p, q in zip(times, times[1:])]
+    dt_u_fd = _central_dt(u[:-2], u[mid], u[2:], steps[:-1], steps[1:]) + (v * du)[mid]
+    dt_u_spatial = -dt_f_spatial(sf)[mid]
+    gsq_h = h_norm_sq(st, du)[mid]
+    p_tr = P_trace(sf)[mid]
+    ts = np.array(times[1:-1]) - t0
+    t = ts[:, None]
+    u = u[mid]
+    b = expanding_b(law, trace.n)
+    if b is None:
+        lhs12 = lhs317 = np.full_like(u, np.nan)
+    else:
+        lhs12 = _lhs_eq12(dt_u_spatial, gsq_h, u, trace.n * b, t)
+        lhs317 = -dt_u_spatial - gsq_h + sf.f1K[mid] / ((1.0 / trace.n + law.beta) * t)
+    bound = harnack_bound(law, trace.n, t)
+    margin = p_tr - bound
+    return [
+        HarnackSample(
+            t=t_m, u=u[i], dt_u_spatial=dt_u_spatial[i], dt_u_fd=dt_u_fd[i],
+            grad_sq_h=gsq_h[i], lhs_12=lhs12[i], lhs_317=lhs317[i], p_trace=p_tr[i],
+            bound=bound_m, margin=margin[i],
+        )
+        for i, (t_m, bound_m) in enumerate(zip(ts.tolist(), bound[:, 0].tolist()))
+    ]
 
 
 class MarginSummary(NamedTuple):

@@ -95,8 +95,11 @@ class SpeedLaw:
 
     @property
     def paper_b(self) -> float | None:
-        """Exponent b of the speed K**(-b) when the law has the form -K^(-b)."""
-        if self.kind == POWER and self.a < 0.0:
+        """Exponent b when the law is f = -K^(-b) (a = -1, beta < 0), else None.
+
+        The flow's speed is then K**(-b).
+        """
+        if self.kind == POWER and self.a == -1.0 and self.beta < 0.0:
             return -self.beta
         return None
 

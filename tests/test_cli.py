@@ -6,6 +6,7 @@ import pytest
 from gcf import cli
 from gcf.cli import _atomic_write, _harnack_csv, main
 from gcf.flow import FlowConfig, InitialShape, run
+from gcf.geometry import derive_state
 from gcf.harnack import monitor
 from gcf.speedlaw import SpeedLaw
 
@@ -373,3 +374,81 @@ def test_atomic_write_of_chunks_keeps_old_file_on_error(tmp_path):
         _atomic_write(str(path), failing())
     assert path.read_bytes() == b"0\n1\n2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]  # no temporary file left
+
+
+def trace_csv_row_by_row(trace):
+    # trace.csv as it was written row by row from derive_state of each grid,
+    # kept as the reference for the per-state templates
+    if trace.n == 1:
+        chunks = ["t,node_index,angle,h,r,K,H\n"]
+    else:
+        chunks = ["t,node_index,angle,h,r1,r2,K,H\n"]
+    for t, grid in zip(trace.times, trace.grids):
+        st = derive_state(grid)
+        cols = (st.angles, st.h, *st.radii, st.K, st.H)
+        row = "%.17g" % t + ",%d" + ",%.17g" * len(cols) + "\n"
+        chunks.append("".join(row % r for r in zip(range(grid.size), *(c.tolist() for c in cols))))
+    return "".join(chunks)
+
+
+def harnack_csv_row_by_row(samples):
+    chunks = ["t,node_index,u,dt_u_spatial,dt_u_fd,grad_sq_h,lhs_eq12,P_trace,bound_eq316,margin\n"]
+    for s in samples:
+        cols = (s.u, s.dt_u_spatial, s.dt_u_fd, s.grad_sq_h, s.lhs_12, s.p_trace)
+        row = "%.17g" % s.t + ",%d" + ",%.17g" * len(cols) + "," + "%.17g" % s.bound + ",%.17g\n"
+        chunks.append("".join(
+            row % r for r in zip(range(s.u.size), *(c.tolist() for c in cols), s.margin.tolist())
+        ))
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "n,size,law,t_end,t0",
+    [
+        (1, 64, SpeedLaw.power(-1.0, -0.5), 0.5, 0.0),
+        (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5, 0.1),
+        (1, 64, SpeedLaw.exponential(), 0.02, 0.0),
+    ],
+    ids=["n1-power", "n2-power", "n1-exp"],
+)
+def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end, t0):
+    trace = run(FlowConfig(n=n, size=size, law=law,
+                           shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
+                           t_end=t_end, stride=3))
+    text = "".join(cli._trace_csv(trace))
+    assert text == trace_csv_row_by_row(trace)
+    if n == 1:  # the H column repeats K
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert all(r[5] == r[6] for r in rows)
+    samples = monitor(trace, law, t0)
+    text = "".join(_harnack_csv(samples))
+    assert text == harnack_csv_row_by_row(samples)
+    # lhs_eq12 and bound_eq316 are NaN outside the -K^(-b) form
+    assert ("nan" in text) == (not law.is_power)
+
+
+def test_meta_records_phase_wall_times(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, initial={"type": "fourier", "R0": 1.0, "modes": [[2, 0.02]]},
+                 time={"t_end": 0.5}, output={"stride": 20})
+    for command, phases in (("run", {"step", "write"}), ("harnack", {"step", "monitor", "write"})):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta["phase_wall_s"]) == phases
+        assert all(v >= 0.0 for v in meta["phase_wall_s"].values())
+        assert meta["phase_wall_s"]["step"] <= meta["wall_time_s"]
+    out = run_sweep(tmp_path, "s", SWEEP_TUPLES[:2])
+    for i in range(2):
+        meta = json.loads((out / f"tuple_{i:04d}" / "meta.json").read_text())
+        assert set(meta["phase_wall_s"]) == {"step", "monitor", "write"}
+        assert meta["phase_wall_s"]["step"] == meta["wall_time_s"]
+
+
+@pytest.mark.parametrize("a,beta,paper_b", [(-1.0, -0.5, 0.5), (-2.0, -0.5, None), (1.0, 0.5, None)])
+def test_meta_paper_b_only_for_the_minus_k_power_form(tmp_path, a, beta, paper_b):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, speed={"a": a, "beta": beta}, time={"t_end": 0.1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["law_mapping"]["paper_b"] == paper_b

@@ -3,6 +3,7 @@ import pytest
 
 from gcf.errors import NonConvex, OriginOutside
 from gcf.geometry import (
+    GeometryState,
     SupportGrid,
     box_op,
     derive_state,
@@ -203,3 +204,35 @@ def test_grid_size_constraints():
     with pytest.raises(ValueError):
         SupportGrid(3, np.full(32, 1.0))
     SupportGrid(2, np.full(17, 1.0))  # odd sizes fine for the polar grid
+
+
+@pytest.mark.parametrize("n,size", [(1, 64), (2, 32)], ids=["n1", "n2"])
+def test_stacked_derivation_equals_derive_state_per_grid(n, size):
+    # a stack of grids derives, row by row, the same bits as each grid alone
+    rng = np.random.default_rng(31 + n)
+    grids = [fourier_grid(n, 1.0 + 0.1 * k, [(2, 0.02 * rng.random()), (3, 0.01)], size)
+             for k in range(5)]
+    stacked = derive_state(grids)
+    assert stacked.grid == tuple(grids)
+    singles = [derive_state(g) for g in grids]
+    shared = ("n", "angles", "dx", "normals", "sinphi", "cosphi", "cot")
+    for name in GeometryState.__dataclass_fields__:
+        if name == "grid":
+            continue
+        got = getattr(stacked, name)
+        for s, single in enumerate(singles):
+            want = getattr(single, name)
+            if want is None:
+                assert got is None, name
+            elif name in shared:
+                assert np.array_equal(got, want), name
+            else:
+                assert got.shape[0] == len(grids)
+                assert np.array_equal(got[s], want), (name, s)
+
+
+def test_stack_of_grids_of_different_sizes_is_rejected():
+    with pytest.raises(ValueError):
+        derive_state([round_grid(1, 1.0, 64), round_grid(1, 1.0, 32)])
+    with pytest.raises(ValueError):
+        derive_state([round_grid(1, 1.0, 64), round_grid(2, 1.0, 64)])

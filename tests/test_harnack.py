@@ -3,13 +3,16 @@ import pytest
 
 from gcf.errors import InsufficientTrace, NonPositiveTime, WrongLawForm
 from gcf.flow import FlowConfig, InitialShape, run
-from gcf.geometry import derive_state, fourier_grid, round_grid
+from gcf import harnack
+from gcf.geometry import GeometryState, derive_state, fourier_grid, grad_norm_sq_h, round_grid
 from gcf.harnack import (
+    HarnackSample,
     P_norm_sq_h,
     P_tensor,
     P_tensor_trace,
     P_trace,
     dt_f_spatial,
+    expanding_b,
     harnack_bound,
     harnack_lhs,
     monitor,
@@ -229,3 +232,97 @@ def test_monitor_outside_hypotheses_emits_raw_trace_quantities():
     assert np.isnan(s.bound)
     assert np.all(np.isnan(s.lhs_12))
     assert np.all(np.isfinite(s.p_trace))
+
+
+def per_state_monitor(trace, law, t0):
+    # monitor as it was written state by state, kept as the reference for
+    # the stacked evaluation
+    states = [derive_state(g) for g in trace.grids]
+    u_fields = [-law.f(s.K) for s in states]
+    b = expanding_b(law, trace.n)
+    samples = []
+    for m in range(1, len(trace) - 1):
+        t = trace.times[m] - t0
+        if t <= 0.0:
+            continue
+        st = states[m]
+        sf = speed_fields(st, law)
+        u = u_fields[m]
+        dt_u_spatial = -dt_f_spatial(sf)
+        dm = trace.times[m] - trace.times[m - 1]
+        dp = trace.times[m + 1] - trace.times[m]
+        v = sf.fp / st.r1
+        du = st.d1(u)
+        central = (dm**2 * u_fields[m + 1] - dp**2 * u_fields[m - 1]
+                   + (dp**2 - dm**2) * u) / (dm * dp * (dm + dp))
+        dt_u_fd = central + v * du
+        gsq_h = grad_norm_sq_h(st, u)
+        p_tr = P_trace(sf)
+        if b is None:
+            lhs12 = lhs317 = np.full_like(u, np.nan)
+        else:
+            nb = st.n * b
+            lhs12 = dt_u_spatial + gsq_h - (nb / ((1.0 - nb) * t)) * u
+            lhs317 = -dt_u_spatial - gsq_h + sf.f1K / ((1.0 / st.n + law.beta) * t)
+        bound = harnack_bound(law, st.n, t)
+        samples.append(HarnackSample(
+            t=t, u=u, dt_u_spatial=dt_u_spatial, dt_u_fd=dt_u_fd, grad_sq_h=gsq_h,
+            lhs_12=lhs12, lhs_317=lhs317, p_trace=p_tr, bound=bound, margin=p_tr - bound,
+        ))
+    return samples
+
+
+@pytest.mark.parametrize(
+    "n,size,law,t_end,stride",
+    [
+        (1, 64, HALF, 0.5, 4),
+        (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5, 3),
+        (1, 64, SpeedLaw.exponential(), 0.02, 3),
+        (1, 64, HALF, 0.5, 1),
+    ],
+    ids=["n1-power", "n2-power", "n1-exp", "n1-every-state"],
+)
+def test_monitor_equals_the_per_state_loop(n, size, law, t_end, stride):
+    cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
+                     t_end=t_end, stride=stride)
+    trace = run(cfg)
+    if stride > 1:
+        assert trace.steps % stride != 0  # the final state is stored off the stride
+    else:  # some step's dt**2, the C library's pow, differs from dt*dt
+        assert any(d**2 != d * d for d in np.diff(trace.times).tolist())
+    times = trace.times
+    for t0 in (0.0, 0.5 * (times[2] + times[3])):
+        got, want = monitor(trace, law, t0), per_state_monitor(trace, law, t0)
+        assert len(got) == len(want) == len(trace) - (2 if t0 == 0.0 else 4)
+        for s, r in zip(got, want):
+            assert type(s.t) is float and s.t == r.t
+            assert type(s.bound) is float and (s.bound == r.bound or np.isnan(r.bound))
+            for name in ("u", "dt_u_spatial", "dt_u_fd", "grad_sq_h", "lhs_12", "lhs_317",
+                         "p_trace", "margin"):
+                assert np.array_equal(getattr(s, name), getattr(r, name), equal_nan=True), name
+
+
+def test_monitor_derives_its_states_as_one_stack(monkeypatch):
+    # one derivation of the stack, and d1 applied once to each field: u for
+    # dt_u_fd and |grad u|^2_h, f inside box_op
+    calls, d1_args = [], []
+
+    def counting(grid):
+        calls.append(grid)
+        return derive_state(grid)
+
+    d1 = GeometryState.d1
+
+    def counting_d1(self, u, parity="even"):
+        d1_args.append(u)
+        return d1(self, u, parity)
+
+    monkeypatch.setattr(harnack, "derive_state", counting)
+    monkeypatch.setattr(GeometryState, "d1", counting_d1)
+    cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
+                     t_end=0.5, stride=4)
+    trace = run(cfg)
+    samples = monitor(trace, HALF, t0=trace.times[2])
+    assert len(calls) == 1 and list(calls[0]) == trace.grids[2:]
+    assert len(samples) == len(trace) - 4
+    assert len(d1_args) == 2 and not np.array_equal(d1_args[0], d1_args[1])

@@ -148,3 +148,12 @@ def test_stacked_law_evaluates_each_row_with_its_own_law():
         SpeedLaw.stacked([laws[0], SpeedLaw.exponential()])
     with pytest.raises(NonPositiveArgument):
         stacked.f(np.where(np.arange(64) == 5, 0.0, x))
+
+
+def test_paper_b_only_for_the_minus_k_power_form():
+    # b is the exponent of the speed K^(-b), i.e. of the law f = -K^(-b)
+    assert SpeedLaw.power(-1.0, -0.5).paper_b == 0.5
+    assert SpeedLaw.power(-2.0, -0.5).paper_b is None
+    assert SpeedLaw.power(-0.5, -0.25).paper_b is None
+    assert SpeedLaw.power(1.0, 0.5).paper_b is None
+    assert SpeedLaw.exponential().paper_b is None

@@ -4,16 +4,18 @@
 
 Runs, in-process through `gcf.cli.main` and from the `src/` of this
 checkout, the benchmark's surface-dense and sweep-mixed configs for the
-seed (generated by `perfbench/workloads.build`) and the six verification
-suites with `--out`, all under OUT_DIR.  Prints one `sha256  path` line per
-CSV, paths relative to OUT_DIR, sorted.  Run it in two checkouts and diff
-the outputs to show that a change leaves every CSV byte-identical.
+seed (generated by `perfbench/workloads.build`), the two fixed configs of
+FIXED, and the six verification suites with `--out`, all under OUT_DIR.
+That is 32 CSVs.  Prints one `sha256  path` line per CSV, paths relative
+to OUT_DIR, sorted.  Run it in two checkouts and diff the outputs to show
+that a change leaves every CSV byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -25,6 +27,22 @@ import workloads  # noqa: E402
 from gcf.cli import main as gcf_main  # noqa: E402
 
 
+# Configs the benchmark's workloads leave out: an n=1 `gcf run`, whose
+# trace.csv has the n=1 columns (H repeats K), and a short exponential-law
+# `gcf harnack`, whose lhs_eq12 and bound_eq316 columns are NaN.
+_SHAPE = {"type": "fourier", "R0": 1.0, "modes": [[3, 0.02], [2, 0.01]]}
+FIXED = {
+    "run-n1": ("run", {
+        "n": 1, "speed": {"a": -1.0, "beta": -0.5}, "grid": {"N": 128}, "initial": _SHAPE,
+        "time": {"t_end": 0.5}, "output": {"stride": 25},
+    }),
+    "harnack-exp": ("harnack", {
+        "n": 1, "speed": {"kind": "exp"}, "grid": {"N": 64}, "initial": _SHAPE,
+        "time": {"t_end": 0.02}, "output": {"stride": 3},
+    }),
+}
+
+
 def calls(out_dir: str, seed: int) -> list:
     """The argv lists of every run, writing under out_dir."""
     argvs = [
@@ -32,6 +50,13 @@ def calls(out_dir: str, seed: int) -> list:
         for name in ("surface-dense", "sweep-mixed")
         for call in workloads.build(name, seed, os.path.join(out_dir, name), 1).calls
     ]
+    for name, (command, doc) in FIXED.items():
+        work = os.path.join(out_dir, name)
+        os.makedirs(work, exist_ok=True)
+        path = os.path.join(work, f"{command}.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+        argvs.append([command, "--config", path, "--out", os.path.join(work, "out")])
     argvs += [
         ["verify", "--suite", s, "--out", os.path.join(out_dir, "verify", s)]
         for s in workloads.SUITES
