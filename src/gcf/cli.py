@@ -30,8 +30,8 @@ from . import __version__
 from .errors import GcfError, InsufficientTrace, InvalidConfig
 from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, ensembles, run
 from .geometry import mean_curvature
-from .harnack import margin_summary, monitor, theorem_hypotheses
-from .speedlaw import SpeedLaw
+from .harnack import MarginSummary, margin_summary, monitor
+from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -42,8 +42,8 @@ EXIT_HYPOTHESES = 4
 
 # What a malformed config raises while it is read: bad JSON is a
 # ValueError, a missing field a KeyError, a field of the wrong type a
-# TypeError.
-CONFIG_ERRORS = (GcfError, KeyError, ValueError, TypeError)
+# TypeError, an integer too large for a float an OverflowError.
+CONFIG_ERRORS = (GcfError, KeyError, ValueError, TypeError, OverflowError)
 
 
 def _fmt(x) -> str:
@@ -91,24 +91,35 @@ def _section(doc: dict, key: str) -> dict:
     return value
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer, or a float with an integral value such as 2.0."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+
+
 def _law_from_doc(doc: dict) -> SpeedLaw:
     speed = _section(doc, "speed")
     kind = speed.get("kind", "power")
-    if kind == "exp":
-        return SpeedLaw.exponential()
-    return SpeedLaw.power(float(speed["a"]), float(speed["beta"]))
+    if kind == "power":
+        return SpeedLaw.power(float(speed["a"]), float(speed["beta"]))
+    return SpeedLaw(kind)  # rejects a kind that is neither power nor exp
 
 
 def _flow_config_from_doc(doc: dict) -> FlowConfig:
     law = _law_from_doc(doc)
-    n = int(doc["n"])
-    size = int(_section(doc, "grid").get("N", 256))
+    n = _integer(doc["n"], "n")
+    size = _integer(_section(doc, "grid").get("N", 256), "grid.N")
     init = _section(doc, "initial")
     kind = init.get("type", "circle")
     if kind in ("circle", "sphere", "round"):
         shape = InitialShape("round", R0=float(init.get("R0", 1.0)))
     elif kind == "fourier":
-        modes = tuple((int(k), float(a)) for k, a in init.get("modes", []))
+        modes = tuple(
+            (_integer(k, "mode wavenumber"), float(a)) for k, a in init.get("modes", [])
+        )
         shape = InitialShape("fourier", R0=float(init.get("R0", 1.0)), modes=modes)
     else:
         raise GcfError(f"unknown initial type {kind!r}")
@@ -121,7 +132,7 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
         t_end=float(tdoc["t_end"]),
         t0=float(tdoc.get("t0", 0.0)),
         safety=float(tdoc.get("safety", DEFAULT_SAFETY)),
-        stride=int(_section(doc, "output").get("stride", 1)),
+        stride=_integer(_section(doc, "output").get("stride", 1), "output.stride"),
     )
 
 
@@ -133,7 +144,7 @@ def _meta(doc: dict, law: SpeedLaw, wall: float, trace, command: str, **extra) -
             "kind": law.kind,
             "a": law.a if law.is_power else None,
             "beta": law.beta if law.is_power else None,
-            "paper_b": law.paper_b,
+            "paper_b": expanding_b(law, trace.n),
         },
         "termination_reason": trace.reason,
         "steps": trace.steps,
@@ -170,15 +181,16 @@ def _trace_csv(trace):
         yield (t + t.join(tails)) % tuple(cols.ravel().tolist())
 
 
-def _harnack_csv(samples):
-    """harnack.csv as text chunks, one per sample."""
+def _harnack_csv(table):
+    """harnack.csv of a monitor table as text chunks, one per monitored state."""
     yield "t,node_index,u,dt_u_spatial,dt_u_fd,grad_sq_h,lhs_eq12,P_trace,bound_eq316,margin\n"
-    heads = [",%d%s," % (i, ",%.17g" * 6) for i in range(samples[0].u.size)]
-    for s in samples:
-        cols = (s.u, s.dt_u_spatial, s.dt_u_fd, s.grad_sq_h, s.lhs_12, s.p_trace, s.margin)
-        t, tail = _fmt(s.t), _fmt(s.bound) + ",%.17g\n"
+    heads = [",%d%s," % (i, ",%.17g" * 6) for i in range(table.u.shape[1])]
+    cols = (table.u, table.dt_u_spatial, table.dt_u_fd, table.grad_sq_h, table.lhs_12,
+            table.p_trace, table.margin)
+    for i, (t, bound) in enumerate(zip(table.t.tolist(), table.bound.tolist())):
+        t, tail = _fmt(t), _fmt(bound) + ",%.17g\n"
         template = t + (tail + t).join(heads) + tail
-        yield template % tuple(np.stack(cols, axis=-1).ravel().tolist())
+        yield template % tuple(np.stack([c[i] for c in cols], axis=-1).ravel().tolist())
 
 
 def _report_csv(reports) -> str:
@@ -232,11 +244,25 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     return code
 
 
+def _monitor_and_write(trace, law: SpeedLaw, out_dir: str, phases: dict) -> MarginSummary:
+    """Monitor a trace and write out_dir/harnack.csv; the margin summary.
+
+    The wall seconds of monitoring and of writing are set as phases'
+    "monitor" and "write".
+    """
+    start = time.monotonic()
+    table = monitor(trace, law, t0=0.0)
+    monitored = time.monotonic()
+    _atomic_write(os.path.join(out_dir, "harnack.csv"), _harnack_csv(table))
+    phases["monitor"], phases["write"] = monitored - start, time.monotonic() - monitored
+    return margin_summary(table)
+
+
 def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False) -> int:
     try:
         doc = _load_json(config_path)
         law = _law_from_doc(doc)
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
     except (OSError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -256,7 +282,7 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
     trace = run(cfg)
     phases = {"step": time.monotonic() - start}
     try:
-        samples = monitor(trace, cfg.law, t0=0.0)
+        summary = _monitor_and_write(trace, cfg.law, out_dir, phases)
     except InsufficientTrace as exc:
         # A completed run that stored too few states is misconfigured
         # (output.stride too coarse); an early end keeps its own exit code.
@@ -266,11 +292,7 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
             return code
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    wall = time.monotonic() - start
-    phases["monitor"] = wall - phases["step"]
-    _atomic_write(os.path.join(out_dir, "harnack.csv"), _harnack_csv(samples))
-    phases["write"] = time.monotonic() - start - wall
-    summary = margin_summary(samples)
+    wall = phases["step"] + phases["monitor"]
     print(
         f"min_margin = {summary.min_margin:.6e} (relative {summary.min_margin_rel:.6e}, "
         f"scale {summary.max_abs_P:.6e})"
@@ -348,13 +370,9 @@ def _sweep_one(row, doc, cfg, trace, wall: float, ensemble_size: int, out_dir: s
     if trace.reason != "completed":
         row["status"] = f"failed:{trace.reason}"
         return
-    start = time.monotonic()
-    samples = monitor(trace, cfg.law, t0=0.0)
-    row.update(margin_summary(samples)._asdict())
-    monitored = time.monotonic()
     sub = os.path.join(out_dir, f"tuple_{row['index']:04d}")
-    _atomic_write(os.path.join(sub, "harnack.csv"), _harnack_csv(samples))
-    phases = {"step": wall, "monitor": monitored - start, "write": time.monotonic() - monitored}
+    phases = {"step": wall}
+    row.update(_monitor_and_write(trace, cfg.law, sub, phases)._asdict())
     _atomic_write(
         os.path.join(sub, "meta.json"),
         _meta(doc, cfg.law, wall, trace, "sweep", ensemble_size=ensemble_size, phase_wall_s=phases),

@@ -35,7 +35,7 @@ from .geometry import (
     round_grid,
     stack_grids,
 )
-from .speedlaw import SpeedLaw
+from .speedlaw import SpeedLaw, theorem_hypotheses
 
 DT_FLOOR = 1e-12
 DEFAULT_SAFETY = 0.3
@@ -90,15 +90,17 @@ class FlowConfig:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise InvalidConfig(f"n must be 1 or 2, got {self.n}")
-        if not (self.t_end > self.t0 >= 0.0):
-            raise InvalidConfig(f"need t_end > t0 >= 0, got t0={self.t0}, t_end={self.t_end}")
+        if not (math.isfinite(self.t_end) and self.t_end > self.t0 >= 0.0):
+            raise InvalidConfig(
+                f"need a finite t_end > t0 >= 0, got t0={self.t0}, t_end={self.t_end}"
+            )
         if not (0.0 < self.safety <= 1.0):
             raise InvalidConfig(f"safety must lie in (0, 1], got {self.safety}")
         if self.stride < 1:
             raise InvalidConfig(f"stride must be >= 1, got {self.stride}")
         if self.fixed_dt is not None:
-            if self.fixed_dt <= 0.0:
-                raise InvalidConfig(f"fixed_dt must be positive, got {self.fixed_dt}")
+            if not (math.isfinite(self.fixed_dt) and self.fixed_dt > 0.0):
+                raise InvalidConfig(f"fixed_dt must be finite and positive, got {self.fixed_dt}")
             span = self.t_end - self.t0
             n_steps = max(1, round(span / self.fixed_dt))
             if not math.isclose(n_steps * self.fixed_dt, span, rel_tol=1e-9):
@@ -106,7 +108,7 @@ class FlowConfig:
                     f"fixed_dt = {self.fixed_dt} does not divide the time span {span}"
                 )
             object.__setattr__(self, "_n_steps", n_steps)
-        if self.law.is_power and self.law.a < 0.0 and not (-1.0 / self.n < self.law.beta < 0.0):
+        if self.law.is_power and not theorem_hypotheses(self.law, self.n):
             raise InvalidConfig(
                 f"expanding power law needs b < 1/n (and b > 0): "
                 f"got b = {-self.law.beta} with n = {self.n}"

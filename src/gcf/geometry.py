@@ -221,6 +221,9 @@ class GeometryState:
     H: np.ndarray
     Hp: np.ndarray
     Gamma: np.ndarray  # Christoffel of the meridian/angular coordinate
+    # Embedding.  n=1: points of the plane curve, F = h*nu + h'*tau, and the
+    # outward unit normals.  n=2: meridian-plane points (distance from the
+    # axis, height) and the normal's meridian components (sin(phi), cos(phi)).
     positions: np.ndarray
     normals: np.ndarray
     sinphi: np.ndarray | None
@@ -342,17 +345,6 @@ def _require_convex(radii: np.ndarray) -> None:
     lo = np.minimum.reduce(radii, axis=None)
     if not (lo > RADIUS_FLOOR and np.maximum.reduce(radii, axis=None) < np.inf):
         raise NonConvex(f"curvature radius dropped to {float(lo):.3e} (floor {RADIUS_FLOOR:g})")
-
-
-def embed(grid: SupportGrid):
-    """Embedded positions and outward unit normals.
-
-    n=1: points of the plane curve, F = h*nu + h'*tau.
-    n=2: meridian-plane points (distance from axis, height) and the
-    meridian components of the normal, (sin(phi), cos(phi)).
-    """
-    state = derive_state(grid)
-    return state.positions, state.normals
 
 
 def grad_norm_sq_h(state: GeometryState, u: np.ndarray) -> np.ndarray:

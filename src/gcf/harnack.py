@@ -29,7 +29,6 @@ differential statements carry truncation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import InsufficientTrace, NonPositiveTime, WrongLawForm
 from .flow import FlowTrace
 from .geometry import GeometryState, box_op, derive_state, grad_norm_sq_h, h_norm_sq
-from .speedlaw import SpeedLaw
+from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
 
 
 class SpeedFields(NamedTuple):
@@ -84,13 +83,6 @@ def dt_f_spatial(sf: SpeedFields) -> np.ndarray:
     return sf.f1K * (box_op(sf.state, sf.f) + sf.state.H * sf.f)
 
 
-def expanding_b(law: SpeedLaw, n: int) -> float | None:
-    """Exponent b when the law is -K^(-b) with 0 < b < 1/n, else None."""
-    if law.is_power and law.a == -1.0 and -1.0 / n < law.beta < 0.0:
-        return -law.beta
-    return None
-
-
 def _lhs_eq12(dt_u, gsq_h, u, nb: float, t: float) -> np.ndarray:
     """harnack_lhs from its parts, which monitor already holds."""
     return dt_u + gsq_h - (nb / ((1.0 - nb) * t)) * u
@@ -106,7 +98,7 @@ def harnack_lhs(sf: SpeedFields, t: float) -> np.ndarray:
     b = expanding_b(law, state.n)
     if b is None:
         raise WrongLawForm(
-            f"need a = -1 and -1/n < beta < 0 for the curvature-power bound; "
+            f"need the law -K^(-b) with 0 < b < 1/n for the curvature-power bound; "
             f"got kind={law.kind}, a={law.a}, beta={law.beta}, n={state.n}"
         )
     if t <= 0.0:
@@ -169,9 +161,8 @@ def P_norm_sq_h(sf: SpeedFields) -> np.ndarray:
 def harnack_bound(law: SpeedLaw, n: int, t):
     """Lower bound -1/((1/n + beta) t) for the trace of the Harnack tensor.
 
-    Valid for power laws with a > 0, beta > 0 or a < 0, -1/n < beta < 0;
-    NaN outside those hypotheses.  t is a time or an array of times, which
-    gives the bound at each.
+    Valid where theorem_hypotheses holds; NaN elsewhere.  t is a time or an
+    array of times, which gives the bound at each.
     """
     if np.any(np.less_equal(t, 0.0)):
         raise NonPositiveTime(f"need t > 0, got {t}")
@@ -180,40 +171,22 @@ def harnack_bound(law: SpeedLaw, n: int, t):
     return -1.0 / ((1.0 / n + law.beta) * t)
 
 
-def theorem_hypotheses(law: SpeedLaw, n: int) -> bool:
-    """Whether the trace lower bound applies to this law and dimension."""
-    if not law.is_power:
-        return False
-    if law.a > 0.0 and law.beta > 0.0:
-        return True
-    return law.a < 0.0 and -1.0 / n < law.beta < 0.0
+class HarnackTable(NamedTuple):
+    """Harnack diagnostics of a trace, one row per monitored stored time.
 
-
-@dataclass(frozen=True)
-class HarnackSample:
-    """Per-node Harnack diagnostics at one stored time.
-
-    monitor's samples hold row views of (S, N) arrays shared by the trace.
+    t and bound are (S,) arrays; every other field is an (S, N) array
+    whose row i holds the per-node values at time t[i].
     """
 
-    t: float
+    t: np.ndarray             # stored time minus the bound's time origin
     u: np.ndarray
     dt_u_spatial: np.ndarray
     dt_u_fd: np.ndarray
     grad_sq_h: np.ndarray
     lhs_12: np.ndarray        # differential Harnack expression (NaN if law not -K^-b)
-    lhs_317: np.ndarray       # equivalent speed-form expression, expected >= 0
     p_trace: np.ndarray
-    bound: float              # NaN outside the bound's hypotheses
+    bound: np.ndarray         # NaN outside the bound's hypotheses
     margin: np.ndarray
-
-    @property
-    def min_margin(self) -> float:
-        return float(np.min(self.margin))
-
-    @property
-    def max_abs_p(self) -> float:
-        return float(np.max(np.abs(self.p_trace)))
 
 
 def _central_dt(qm, q0, qp, dm: list, dp: list) -> np.ndarray:
@@ -230,7 +203,7 @@ def _central_dt(qm, q0, qp, dm: list, dp: list) -> np.ndarray:
     return (wm * qp - wp * qm + w0 * q0) / den
 
 
-def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
+def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> HarnackTable:
     """Harnack diagnostics at every interior stored time of a trace.
 
     t0 anchors the bound: the time entering the Harnack expressions is the
@@ -238,15 +211,14 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
     later moment of a longer flow can be tested with shifted time.  Stored
     times at or before t0 are skipped.
 
-    The stored states from the one before the first sample on are derived
-    as one (S, N) stack, and every column is evaluated on that stack, with
-    the times, the time-step weights and the bound as (S, 1) columns; each
-    sample holds row views of those arrays.
+    The stored states from the one before the first monitored time on are
+    derived as one stack, and every column is evaluated on that stack, with
+    the times and the time-step weights as (S, 1) columns.
     """
     if len(trace) < 3:
         raise InsufficientTrace(f"monitor needs at least 3 stored states, got {len(trace)}")
     times = trace.times
-    # Stored times increase, so the samples are the interior rows from lo on.
+    # Stored times increase, so the monitored times are the interior rows from lo on.
     lo = next((m for m in range(1, len(trace) - 1) if times[m] - t0 > 0.0), None)
     if lo is None:
         raise InsufficientTrace("no stored times after the bound's time origin")
@@ -262,37 +234,30 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> list:
     dt_u_spatial = -dt_f_spatial(sf)[mid]
     gsq_h = h_norm_sq(st, du)[mid]
     p_tr = P_trace(sf)[mid]
-    ts = np.array(times[1:-1]) - t0
-    t = ts[:, None]
+    t = np.array(times[1:-1]) - t0
     u = u[mid]
     b = expanding_b(law, trace.n)
     if b is None:
-        lhs12 = lhs317 = np.full_like(u, np.nan)
+        lhs12 = np.full_like(u, np.nan)
     else:
-        lhs12 = _lhs_eq12(dt_u_spatial, gsq_h, u, trace.n * b, t)
-        lhs317 = -dt_u_spatial - gsq_h + sf.f1K[mid] / ((1.0 / trace.n + law.beta) * t)
+        lhs12 = _lhs_eq12(dt_u_spatial, gsq_h, u, trace.n * b, t[:, None])
     bound = harnack_bound(law, trace.n, t)
-    margin = p_tr - bound
-    return [
-        HarnackSample(
-            t=t_m, u=u[i], dt_u_spatial=dt_u_spatial[i], dt_u_fd=dt_u_fd[i],
-            grad_sq_h=gsq_h[i], lhs_12=lhs12[i], lhs_317=lhs317[i], p_trace=p_tr[i],
-            bound=bound_m, margin=margin[i],
-        )
-        for i, (t_m, bound_m) in enumerate(zip(ts.tolist(), bound[:, 0].tolist()))
-    ]
+    return HarnackTable(
+        t, u, dt_u_spatial, dt_u_fd, gsq_h, lhs12, p_tr, bound, p_tr - bound[:, None]
+    )
 
 
 class MarginSummary(NamedTuple):
-    """Margin to the trace bound over all samples of a monitored run."""
+    """Margin to the trace bound over all monitored states of a run."""
 
     min_margin: float
     max_abs_P: float       # the scale: largest |trP| seen
     min_margin_rel: float  # min_margin / max_abs_P, NaN when the scale is 0
 
 
-def margin_summary(samples) -> MarginSummary:
-    """Smallest margin, largest |trP| and their ratio over monitor samples."""
-    mm = min(s.min_margin for s in samples)
-    scale = max(s.max_abs_p for s in samples)
+def margin_summary(table: HarnackTable) -> MarginSummary:
+    """Smallest margin, largest |trP| and their ratio over a monitor table."""
+    mm = float(np.min(table.margin))
+    # max |trP| from the extremes, without an |trP| array
+    scale = max(float(np.max(table.p_trace)), -float(np.min(table.p_trace)))
     return MarginSummary(mm, scale, mm / scale if scale > 0 else float("nan"))

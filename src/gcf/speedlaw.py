@@ -93,16 +93,6 @@ class SpeedLaw:
     def is_power(self) -> bool:
         return self.kind == POWER
 
-    @property
-    def paper_b(self) -> float | None:
-        """Exponent b when the law is f = -K^(-b) (a = -1, beta < 0), else None.
-
-        The flow's speed is then K**(-b).
-        """
-        if self.kind == POWER and self.a == -1.0 and self.beta < 0.0:
-            return -self.beta
-        return None
-
     def f(self, x):
         _check_positive(x)
         if self.kind == POWER:
@@ -137,9 +127,23 @@ def _check_positive(x) -> None:
         raise NonPositiveArgument("speed laws are defined for positive arguments only")
 
 
-def eval_derivs(law: SpeedLaw, x):
-    """Return (f, f', f'', f''') of the law at x (scalar or array), analytically."""
-    return law.f(x), law.f1(x), law.f2(x), law.f3(x)
+def theorem_hypotheses(law: SpeedLaw, n: int) -> bool:
+    """Whether the Harnack trace bound applies to this law in dimension n."""
+    if not law.is_power:
+        return False
+    if law.a > 0.0 and law.beta > 0.0:
+        return True
+    return law.a < 0.0 and -1.0 / n < law.beta < 0.0
+
+
+def expanding_b(law: SpeedLaw, n: int) -> float | None:
+    """Exponent b when the law is -K^(-b) with 0 < b < 1/n, else None.
+
+    The flow's speed is then K**(-b).
+    """
+    if theorem_hypotheses(law, n) and law.a == -1.0:
+        return -law.beta
+    return None
 
 
 def alpha_fn(law: SpeedLaw, x):

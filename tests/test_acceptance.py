@@ -58,20 +58,18 @@ def test_criterion_2_equality_case(n, b, size):
     )
     trace = run(cfg)
     assert trace.reason == "completed"
-    samples = monitor(trace, cfg.law, t0=0.0)
-    worst_margin = 0.0
-    worst_lhs = 0.0
-    for s in samples:
-        p_scale = np.max(np.abs(s.p_trace))
-        u_scale = np.max(np.abs(s.dt_u_spatial))
-        worst_margin = max(worst_margin, np.max(np.abs(s.margin)) / p_scale)
-        worst_lhs = max(worst_lhs, np.max(np.abs(s.lhs_12)) / u_scale)
+    table = monitor(trace, cfg.law, t0=0.0)
+    # each state's largest |margin| and |lhs| relative to its own scale
+    p_scale = np.max(np.abs(table.p_trace), axis=1)
+    u_scale = np.max(np.abs(table.dt_u_spatial), axis=1)
+    worst_margin = np.max(np.max(np.abs(table.margin), axis=1) / p_scale)
+    worst_lhs = np.max(np.max(np.abs(table.lhs_12), axis=1) / u_scale)
     ok = worst_margin <= 1e-4 and worst_lhs <= 1e-4
     assert report(
         2, f"self-similar equality n={n}",
         ok,
         f"max |margin|/|trP| {worst_margin:.2e}, max |lhs|/|dt_u| {worst_lhs:.2e} "
-        f"over {len(samples)} stored times (tolerance 1e-4)",
+        f"over {len(table.t)} stored times (tolerance 1e-4)",
     )
 
 
@@ -99,15 +97,11 @@ def test_criterion_3_harnack_property_on_perturbed_circles():
     ]
     for trace in run_ensemble(configs):
         assert trace.reason == "completed"
-        samples = monitor(trace, HALF, t0=0.0)
-        p_scale = max(s.max_abs_p for s in samples)
-        u_scale = max(float(np.max(np.abs(s.dt_u_spatial))) for s in samples)
-        worst_margin_rel = min(
-            worst_margin_rel, min(s.min_margin for s in samples) / p_scale
-        )
-        worst_lhs_rel = max(
-            worst_lhs_rel, max(float(np.max(s.lhs_12)) for s in samples) / u_scale
-        )
+        table = monitor(trace, HALF, t0=0.0)
+        p_scale = np.max(np.abs(table.p_trace))
+        u_scale = np.max(np.abs(table.dt_u_spatial))
+        worst_margin_rel = min(worst_margin_rel, np.min(table.margin) / p_scale)
+        worst_lhs_rel = max(worst_lhs_rel, np.max(table.lhs_12) / u_scale)
     elapsed = time.monotonic() - start
     ok = worst_margin_rel >= -1e-3 and worst_lhs_rel <= 1e-3 and elapsed <= 300.0
     assert report(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -269,6 +270,7 @@ def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
             # so large that K = 1/(r1*r2) underflows to 0, which the law rejects
             {"n": 2, "b": 0.3, "shape": {"type": "sphere", "R0": 1e160}},
             {"n": 2, "b": 0.1},
+            {"n": 1.7, "b": 0.3},  # not an integer, so not run as n=1
         ],
         "grid": {"N": 32},
         "time": {"t_end": 1.0, "safety": 1.0},
@@ -280,7 +282,7 @@ def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
     status = [r[header.index("status")] for r in rows]
     assert status == [
         "failed:config", "ok", "failed:config", "failed:nonconvex", "failed:config",
-        "failed:config", "ok",
+        "failed:config", "ok", "failed:config",
     ]
     assert all(len(r) == len(header) for r in rows)
     assert "Traceback" not in capsys.readouterr().err
@@ -391,13 +393,16 @@ def trace_csv_row_by_row(trace):
     return "".join(chunks)
 
 
-def harnack_csv_row_by_row(samples):
+def harnack_csv_row_by_row(table):
+    # harnack.csv as it was written row by row from each monitored state
     chunks = ["t,node_index,u,dt_u_spatial,dt_u_fd,grad_sq_h,lhs_eq12,P_trace,bound_eq316,margin\n"]
-    for s in samples:
-        cols = (s.u, s.dt_u_spatial, s.dt_u_fd, s.grad_sq_h, s.lhs_12, s.p_trace)
-        row = "%.17g" % s.t + ",%d" + ",%.17g" * len(cols) + "," + "%.17g" % s.bound + ",%.17g\n"
+    cols = (table.u, table.dt_u_spatial, table.dt_u_fd, table.grad_sq_h, table.lhs_12,
+            table.p_trace)
+    for i, (t, bound) in enumerate(zip(table.t.tolist(), table.bound.tolist())):
+        row = "%.17g" % t + ",%d" + ",%.17g" * len(cols) + "," + "%.17g" % bound + ",%.17g\n"
         chunks.append("".join(
-            row % r for r in zip(range(s.u.size), *(c.tolist() for c in cols), s.margin.tolist())
+            row % r for r in zip(range(table.u.shape[1]), *(c[i].tolist() for c in cols),
+                                 table.margin[i].tolist())
         ))
     return "".join(chunks)
 
@@ -420,9 +425,9 @@ def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end, t0):
     if n == 1:  # the H column repeats K
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert all(r[5] == r[6] for r in rows)
-    samples = monitor(trace, law, t0)
-    text = "".join(_harnack_csv(samples))
-    assert text == harnack_csv_row_by_row(samples)
+    table = monitor(trace, law, t0)
+    text = "".join(_harnack_csv(table))
+    assert text == harnack_csv_row_by_row(table)
     # lhs_eq12 and bound_eq316 are NaN outside the -K^(-b) form
     assert ("nan" in text) == (not law.is_power)
 
@@ -452,3 +457,62 @@ def test_meta_paper_b_only_for_the_minus_k_power_form(tmp_path, a, beta, paper_b
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "meta.json").read_text())["law_mapping"]["paper_b"] == paper_b
+
+
+def run_rejected(tmp_path, capsys, *argv, **overrides):
+    """stderr of a `gcf` command that rejects the config; it exits 2 and writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    out = tmp_path / "o"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    return err
+
+
+def test_run_rejects_a_non_finite_t_end(tmp_path, capsys):
+    # json.dumps writes the infinity as Infinity, which json.load reads back
+    assert "finite t_end" in run_rejected(tmp_path, capsys, "run", time={"t_end": math.inf})
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"tuples": [{"n": 1, "b": 0.3}], "time": {"t_end": math.inf}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    header, rows = read_csv(tmp_path / "s" / "sweep.csv")
+    assert rows[0][header.index("status")] == "failed:config"
+
+
+@pytest.mark.parametrize("command", [["run"], ["harnack", "--enforce-hypotheses"]],
+                         ids=["run", "harnack"])
+def test_run_rejects_an_unknown_speed_kind(tmp_path, capsys, command):
+    err = run_rejected(tmp_path, capsys, *command, speed={"kind": "weird", "a": -1, "beta": -0.5})
+    assert "unknown speed-law kind 'weird'" in err
+
+
+@pytest.mark.parametrize(
+    "overrides,name",
+    [
+        ({"n": 1.5}, "n"),
+        ({"grid": {"N": 32.7}}, "grid.N"),
+        ({"output": {"stride": 2.5}}, "output.stride"),
+        ({"initial": {"type": "fourier", "modes": [[2.5, 0.02]]}}, "mode wavenumber"),
+        ({"n": "1"}, "n"),
+        ({"n": True}, "n"),
+    ],
+    ids=["n", "grid.N", "output.stride", "mode-wavenumber", "n-string", "n-bool"],
+)
+def test_run_rejects_a_non_integer_in_an_integer_field(tmp_path, capsys, overrides, name):
+    for command in (["run"], ["harnack", "--enforce-hypotheses"]):
+        err = run_rejected(tmp_path, capsys, *command, **overrides)
+        assert f"{name} must be an integer" in err
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    texts = []
+    for n, size, stride, k in ((1, 64, 30, 2), (1.0, 64.0, 30.0, 2.0)):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, n=n, grid={"N": size}, output={"stride": stride},
+                     initial={"type": "fourier", "modes": [[k, 0.02]]}, time={"t_end": 0.5})
+        out = tmp_path / f"o{len(texts)}"
+        assert main(["harnack", "--config", str(cfg), "--out", str(out)]) == 0
+        texts.append([(out / name).read_bytes() for name in ("trace.csv", "harnack.csv")])
+    assert texts[0] == texts[1]

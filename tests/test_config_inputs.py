@@ -1,0 +1,111 @@
+"""Any JSON value in any field of a config: a config error, or the config it says.
+
+A small valid `gcf run` document has one field replaced by an arbitrary
+JSON value.  Either reading it raises one of cli.CONFIG_ERRORS, and
+`gcf run` on it exits 2 with one line on stderr; or it reads as a flow
+config that keeps the document's integers and law kind and has finite
+times.  `run` is replaced by a stub that fails the test, so no accepted
+document steps a flow; the integers drawn keep every accepted grid at 256
+nodes or fewer.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import tempfile
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gcf import cli
+
+DOC = {
+    "n": 1,
+    "speed": {"a": -1.0, "beta": -0.5},
+    "grid": {"N": 32},
+    "initial": {"type": "fourier", "R0": 1.0, "modes": [[2, 0.02]]},
+    "time": {"t_end": 0.5, "t0": 0.0, "safety": 0.3},
+    "output": {"stride": 5},
+}
+# The fields that may be replaced, as paths of keys and list indices;
+# speed.kind is absent from DOC and is added.
+PATHS = [
+    ("n",), ("speed",), ("speed", "kind"), ("speed", "a"), ("speed", "beta"),
+    ("grid",), ("grid", "N"), ("initial",), ("initial", "type"), ("initial", "R0"),
+    ("initial", "modes"), ("initial", "modes", 0), ("initial", "modes", 0, 0),
+    ("initial", "modes", 0, 1), ("time",), ("time", "t_end"), ("time", "t0"),
+    ("time", "safety"), ("output",), ("output", "stride"),
+]
+# No integer from 257 up to 2**63 is drawn, as an int or an integral float,
+# so that an accepted grid size never allocates a large grid; 10**400 is
+# too large for a float and for an array size.
+INTEGERS = st.one_of(st.integers(-3, 256), st.sampled_from([10**400, -(10**400)]))
+FLOATS = st.one_of(
+    st.floats(-300.0, 300.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1.5, 32.7, 2.0, 5e-324]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), INTEGERS, FLOATS, st.text(max_size=5),
+    st.sampled_from(["power", "exp", "circle", "sphere", "round", "fourier"]),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def replaced(path, value):
+    doc = copy.deepcopy(DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def gcf_run(doc):
+    """Exit code and stderr of `gcf run` on doc, with run stubbed out."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        stub = mock.patch.object(cli, "run", side_effect=AssertionError("a rejected config ran"))
+        with stub, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PATHS), JSON)
+@example(("time", "t_end"), math.inf)
+@example(("n",), 1.5)
+@example(("grid", "N"), 32.7)
+@example(("output", "stride"), 2.5)
+@example(("initial", "modes", 0, 0), 2.5)
+@example(("speed", "kind"), "weird")
+@example(("grid", "N"), 64.0)
+def test_a_config_field_of_any_json_value(path, value):
+    doc = replaced(path, value)
+    try:
+        cfg = cli._flow_config_from_doc(doc)
+    except cli.CONFIG_ERRORS:
+        code, err = gcf_run(doc)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        return
+    assert type(cfg.n) is int and cfg.n == doc["n"]
+    assert type(cfg.size) is int and cfg.size == doc["grid"].get("N", 256) <= 256
+    assert type(cfg.stride) is int and cfg.stride == doc["output"].get("stride", 1)
+    assert cfg.law.kind == doc["speed"].get("kind", "power")
+    assert math.isfinite(cfg.t0) and math.isfinite(cfg.t_end)
+    if cfg.shape.kind == "fourier":
+        assert [k for k, _ in cfg.shape.modes] == [k for k, _ in doc["initial"].get("modes", [])]
+        assert all(type(k) is int for k, _ in cfg.shape.modes)

@@ -140,8 +140,11 @@ def test_stable_dt_scalings():
 
 
 def test_config_validation():
-    with pytest.raises(InvalidConfig):
-        FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0), t_end=0.0)
+    inf, nan = float("inf"), float("nan")
+    for times in ({"t_end": 0.0}, {"t_end": inf}, {"t_end": nan}, {"t_end": 1.0, "t0": nan},
+                  {"t_end": 1.0, "fixed_dt": inf}, {"t_end": 1.0, "fixed_dt": nan}):
+        with pytest.raises(InvalidConfig):
+            FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0), **times)
     with pytest.raises(InvalidConfig):
         FlowConfig(
             n=1, size=64, law=HALF,

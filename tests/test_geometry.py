@@ -7,7 +7,6 @@ from gcf.geometry import (
     SupportGrid,
     box_op,
     derive_state,
-    embed,
     fourier_grid,
     grad_norm_sq_h,
     hessian_principal,
@@ -43,7 +42,8 @@ def test_cos2_perturbation_radius():
 
 
 def test_embed_unit_circle():
-    pos, nor = embed(round_grid(1, 1.0, 64))
+    st = derive_state(round_grid(1, 1.0, 64))
+    pos, nor = st.positions, st.normals
     assert pos[0] == pytest.approx([1.0, 0.0], abs=1e-14)
     assert np.max(np.abs(np.linalg.norm(pos, axis=1) - 1.0)) <= 1e-13
     assert np.max(np.abs(np.linalg.norm(nor, axis=1) - 1.0)) <= 1e-15
@@ -52,14 +52,14 @@ def test_embed_unit_circle():
 def test_embed_translated_circle():
     # support function of a translate adds v.nu; embedding shifts by v
     g = fourier_grid(1, 1.0, [(1, 0.1)], 64)
-    pos, _ = embed(g)
+    pos = derive_state(g).positions
     centered = pos - np.array([0.1, 0.0])
     assert np.max(np.abs(np.linalg.norm(centered, axis=1) - 1.0)) <= 1e-6
 
 
 def test_embed_sphere_meridian():
     R = 2.5
-    pos, nor = embed(round_grid(2, R, 64))
+    pos = derive_state(round_grid(2, R, 64)).positions
     phi = round_grid(2, R, 64).angles
     assert np.max(np.abs(pos[:, 0] - R * np.sin(phi))) <= 1e-12
     assert np.max(np.abs(pos[:, 1] - R * np.cos(phi))) <= 1e-12

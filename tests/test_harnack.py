@@ -6,20 +6,19 @@ from gcf.flow import FlowConfig, InitialShape, run
 from gcf import harnack
 from gcf.geometry import GeometryState, derive_state, fourier_grid, grad_norm_sq_h, round_grid
 from gcf.harnack import (
-    HarnackSample,
+    HarnackTable,
     P_norm_sq_h,
     P_tensor,
     P_tensor_trace,
     P_trace,
     dt_f_spatial,
-    expanding_b,
     harnack_bound,
     harnack_lhs,
+    margin_summary,
     monitor,
     speed_fields,
-    theorem_hypotheses,
 )
-from gcf.speedlaw import SpeedLaw
+from gcf.speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
 from gcf.stencils import d1_periodic_o2
 from gcf.verify import hessian_oracle, random_convex_grid, uniform_trace
 
@@ -154,18 +153,19 @@ def test_monitor_columns_equal_the_speed_fields_functions(n, size, law, t_end):
     cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
                      t_end=t_end, stride=3)
     trace = run(cfg)
-    samples = monitor(trace, law, t0=0.0)
-    assert len(samples) == len(trace) - 2 >= 3
-    for s, grid in zip(samples, trace.grids[1:-1]):
+    table = monitor(trace, law, t0=0.0)
+    assert len(table.t) == len(trace) - 2 >= 3
+    for i, grid in enumerate(trace.grids[1:-1]):
         sf = speed_fields(derive_state(grid), law)
-        assert np.array_equal(s.dt_u_spatial, -dt_f_spatial(sf))
-        assert np.array_equal(s.p_trace, P_trace(sf))
+        t = float(table.t[i])
+        assert np.array_equal(table.dt_u_spatial[i], -dt_f_spatial(sf))
+        assert np.array_equal(table.p_trace[i], P_trace(sf))
         if law.is_power:
-            assert np.array_equal(s.lhs_12, harnack_lhs(sf, s.t))
+            assert np.array_equal(table.lhs_12[i], harnack_lhs(sf, t))
         else:
-            assert np.all(np.isnan(s.lhs_12))
+            assert np.all(np.isnan(table.lhs_12[i]))
             with pytest.raises(WrongLawForm):
-                harnack_lhs(sf, s.t)
+                harnack_lhs(sf, t)
 
 
 def test_monitor_requires_three_states():
@@ -182,11 +182,10 @@ def test_monitor_unit_circle_lhs_profile():
     cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0),
                      t_end=2.0, stride=60)
     trace = run(cfg)
-    samples = monitor(trace, HALF, t0=0.0)
-    assert len(samples) >= 3
-    for s in samples:
-        assert np.max(np.abs(s.lhs_12 + 1.0 / s.t)) <= 1e-5
-        assert np.max(np.abs(s.grad_sq_h)) <= 1e-20
+    table = monitor(trace, HALF, t0=0.0)
+    assert len(table.t) >= 3
+    assert np.max(np.abs(table.lhs_12 + 1.0 / table.t[:, None])) <= 1e-5
+    assert np.max(np.abs(table.grad_sq_h)) <= 1e-20
 
 
 def test_monitor_two_time_derivative_estimates_agree_at_order_two():
@@ -194,33 +193,26 @@ def test_monitor_two_time_derivative_estimates_agree_at_order_two():
     for spacing in (4e-3, 2e-3, 1e-3):
         tr = uniform_trace(1, 512, HALF, InitialShape("fourier", 1.0, ((3, 0.03),)),
                            spacing=spacing, n_stored=3, burn_in=0.05)
-        s = monitor(tr, HALF, t0=0.0)[0]
-        diffs.append(float(np.max(np.abs(s.dt_u_spatial - s.dt_u_fd))))
+        table = monitor(tr, HALF, t0=0.0)
+        diffs.append(float(np.max(np.abs(table.dt_u_spatial[0] - table.dt_u_fd[0]))))
     assert 3.0 <= diffs[0] / diffs[1] <= 5.0
     assert 3.0 <= diffs[1] / diffs[2] <= 5.0
 
 
-def test_monitor_sign_consistency_of_inequality_forms():
-    # the speed-form expression is the negative of the curvature-power form
-    # up to the exact algebraic identity f'K = b*u
+def test_monitor_lhs_eq12_nonpositive_on_perturbed_flow():
     cfg = FlowConfig(n=1, size=128, law=HALF,
                      shape=InitialShape("fourier", 1.0, ((3, 0.04),)),
                      t_end=1.0, stride=30)
-    samples = monitor(run(cfg), HALF, t0=0.0)
-    for s in samples:
-        scale = max(1.0, np.max(np.abs(s.lhs_12)))
-        assert np.max(np.abs(s.lhs_317 + s.lhs_12)) <= 1e-10 * scale
-        assert np.all(s.lhs_12 <= 1e-8)
-        assert np.all(s.lhs_317 >= -1e-8)
+    table = monitor(run(cfg), HALF, t0=0.0)
+    assert np.all(table.lhs_12 <= 1e-8)
 
 
 def test_monitor_margin_nonnegative_on_perturbed_flow():
     cfg = FlowConfig(n=1, size=256, law=HALF,
                      shape=InitialShape("fourier", 1.0, ((4, 0.03),)),
                      t_end=2.0, stride=40)
-    samples = monitor(run(cfg), HALF, t0=0.0)
-    scale = max(s.max_abs_p for s in samples)
-    assert min(s.min_margin for s in samples) >= -1e-3 * scale
+    summary = margin_summary(monitor(run(cfg), HALF, t0=0.0))
+    assert summary.min_margin >= -1e-3 * summary.max_abs_P
 
 
 def test_monitor_outside_hypotheses_emits_raw_trace_quantities():
@@ -228,19 +220,20 @@ def test_monitor_outside_hypotheses_emits_raw_trace_quantities():
     law = SpeedLaw.exponential()
     tr = uniform_trace(1, 128, law, InitialShape("fourier", 1.0, ((2, 0.02),)),
                        spacing=5e-4, n_stored=3)
-    s = monitor(tr, law, t0=0.0)[0]
-    assert np.isnan(s.bound)
-    assert np.all(np.isnan(s.lhs_12))
-    assert np.all(np.isfinite(s.p_trace))
+    table = monitor(tr, law, t0=0.0)
+    assert np.isnan(table.bound[0])
+    assert np.all(np.isnan(table.lhs_12[0]))
+    assert np.all(np.isfinite(table.p_trace[0]))
 
 
 def per_state_monitor(trace, law, t0):
     # monitor as it was written state by state, kept as the reference for
-    # the stacked evaluation
+    # the stacked evaluation: one HarnackTable per state, whose fields are
+    # that state's row (t and bound are floats)
     states = [derive_state(g) for g in trace.grids]
     u_fields = [-law.f(s.K) for s in states]
     b = expanding_b(law, trace.n)
-    samples = []
+    rows = []
     for m in range(1, len(trace) - 1):
         t = trace.times[m] - t0
         if t <= 0.0:
@@ -259,17 +252,16 @@ def per_state_monitor(trace, law, t0):
         gsq_h = grad_norm_sq_h(st, u)
         p_tr = P_trace(sf)
         if b is None:
-            lhs12 = lhs317 = np.full_like(u, np.nan)
+            lhs12 = np.full_like(u, np.nan)
         else:
             nb = st.n * b
             lhs12 = dt_u_spatial + gsq_h - (nb / ((1.0 - nb) * t)) * u
-            lhs317 = -dt_u_spatial - gsq_h + sf.f1K / ((1.0 / st.n + law.beta) * t)
         bound = harnack_bound(law, st.n, t)
-        samples.append(HarnackSample(
+        rows.append(HarnackTable(
             t=t, u=u, dt_u_spatial=dt_u_spatial, dt_u_fd=dt_u_fd, grad_sq_h=gsq_h,
-            lhs_12=lhs12, lhs_317=lhs317, p_trace=p_tr, bound=bound, margin=p_tr - bound,
+            lhs_12=lhs12, p_trace=p_tr, bound=bound, margin=p_tr - bound,
         ))
-    return samples
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -292,14 +284,18 @@ def test_monitor_equals_the_per_state_loop(n, size, law, t_end, stride):
         assert any(d**2 != d * d for d in np.diff(trace.times).tolist())
     times = trace.times
     for t0 in (0.0, 0.5 * (times[2] + times[3])):
-        got, want = monitor(trace, law, t0), per_state_monitor(trace, law, t0)
-        assert len(got) == len(want) == len(trace) - (2 if t0 == 0.0 else 4)
-        for s, r in zip(got, want):
-            assert type(s.t) is float and s.t == r.t
-            assert type(s.bound) is float and (s.bound == r.bound or np.isnan(r.bound))
-            for name in ("u", "dt_u_spatial", "dt_u_fd", "grad_sq_h", "lhs_12", "lhs_317",
-                         "p_trace", "margin"):
-                assert np.array_equal(getattr(s, name), getattr(r, name), equal_nan=True), name
+        table, rows = monitor(trace, law, t0), per_state_monitor(trace, law, t0)
+        S = len(trace) - (2 if t0 == 0.0 else 4)
+        assert len(rows) == S
+        assert table.t.shape == table.bound.shape == (S,)
+        for i, r in enumerate(rows):
+            assert table.t[i] == r.t
+            assert table.bound[i] == r.bound or np.isnan(r.bound)
+            for name in ("u", "dt_u_spatial", "dt_u_fd", "grad_sq_h", "lhs_12", "p_trace",
+                         "margin"):
+                got = getattr(table, name)
+                assert got.shape == (S, size), name
+                assert np.array_equal(got[i], getattr(r, name), equal_nan=True), name
 
 
 def test_monitor_derives_its_states_as_one_stack(monkeypatch):
@@ -322,7 +318,31 @@ def test_monitor_derives_its_states_as_one_stack(monkeypatch):
     cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
                      t_end=0.5, stride=4)
     trace = run(cfg)
-    samples = monitor(trace, HALF, t0=trace.times[2])
+    table = monitor(trace, HALF, t0=trace.times[2])
     assert len(calls) == 1 and list(calls[0]) == trace.grids[2:]
-    assert len(samples) == len(trace) - 4
+    assert len(table.t) == len(trace) - 4
     assert len(d1_args) == 2 and not np.array_equal(d1_args[0], d1_args[1])
+
+
+@pytest.mark.parametrize(
+    "n,size,law,t_end",
+    [
+        (1, 64, HALF, 0.5),
+        (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5),
+        (1, 64, SpeedLaw.exponential(), 0.02),
+    ],
+    ids=["n1-power", "n2-power", "n1-exp"],
+)
+def test_margin_summary_equals_the_per_state_reduction(n, size, law, t_end):
+    # the smallest margin and largest |trP| of each state's row, reduced
+    # over the states in Python, as margin_summary did over per-state rows
+    cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
+                     t_end=t_end, stride=3)
+    table = monitor(run(cfg), law, t0=0.0)
+    mm = min(float(np.min(row)) for row in table.margin)
+    scale = max(float(np.max(np.abs(row))) for row in table.p_trace)
+    want = (mm, scale, mm / scale if scale > 0 else float("nan"))
+    got = margin_summary(table)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert all(type(v) is float for v in got)
+    assert np.isnan(got.min_margin) == (not law.is_power)

@@ -10,7 +10,7 @@ from gcf.speedlaw import (
     beta_fn,
     beta_fn_prime_fd,
     check_power_law_identities,
-    eval_derivs,
+    expanding_b,
     gamma_fn,
 )
 
@@ -20,7 +20,7 @@ POINTS = (0.5, 1.0, 2.0, 4.0)
 def test_eval_derivs_negative_half_power():
     # direct differentiation of -x^(-1/2) at x=4
     law = SpeedLaw.power(-1.0, -0.5)
-    f, f1, f2, f3 = eval_derivs(law, 4.0)
+    f, f1, f2, f3 = law.f(4.0), law.f1(4.0), law.f2(4.0), law.f3(4.0)
     assert f == pytest.approx(-0.5, abs=1e-15)
     assert f1 == pytest.approx(1.0 / 16.0, abs=1e-15)
     assert f2 == pytest.approx(-3.0 / 128.0, abs=1e-15)
@@ -28,13 +28,14 @@ def test_eval_derivs_negative_half_power():
 
 
 def test_eval_derivs_identity_law():
-    f, f1, f2, f3 = eval_derivs(SpeedLaw.power(1.0, 1.0), 7.0)
+    law = SpeedLaw.power(1.0, 1.0)
+    f, f1, f2, f3 = law.f(7.0), law.f1(7.0), law.f2(7.0), law.f3(7.0)
     assert (f, f1, f2, f3) == (7.0, 1.0, 0.0, 0.0)
 
 
 def test_eval_derivs_exponential():
-    vals = eval_derivs(SpeedLaw.exponential(), 0.5)
-    for v in vals:
+    law = SpeedLaw.exponential()
+    for v in (law.f(0.5), law.f1(0.5), law.f2(0.5), law.f3(0.5)):
         assert v == pytest.approx(math.exp(0.5), rel=1e-15)
 
 
@@ -42,14 +43,16 @@ def test_eval_derivs_matches_numeric_differentiation():
     # central differences of f itself as an independent oracle
     for law in (SpeedLaw.power(-1.0, -0.5), SpeedLaw.power(2.0, 0.75), SpeedLaw.exponential()):
         x, h = 1.7, 1e-4
-        f, f1, f2, _ = eval_derivs(law, x)
+        f1, f2 = law.f1(x), law.f2(x)
         fd1 = (law.f(x + h) - law.f(x - h)) / (2 * h)
         fd2 = (law.f(x + h) - 2 * law.f(x) + law.f(x - h)) / h**2
         assert f1 == pytest.approx(fd1, rel=1e-7)
         assert f2 == pytest.approx(fd2, rel=1e-5)
 
 
-@pytest.mark.parametrize("op", [eval_derivs, alpha_fn, beta_fn, gamma_fn])
+@pytest.mark.parametrize(
+    "op", [SpeedLaw.f, SpeedLaw.f1, SpeedLaw.f2, SpeedLaw.f3, alpha_fn, beta_fn, gamma_fn]
+)
 def test_nonpositive_argument_rejected(op):
     law = SpeedLaw.power(-1.0, -0.5)
     with pytest.raises(NonPositiveArgument):
@@ -150,10 +153,13 @@ def test_stacked_law_evaluates_each_row_with_its_own_law():
         stacked.f(np.where(np.arange(64) == 5, 0.0, x))
 
 
-def test_paper_b_only_for_the_minus_k_power_form():
-    # b is the exponent of the speed K^(-b), i.e. of the law f = -K^(-b)
-    assert SpeedLaw.power(-1.0, -0.5).paper_b == 0.5
-    assert SpeedLaw.power(-2.0, -0.5).paper_b is None
-    assert SpeedLaw.power(-0.5, -0.25).paper_b is None
-    assert SpeedLaw.power(1.0, 0.5).paper_b is None
-    assert SpeedLaw.exponential().paper_b is None
+def test_expanding_b_only_for_the_minus_k_power_form():
+    # b is the exponent of the speed K^(-b), i.e. of the law f = -K^(-b),
+    # and only within the theorem's range 0 < b < 1/n
+    assert expanding_b(SpeedLaw.power(-1.0, -0.5), 1) == 0.5
+    assert expanding_b(SpeedLaw.power(-2.0, -0.5), 1) is None
+    assert expanding_b(SpeedLaw.power(-0.5, -0.25), 1) is None
+    assert expanding_b(SpeedLaw.power(1.0, 0.5), 1) is None
+    assert expanding_b(SpeedLaw.exponential(), 1) is None
+    assert expanding_b(SpeedLaw.power(-1.0, -0.25), 2) == 0.25
+    assert expanding_b(SpeedLaw.power(-1.0, -0.5), 2) is None
