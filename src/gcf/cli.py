@@ -3,11 +3,12 @@ execute verification suites, sweep parameters.
 
 All outputs are flat files written atomically (temp file + rename):
 trace.csv, harnack.csv, report.csv, sweep.csv, and a meta.json with the
-echoed configuration, the run's steps and the wall time of each of its
-phases (step, monitor, write).  Timing goes only into meta.json: numeric
-CSV fields carry 17 significant digits, so identical configurations
-reproduce byte-identical CSVs.  A sweep steps its tuples as ensembles
-(see flow.ensembles), one run per ensemble.
+echoed configuration, the run's steps and right-hand-side evaluations,
+and the wall time of each of its phases (step, monitor, write).  Timing
+goes only into meta.json: numeric CSV fields carry 17 significant digits,
+so identical configurations reproduce byte-identical CSVs.  A sweep steps
+its tuples as ensembles (see flow.ensembles), one run per ensemble: the
+tuples of one law kind step together, at any n and N.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 early flow termination (lost convexity, the origin leaving the body, or
@@ -50,10 +51,17 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted if it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _number_or_blank(x) -> str:
     try:
         return _fmt(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return ""
 
 
@@ -148,6 +156,7 @@ def _meta(doc: dict, law: SpeedLaw, wall: float, trace, command: str, **extra) -
         },
         "termination_reason": trace.reason,
         "steps": trace.steps,
+        "rhs_evals": trace.rhs_evals,
         "dt_min": trace.dt_min,
         "dt_max": trace.dt_max,
         "gcf_version": __version__,
@@ -365,7 +374,9 @@ def _sweep_one(row, doc, cfg, trace, wall: float, ensemble_size: int, out_dir: s
     """Monitor one tuple's trace; write its harnack.csv and meta.json.
 
     wall is the stepping time of the tuple's whole ensemble, which is also
-    the "step" of its phase_wall_s.
+    the "step" of its phase_wall_s, and ensemble_size the number of tuples
+    in that ensemble: every tuple of the sweep, unless its ensemble failed
+    and the tuple was run again alone.
     """
     if trace.reason != "completed":
         row["status"] = f"failed:{trace.reason}"
@@ -422,9 +433,9 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
             ",".join(
                 [
                     str(row["index"]),
-                    str(row["n"]),
+                    _csv_field(str(row["n"])),  # a bad tuple's n and shape are echoed as given
                     _number_or_blank(row["b"]),
-                    str(row["shape"]),
+                    _csv_field(str(row["shape"])),
                     row["status"],
                     _fmt(row["min_margin"]),
                     _fmt(row["min_margin_rel"]),

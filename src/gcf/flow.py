@@ -13,10 +13,11 @@ kept and serves the next step bound and the next first stage.  Round
 initial data stays exactly round, so closed-form radius ODEs provide
 oracles for the integrator.
 
-Runs are stepped as ensembles: the configs of one call that share
-(n, size, law kind) are the rows of one (B, N) array, and every RK4 stage
-updates all rows at once.  The arithmetic of each row is that of a solo
-run, so a config's trace does not depend on the ensemble it ran in.
+Runs are stepped as ensembles: the configs of one call that share a law
+kind are the rows of one flat array, whatever their n and size (see
+geometry.FlatLayout), and every RK4 stage updates all rows at once.  The
+arithmetic of each row is that of a solo run, so a config's trace does not
+depend on the ensemble it ran in.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ import numpy as np
 
 from .errors import InvalidConfig, NonConvex, OriginOutside
 from .geometry import (
+    FlatLayout,
     SupportGrid,
     fourier_grid,
-    radii_and_K,
     require_admissible,
+    require_convex,
     round_grid,
-    stack_grids,
+    row_layout,
 )
-from .speedlaw import SpeedLaw, theorem_hypotheses
+from .speedlaw import FlatLaws, SpeedLaw, theorem_hypotheses
 
 DT_FLOOR = 1e-12
 DEFAULT_SAFETY = 0.3
@@ -139,7 +141,10 @@ class FlowTrace:
     """Stored states of one run, the reason it stopped, and its steps.
 
     steps counts the accepted RK4 steps; dt_min and dt_max bound their
-    sizes, and are None while no step has been accepted.
+    sizes, and are None while no step has been accepted.  rhs_evals counts
+    the right-hand-side evaluations of every step attempted, 4 per RK4
+    step: those accepted, one that failed, and the step of a row taken
+    again alone after its ensemble's joint step failed.
     """
 
     n: int
@@ -150,6 +155,7 @@ class FlowTrace:
     steps: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
+    rhs_evals: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -166,27 +172,35 @@ class FlowTrace:
         return float(d[0])
 
 
-def _rk4(law: SpeedLaw, n: int, h: np.ndarray, K: np.ndarray, dx: float, dt) -> tuple:
-    """One classical RK4 update of support values h along the last axis.
+def _rk4(law: FlatLaws, layout: FlatLayout, h: np.ndarray, K: np.ndarray, dt) -> tuple:
+    """One classical RK4 update of the flat support values h of a layout.
 
-    K is the checked curvature of h.  h is one grid (N,) or a batch (B, N)
-    of grids, with a scalar dt or a (B, 1) column of per-row steps.  Every
-    stage derives the curvature from its stage values and raises NonConvex
-    if one is lost.  Returns the new values with their checked (radii, K);
-    new values that are not finite and positive raise OriginOutside, and
-    a new state that is not strictly convex raises NonConvex.
+    K is the checked curvature of h; dt is a float, or one step per
+    element.  Every stage derives the curvature from its stage values; the
+    stages' radii are kept and checked once, after the last stage, so a
+    stage that loses convexity raises NonConvex.  Its NaN or inf values run
+    on through the later stages, with numpy's floating-point warnings off,
+    and are discarded with the step.  Then new values that are not finite
+    and positive raise OriginOutside, and a new state that is not strictly
+    convex raises NonConvex.  Returns the new values with their checked
+    (radii, K), as the layout splits them.
 
     The stages carry the law values f rather than the rates -f: negating
     a product or a sum is exact, so h - c*f is bit for bit h + c*(-f).
     """
     half = 0.5 * dt
-    f1 = law.f(K)
-    f2 = law.f(radii_and_K(n, h - half * f1, dx)[1])
-    f3 = law.f(radii_and_K(n, h - half * f2, dx)[1])
-    f4 = law.f(radii_and_K(n, h - dt * f3, dx)[1])
-    new = h - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    stages = np.empty((3, layout.radii_size))
+    with np.errstate(all="ignore"):
+        f1 = law.f(K)
+        f2 = law.f(layout.gauss(layout.radii(h - half * f1, stages[0])))
+        f3 = law.f(layout.gauss(layout.radii(h - half * f2, stages[1])))
+        f4 = law.f(layout.gauss(layout.radii(h - dt * f3, stages[2])))
+        new = h - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    require_convex(stages)
     require_admissible(new)
-    return (new, *radii_and_K(n, new, dx))
+    r = layout.radii(new)
+    require_convex(r)
+    return new, layout.split(r), layout.gauss(r)
 
 
 def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
@@ -202,16 +216,20 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
     """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
-    values, radii, K = _rk4(law, grid.n, grid.values, grid.curvature()[1], grid.spacing, dt)
+    layout = row_layout(grid.n, grid.size, grid.spacing)
+    values, radii, K = _rk4(
+        FlatLaws([law], [grid.size]), layout, grid.values, grid.curvature()[1], dt
+    )
     return SupportGrid.with_curvature(grid.n, values, radii, K)
 
 
-def _dt_bound(law: SpeedLaw, n: int, radii: tuple, K: np.ndarray, scale):
-    """scale / lambda with scale = safety * dx**2, lambda maximised along the last axis."""
+def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, scale):
+    """scale / lambda per row, with scale = safety * dx**2 and lambda maximised over the row."""
     lam = law.f1(K) * K**2
-    if n == 2:
-        lam = lam * np.maximum(radii[0], radii[1])
-    return scale / np.maximum.reduce(lam, axis=-1)
+    if len(radii) == 2:
+        tail = layout.tail
+        lam[tail:] *= np.maximum(radii[0][tail:], radii[1])
+    return scale / np.maximum.reduceat(lam, layout.starts)
 
 
 def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) -> float:
@@ -221,7 +239,9 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) 
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
     """
     dx = grid.spacing
-    return float(_dt_bound(law, grid.n, *grid.curvature(), safety * dx * dx))
+    layout = row_layout(grid.n, grid.size, dx)
+    bound = _dt_bound(FlatLaws([law], [grid.size]), layout, *grid.curvature(), safety * dx * dx)
+    return float(bound[0])
 
 
 def run(config):
@@ -244,15 +264,16 @@ def run(config):
 def run_ensemble(configs) -> list:
     """Run each config as run() does, stepping configs together.
 
-    Each ensemble (see ensembles()) holds its configs' support values as
-    the rows of one (B, N) array.  Each row keeps its own law
-    parameters, step (its fixed_dt, or the smaller of its own step bound
-    and its remaining time), time, step count, stored states and
-    termination reason.  A row that completes or ends early leaves the
-    ensemble and the other rows run on.  Each row is computed with the
-    arithmetic of a solo run, so every trace equals run(config) exactly.
-    A law evaluated outside its domain raises, as it does in run().
-    Returns the traces in the order of configs.
+    Each ensemble (see ensembles()) lays its configs' support values end to
+    end in one flat array, whatever their n and size, so one RK4 step
+    updates every row.  Each row keeps its own law parameters, step (its
+    fixed_dt, or the smaller of its own step bound and its remaining
+    time), time, step count, stored states and termination reason.  A row
+    that completes or ends early leaves the ensemble and the other rows
+    run on.  Each row is computed with the arithmetic of a solo run, so
+    every trace equals run(config) exactly; only its rhs_evals also counts
+    the steps it took again alone after a joint step failed.  Returns the
+    traces in the order of configs.
     """
     configs = list(configs)
     traces = [None] * len(configs)
@@ -265,12 +286,12 @@ def run_ensemble(configs) -> list:
 def ensembles(configs) -> list:
     """Indices of the configs that run_ensemble steps together, per ensemble.
 
-    Configs share an ensemble when they share (n, size, law kind); the
-    ensembles and their members keep the order of configs.
+    Configs share an ensemble when they share a law kind, at any n and
+    size; the ensembles and their members keep the order of configs.
     """
     groups = {}
     for j, cfg in enumerate(configs):
-        groups.setdefault((cfg.n, cfg.size, cfg.law.kind), []).append(j)
+        groups.setdefault(cfg.law.kind, []).append(j)
     return list(groups.values())
 
 
@@ -282,7 +303,8 @@ class _Row:
         self.cfg = cfg
         grid = cfg.build_grid()
         self.trace = FlowTrace(n=cfg.n, law=cfg.law, times=[cfg.t0], grids=[grid])
-        self.scale = cfg.safety * grid.spacing * grid.spacing  # the step bound's safety * dx**2
+        self.dx = grid.spacing
+        self.scale = cfg.safety * self.dx * self.dx  # the step bound's safety * dx**2
         self.t, self.i, self.dt = cfg.t0, 0, cfg.fixed_dt
         self.t_stop = cfg.t_end - 1e-14 * max(1.0, cfg.t_end)
         self.running = cfg.fixed_dt is not None or self.t < self.t_stop
@@ -310,6 +332,7 @@ class _Row:
             self.t = cfg.t0 + self.i * dt
             self.running = self.i < cfg._n_steps
         trace.steps = self.i
+        trace.rhs_evals += 4
         if self.i == 1:
             trace.dt_min = trace.dt_max = dt
         elif dt < trace.dt_min:
@@ -329,64 +352,82 @@ class _Row:
             self.store(grid)
 
 
-class _Batch:
-    """The running rows of an ensemble and their (B, N) checked states.
+# The reason a row ends with when its step raises.
+_REASONS = {NonConvex: "nonconvex", OriginOutside: "origin_outside"}
 
-    Per batch, not per step: the rows' stacked law, their safety * dx**2,
-    and whether any row steps adaptively (else no step bound is needed).
+
+class _Batch:
+    """The running rows of an ensemble and their flat checked state.
+
+    The rows are laid out n=1 first; h, radii and K are as the layout holds
+    them.  Per batch, not per step: the layout, the rows' laws, their
+    safety * dx**2, and whether any row steps adaptively (else no step
+    bound is needed).
     """
 
-    def __init__(self, rows: list, h: np.ndarray, radii: tuple, K: np.ndarray):
-        self.rows, self.h, self.radii, self.K = rows, h, radii, K
-        if rows:
-            self.law = SpeedLaw.stacked([row.cfg.law for row in rows])
-            self.scale = np.array([row.scale for row in rows])
-            self.adaptive = any(row.cfg.fixed_dt is None for row in rows)
+    def __init__(self, rows: list, layout: FlatLayout, h, radii, K):
+        self.rows, self.layout, self.h, self.radii, self.K = rows, layout, h, radii, K
+        self.law = FlatLaws([row.cfg.law for row in rows], layout.sizes)
+        self.scale = np.array([row.scale for row in rows])
+        self.adaptive = any(row.cfg.fixed_dt is None for row in rows)
+
+    @classmethod
+    def of(cls, rows: list, parts) -> "_Batch | None":
+        """The batch of rows whose (values, radii, K) are parts, or None if no rows."""
+        if not rows:
+            return None
+        layout = FlatLayout([(row.cfg.n, row.cfg.size, row.dx) for row in rows])
+        return cls(rows, layout, *layout.join(parts))
 
     def dt(self):
-        """The rows' planned steps: a float for one row, else a (B, 1) column."""
+        """The rows' planned steps: a float for one row, else one per element.
+
+        A one-row batch, such as every solo run, makes no per-step arrays.
+        """
         if len(self.rows) == 1:
             return self.rows[0].dt
-        return np.array([row.dt for row in self.rows])[:, None]
+        return np.array([row.dt for row in self.rows]).repeat(self.layout.sizes)
 
     def grid(self, j: int) -> SupportGrid:
         """Row j's state as a grid of its own, with its curvature kept."""
-        return SupportGrid.with_curvature(
-            self.rows[j].cfg.n,
-            self.h[j].copy(),
-            tuple(r[j].copy() for r in self.radii),
-            self.K[j].copy(),
-        )
+        return self.layout.grid(j, self.h, self.radii, self.K)
 
-    def keep(self, mask: list) -> "_Batch":
+    def row(self, j: int) -> tuple:
+        """Row j's (values, radii, K), as views."""
+        return self.layout.row(j, self.h, self.radii, self.K)
+
+    def keep(self, mask: list) -> "_Batch | None":
+        """The batch of the rows where mask is true; None if none is."""
         if all(mask):
             return self
-        m = np.asarray(mask, dtype=bool)
-        rows = [row for row, k in zip(self.rows, mask) if k]
-        return _Batch(rows, self.h[m], tuple(r[m] for r in self.radii), self.K[m])
+        kept = [j for j, k in enumerate(mask) if k]
+        return _Batch.of([self.rows[j] for j in kept], [self.row(j) for j in kept])
 
 
 def _run_rows(rows: list) -> list:
-    """Step rows that share (n, size, law kind) until each has ended."""
+    """Step rows that share a law kind until each has ended."""
     traces = [row.trace for row in rows]
+    rows = sorted((row for row in rows if row.running), key=lambda row: row.cfg.n)
     grids = [row.trace.grids[0] for row in rows]
-    n, dx = grids[0].n, grids[0].spacing
-    batch = _Batch(rows, *stack_grids(grids)).keep([row.running for row in rows])
-    while batch.rows:
+    batch = _Batch.of(rows, [(grid.values, *grid.curvature()) for grid in grids])
+    while batch is not None:
         if batch.adaptive:
-            bounds = _dt_bound(batch.law, n, batch.radii, batch.K, batch.scale).tolist()
+            bounds = _dt_bound(batch.law, batch.layout, batch.radii, batch.K, batch.scale).tolist()
             planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
             if not all(planned):
                 for j, ok in enumerate(planned):
                     if not ok:
                         batch.rows[j].end("dt_underflow", batch.grid(j))
                 batch = batch.keep(planned)
-                if not batch.rows:
+                if batch is None:
                     break
         try:
-            batch.h, batch.radii, batch.K = _rk4(batch.law, n, batch.h, batch.K, dx, batch.dt())
-        except (NonConvex, OriginOutside):
-            batch = _step_rows_alone(batch, n, dx)
+            stepped = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
+            batch.h, batch.radii, batch.K = stepped
+        except (NonConvex, OriginOutside) as exc:
+            batch = _step_rows_alone(batch, exc)
+            if batch is None:
+                break
         for j, row in enumerate(batch.rows):
             if row.advance():
                 row.store(batch.grid(j))
@@ -394,28 +435,30 @@ def _run_rows(rows: list) -> list:
     return traces
 
 
-def _step_rows_alone(batch: _Batch, n: int, dx: float) -> _Batch:
-    """Step each row of a batch whose joint step failed on its own.
+def _step_rows_alone(batch: _Batch, exc: Exception) -> _Batch | None:
+    """After a batch's joint step raised exc, step each of its rows alone.
 
-    A row whose step fails ends with that failure as its reason, exactly
-    where a solo run would; the batch of the other rows is returned
-    stepped.
+    The failed step counts as attempted by every row.  A batch of one row
+    ends it with exc as its reason.  Otherwise a row whose own step fails
+    ends with that failure as its reason, exactly where a solo run would;
+    the batch of the other rows is returned stepped (None if none is
+    left).
     """
-    results = []
+    for row in batch.rows:
+        row.trace.rhs_evals += 4
+    if len(batch.rows) == 1:
+        batch.rows[0].end(_REASONS[type(exc)], batch.grid(0))
+        return None
+    rows, results = [], []
     for j, row in enumerate(batch.rows):
-        s = slice(j, j + 1)
+        n, size, dx = batch.layout.rows[j]
+        h, _, K = batch.row(j)
+        law = FlatLaws([row.cfg.law], [size])
         try:
-            results.append(_rk4(row.cfg.law, n, batch.h[s], batch.K[s], dx, row.dt))
-            continue
-        except NonConvex:
-            row.end("nonconvex", batch.grid(j))
-        except OriginOutside:
-            row.end("origin_outside", batch.grid(j))
-        results.append(None)
-    stepped = [r for r in results if r is not None]
-    batch = batch.keep([r is not None for r in results])
-    if stepped:
-        h, radii, K = zip(*stepped)
-        batch.h, batch.K = np.concatenate(h), np.concatenate(K)
-        batch.radii = tuple(np.concatenate(r) for r in zip(*radii))
-    return batch
+            results.append(_rk4(law, row_layout(n, size, dx), h, K, row.dt))
+        except (NonConvex, OriginOutside) as own:
+            row.trace.rhs_evals += 4
+            row.end(_REASONS[type(own)], batch.grid(j))
+        else:
+            rows.append(row)
+    return _Batch.of(rows, results)

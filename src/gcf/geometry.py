@@ -157,26 +157,129 @@ def _polar_cot(size: int) -> np.ndarray:
 
 
 def radii_and_K(n: int, h: np.ndarray, dx: float) -> tuple:
-    """Principal curvature radii and Gauss curvature of support values h.
+    """Principal curvature radii and Gauss curvature of one grid's values h.
 
     Returns ((r,), 1/r) with r = h'' + h for n=1, and ((r1, r2), 1/(r1 r2))
     with r1 = h_pp + h, r2 = h_p cot(phi) + h for n=2.  Raises NonConvex if
     a radius is not finite or does not exceed RADIUS_FLOOR.  This is the
-    only place the radii are formed from h; RK stages call it on stage
-    values, and SupportGrid.curvature() on accepted states.  h may be one
-    grid (N,) or a batch (B, N) of grids, one per row; the check then
-    covers every row.
+    checked one-grid case of FlatLayout.radii and FlatLayout.gauss, the
+    only place the radii and K are formed from h; SupportGrid.curvature()
+    calls it on accepted states.
     """
-    if n == 1:
-        r1 = stencils.d2_periodic(h, dx) + h
-        _require_convex(r1)
-        return (r1,), 1.0 / r1
-    hp, hpp = stencils.d1_d2_reflect(h, dx, "even")
-    r1 = hpp + h
-    _require_convex(r1)
-    r2 = hp * _polar_cot(h.shape[-1]) + h
-    _require_convex(r2)
-    return (r1, r2), 1.0 / (r1 * r2)
+    layout = row_layout(n, h.size, dx)
+    r = layout.radii(h)
+    require_convex(r)
+    return layout.split(r), layout.gauss(r)
+
+
+def _as_slice(index: np.ndarray):
+    # A run of consecutive indices picks a view; any other index array a copy.
+    if index.size and np.array_equal(index, np.arange(index[0], index[0] + index.size)):
+        return slice(int(index[0]), int(index[0]) + index.size)
+    return index
+
+
+class FlatLayout:
+    """Support grids of any (n, size) laid end to end in one flat array.
+
+    rows holds each grid's (n, size, dx), the n=1 grids first, so that the
+    n=2 grids form one contiguous tail of nodes from `tail` on.  A flat
+    state is the values h and K, one element per node, and the radii
+    (r1 of every node, r2 of the tail nodes).  radii() gathers each grid's
+    ghost cells with one precomputed index, runs the 4th-order stencil
+    over all grids at once with each grid's own divisor, and picks each
+    grid's nodes back; so every grid gets the arithmetic it gets alone.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows = tuple(rows)
+        ns = [n for n, _, _ in rows]
+        if ns != sorted(ns):
+            raise ValueError("the n=1 grids of a flat layout come first")
+        self.sizes = sizes = np.array([size for _, size, _ in rows])
+        ends = np.cumsum(sizes)
+        self.starts, self.size = ends - sizes, int(ends[-1])  # first node of each grid; nodes
+        first_tail = ns.index(2) if 2 in ns else len(rows)
+        self.tail = int(ends[first_tail - 1]) if first_tail else 0
+        # the flat radii: r1 of every node, then r2 of the tail nodes
+        self.radii_size = 2 * self.size - self.tail
+        # Extended rows are size + 4 long; their outputs at their own first
+        # size places are the nodes' derivatives.
+        ext = sizes + 4
+        ext_starts = np.cumsum(ext) - ext
+        self.ghosts = np.concatenate([
+            stencils.ghost_index(size, n == 1) + int(start)
+            for (n, size, _), start in zip(rows, self.starts)
+        ])
+        pick = np.concatenate([np.arange(size) + int(es) for size, es in zip(sizes, ext_starts)])
+        self.pick = _as_slice(pick)
+        self.div2 = np.repeat([12.0 * dx * dx for _, _, dx in rows], ext)[:-4]
+        tail_rows = rows[first_tail:]
+        if tail_rows:
+            self.ext_tail = int(ext_starts[first_tail])
+            self.pick_tail = _as_slice(pick[self.tail:] - self.ext_tail)
+            self.div1 = np.repeat([12.0 * dx for _, _, dx in tail_rows], ext[first_tail:])[:-4]
+            self.cot = np.concatenate([_polar_cot(size) for _, size, _ in tail_rows])
+
+    def radii(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat radii of the flat values h, into out if given; unchecked."""
+        size, tail = self.size, self.tail
+        if out is None:
+            out = np.empty(self.radii_size)
+        e = h[self.ghosts]
+        np.add(stencils.d2_extended(e, self.div2)[self.pick], h, out=out[:size])
+        if tail < size:
+            r2 = out[size:]
+            np.multiply(stencils.d1_extended(e[self.ext_tail:], self.div1)[self.pick_tail],
+                        self.cot, out=r2)
+            r2 += h[tail:]
+        return out
+
+    def gauss(self, r: np.ndarray) -> np.ndarray:
+        """K of flat radii r: 1/r1 on the n=1 nodes, 1/(r1 r2) on the tail."""
+        size, tail = self.size, self.tail
+        if tail == size:
+            return 1.0 / r
+        den = r[:size].copy()
+        den[tail:] *= r[size:]
+        return np.divide(1.0, den, out=den)
+
+    def split(self, r: np.ndarray) -> tuple:
+        """Flat radii as the tuple (r1,), or (r1, r2) when there is a tail."""
+        if self.tail == self.size:
+            return (r[:self.size],)
+        return r[:self.size], r[self.size:]
+
+    def join(self, parts) -> tuple:
+        """(h, radii, K) of the grids' (values, radii, K), one part per row."""
+        h, radii, K = zip(*parts)
+        r1 = np.concatenate([r[0] for r in radii])
+        if self.tail == self.size:
+            return np.concatenate(h), (r1,), np.concatenate(K)
+        r2 = np.concatenate([r[1] for r in radii if len(r) == 2])
+        return np.concatenate(h), (r1, r2), np.concatenate(K)
+
+    def row(self, j: int, h: np.ndarray, radii: tuple, K: np.ndarray) -> tuple:
+        """Row j's (values, radii, K) in a flat state, as views."""
+        start = int(self.starts[j])
+        nodes = slice(start, start + int(self.sizes[j]))
+        r = (radii[0][nodes],)
+        if self.rows[j][0] == 2:
+            r += (radii[1][start - self.tail:nodes.stop - self.tail],)
+        return h[nodes], r, K[nodes]
+
+    def grid(self, j: int, h: np.ndarray, radii: tuple, K: np.ndarray) -> SupportGrid:
+        """Row j of a flat state as a grid of its own, with its curvature kept."""
+        values, r, K = self.row(j, h, radii, K)
+        return SupportGrid.with_curvature(
+            self.rows[j][0], values.copy(), tuple(a.copy() for a in r), K.copy()
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def row_layout(n: int, size: int, dx: float) -> FlatLayout:
+    """The flat layout of one grid."""
+    return FlatLayout(((n, size, dx),))
 
 
 def _d1(n, u, dx, parity="even"):
@@ -337,8 +440,11 @@ def derive_state(grid) -> GeometryState:
     )
 
 
-def _require_convex(radii: np.ndarray) -> None:
-    # Finite and above the floor: a NaN makes the minimum NaN, so it fails too.
+def require_convex(radii: np.ndarray) -> None:
+    """Raise NonConvex unless all radii are finite and above RADIUS_FLOOR.
+
+    A NaN makes the minimum NaN, so it fails too.
+    """
     radii = np.asarray(radii)
     if not radii.size:
         return

@@ -33,6 +33,13 @@ POWER = "power"
 EXPONENTIAL = "exp"
 
 
+def _power_or_exp(kind: str, coef, expo, x):
+    """coef * x**expo for a power law, exp(x) for the exponential law; unchecked."""
+    if kind == POWER:
+        return coef * np.power(x, expo)
+    return np.exp(x)
+
+
 @dataclass(frozen=True)
 class SpeedLaw:
     """Speed function f with analytic derivatives up to third order.
@@ -43,7 +50,6 @@ class SpeedLaw:
         ``"power"`` for f(x) = a*x**beta, ``"exp"`` for f(x) = exp(x).
     a, beta : float
         Power-law coefficient and exponent; ignored for the exponential law.
-        A law made by stacked() carries them as (B, 1) columns instead.
     """
 
     kind: str
@@ -54,15 +60,15 @@ class SpeedLaw:
         if self.kind not in (POWER, EXPONENTIAL):
             raise InvalidSpeedLaw(f"unknown speed-law kind {self.kind!r}")
         if self.kind == POWER:
-            if not (np.isfinite(self.a).all() and np.isfinite(self.beta).all()):
+            if not (np.isfinite(self.a) and np.isfinite(self.beta)):
                 raise InvalidSpeedLaw("power-law parameters must be finite")
-            if (np.multiply(self.a, self.beta) <= 0.0).any():
+            if self.a * self.beta <= 0.0:
                 raise InvalidSpeedLaw(
                     f"power law needs a*beta > 0 for f' > 0; got a={self.a}, beta={self.beta}"
                 )
-            # f1's coefficient and exponent, formed once rather than per call
-            object.__setattr__(self, "_a_beta", self.a * self.beta)
-            object.__setattr__(self, "_beta_1", self.beta - 1.0)
+        # f1's power-law coefficient and exponent, formed once rather than per call
+        object.__setattr__(self, "_a_beta", self.a * self.beta)
+        object.__setattr__(self, "_beta_1", self.beta - 1.0)
 
     @staticmethod
     def power(a: float, beta: float) -> "SpeedLaw":
@@ -72,38 +78,17 @@ class SpeedLaw:
     def exponential() -> "SpeedLaw":
         return SpeedLaw(EXPONENTIAL)
 
-    @staticmethod
-    def stacked(laws) -> "SpeedLaw":
-        """One law that evaluates laws[i] on row i of a (len(laws), N) argument.
-
-        Equal laws give that law itself.  Power laws with different
-        parameters give a power law whose a and beta are (len(laws), 1)
-        columns, so each row is computed with its own law's arithmetic.
-        """
-        first = laws[0]
-        if all(law == first for law in laws):
-            return first
-        if not all(law.is_power for law in laws):
-            raise InvalidSpeedLaw("laws of different kinds cannot be stacked")
-        return SpeedLaw.power(
-            np.array([[law.a] for law in laws]), np.array([[law.beta] for law in laws])
-        )
-
     @property
     def is_power(self) -> bool:
         return self.kind == POWER
 
     def f(self, x):
         _check_positive(x)
-        if self.kind == POWER:
-            return self.a * np.power(x, self.beta)
-        return np.exp(x)
+        return _power_or_exp(self.kind, self.a, self.beta, x)
 
     def f1(self, x):
         _check_positive(x)
-        if self.kind == POWER:
-            return self._a_beta * np.power(x, self._beta_1)
-        return np.exp(x)
+        return _power_or_exp(self.kind, self._a_beta, self._beta_1, x)
 
     def f2(self, x):
         _check_positive(x)
@@ -125,6 +110,38 @@ def _check_positive(x) -> None:
     x = np.asarray(x)
     if x.size and np.fmin.reduce(x, axis=None) <= 0.0:
         raise NonPositiveArgument("speed laws are defined for positive arguments only")
+
+
+class FlatLaws:
+    """The laws of grids laid end to end, one law per grid, as f and f1 of
+    flat arguments.
+
+    laws[i] applies to the sizes[i] elements of grid i.  All laws must be
+    of one kind.  Power laws that differ give the parameters a, beta, a*beta
+    and beta - 1 as per-element columns; equal laws keep that law's floats,
+    because np.power's scalar fast paths (exponents 0.5, 2 and -1) can
+    differ in the last bit from its element-wise loop.  f and f1 are
+    SpeedLaw.f and f1 without the positivity check: a caller that has
+    checked the curvature radii knows K is positive.
+    """
+
+    def __init__(self, laws, sizes):
+        first = laws[0]
+        if any(law.kind != first.kind for law in laws):
+            raise InvalidSpeedLaw("a flat batch needs laws of one kind")
+        self.kind = first.kind
+        names = ("a", "beta", "_a_beta", "_beta_1")
+        if all(law == first for law in laws):
+            params = [getattr(first, name) for name in names]
+        else:
+            params = [np.repeat([getattr(law, name) for law in laws], sizes) for name in names]
+        self.a, self.beta, self.a_beta, self.beta_1 = params
+
+    def f(self, x):
+        return _power_or_exp(self.kind, self.a, self.beta, x)
+
+    def f1(self, x):
+        return _power_or_exp(self.kind, self.a_beta, self.beta_1, x)
 
 
 def theorem_hypotheses(law: SpeedLaw, n: int) -> bool:

@@ -10,6 +10,9 @@ verification oracles differentiate through an independent code path.
 
 Every stencil works along the last axis, so a (B, N) array of B grids is
 differentiated row by row with the same arithmetic as a single (N,) grid.
+Grids of different sizes and topologies laid end to end in one flat array
+are differentiated by d1_extended/d2_extended, on values extended by a
+gather with ghost_index, with the same arithmetic again.
 """
 
 from __future__ import annotations
@@ -32,46 +35,70 @@ def _extend_reflect(u: np.ndarray, parity: str) -> np.ndarray:
     return np.concatenate((left, u, right), axis=-1)
 
 
+def ghost_index(size: int, periodic: bool) -> np.ndarray:
+    """Indices into a grid of `size` nodes that gather its extended values.
+
+    u[ghost_index(size, True)] equals _extend_periodic(u), and
+    u[ghost_index(size, False)] the even _extend_reflect(u, "even").
+    """
+    nodes = np.arange(size)
+    if periodic:
+        return np.concatenate((nodes[-2:], nodes, nodes[:2]))
+    return np.concatenate((nodes[1::-1], nodes, nodes[-1:-3:-1]))
+
+
 # 4th-order stencils on values e extended by two ghost cells per side.  The
 # rows of e are taken end to end, so that every term is one contiguous slice:
 # the output at flat index k reads e.flat[k:k + 5], which lies in k's own row
 # for the first N outputs of each row; the 4 outputs per row that straddle
-# two rows are computed and dropped.  The textbook forms lead with -e[4:];
-# starting from the next term instead subtracts it, the same floating-point
-# operation, and the two terms of equal weight share one scaled copy of e.
-# The weights are 0-d arrays: a Python float operand is converted on every call.
+# two rows are computed and dropped.  The rows may differ in length, as in a
+# flat layout of grids of several sizes; the output at flat index k is then
+# divided by element k of an array div, formed per row.  The textbook forms
+# lead with -e[4:]; starting from the next term instead subtracts it, the
+# same floating-point operation, and the two terms of equal weight share one
+# scaled copy of e.  The weights are 0-d arrays: a Python float operand is
+# converted on every call.
 _W8, _W16, _W30 = np.array(8.0), np.array(16.0), np.array(30.0)
 
 
-def _d1(e: np.ndarray, dx: float) -> np.ndarray:
+def d1_extended(e: np.ndarray, div) -> np.ndarray:
+    """4th-order first derivative of extended values e, divided by div = 12*dx.
+
+    div is a float, or one divisor per flat output (e.size - 4 of them).
+    Returns the outputs as e's shape less 4 along the last axis.
+    """
     u, out = e.reshape(-1), np.empty(e.shape)
     s = _W8 * u
     d = np.subtract(s[3:-1], u[4:], out=out.reshape(-1)[:-4])
     d -= s[1:-3]
     d += u[:-4]
-    d /= 12.0 * dx
+    d /= div
     return out[..., :-4]
 
 
-def _d2(e: np.ndarray, dx: float) -> np.ndarray:
+def d2_extended(e: np.ndarray, div) -> np.ndarray:
+    """4th-order second derivative of extended values e, divided by div = 12*dx*dx.
+
+    div is a float, or one divisor per flat output, as in d1_extended.
+    """
     u, out = e.reshape(-1), np.empty(e.shape)
     s = _W16 * u
     d = np.subtract(s[3:-1], u[4:], out=out.reshape(-1)[:-4])
     d -= _W30 * u[2:-2]
     d += s[1:-3]
     d -= u[:-4]
-    d /= 12.0 * dx * dx
+    d /= div
     return out[..., :-4]
 
 
 def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     """4th-order first derivative on a periodic grid."""
-    return _d1(_extend_periodic(u), dx)
+    return d1_extended(_extend_periodic(u), 12.0 * dx)
 
 
 def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     """4th-order second derivative on a periodic grid."""
-    return _d2(_extend_periodic(u), dx)
+    return d2_extended(_extend_periodic(u), 12.0 * dx * dx)
 
 
 def d1_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
@@ -88,18 +115,12 @@ def d2_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
 
 def d1_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
     """4th-order first derivative on a cell-centered grid with pole reflection."""
-    return _d1(_extend_reflect(u, parity), dx)
+    return d1_extended(_extend_reflect(u, parity), 12.0 * dx)
 
 
 def d2_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
     """4th-order second derivative on a cell-centered grid with pole reflection."""
-    return _d2(_extend_reflect(u, parity), dx)
-
-
-def d1_d2_reflect(u: np.ndarray, dx: float, parity: str = "even") -> tuple:
-    """(d1_reflect, d2_reflect) of u from one shared reflected extension."""
-    e = _extend_reflect(u, parity)
-    return _d1(e, dx), _d2(e, dx)
+    return d2_extended(_extend_reflect(u, parity), 12.0 * dx * dx)
 
 
 def d1_reflect_o2(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:

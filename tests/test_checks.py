@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gcf.errors import NonConvex, NonPositiveArgument, OriginOutside
-from gcf.geometry import RADIUS_FLOOR, _require_convex, require_admissible
+from gcf.geometry import RADIUS_FLOOR, require_convex, require_admissible
 from gcf.speedlaw import _check_positive
 
 
@@ -71,7 +71,7 @@ def as_array(x):
 @settings(max_examples=200, deadline=None)
 @given(INPUTS)
 def test_require_convex_matches_elementwise_form(x):
-    assert outcome(_require_convex, x) == outcome(ref_require_convex, as_array(x))
+    assert outcome(require_convex, x) == outcome(ref_require_convex, as_array(x))
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,7 +97,7 @@ def test_checks_on_hand_picked_inputs():
         "support values must be strictly positive"
     )
     assert outcome(require_admissible, np.array([nan, 2.0]))[1] == "support values must be finite"
-    assert outcome(_require_convex, np.array([1.0, inf]))[0] is NonConvex
-    assert outcome(_require_convex, np.array([nan, 1.0]))[0] is NonConvex
-    assert outcome(_require_convex, np.array([RADIUS_FLOOR]))[0] is NonConvex
-    assert outcome(_require_convex, np.array([]).reshape(0, 3)) is None
+    assert outcome(require_convex, np.array([1.0, inf]))[0] is NonConvex
+    assert outcome(require_convex, np.array([nan, 1.0]))[0] is NonConvex
+    assert outcome(require_convex, np.array([RADIUS_FLOOR]))[0] is NonConvex
+    assert outcome(require_convex, np.array([]).reshape(0, 3)) is None

@@ -53,6 +53,7 @@ def test_run_writes_trace_and_meta(tmp_path):
         trace.steps, trace.dt_min, trace.dt_max
     )
     assert 0.0 < meta["dt_min"] <= meta["dt_max"]
+    assert meta["rhs_evals"] == trace.rhs_evals == 4 * trace.steps
 
 
 def test_run_rejects_exponent_out_of_range(tmp_path, capsys):
@@ -90,6 +91,7 @@ def test_harnack_outputs_and_summary(tmp_path, capsys):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["command"] == "harnack"
     assert meta["steps"] > 0 and 0.0 < meta["dt_min"] <= meta["dt_max"]
+    assert meta["rhs_evals"] == 4 * meta["steps"]
 
 
 def test_harnack_enforce_hypotheses_exit_code(tmp_path):
@@ -187,6 +189,7 @@ def test_run_early_end_exits_3(tmp_path, capsys, beta, modes, safety, reason):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["termination_reason"] == reason
     assert meta["steps"] > 0 and 0.0 < meta["dt_min"] <= meta["dt_max"]
+    assert meta["rhs_evals"] == 4 * meta["steps"] + 4  # the failed step was evaluated too
     assert (out / "trace.csv").exists()
 
 
@@ -320,8 +323,9 @@ def test_sweep_tuples_match_solo_runs(tmp_path):
         assert (meta["steps"], meta["dt_min"], meta["dt_max"]) == (
             trace.steps, trace.dt_min, trace.dt_max
         )
-        # tuples 2 and 5 have n=2; the other four share the n=1 ensemble
-        assert meta["ensemble_size"] == (2 if tup["n"] == 2 else 4)
+        assert meta["rhs_evals"] == trace.rhs_evals == 4 * trace.steps
+        # the n=1 and n=2 tuples share one power-law ensemble
+        assert meta["ensemble_size"] == len(SWEEP_TUPLES)
         assert meta["wall_time_s"] > 0.0
 
 

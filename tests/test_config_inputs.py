@@ -7,10 +7,16 @@ config that keeps the document's integers and law kind and has finite
 times.  `run` is replaced by a stub that fails the test, so no accepted
 document steps a flow; the integers drawn keep every accepted grid at 256
 nodes or fewer.
+
+A bad sweep tuple stops no other tuple: in a two-tuple sweep whose second
+tuple has one field replaced by an arbitrary JSON value, the first tuple
+ends `ok` with the margins it has in a sweep of its own.
 """
 
 import contextlib
 import copy
+import csv
+import functools
 import io
 import json
 import math
@@ -61,8 +67,8 @@ JSON = st.recursive(
 )
 
 
-def replaced(path, value):
-    doc = copy.deepcopy(DOC)
+def replaced(path, value, doc=DOC):
+    doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -109,3 +115,58 @@ def test_a_config_field_of_any_json_value(path, value):
     if cfg.shape.kind == "fourier":
         assert [k for k, _ in cfg.shape.modes] == [k for k, _ in doc["initial"].get("modes", [])]
         assert all(type(k) is int for k, _ in cfg.shape.modes)
+
+
+SWEEP = {"grid": {"N": 16}, "time": {"t_end": 0.5}, "output": {"stride": 1}}
+TUPLES = [
+    {"n": 1, "b": 0.4, "shape": {"type": "fourier", "R0": 1.0, "modes": [[3, 0.02]]}},
+    {"n": 2, "b": 0.3, "shape": {"type": "fourier", "R0": 1.0, "modes": [[2, 0.02]]}},
+]
+# The fields of the second tuple that may be replaced; () is the whole tuple.
+TUPLE_PATHS = [
+    (), ("n",), ("b",), ("shape",), ("shape", "type"), ("shape", "R0"), ("shape", "modes"),
+    ("shape", "modes", 0), ("shape", "modes", 0, 0), ("shape", "modes", 0, 1),
+]
+
+
+def gcf_sweep(tuples):
+    """Exit code, stderr and sweep.csv rows of `gcf sweep` over tuples."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "sweep.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump({"tuples": tuples, **SWEEP}, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["sweep", "--config", path, "--out", out])
+        with open(os.path.join(out, "sweep.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    return code, err.getvalue(), rows
+
+
+@functools.lru_cache(maxsize=None)
+def first_tuple_alone():
+    code, _, rows = gcf_sweep(TUPLES[:1])
+    assert code == cli.EXIT_OK
+    return rows[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TUPLE_PATHS), JSON)
+@example((), "not a tuple")
+@example(("n",), 1.5)
+@example(("b",), math.nan)
+@example(("shape", "R0"), 1e300)
+@example(("shape", "modes", 0, 1), 0.4)
+@example(("shape", "type"), {"a": 1, "b": "x,y"})
+@example(("n",), [1, 2])
+@example(("b",), 10**400)
+def test_a_bad_sweep_tuple_stops_no_other(path, value):
+    tuples = [TUPLES[0], replaced(path, value, TUPLES[1]) if path else value]
+    code, err, rows = gcf_sweep(tuples)
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAIL)
+    assert "Traceback" not in err
+    assert len(rows) == 2
+    assert None not in rows[1]  # the bad tuple's row has the header's columns
+    assert rows[1]["status"] == "ok" or rows[1]["status"].startswith("failed:")
+    assert rows[0] == first_tuple_alone()
+    assert rows[0]["status"] == "ok"

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gcf import flow, geometry
 from gcf.errors import InvalidConfig, NonConvex
 from gcf.flow import FlowConfig, FlowTrace, InitialShape, run, run_ensemble, stable_dt, step
-from gcf.geometry import derive_state, fourier_grid, round_grid
-from gcf.speedlaw import SpeedLaw
-from gcf.verify import sphere_radius_exact
+from gcf.geometry import FlatLayout, derive_state, fourier_grid, round_grid
+from gcf.speedlaw import FlatLaws, SpeedLaw
+from gcf.verify import ORACLE_CASES, sphere_radius_exact
 
 HALF = SpeedLaw.power(-1.0, -0.5)
 
@@ -183,12 +185,14 @@ def test_fixed_dt_must_divide_span():
 # safety, fixed_dt, t_end, reason).  The first loses convexity in the state
 # a step produces while every RK stage stays convex; the second and fourth
 # move the origin out of the body (the fourth is a circle centred off the
-# origin, shrinking towards its centre).
+# origin, shrinking towards its centre); the fifth shrinks until its step
+# bound underflows.
 EARLY_ENDS = [
     (1.1700967619904363, ((5, 0.017207980635981685),), 1.0, None, 3.0, "nonconvex"),
     (1.7070944094947509, ((3, 0.03747968438365297),), 0.6, None, 3.0, "origin_outside"),
     (1.1700967619904363, ((5, 0.017207980635981685),), 1.0, 3.0 / 750, 3.0, "nonconvex"),
     (1.0, ((1, 0.5),), 1.0, 1e-3, 1.0, "origin_outside"),
+    (1.1700967619904363, ((5, 0.017207980635981685),), 0.3, None, 3.0, "dt_underflow"),
 ]
 
 
@@ -199,8 +203,12 @@ def test_run_ends_early_with_reason(beta, modes, safety, fixed_dt, t_end, reason
         shape=InitialShape("fourier", 1.0, modes), t_end=t_end, safety=safety,
         fixed_dt=fixed_dt, stride=7,
     )
-    trace = run(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a failing stage's NaN and inf stay silent
+        trace = run(cfg)
     assert trace.reason == reason
+    # every attempted step counts, the failed last one too
+    assert trace.rhs_evals == 4 * trace.steps + 4 * (reason != "dt_underflow")
     assert trace.times[-1] < t_end
     assert len(trace.times) == len(trace.grids) >= 2
     assert trace.times[-1] > trace.times[-2]  # the last accepted state is stored
@@ -210,13 +218,12 @@ def test_run_ends_early_with_reason(beta, modes, safety, fixed_dt, t_end, reason
 def test_each_accepted_state_derived_once(monkeypatch):
     calls = []
 
-    def counting(n, h, dx):
+    def counting(self, h, out=None):
         calls.append(h.size)
-        return radii_and_K(n, h, dx)
+        return radii(self, h, out)
 
-    radii_and_K = geometry.radii_and_K
-    monkeypatch.setattr(geometry, "radii_and_K", counting)
-    monkeypatch.setattr(flow, "radii_and_K", counting)
+    radii = FlatLayout.radii
+    monkeypatch.setattr(FlatLayout, "radii", counting)
     cfg = FlowConfig(
         n=2, size=32, law=SpeedLaw.power(-1.0, -0.25),
         shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.5, stride=1,
@@ -227,20 +234,21 @@ def test_each_accepted_state_derived_once(monkeypatch):
     # three RK stages plus the produced state per step; the initial state,
     # the step bound and the first stage reuse what is already checked
     assert len(calls) == 1 + 4 * steps
+    assert trace.rhs_evals == 4 * steps
     r1, _ = trace.grids[-1].curvature()[0]
     assert not r1.flags.writeable
 
 
 def _mixed_configs(seed):
-    """n=1 and n=2 expanding flows with mixed b, t_end, safety and stride,
-    plus one fixed_dt flow."""
+    """n=1 and n=2 expanding flows of two sizes each, with mixed b, t_end,
+    safety and stride, plus one fixed_dt flow and one exponential-law flow."""
     rng = np.random.default_rng(seed)
     configs = []
     for j in range(9):
         n = 2 if j % 4 == 3 else 1
         mode = (int(rng.integers(2, 5)), float(rng.uniform(0.005, 0.03)))
         configs.append(FlowConfig(
-            n=n, size=32 if n == 1 else 16,
+            n=n, size=(32, 48)[j % 2] if n == 1 else (16, 24)[j % 3 % 2],
             law=SpeedLaw.power(-1.0, -float(rng.uniform(0.1, 0.9 / n))),
             shape=InitialShape("fourier", 1.0, (mode,)),
             t_end=float(rng.uniform(0.05, 0.4)), safety=float(rng.uniform(0.1, 0.6)),
@@ -249,6 +257,10 @@ def _mixed_configs(seed):
     configs.append(FlowConfig(
         n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
         t_end=0.3, fixed_dt=0.3 / 200, stride=13,
+    ))
+    configs.append(FlowConfig(
+        n=2, size=16, law=SpeedLaw.exponential(),
+        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.05, stride=4,
     ))
     return configs
 
@@ -282,12 +294,46 @@ def test_ensemble_row_ends_early_as_alone(early):
         shape=InitialShape("fourier", 1.0, modes), t_end=t_end, safety=safety,
         fixed_dt=fixed_dt, stride=7,
     )
-    configs = [c for c in _mixed_configs(5) if c.n == 1][:4]
+    configs = _mixed_configs(5)[:8]  # n=1 at sizes 32 and 48, n=2 at 16 and 24
+    assert {(c.n, c.size) for c in configs} == {(1, 32), (1, 48), (2, 16), (2, 24)}
     configs.insert(2, ending)
     traces = run_ensemble(configs)
     assert traces[2].reason == reason
     for cfg, trace in zip(configs, traces):
         assert_same_trace(trace, run(cfg))
+    # The joint step that failed counts for every row that ran in it, and
+    # the rows' own steps after it once more; the ending row's own step
+    # fails again.
+    failed = traces[2].steps + 1
+    joint = [j for j, trace in enumerate(traces) if trace.steps >= failed]
+    for j, trace in enumerate(traces):
+        retaken = j in joint or (j == 2 and bool(joint))
+        assert trace.rhs_evals == 4 * trace.steps + 4 * (j == 2) + 4 * retaken
+    if reason == "nonconvex":  # it fails within a few steps, while other rows run
+        assert joint
+
+
+def test_one_joint_step_per_step_of_the_longest_row(monkeypatch):
+    # the five laws of the round oracle, at n=1 and n=2, step as one batch
+    configs = [
+        FlowConfig(
+            n=n, size=32 if n == 1 else 16, law=SpeedLaw.power(-1.0, -b),
+            shape=InitialShape("round", 1.0), t_end=2.0, stride=10**9,
+        )
+        for n, b, _ in ORACLE_CASES
+    ]
+    calls = []
+
+    def counting(law, layout, *args):
+        calls.append(len(layout.rows))
+        return rk4(law, layout, *args)
+
+    rk4 = flow._rk4
+    monkeypatch.setattr(flow, "_rk4", counting)
+    traces = run_ensemble(configs)
+    assert all(trace.reason == "completed" for trace in traces)
+    assert len(calls) == max(trace.steps for trace in traces)
+    assert calls[0] == len(configs)
 
 
 # Reference for the RK4 step: the update with the rates k = -f and the
@@ -348,24 +394,35 @@ def test_rk4_step_equals_reference(n, size, kind):
         laws = [SpeedLaw.exponential()] * 4
     else:
         laws = [SpeedLaw.power(-1.0, -rng.uniform(0.05, 0.95 / n)) for _ in range(4)]
-    law = SpeedLaw.stacked(laws)
-    radii, K = geometry.radii_and_K(n, h, dx)
-    for got, want in zip(radii, _ref_radii_and_K(n, h, dx)[0]):
-        assert np.array_equal(got, want)
-    bounds = flow._dt_bound(law, n, radii, K, 0.3 * dx * dx)
-    # the batch with a float step and with a (B, 1) column of steps, and
-    # each row alone with its float step, as a batch of one row is stepped
-    cases = [(law, h, K, float(bounds.min())), (law, h, K, bounds[:, None])]
-    cases += [(laws[j], h[j:j + 1], K[j:j + 1], float(bounds[j])) for j in range(4)]
-    for case_law, case_h, case_K, dt in cases:
-        new, new_radii, new_K = flow._rk4(case_law, n, case_h, case_K, dx, dt)
-        ref, ref_radii, ref_K = _ref_rk4(case_law, n, case_h, case_K, dx, dt)
-        assert not np.array_equal(new, case_h)
-        assert np.array_equal(new, ref)
-        assert len(new_radii) == len(ref_radii) == n
-        for got, want in zip(new_radii, ref_radii):
-            assert np.array_equal(got, want)
-        assert np.array_equal(new_K, ref_K)
+    # the four rows laid out flat, with a float step and with one step per
+    # element, and each row alone with its float step, as a batch of one row
+    flat = FlatLayout([(n, size, dx)] * 4)
+    law = FlatLaws(laws, flat.sizes)
+    r = flat.radii(h.ravel())
+    radii, K = flat.split(r), flat.gauss(r)
+    ref_radii, ref_K = _ref_radii_and_K(n, h, dx)
+    for got, want in zip(radii, ref_radii):
+        assert np.array_equal(got, want.ravel())
+    assert np.array_equal(K, ref_K.ravel())
+    bounds = flow._dt_bound(law, flat, radii, K, 0.3 * dx * dx).tolist()
+    single = geometry.row_layout(n, size, dx)
+    cases = [(flat, law, [0, 1, 2, 3], min(bounds)),
+             (flat, law, [0, 1, 2, 3], np.repeat(bounds, size))]
+    cases += [(single, FlatLaws([laws[j]], [size]), [j], bounds[j]) for j in range(4)]
+    for layout, case_law, rows, dt in cases:
+        case_h = h[rows].ravel()
+        case_K = layout.gauss(layout.radii(case_h))
+        new, new_radii, new_K = flow._rk4(case_law, layout, case_h, case_K, dt)
+        assert len(new_radii) == n
+        for k, j in enumerate(rows):
+            nodes = slice(k * size, (k + 1) * size)
+            row_dt = dt if np.ndim(dt) == 0 else bounds[j]
+            ref, ref_radii, ref_K = _ref_rk4(laws[j], n, h[j], case_K[nodes], dx, row_dt)
+            assert not np.array_equal(new[nodes], h[j])
+            assert np.array_equal(new[nodes], ref)
+            for got, want in zip(new_radii, ref_radii):
+                assert np.array_equal(got[nodes], want)
+            assert np.array_equal(new_K[nodes], ref_K)
 
 
 def test_trace_records_steps_and_dt_range():

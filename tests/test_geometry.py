@@ -3,6 +3,7 @@ import pytest
 
 from gcf.errors import NonConvex, OriginOutside
 from gcf.geometry import (
+    FlatLayout,
     GeometryState,
     SupportGrid,
     box_op,
@@ -11,6 +12,7 @@ from gcf.geometry import (
     grad_norm_sq_h,
     hessian_principal,
     laplace_beltrami,
+    radii_and_K,
     round_grid,
 )
 
@@ -236,3 +238,35 @@ def test_stack_of_grids_of_different_sizes_is_rejected():
         derive_state([round_grid(1, 1.0, 64), round_grid(1, 1.0, 32)])
     with pytest.raises(ValueError):
         derive_state([round_grid(1, 1.0, 64), round_grid(2, 1.0, 64)])
+
+
+def test_flat_layout_derives_each_grid_as_alone():
+    # grids of both topologies and several sizes, laid end to end
+    rng = np.random.default_rng(7)
+    grids = [fourier_grid(n, 1.0 + 0.1 * rng.random(), [(2, 0.03 * rng.random()), (3, 0.01)], size)
+             for n, size in ((1, 32), (1, 64), (1, 16), (2, 16), (2, 17), (2, 40))]
+    layout = FlatLayout([(g.n, g.size, g.spacing) for g in grids])
+    assert layout.tail == 32 + 64 + 16 and layout.size == layout.tail + 16 + 17 + 40
+    h, radii, K = layout.join([(g.values, *g.curvature()) for g in grids])
+    r = layout.radii(h)
+    assert all(np.array_equal(a, b) for a, b in zip(layout.split(r), radii))
+    assert np.array_equal(layout.gauss(r), K)
+    for j, g in enumerate(grids):
+        own = layout.grid(j, h, radii, K)
+        assert np.array_equal(own.values, g.values)
+        want_radii, want_K = radii_and_K(g.n, g.values, g.spacing)
+        assert len(own.curvature()[0]) == g.n
+        for got, want in zip(own.curvature()[0], want_radii):
+            assert np.array_equal(got, want)
+        assert np.array_equal(own.curvature()[1], want_K)
+    # some of the rows, picked and joined again, in a layout of their own
+    kept = [0, 2, 4, 5]
+    sub = FlatLayout([layout.rows[j] for j in kept])
+    sub_state = sub.join([layout.row(j, h, radii, K) for j in kept])
+    for k, j in enumerate(kept):
+        own = sub.grid(k, *sub_state)
+        assert np.array_equal(own.values, grids[j].values)
+        for got, want in zip(own.curvature()[0], grids[j].curvature()[0]):
+            assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        FlatLayout([(2, 16, np.pi / 16), (1, 32, np.pi / 16)])  # n=1 rows first

@@ -5,6 +5,7 @@ import pytest
 
 from gcf.errors import InvalidSpeedLaw, NonPositiveArgument
 from gcf.speedlaw import (
+    FlatLaws,
     SpeedLaw,
     alpha_fn,
     beta_fn,
@@ -139,18 +140,32 @@ def test_quadratic_power_law_alpha_beta_vanish_exactly_at_one():
 
 
 def test_stacked_law_evaluates_each_row_with_its_own_law():
+    # FlatLaws: rows of different sizes laid end to end, each with its own law
     laws = [SpeedLaw.power(-1.0, -0.3), SpeedLaw.power(1.0, 1.7), SpeedLaw.power(-1.0, -0.45)]
-    x = np.random.default_rng(0).uniform(0.1, 5.0, (3, 64))
-    stacked = SpeedLaw.stacked(laws)
+    sizes = [64, 32, 48]
+    x = np.random.default_rng(0).uniform(0.1, 5.0, sum(sizes))
+    rows = np.split(np.arange(x.size), np.cumsum(sizes)[:-1])
+    flat = FlatLaws(laws, sizes)
     for name in ("f", "f1"):
-        rows = getattr(stacked, name)(x)
-        for i, law in enumerate(laws):
-            assert np.array_equal(rows[i], getattr(law, name)(x[i]))
-    assert SpeedLaw.stacked([laws[0], SpeedLaw.power(-1.0, -0.3)]) is laws[0]
+        got = getattr(flat, name)(x)
+        for law, nodes in zip(laws, rows):
+            assert np.array_equal(got[nodes], getattr(law, name)(x[nodes]))
+    # equal laws keep their floats, so np.power's scalar fast path for the
+    # exponent 2 gives the bits SpeedLaw.f does
+    square = SpeedLaw.power(1.0, 2.0)
+    same = FlatLaws([square, SpeedLaw.power(1.0, 2.0)], [32, 32])
+    assert same.beta == 2.0
+    assert np.array_equal(same.f(x[:64]), square.f(x[:64]))
+    exp = FlatLaws([SpeedLaw.exponential()] * 2, [32, 32])
+    assert np.array_equal(exp.f1(x[:64]), np.exp(x[:64]))
     with pytest.raises(InvalidSpeedLaw):
-        SpeedLaw.stacked([laws[0], SpeedLaw.exponential()])
+        FlatLaws([laws[0], SpeedLaw.exponential()], [32, 32])
+    # the flat laws leave out the check that SpeedLaw.f makes
+    bad = np.where(np.arange(x.size) == 5, 0.0, x)
     with pytest.raises(NonPositiveArgument):
-        stacked.f(np.where(np.arange(64) == 5, 0.0, x))
+        laws[0].f(bad[:64])
+    with np.errstate(divide="ignore"):
+        assert np.isinf(flat.f(bad)[5])
 
 
 def test_expanding_b_only_for_the_minus_k_power_form():

@@ -55,12 +55,26 @@ def odd(fn):
     return with_odd_parity
 
 
+# The derivatives of a flat layout (geometry.FlatLayout): one gathered
+# extension, shared by d1 and d2, with the divisor given.
+def gathered(u, periodic):
+    return u[..., stencils.ghost_index(u.shape[-1], periodic)]
+
+
 def shared_d1(u, dx):
-    return stencils.d1_d2_reflect(u, dx)[0]
+    return stencils.d1_extended(gathered(u, False), 12.0 * dx)
 
 
 def shared_d2(u, dx):
-    return stencils.d1_d2_reflect(u, dx)[1]
+    return stencils.d2_extended(gathered(u, False), 12.0 * dx * dx)
+
+
+def gathered_d1_periodic(u, dx):
+    return stencils.d1_extended(gathered(u, True), 12.0 * dx)
+
+
+def gathered_d2_periodic(u, dx):
+    return stencils.d2_extended(gathered(u, True), 12.0 * dx * dx)
 
 
 PAIRS = [
@@ -68,13 +82,15 @@ PAIRS = [
     (stencils.d2_periodic, roll_d2),
     (stencils.d1_periodic_o2, roll_d1_o2),
     (stencils.d2_periodic_o2, roll_d2_o2),
+    (gathered_d1_periodic, roll_d1),
+    (gathered_d2_periodic, roll_d2),
 ]
 REFLECT_PAIRS = [
     (stencils.d1_reflect, mirror_d1),
     (stencils.d2_reflect, mirror_d2),
     (odd(stencils.d1_reflect), odd(mirror_d1)),
     (odd(stencils.d2_reflect), odd(mirror_d2)),
-    (shared_d1, mirror_d1),  # the shared extension of geometry.radii_and_K (n=2)
+    (shared_d1, mirror_d1),
     (shared_d2, mirror_d2),
 ]
 
