@@ -13,11 +13,18 @@ kept and serves the next step bound and the next first stage.  Round
 initial data stays exactly round, so closed-form radius ODEs provide
 oracles for the integrator.
 
+Each step is held near the floor of the numpy calls it must make: its
+checks are minimum and maximum reductions compared inline, the check
+functions of geometry running only to raise on a failure, and numpy's
+floating-point warnings are turned off once per ensemble's time loop
+(_run_rows), not once per step; step() turns them off for its one step.
+
 Runs are stepped as ensembles: the configs of one call that share a law
 kind are the rows of one flat array, whatever their n and size (see
 geometry.FlatLayout), and every RK4 stage updates all rows at once.  The
 arithmetic of each row is that of a solo run, so a config's trace does not
-depend on the ensemble it ran in.
+depend on the ensemble it ran in (see ensembles() for the power laws that
+need equal laws beside them for that).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NonConvex, OriginOutside
 from .geometry import (
+    RADIUS_FLOOR,
     FlatLayout,
     SupportGrid,
     fourier_grid,
@@ -37,10 +45,12 @@ from .geometry import (
     round_grid,
     row_layout,
 )
-from .speedlaw import FlatLaws, SpeedLaw, theorem_hypotheses
+from .speedlaw import FAST_POWER_EXPONENTS, FlatLaws, SpeedLaw, theorem_hypotheses
 
 DT_FLOOR = 1e-12
 DEFAULT_SAFETY = 0.3
+
+_minimum, _maximum = np.minimum.reduce, np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -179,28 +189,34 @@ def _rk4(law: FlatLaws, layout: FlatLayout, h: np.ndarray, K: np.ndarray, dt) ->
     element.  Every stage derives the curvature from its stage values; the
     stages' radii are kept and checked once, after the last stage, so a
     stage that loses convexity raises NonConvex.  Its NaN or inf values run
-    on through the later stages, with numpy's floating-point warnings off,
-    and are discarded with the step.  Then new values that are not finite
-    and positive raise OriginOutside, and a new state that is not strictly
-    convex raises NonConvex.  Returns the new values with their checked
-    (radii, K), as the layout splits them.
+    on through the later stages and are discarded with the step, so the
+    caller turns numpy's floating-point warnings off.  Then new values that
+    are not finite and positive raise OriginOutside, and a new state that
+    is not strictly convex raises NonConvex.  Returns the new values with
+    their checked (radii, K), as the layout splits them.
 
-    The stages carry the law values f rather than the rates -f: negating
-    a product or a sum is exact, so h - c*f is bit for bit h + c*(-f).
+    Each check is one minimum and one maximum, compared inline;
+    require_convex and require_admissible run only on a failure, to raise
+    their exceptions.  The stages carry the law values f rather than the
+    rates -f: negating a product or a sum is exact, so h - c*f is bit for
+    bit h + c*(-f).
     """
+    radii, gauss, f = layout.radii, layout.gauss, law.f
     half = 0.5 * dt
     stages = np.empty((3, layout.radii_size))
-    with np.errstate(all="ignore"):
-        f1 = law.f(K)
-        f2 = law.f(layout.gauss(layout.radii(h - half * f1, stages[0])))
-        f3 = law.f(layout.gauss(layout.radii(h - half * f2, stages[1])))
-        f4 = law.f(layout.gauss(layout.radii(h - dt * f3, stages[2])))
-        new = h - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    require_convex(stages)
-    require_admissible(new)
-    r = layout.radii(new)
-    require_convex(r)
-    return new, layout.split(r), layout.gauss(r)
+    f1 = f(K)
+    f2 = f(gauss(radii(h - half * f1, stages[0])))
+    f3 = f(gauss(radii(h - half * f2, stages[1])))
+    f4 = f(gauss(radii(h - dt * f3, stages[2])))
+    new = h - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    if not (_minimum(stages, axis=None) > RADIUS_FLOOR and _maximum(stages, axis=None) < math.inf):
+        require_convex(stages)
+    if not (_minimum(new) > 0.0 and _maximum(new) < math.inf):
+        require_admissible(new)
+    r = radii(new)
+    if not (_minimum(r) > RADIUS_FLOOR and _maximum(r) < math.inf):
+        require_convex(r)
+    return new, layout.split(r), gauss(r)
 
 
 def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
@@ -217,19 +233,30 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
     layout = row_layout(grid.n, grid.size, grid.spacing)
-    values, radii, K = _rk4(
-        FlatLaws([law], [grid.size]), layout, grid.values, grid.curvature()[1], dt
-    )
+    with np.errstate(all="ignore"):
+        values, radii, K = _rk4(
+            FlatLaws([law], [grid.size]), layout, grid.values, grid.curvature()[1], dt
+        )
     return SupportGrid.with_curvature(grid.n, values, radii, K)
 
 
-def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, scale):
-    """scale / lambda per row, with scale = safety * dx**2 and lambda maximised over the row."""
-    lam = law.f1(K) * K**2
+def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, scale: list) -> list:
+    """scale[j] / lambda per row j as floats, with scale = safety * dx**2 per
+    row and lambda maximised over the row.
+
+    The division is Python's, the IEEE division numpy's also is; a lambda
+    of 0, as when K**2 underflows on a very large body, gives an infinite
+    bound, so the row steps its remaining time.
+    """
+    lam = law.f1(K) * (K * K)  # K * K is K**2 (np.square) without the dispatch
     if len(radii) == 2:
         tail = layout.tail
         lam[tail:] *= np.maximum(radii[0][tail:], radii[1])
-    return scale / np.maximum.reduceat(lam, layout.starts)
+    if len(layout.rows) == 1:
+        tops = [float(_maximum(lam))]
+    else:
+        tops = np.maximum.reduceat(lam, layout.starts).tolist()
+    return [s / top if top else math.inf for s, top in zip(scale, tops)]
 
 
 def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) -> float:
@@ -237,11 +264,12 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) 
 
     lambda bounds the linearized speed sensitivity to the curvature radii:
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
+    A lambda of 0 (K**2 underflows on a very large body) gives inf.
     """
     dx = grid.spacing
     layout = row_layout(grid.n, grid.size, dx)
-    bound = _dt_bound(FlatLaws([law], [grid.size]), layout, *grid.curvature(), safety * dx * dx)
-    return float(bound[0])
+    law = FlatLaws([law], [grid.size])
+    return _dt_bound(law, layout, *grid.curvature(), [safety * dx * dx])[0]
 
 
 def run(config):
@@ -287,11 +315,19 @@ def ensembles(configs) -> list:
     """Indices of the configs that run_ensemble steps together, per ensemble.
 
     Configs share an ensemble when they share a law kind, at any n and
-    size; the ensembles and their members keep the order of configs.
+    size; the ensembles and their members keep the order of configs.  A
+    power law with an f or f1 exponent in FAST_POWER_EXPONENTS shares one
+    only with equal laws: np.power's scalar path for that exponent, which
+    a batch of equal laws keeps (see FlatLaws), can differ in the last bit
+    from the element-wise one of a batch of mixed laws.
     """
     groups = {}
     for j, cfg in enumerate(configs):
-        groups.setdefault(cfg.law.kind, []).append(j)
+        law = cfg.law
+        key = law.kind
+        if law.is_power and not FAST_POWER_EXPONENTS.isdisjoint((law.beta, law.beta - 1.0)):
+            key = law
+        groups.setdefault(key, []).append(j)
     return list(groups.values())
 
 
@@ -306,40 +342,44 @@ class _Row:
         self.dx = grid.spacing
         self.scale = cfg.safety * self.dx * self.dx  # the step bound's safety * dx**2
         self.t, self.i, self.dt = cfg.t0, 0, cfg.fixed_dt
+        self.t_end, self.stride = cfg.t_end, cfg.stride
+        self.adaptive = cfg.fixed_dt is None
         self.t_stop = cfg.t_end - 1e-14 * max(1.0, cfg.t_end)
-        self.running = cfg.fixed_dt is not None or self.t < self.t_stop
+        self.running = not self.adaptive or self.t < self.t_stop
 
     def plan(self, bound: float) -> bool:
         """Set the next step from the row's step bound; False if it underflows.
 
-        A fixed_dt row keeps its step.
+        The step is the smaller of the bound and the time left, so an
+        infinite bound steps the time left.  A fixed_dt row keeps its step.
         """
-        cfg = self.cfg
-        if cfg.fixed_dt is None:
+        if self.adaptive:
             if bound < DT_FLOOR:
                 return False
-            self.dt = min(bound, cfg.t_end - self.t)
+            left = self.t_end - self.t
+            self.dt = left if left < bound else bound  # min(bound, left)
         return True
 
     def advance(self) -> bool:
         """Count one accepted step; whether its state is to be stored."""
-        cfg, dt, trace = self.cfg, self.dt, self.trace
-        self.i += 1
-        if cfg.fixed_dt is None:
+        dt, trace = self.dt, self.trace
+        self.i = i = self.i + 1
+        if self.adaptive:
             self.t += dt
             self.running = self.t < self.t_stop
         else:
-            self.t = cfg.t0 + self.i * dt
-            self.running = self.i < cfg._n_steps
-        trace.steps = self.i
+            cfg = self.cfg
+            self.t = cfg.t0 + i * dt
+            self.running = i < cfg._n_steps
+        trace.steps = i
         trace.rhs_evals += 4
-        if self.i == 1:
+        if i == 1:
             trace.dt_min = trace.dt_max = dt
         elif dt < trace.dt_min:
             trace.dt_min = dt
         elif dt > trace.dt_max:
             trace.dt_max = dt
-        return self.i % cfg.stride == 0 or not self.running
+        return i % self.stride == 0 or not self.running
 
     def store(self, grid: SupportGrid) -> None:
         self.trace.times.append(self.t)
@@ -368,8 +408,8 @@ class _Batch:
     def __init__(self, rows: list, layout: FlatLayout, h, radii, K):
         self.rows, self.layout, self.h, self.radii, self.K = rows, layout, h, radii, K
         self.law = FlatLaws([row.cfg.law for row in rows], layout.sizes)
-        self.scale = np.array([row.scale for row in rows])
-        self.adaptive = any(row.cfg.fixed_dt is None for row in rows)
+        self.scale = [row.scale for row in rows]
+        self.adaptive = any(row.adaptive for row in rows)
 
     @classmethod
     def of(cls, rows: list, parts) -> "_Batch | None":
@@ -405,33 +445,40 @@ class _Batch:
 
 
 def _run_rows(rows: list) -> list:
-    """Step rows that share a law kind until each has ended."""
+    """Step rows that share a law kind until each has ended.
+
+    numpy's floating-point warnings are off for the whole loop, entered
+    once per call rather than once per step (see _rk4); the caller's
+    error state is restored on return, as on an exception.
+    """
     traces = [row.trace for row in rows]
     rows = sorted((row for row in rows if row.running), key=lambda row: row.cfg.n)
     grids = [row.trace.grids[0] for row in rows]
     batch = _Batch.of(rows, [(grid.values, *grid.curvature()) for grid in grids])
-    while batch is not None:
-        if batch.adaptive:
-            bounds = _dt_bound(batch.law, batch.layout, batch.radii, batch.K, batch.scale).tolist()
-            planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
-            if not all(planned):
-                for j, ok in enumerate(planned):
-                    if not ok:
-                        batch.rows[j].end("dt_underflow", batch.grid(j))
-                batch = batch.keep(planned)
+    with np.errstate(all="ignore"):
+        while batch is not None:
+            if batch.adaptive:
+                bounds = _dt_bound(batch.law, batch.layout, batch.radii, batch.K, batch.scale)
+                planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
+                if not all(planned):
+                    for j, ok in enumerate(planned):
+                        if not ok:
+                            batch.rows[j].end("dt_underflow", batch.grid(j))
+                    batch = batch.keep(planned)
+                    if batch is None:
+                        break
+            try:
+                batch.h, batch.radii, batch.K = _rk4(
+                    batch.law, batch.layout, batch.h, batch.K, batch.dt()
+                )
+            except (NonConvex, OriginOutside) as exc:
+                batch = _step_rows_alone(batch, exc)
                 if batch is None:
                     break
-        try:
-            stepped = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
-            batch.h, batch.radii, batch.K = stepped
-        except (NonConvex, OriginOutside) as exc:
-            batch = _step_rows_alone(batch, exc)
-            if batch is None:
-                break
-        for j, row in enumerate(batch.rows):
-            if row.advance():
-                row.store(batch.grid(j))
-        batch = batch.keep([row.running for row in batch.rows])
+            for j, row in enumerate(batch.rows):
+                if row.advance():
+                    row.store(batch.grid(j))
+            batch = batch.keep([row.running for row in batch.rows])
     return traces
 
 

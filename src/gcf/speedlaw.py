@@ -112,6 +112,12 @@ def _check_positive(x) -> None:
         raise NonPositiveArgument("speed laws are defined for positive arguments only")
 
 
+# The float exponents for which np.power takes a scalar path (reciprocal,
+# square root, square) that can differ in the last bit from its element-wise
+# loop over an exponent array.
+FAST_POWER_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
+
+
 class FlatLaws:
     """The laws of grids laid end to end, one law per grid, as f and f1 of
     flat arguments.
@@ -119,7 +125,7 @@ class FlatLaws:
     laws[i] applies to the sizes[i] elements of grid i.  All laws must be
     of one kind.  Power laws that differ give the parameters a, beta, a*beta
     and beta - 1 as per-element columns; equal laws keep that law's floats,
-    because np.power's scalar fast paths (exponents 0.5, 2 and -1) can
+    because np.power's scalar fast paths (FAST_POWER_EXPONENTS) can
     differ in the last bit from its element-wise loop.  f and f1 are
     SpeedLaw.f and f1 without the positivity check: a caller that has
     checked the curvature radii knows K is positive.

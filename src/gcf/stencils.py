@@ -53,27 +53,51 @@ def ghost_index(size: int, periodic: bool) -> np.ndarray:
 # for the first N outputs of each row; the 4 outputs per row that straddle
 # two rows are computed and dropped.  The rows may differ in length, as in a
 # flat layout of grids of several sizes; the output at flat index k is then
-# divided by element k of an array div, formed per row.  The textbook forms
-# lead with -e[4:]; starting from the next term instead subtracts it, the
-# same floating-point operation, and the two terms of equal weight share one
-# scaled copy of e.  The weights are 0-d arrays: a Python float operand is
-# converted on every call.
+# divided by element k of an array div, formed per row.  A 1-D e (one grid,
+# or a flat layout) is differentiated as it is, into a new array of its
+# e.size - 4 outputs, straddling ones included, from which the caller picks
+# its nodes; only an (S, N+4) stack is reshaped, into a buffer of its shape.
+# The textbook forms lead with -e[4:]; starting from the next term instead
+# subtracts it, the same floating-point operation, and the two terms of
+# equal weight share one scaled copy of e.  The weights are 0-d arrays: a
+# Python float operand is converted on every call.
 _W8, _W16, _W30 = np.array(8.0), np.array(16.0), np.array(30.0)
+
+
+def _d1_flat(u, div, out=None):
+    s = _W8 * u
+    d = np.subtract(s[3:-1], u[4:], out=out)
+    d -= s[1:-3]
+    d += u[:-4]
+    d /= div
+    return d
+
+
+def _d2_flat(u, div, out=None):
+    s = _W16 * u
+    d = np.subtract(s[3:-1], u[4:], out=out)
+    d -= _W30 * u[2:-2]
+    d += s[1:-3]
+    d -= u[:-4]
+    d /= div
+    return d
+
+
+def _stacked(flat, e, div):
+    # The outputs of each row of an (S, N+4) stack, as an (S, N) view.
+    out = np.empty(e.shape)
+    flat(e.reshape(-1), div, out.reshape(-1)[:-4])
+    return out[..., :-4]
 
 
 def d1_extended(e: np.ndarray, div) -> np.ndarray:
     """4th-order first derivative of extended values e, divided by div = 12*dx.
 
     div is a float, or one divisor per flat output (e.size - 4 of them).
-    Returns the outputs as e's shape less 4 along the last axis.
+    Returns e.size - 4 flat outputs for a 1-D e, else the outputs as e's
+    shape less 4 along the last axis.
     """
-    u, out = e.reshape(-1), np.empty(e.shape)
-    s = _W8 * u
-    d = np.subtract(s[3:-1], u[4:], out=out.reshape(-1)[:-4])
-    d -= s[1:-3]
-    d += u[:-4]
-    d /= div
-    return out[..., :-4]
+    return _d1_flat(e, div) if e.ndim == 1 else _stacked(_d1_flat, e, div)
 
 
 def d2_extended(e: np.ndarray, div) -> np.ndarray:
@@ -81,14 +105,7 @@ def d2_extended(e: np.ndarray, div) -> np.ndarray:
 
     div is a float, or one divisor per flat output, as in d1_extended.
     """
-    u, out = e.reshape(-1), np.empty(e.shape)
-    s = _W16 * u
-    d = np.subtract(s[3:-1], u[4:], out=out.reshape(-1)[:-4])
-    d -= _W30 * u[2:-2]
-    d += s[1:-3]
-    d -= u[:-4]
-    d /= div
-    return out[..., :-4]
+    return _d2_flat(e, div) if e.ndim == 1 else _stacked(_d2_flat, e, div)
 
 
 def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:

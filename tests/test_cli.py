@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def test_run_writes_trace_and_meta(tmp_path):
     )
     assert 0.0 < meta["dt_min"] <= meta["dt_max"]
     assert meta["rhs_evals"] == trace.rhs_evals == 4 * trace.steps
+
+
+def test_run_of_a_huge_round_body_is_silent(tmp_path, capsys):
+    # K**2 underflows at R0 = 1e200, so the step bound is infinite and the
+    # flow takes one step of its whole time span, with no numpy warning
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, initial={"type": "circle", "R0": 1e200}, time={"t_end": 1.0})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["steps"], meta["dt_min"], meta["dt_max"]) == (1, 1.0, 1.0)
 
 
 def test_run_rejects_exponent_out_of_range(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -286,6 +287,42 @@ def test_ensemble_traces_equal_solo_runs():
         assert_same_trace(trace, ref)
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0])
+def test_fast_power_exponent_rows_equal_their_solo_runs(beta):
+    # beta 0.5 and 2 are f exponents, and beta - 1 = 0.5 and 2 f1 exponents,
+    # that take np.power's scalar path in a batch of equal laws; beside
+    # another law they would take the element-wise one
+    def cfg(b):
+        return FlowConfig(
+            n=1, size=64, law=SpeedLaw.power(1.0, b),
+            shape=InitialShape("fourier", 1.0, ((3, 0.01),)), t_end=0.1, stride=5,
+        )
+
+    configs = [cfg(beta), cfg(1.3), cfg(beta)]
+    assert flow.ensembles(configs) == [[0, 2], [1]]
+    traces = run_ensemble(configs)
+    assert traces[0].reason == "completed" and traces[0].steps > 10
+    assert_same_trace(traces[0], run(configs[0]))
+    assert_same_trace(traces[2], traces[0])
+    assert_same_trace(traces[1], run(configs[1]))
+    # the expanding laws of the theorem's range never take those paths, so
+    # a sweep's tuples stay one ensemble
+    assert flow.ensembles(_mixed_configs(11)[:9]) == [list(range(9))]
+
+
+def test_a_huge_round_body_steps_its_remaining_time_silently():
+    # K**2 underflows to 0 at R0 = 1e200, so the step bound is infinite
+    cfg = FlowConfig(
+        n=1, size=32, law=HALF, shape=InitialShape("round", 1e200), t_end=1.0,
+    )
+    assert flow.stable_dt(cfg.build_grid(), HALF) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(cfg)
+    assert trace.reason == "completed"
+    assert (trace.steps, trace.dt_min, trace.dt_max, trace.times) == (1, 1.0, 1.0, [0.0, 1.0])
+
+
 @pytest.mark.parametrize("early", [EARLY_ENDS[0], EARLY_ENDS[3]], ids=lambda e: e[-1])
 def test_ensemble_row_ends_early_as_alone(early):
     beta, modes, safety, fixed_dt, t_end, reason = early
@@ -404,7 +441,7 @@ def test_rk4_step_equals_reference(n, size, kind):
     for got, want in zip(radii, ref_radii):
         assert np.array_equal(got, want.ravel())
     assert np.array_equal(K, ref_K.ravel())
-    bounds = flow._dt_bound(law, flat, radii, K, 0.3 * dx * dx).tolist()
+    bounds = flow._dt_bound(law, flat, radii, K, [0.3 * dx * dx] * 4)
     single = geometry.row_layout(n, size, dx)
     cases = [(flat, law, [0, 1, 2, 3], min(bounds)),
              (flat, law, [0, 1, 2, 3], np.repeat(bounds, size))]

@@ -5,6 +5,7 @@ import pytest
 
 from gcf.errors import InvalidSpeedLaw, NonPositiveArgument
 from gcf.speedlaw import (
+    FAST_POWER_EXPONENTS,
     FlatLaws,
     SpeedLaw,
     alpha_fn,
@@ -178,3 +179,16 @@ def test_expanding_b_only_for_the_minus_k_power_form():
     assert expanding_b(SpeedLaw.exponential(), 1) is None
     assert expanding_b(SpeedLaw.power(-1.0, -0.25), 2) == 0.25
     assert expanding_b(SpeedLaw.power(-1.0, -0.5), 2) is None
+
+
+def test_fast_power_exponents_match_this_numpy():
+    # np.power with a float exponent differs from its element-wise loop over
+    # an exponent array exactly for FAST_POWER_EXPONENTS, on which flow's
+    # ensembles rely to keep a row's trace independent of its ensemble
+    x = np.random.default_rng(0).uniform(0.01, 100.0, 20000)
+    exponents = [k / 4.0 for k in range(-16, 17)] + [1.0 / 3.0, -2.0 / 3.0, 0.3, -1.3]
+    differ = {
+        e for e in exponents
+        if not np.array_equal(np.power(x, e), np.power(x, np.full(x.shape, e)))
+    }
+    assert differ == FAST_POWER_EXPONENTS

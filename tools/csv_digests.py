@@ -1,6 +1,6 @@
 """Print the sha256 of every CSV that a fixed set of `gcf` runs writes.
 
-    python3 tools/csv_digests.py OUT_DIR [--seed N]
+    python3 tools/csv_digests.py OUT_DIR [--seed N] [--expect FILE]
 
 Runs, in-process through `gcf.cli.main` and from the `src/` of this
 checkout, the benchmark's surface-dense and sweep-mixed configs for the
@@ -8,7 +8,10 @@ seed (generated by `perfbench/workloads.build`), the two fixed configs of
 FIXED, and the six verification suites with `--out`, all under OUT_DIR.
 That is 32 CSVs.  Prints one `sha256  path` line per CSV, paths relative
 to OUT_DIR, sorted.  Run it in two checkouts and diff the outputs to show
-that a change leaves every CSV byte-identical.
+that a change leaves every CSV byte-identical, or save the listing of one
+checkout and pass it to the other with --expect FILE: then every CSV whose
+digest differs from FILE's, or that only one of the two lists, is named on
+stderr, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--expect", metavar="FILE", help="a saved listing to compare against")
     args = parser.parse_args(argv)
     for call in calls(args.out_dir, args.seed):
         with contextlib.redirect_stdout(sys.stderr):
@@ -78,7 +82,37 @@ def main(argv=None) -> int:
     digests, _, _ = workloads.scan(args.out_dir)
     for path, digest in digests.items():
         print(f"{digest}  {path}")
-    return 0
+    if args.expect is None:
+        return 0
+    differ = changed(read_listing(args.expect), digests)
+    for path, why in differ:
+        print(f"{path}: {why}", file=sys.stderr)
+    print(f"{len(differ)} of {len(digests)} CSVs differ from {args.expect}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def read_listing(path: str) -> dict:
+    """The {path: digest} of a listing this script printed."""
+    listing = {}
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                digest, csv = line.split()
+                listing[csv] = digest
+    return listing
+
+
+def changed(expected: dict, digests: dict) -> list:
+    """(path, reason) of each CSV whose digest differs, or that one side lacks."""
+    out = []
+    for path in sorted(expected.keys() | digests.keys()):
+        if path not in digests:
+            out.append((path, "missing"))
+        elif path not in expected:
+            out.append((path, "not in the listing"))
+        elif digests[path] != expected[path]:
+            out.append((path, "digest differs"))
+    return out
 
 
 if __name__ == "__main__":
