@@ -7,8 +7,8 @@ echoed configuration, the run's steps and right-hand-side evaluations,
 and the wall time of each of its phases (step, monitor, write).  Timing
 goes only into meta.json: numeric CSV fields carry 17 significant digits,
 so identical configurations reproduce byte-identical CSVs.  A sweep steps
-its tuples as ensembles (see flow.ensembles), one run per ensemble: the
-tuples of one law kind step together, at any n and N.
+all its valid tuples in one run: every tuple's law is -K^(-b), so they
+form one ensemble (see flow.ensembles) at any n and N.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 early flow termination (lost convexity, the origin leaving the body, or
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GcfError, InsufficientTrace, InvalidConfig
-from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, ensembles, run
+from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, run
 from .geometry import mean_curvature
 from .harnack import MarginSummary, margin_summary, monitor
 from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
@@ -272,19 +272,15 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         doc = _load_json(config_path)
         law = _law_from_doc(doc)
         n = _integer(doc["n"], "n")
-    except (OSError, *CONFIG_ERRORS) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if enforce_hypotheses and not theorem_hypotheses(law, n):
-        print(
-            f"law outside the Harnack-bound hypotheses for n={n}: "
-            f"need a power law with a > 0, beta > 0 or a < 0, -1/n < beta < 0",
-            file=sys.stderr,
-        )
-        return EXIT_HYPOTHESES
-    try:
+        if enforce_hypotheses and not theorem_hypotheses(law, n):
+            print(
+                f"law outside the Harnack-bound hypotheses for n={n}: "
+                f"need a power law with a > 0, beta > 0 or a < 0, -1/n < beta < 0",
+                file=sys.stderr,
+            )
+            return EXIT_HYPOTHESES
         cfg = _flow_config_from_doc(doc)
-    except CONFIG_ERRORS as exc:
+    except (OSError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     start = time.monotonic()
@@ -408,7 +404,7 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
             valid.append((rows[-1], tuple_doc, _flow_config_from_doc(tuple_doc)))
         except Exception as exc:
             _sweep_failed(rows[-1], exc)
-    pending = [[valid[j] for j in members] for members in ensembles([v[2] for v in valid])]
+    pending = [valid] if valid else []  # one run; after an exception, one per tuple
     while pending:
         members = pending.pop(0)
         start = time.monotonic()

@@ -45,7 +45,7 @@ from .geometry import (
     round_grid,
     row_layout,
 )
-from .speedlaw import FAST_POWER_EXPONENTS, FlatLaws, SpeedLaw, theorem_hypotheses
+from .speedlaw import FAST_POWER_EXPONENTS, POWER, FlatLaws, SpeedLaw, theorem_hypotheses
 
 DT_FLOOR = 1e-12
 DEFAULT_SAFETY = 0.3
@@ -246,17 +246,29 @@ def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, sc
 
     The division is Python's, the IEEE division numpy's also is; a lambda
     of 0, as when K**2 underflows on a very large body, gives an infinite
-    bound, so the row steps its remaining time.
+    bound, so the row steps its remaining time.  A row whose maximum is
+    not finite forms a power law's lambda again as a*beta * K**(beta + 1):
+    on a very large body f1(K) can overflow to inf where K**2 underflows,
+    while lambda itself tends to 0.  (The exponential law's f1 = exp(K)
+    overflows only where K**2 > 1.)  A lambda still beyond the float range,
+    as of a contracting law on a tiny body, gives a bound of 0.
     """
-    lam = law.f1(K) * (K * K)  # K * K is K**2 (np.square) without the dispatch
+    tops = _lambda_tops(law.f1(K) * (K * K), layout, radii)  # K * K is K**2 without the dispatch
+    if not all(map(math.isfinite, tops)) and law.kind == POWER:
+        again = _lambda_tops(law.a_beta * np.power(K, law.beta_1 + 2.0), layout, radii)
+        tops = [top if math.isfinite(top) else top2 for top, top2 in zip(tops, again)]
+    return [s / top if top else math.inf for s, top in zip(scale, tops)]
+
+
+def _lambda_tops(lam: np.ndarray, layout: FlatLayout, radii: tuple) -> list:
+    """Each row's maximum of lam, f'(K) * K**2 per node, as floats; for n=2
+    lam is first scaled in place by the larger radius of each node."""
     if len(radii) == 2:
         tail = layout.tail
         lam[tail:] *= np.maximum(radii[0][tail:], radii[1])
     if len(layout.rows) == 1:
-        tops = [float(_maximum(lam))]
-    else:
-        tops = np.maximum.reduceat(lam, layout.starts).tolist()
-    return [s / top if top else math.inf for s, top in zip(scale, tops)]
+        return [float(_maximum(lam))]
+    return np.maximum.reduceat(lam, layout.starts).tolist()
 
 
 def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) -> float:
@@ -264,12 +276,15 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) 
 
     lambda bounds the linearized speed sensitivity to the curvature radii:
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
-    A lambda of 0 (K**2 underflows on a very large body) gives inf.
+    A lambda of 0 (K**2 underflows on a very large body) gives inf, and
+    one beyond the float range 0; numpy's overflow warnings on the way
+    are off, as they are in run().
     """
     dx = grid.spacing
     layout = row_layout(grid.n, grid.size, dx)
     law = FlatLaws([law], [grid.size])
-    return _dt_bound(law, layout, *grid.curvature(), [safety * dx * dx])[0]
+    with np.errstate(all="ignore"):
+        return _dt_bound(law, layout, *grid.curvature(), [safety * dx * dx])[0]
 
 
 def run(config):

@@ -299,8 +299,8 @@ class GeometryState:
     """All pointwise geometry derived from one support grid, or a stack.
 
     Radii, curvatures, the embedding, and the chain-rule derivative bundle
-    (first and second angular derivatives of the radii, K and H) used by
-    downstream fields.  For n=1, r2 and the azimuthal entries are None.
+    (first angular derivatives of the radii, K and H, and second ones of r1
+    and K) used by downstream fields.  For n=1, r2 and the azimuthal entries are None.
     A stacked state (see derive_state) holds S grids as (S, N) rows; d1,
     d2, grad_norm_sq_h, h_norm_sq and box_op work along the last axis, so
     they serve both.
@@ -311,13 +311,11 @@ class GeometryState:
     angles: np.ndarray
     dx: float
     h: np.ndarray
-    hp: np.ndarray
     r1: np.ndarray
     r2: np.ndarray | None
     r1p: np.ndarray
     r2p: np.ndarray | None
     r1pp: np.ndarray
-    r2pp: np.ndarray | None
     K: np.ndarray
     Kp: np.ndarray
     Kpp: np.ndarray
@@ -406,8 +404,8 @@ def derive_state(grid) -> GeometryState:
         tangents = np.stack([-sin_t, cos_t], axis=-1)
         positions = h[..., None] * normals + hp[..., None] * tangents
         return GeometryState(
-            grid=grid, n=1, angles=ang, dx=dx, h=h, hp=hp,
-            r1=r1, r2=None, r1p=r1p, r2p=None, r1pp=r1pp, r2pp=None,
+            grid=grid, n=1, angles=ang, dx=dx, h=h,
+            r1=r1, r2=None, r1p=r1p, r2p=None, r1pp=r1pp,
             K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Kp, Gamma=r1p / r1,
             positions=positions, normals=normals,
             sinphi=None, cosphi=None, cot=None,
@@ -432,8 +430,8 @@ def derive_state(grid) -> GeometryState:
     positions = np.stack([rho, z], axis=-1)
     normals = np.stack([sin_p, cos_p], axis=-1)
     return GeometryState(
-        grid=grid, n=2, angles=ang, dx=dx, h=h, hp=hp,
-        r1=r1, r2=r2, r1p=r1p, r2p=r2p, r1pp=r1pp, r2pp=r2pp,
+        grid=grid, n=2, angles=ang, dx=dx, h=h,
+        r1=r1, r2=r2, r1p=r1p, r2p=r2p, r1pp=r1pp,
         K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Hp, Gamma=r1p / r1,
         positions=positions, normals=normals,
         sinphi=sin_p, cosphi=cos_p, cot=cot,

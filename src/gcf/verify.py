@@ -8,10 +8,12 @@ assemblies for the geometric identities use an independent set of
 production stencils.
 
 Suites come in two flavors.  Residual checks at a single state or trace
-return IdentityReport rows with the measured residual per resolution and,
-when at least three resolutions are present, an estimated convergence
-order.  Closed-form checks (round solutions, power-law identities) carry
-absolute tolerances.
+return IdentityReport rows with the measured residual per resolution; a
+report's convergence order is estimated from that ladder itself (given at
+least three resolutions), so a ladder supplies only its resolutions and
+residuals.  Closed-form checks (round solutions, power-law identities)
+carry absolute tolerances.  The pointwise geometric identities are
+assembled once for both n: n picks the stencil family and the parities.
 """
 
 from __future__ import annotations
@@ -78,20 +80,24 @@ class IdentityReport:
     """Residuals of one identity across a resolution ladder.
 
     resolutions go coarse to fine (time spacings, grid spacings, or a
-    single entry for one-shot checks).  order is reported only when at
-    least three resolutions were tested.  When relative is set the finest
-    residual is compared against tolerance * scale.
+    single entry for one-shot checks).  order is estimated from the ladder
+    itself, and only when it has at least three resolutions; order_window,
+    when set, bounds it.  When relative is set the finest residual is
+    compared against tolerance * scale.
     """
 
     identity: str
     resolutions: tuple
     residuals: tuple
     tolerance: float
-    order: float | None = None
     order_window: tuple | None = None
     relative: bool = False
     scale: float = 1.0
     note: str = ""
+
+    @property
+    def order(self) -> float | None:
+        return estimate_order(self.resolutions, self.residuals)
 
     @property
     def finest_residual(self) -> float:
@@ -101,9 +107,10 @@ class IdentityReport:
     def passed(self) -> bool:
         bound = self.tolerance * (self.scale if self.relative else 1.0)
         ok = self.finest_residual <= bound
-        if self.order_window is not None and self.order is not None:
+        order = self.order
+        if self.order_window is not None and order is not None:
             lo, hi = self.order_window
-            ok = ok and (lo <= self.order <= hi)
+            ok = ok and (lo <= order <= hi)
         return ok
 
 
@@ -228,7 +235,6 @@ def _ladder_report(
         resolutions=tuple(spacings),
         residuals=tuple(residuals),
         tolerance=tolerance,
-        order=estimate_order(spacings, residuals),
         order_window=order_window,
         relative=relative,
         scale=float(np.max(scales)),
@@ -243,32 +249,24 @@ def _evolution_parts(sf: SpeedFields, which: str):
     V = sf.fp / st.r1
     Vp = sf.fpp / st.r1 - sf.fp * st.r1p / st.r1**2
     if which == "g":
-        if n == 1:
-            extract = [lambda s: s.r1**2]
-            corr = [V * 2.0 * st.r1 * st.r1p + 2.0 * st.r1**2 * Vp]
-            rhs = [-2.0 * sf.f * st.r1]
-        else:
+        extract = [lambda s: s.r1**2]
+        corr = [V * 2.0 * st.r1 * st.r1p + 2.0 * st.r1**2 * Vp]
+        rhs = [-2.0 * sf.f * st.r1]
+        if n == 2:
             rho = st.r2 * st.sinphi
-            extract = [lambda s: s.r1**2, lambda s: (s.r2 * s.sinphi) ** 2]
-            corr = [
-                V * 2.0 * st.r1 * st.r1p + 2.0 * st.r1**2 * Vp,
-                V * 2.0 * rho * (st.r1 * st.cosphi),
-            ]
-            rhs = [-2.0 * sf.f * st.r1, -2.0 * sf.f * st.r2 * st.sinphi**2]
+            extract.append(lambda s: (s.r2 * s.sinphi) ** 2)
+            corr.append(V * 2.0 * rho * (st.r1 * st.cosphi))
+            rhs.append(-2.0 * sf.f * st.r2 * st.sinphi**2)
     elif which == "h":
-        if n == 1:
-            extract = [lambda s: s.r1]
-            corr = [V * st.r1p + 2.0 * st.r1 * Vp]
-            rhs = [sf.hess - sf.f]
-        else:
+        extract = [lambda s: s.r1]
+        corr = [V * st.r1p + 2.0 * st.r1 * Vp]
+        rhs = [sf.hess - sf.f]
+        if n == 2:
             sin2 = st.sinphi**2
-            extract = [lambda s: s.r1, lambda s: s.r2 * s.sinphi**2]
-            corr = [
-                V * st.r1p + 2.0 * st.r1 * Vp,
-                V * (st.r2p * sin2 + 2.0 * st.r2 * st.sinphi * st.cosphi),
-            ]
+            extract.append(lambda s: s.r2 * s.sinphi**2)
+            corr.append(V * (st.r2p * sin2 + 2.0 * st.r2 * st.sinphi * st.cosphi))
             hess_psi = (st.r2 * st.sinphi * st.cosphi / st.r1) * sf.fp
-            rhs = [sf.hess - sf.f, hess_psi - sf.f * sin2]
+            rhs.append(hess_psi - sf.f * sin2)
     elif which == "f":
         extract = [lambda s: law.f(s.K)]
         corr = [V * sf.fp]
@@ -346,124 +344,84 @@ def check_identities(grid: SupportGrid) -> list:
     and the divergence-free curvature tensor at a single grid.
 
     Each identity's sides are assembled from the embedded positions and
-    the geometry state with 2nd-order stencils.  For n=1 the divergence
-    identity collapses to the definitional curvature relation and is
-    reported with a degenerate note.
+    the geometry state with 2nd-order stencils, once for both n: periodic
+    for n=1; for n=2 reflected at the poles, odd for the distance from the
+    axis and even for the height.  n=2 adds the azimuthal rows of the
+    embedding Hessian.  For n=1 the divergence identity collapses to the
+    definitional curvature relation and is reported with a degenerate note
+    and no order window.
     """
     state = derive_state(grid)
     n, dx = grid.n, grid.spacing
-    reports = []
+    window = (1.7, 99.0)  # the order window of an identity's grid-size ladder
+    if n == 1:
+        d1 = lambda u, parity: stencils.d1_periodic_o2(u, dx)
+        d2 = lambda u, parity: stencils.d2_periodic_o2(u, dx)
+    else:
+        d1 = lambda u, parity: stencils.d1_reflect_o2(u, dx, parity)
+        d2 = lambda u, parity: stencils.d2_reflect_o2(u, dx, parity)
+    parities = ("odd", "even")  # distance from the axis, height (n=2 only)
+    F, nu = state.positions, state.normals
+    Fp = np.stack([d1(F[:, c], parities[c]) for c in (0, 1)], axis=1)
+    g_emb = Fp[:, 0] ** 2 + Fp[:, 1] ** 2
+    gamma = d1(g_emb, "even") / (2.0 * g_emb)
+
+    hess = [(d2(F[:, c], parities[c]) - gamma * Fp[:, c], -state.r1 * nu[:, c]) for c in (0, 1)]
+    if n == 2:
+        # Azimuthal second fundamental form from the parallel circles.
+        rho = F[:, 0]
+        gamma_psi = -rho * Fp[:, 0] / g_emb
+        rhs_psi = -state.r2 * state.sinphi**2
+        hess += [
+            (-rho - gamma_psi * Fp[:, 0], rhs_psi * nu[:, 0]),
+            (-gamma_psi * Fp[:, 1], rhs_psi * nu[:, 1]),
+        ]
+    weingarten = [(d1(nu[:, c], parities[c]), Fp[:, c] / state.r1) for c in (0, 1)]
 
     if n == 1:
-        d1 = lambda u: stencils.d1_periodic_o2(u, dx)
-        d2 = lambda u: stencils.d2_periodic_o2(u, dx)
-        F = state.positions
-        Ft = np.stack([d1(F[:, 0]), d1(F[:, 1])], axis=1)
-        g_emb = Ft[:, 0] ** 2 + Ft[:, 1] ** 2
-        gamma = d1(g_emb) / (2.0 * g_emb)
-        res = 0.0
-        for c in range(2):
-            lhs = d2(F[:, c]) - gamma * d1(F[:, c])
-            rhs = -state.r1 * state.normals[:, c]
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-        reports.append(
-            IdentityReport("hessian-embedding", (dx,), (res,), tolerance=1e-2)
-        )
-
-        res = 0.0
-        for c in range(2):
-            lhs = d1(state.normals[:, c])
-            rhs = Ft[:, c] / state.r1
-            res = max(res, float(np.max(np.abs(lhs - rhs))))
-        reports.append(IdentityReport("weingarten", (dx,), (res,), tolerance=1e-2))
-
         # n=1 divergence of K h^-1 reduces to the definitional K = 1/r.
-        resid = d1(state.K) + d1(state.r1) * state.K / state.r1
-        reports.append(
-            IdentityReport(
-                "curvature-divergence",
-                (dx,),
-                (float(np.max(np.abs(resid))),),
-                tolerance=1e-2,
-                note="degenerate for n=1",
-            )
-        )
-        return reports
+        div = d1(state.K, "even") + d1(state.r1, "even") * state.K / state.r1
+        note, div_window = "degenerate for n=1", None
+    else:
+        # Divergence of K h^-1 in conservation form, weighted by sqrt(det g)
+        # so the residual stays uniformly second order up to the poles.
+        sqrtg = state.r1 * state.r2 * state.sinphi
+        t_phph = state.K / state.r1
+        t_psps = state.K / (state.r2 * state.sinphi**2)
+        gam_phph = d1(state.r1, "even") / state.r1
+        gam_phps = -rho * Fp[:, 0] / state.r1**2
+        div = d1(sqrtg * t_phph, "odd") + sqrtg * (gam_phph * t_phph + gam_phps * t_psps)
+        note, div_window = "", window
 
-    d1e = lambda u: stencils.d1_reflect_o2(u, dx, "even")
-    d1o = lambda u: stencils.d1_reflect_o2(u, dx, "odd")
-    d2e = lambda u: stencils.d2_reflect_o2(u, dx, "even")
-    d2o = lambda u: stencils.d2_reflect_o2(u, dx, "odd")
-    rho, z = state.positions[:, 0], state.positions[:, 1]
-    Fp = np.stack([d1o(rho), d1e(z)], axis=1)
-    g_emb = Fp[:, 0] ** 2 + Fp[:, 1] ** 2
-    gamma = d1e(g_emb) / (2.0 * g_emb)
+    def worst(pairs):
+        """The largest |lhs - rhs| over an identity's (lhs, rhs) rows."""
+        return max(0.0, *(float(np.max(np.abs(lhs - rhs))) for lhs, rhs in pairs))
 
-    res = 0.0
-    dd = [d2o(rho), d2e(z)]
-    for c in range(2):
-        lhs = dd[c] - gamma * Fp[:, c]
-        rhs = -state.r1 * state.normals[:, c]
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    # Azimuthal second fundamental form from the parallel circles.
-    gamma_psi = -rho * d1o(rho) / g_emb
-    lhs_rho = -rho - gamma_psi * Fp[:, 0]
-    lhs_z = -gamma_psi * Fp[:, 1]
-    rhs_psi = -state.r2 * state.sinphi**2
-    res = max(res, float(np.max(np.abs(lhs_rho - rhs_psi * state.normals[:, 0]))))
-    res = max(res, float(np.max(np.abs(lhs_z - rhs_psi * state.normals[:, 1]))))
-    reports.append(IdentityReport("hessian-embedding", (dx,), (res,), tolerance=1e-2))
-
-    res = 0.0
-    dnu = [d1o(state.normals[:, 0]), d1e(state.normals[:, 1])]
-    for c in range(2):
-        res = max(res, float(np.max(np.abs(dnu[c] - Fp[:, c] / state.r1))))
-    reports.append(IdentityReport("weingarten", (dx,), (res,), tolerance=1e-2))
-
-    # Divergence of K h^-1 in conservation form, weighted by sqrt(det g)
-    # so the residual stays uniformly second order up to the poles.
-    sqrtg = state.r1 * state.r2 * state.sinphi
-    t_phph = state.K / state.r1
-    t_psps = state.K / (state.r2 * state.sinphi**2)
-    gam_phph = d1e(state.r1) / state.r1
-    gam_phps = -rho * d1o(rho) / state.r1**2
-    resid = d1o(sqrtg * t_phph) + sqrtg * (gam_phph * t_phph + gam_phps * t_psps)
-    reports.append(
+    return [
+        IdentityReport("hessian-embedding", (dx,), (worst(hess),), 1e-2, order_window=window),
+        IdentityReport("weingarten", (dx,), (worst(weingarten),), 1e-2, order_window=window),
         IdentityReport(
-            "curvature-divergence",
-            (dx,),
-            (float(np.max(np.abs(resid))),),
-            tolerance=1e-2,
-        )
-    )
-    return reports
+            "curvature-divergence", (dx,), (float(np.max(np.abs(div))),), 1e-2,
+            order_window=div_window, note=note,
+        ),
+    ]
 
 
-def identity_convergence(make_grid, sizes, order_window=(1.7, None)) -> list:
+def identity_convergence(make_grid, sizes) -> list:
     """Run check_identities over a grid-size ladder and merge the rows.
 
-    make_grid maps a size to a SupportGrid; sizes go coarse to fine.
+    make_grid maps a size to a SupportGrid; sizes go coarse to fine.  Each
+    merged row keeps the order window of its check_identities report.
     """
     per_size = [check_identities(make_grid(s)) for s in sizes]
-    merged = []
-    for idx, rep in enumerate(per_size[0]):
-        spacings = tuple(r[idx].resolutions[0] for r in per_size)
-        residuals = tuple(r[idx].residuals[0] for r in per_size)
-        window = None if rep.note else (
-            (order_window[0], order_window[1] if order_window[1] is not None else 99.0)
+    return [
+        replace(
+            rep,
+            resolutions=tuple(r[i].resolutions[0] for r in per_size),
+            residuals=tuple(r[i].residuals[0] for r in per_size),
         )
-        merged.append(
-            IdentityReport(
-                identity=rep.identity,
-                resolutions=spacings,
-                residuals=residuals,
-                tolerance=rep.tolerance,
-                order=estimate_order(spacings, residuals),
-                order_window=window,
-                note=rep.note,
-            )
-        )
-    return merged
+        for i, rep in enumerate(per_size[0])
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,26 @@ def test_run_of_a_huge_round_body_is_silent(tmp_path, capsys):
     assert (meta["steps"], meta["dt_min"], meta["dt_max"]) == (1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("beta,R0", [(-0.9, 1e200), (-0.95, 1e160)], ids=["nan-lambda", "inf-lambda"])
+def test_run_of_a_huge_round_body_whose_f1_overflows_is_silent(tmp_path, capsys, beta, R0):
+    # f1(K) overflows while K*K underflows; lambda itself is tiny, so the
+    # flow takes one step of its whole time span
+    cfg = tmp_path / "cfg.json"
+    write_config(
+        cfg, speed={"a": -1.0, "beta": beta}, initial={"type": "circle", "R0": R0},
+        time={"t_end": 1.0},
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["termination_reason"], meta["steps"], meta["dt_min"], meta["dt_max"]) == (
+        "completed", 1, 1.0, 1.0
+    )
+
+
 def test_run_rejects_exponent_out_of_range(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, n=2, speed={"a": -1.0, "beta": -0.9}, grid={"N": 32})

@@ -323,6 +323,43 @@ def test_a_huge_round_body_steps_its_remaining_time_silently():
     assert (trace.steps, trace.dt_min, trace.dt_max, trace.times) == (1, 1.0, 1.0, [0.0, 1.0])
 
 
+# f1(K) overflows to inf on these bodies while K*K underflows to 0 (a NaN
+# lambda) or to a subnormal (an inf lambda); lambda = b*K**(1-b) itself is
+# tiny, so the step bound exceeds the time span.
+F1_OVERFLOWS = [(-0.9, 1e200), (-0.95, 1e160)]
+
+
+@pytest.mark.parametrize("beta,R0", F1_OVERFLOWS, ids=["nan-lambda", "inf-lambda"])
+def test_a_huge_round_body_whose_f1_overflows_steps_its_remaining_time(beta, R0):
+    law = SpeedLaw.power(-1.0, beta)
+    huge = FlowConfig(n=1, size=64, law=law, shape=InitialShape("round", R0), t_end=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = stable_dt(huge.build_grid(), law)
+        trace = run(huge)
+        configs = _mixed_configs(2)[:4]
+        configs.insert(1, huge)
+        together = run_ensemble(configs)
+    assert 1.0 < bound < math.inf
+    assert trace.reason == "completed"
+    assert (trace.steps, trace.dt_min, trace.dt_max, trace.times) == (1, 1.0, 1.0, [0.0, 1.0])
+    # the other rows' bounds keep their bits beside it
+    for cfg, got in zip(configs, together):
+        assert_same_trace(got, run(cfg))
+
+
+def test_a_lambda_beyond_the_float_range_still_ends_dt_underflow():
+    # f1(K) * K*K overflows for K = 1e11 and a contracting K**27: lambda is
+    # beyond the float range, so the bound is 0, formed again or not
+    law = SpeedLaw.power(1.0, 27.0)
+    cfg = FlowConfig(n=1, size=32, law=law, shape=InitialShape("round", 1e-11), t_end=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stable_dt(cfg.build_grid(), law) == 0.0
+        trace = run(cfg)
+    assert (trace.reason, trace.steps, trace.times) == ("dt_underflow", 0, [0.0])
+
+
 @pytest.mark.parametrize("early", [EARLY_ENDS[0], EARLY_ENDS[3]], ids=lambda e: e[-1])
 def test_ensemble_row_ends_early_as_alone(early):
     beta, modes, safety, fixed_dt, t_end, reason = early

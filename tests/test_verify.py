@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,11 +88,26 @@ def test_hessian_oracle_matches_christoffel_route():
 # --- pointwise identities ------------------------------------------------------
 
 
-def test_identities_round_circle_residuals_small():
-    reps = {r.identity: r for r in check_identities(round_grid(1, 1.0, 256))}
+@pytest.mark.parametrize(
+    "n,size,note", [(1, 256, "degenerate for n=1"), (2, 128, "")], ids=["n1", "n2"]
+)
+def test_identities_round_circle_residuals_small(n, size, note):
+    reps = {r.identity: r for r in check_identities(round_grid(n, 1.0, size))}
     assert reps["hessian-embedding"].finest_residual <= 1e-4
     assert reps["weingarten"].finest_residual <= 1e-4
-    assert reps["curvature-divergence"].note == "degenerate for n=1"
+    assert reps["curvature-divergence"].note == note
+
+
+def test_a_replaced_ladder_reports_its_own_order():
+    shape = InitialShape("fourier", 1.0, ((3, 0.05),))
+    rep = identity_convergence(lambda s: shape.build(1, s), sizes=(64, 128, 256))[0]
+    assert rep.identity == "hessian-embedding" and rep.order_window == (1.7, 99.0)
+    assert rep.order == estimate_order(rep.resolutions, rep.residuals) >= 1.7
+    assert rep.passed
+    # first-order residuals on the same ladder: the order falls out of the window
+    first = replace(rep, residuals=tuple(1e-3 * h / rep.resolutions[-1] for h in rep.resolutions))
+    assert first.order == pytest.approx(1.0)
+    assert not first.passed
 
 
 def test_identities_converge_second_order_on_perturbed_circle():

@@ -1,4 +1,5 @@
-"""Print the sha256 of every CSV that a fixed set of `gcf` runs writes.
+"""Print the sha256 of every CSV and meta.json that a fixed set of `gcf`
+runs writes.
 
     python3 tools/csv_digests.py OUT_DIR [--seed N] [--expect FILE]
 
@@ -6,11 +7,15 @@ Runs, in-process through `gcf.cli.main` and from the `src/` of this
 checkout, the benchmark's surface-dense and sweep-mixed configs for the
 seed (generated by `perfbench/workloads.build`), the two fixed configs of
 FIXED, and the six verification suites with `--out`, all under OUT_DIR.
-That is 32 CSVs.  Prints one `sha256  path` line per CSV, paths relative
-to OUT_DIR, sorted.  Run it in two checkouts and diff the outputs to show
-that a change leaves every CSV byte-identical, or save the listing of one
-checkout and pass it to the other with --expect FILE: then every CSV whose
-digest differs from FILE's, or that only one of the two lists, is named on
+That is 32 CSVs and 23 meta.json files (one per run and per completed
+sweep tuple).  A CSV's digest is that of its bytes; a meta.json's is that
+of its JSON without the timing keys (TIMING_KEYS), so it covers the steps,
+the RHS evaluations and the dt range.  Prints one `sha256  path` line per
+file, paths relative to OUT_DIR, sorted.  Run it in two checkouts and diff
+the outputs to show that a change leaves every CSV byte-identical and
+every run's record unchanged, or save the listing of one checkout and
+pass it to the other with --expect FILE: then every file whose digest
+differs from FILE's, or that only one of the two lists, is named on
 stderr, and the exit status is 1.
 """
 
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import sys
@@ -44,6 +50,28 @@ FIXED = {
         "time": {"t_end": 0.02}, "output": {"stride": 3},
     }),
 }
+
+
+# The meta.json keys that hold wall times, which differ from run to run.
+TIMING_KEYS = ("wall_time_s", "phase_wall_s")
+
+
+def meta_digest(text: str) -> str:
+    """sha256 of a meta.json's JSON text without its TIMING_KEYS."""
+    meta = json.loads(text)
+    for key in TIMING_KEYS:
+        meta.pop(key, None)
+    return hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()
+
+
+def meta_digests(out_dir: str) -> dict:
+    """meta_digest of every meta.json under out_dir, keyed by relative path."""
+    found = {}
+    for base, _, files in os.walk(out_dir):
+        if "meta.json" in files:
+            path = os.path.join(base, "meta.json")
+            found[os.path.relpath(path, out_dir)] = meta_digest(Path(path).read_text())
+    return found
 
 
 def calls(out_dir: str, seed: int) -> list:
@@ -80,6 +108,7 @@ def main(argv=None) -> int:
             print(f"gcf {' '.join(call)} exited {rc}", file=sys.stderr)
             return 1
     digests, _, _ = workloads.scan(args.out_dir)
+    digests = dict(sorted({**digests, **meta_digests(args.out_dir)}.items()))
     for path, digest in digests.items():
         print(f"{digest}  {path}")
     if args.expect is None:
@@ -87,7 +116,7 @@ def main(argv=None) -> int:
     differ = changed(read_listing(args.expect), digests)
     for path, why in differ:
         print(f"{path}: {why}", file=sys.stderr)
-    print(f"{len(differ)} of {len(digests)} CSVs differ from {args.expect}", file=sys.stderr)
+    print(f"{len(differ)} of {len(digests)} files differ from {args.expect}", file=sys.stderr)
     return 1 if differ else 0
 
 
@@ -97,13 +126,13 @@ def read_listing(path: str) -> dict:
     with open(path) as fh:
         for line in fh:
             if line.strip():
-                digest, csv = line.split()
-                listing[csv] = digest
+                digest, name = line.split()
+                listing[name] = digest
     return listing
 
 
 def changed(expected: dict, digests: dict) -> list:
-    """(path, reason) of each CSV whose digest differs, or that one side lacks."""
+    """(path, reason) of each file whose digest differs, or that one side lacks."""
     out = []
     for path in sorted(expected.keys() | digests.keys()):
         if path not in digests:
