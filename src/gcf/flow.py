@@ -15,16 +15,19 @@ oracles for the integrator.
 
 Each step is held near the floor of the numpy calls it must make: its
 checks are minimum and maximum reductions compared inline, the check
-functions of geometry running only to raise on a failure, and numpy's
-floating-point warnings are turned off once per ensemble's time loop
-(_run_rows), not once per step; step() turns them off for its one step.
+functions of geometry running row by row only after a failure, and
+numpy's floating-point warnings are turned off once per ensemble's time
+loop (_run_rows), not once per step; step() turns them off for its one
+step.
 
 Runs are stepped as ensembles: the configs of one call that share a law
 kind are the rows of one flat array, whatever their n and size (see
 geometry.FlatLayout), and every RK4 stage updates all rows at once.  The
 arithmetic of each row is that of a solo run, so a config's trace does not
 depend on the ensemble it ran in (see ensembles() for the power laws that
-need equal laws beside them for that).
+need equal laws beside them for that).  A step that fails ends only its
+failing rows, with what each one's own step would raise; the other rows
+keep the values it computed.
 """
 
 from __future__ import annotations
@@ -153,8 +156,8 @@ class FlowTrace:
     steps counts the accepted RK4 steps; dt_min and dt_max bound their
     sizes, and are None while no step has been accepted.  rhs_evals counts
     the right-hand-side evaluations of every step attempted, 4 per RK4
-    step: those accepted, one that failed, and the step of a row taken
-    again alone after its ensemble's joint step failed.
+    step: those accepted and the one that failed, if one did.  A trace
+    does not depend on the ensemble its config ran in.
     """
 
     n: int
@@ -187,19 +190,20 @@ def _rk4(law: FlatLaws, layout: FlatLayout, h: np.ndarray, K: np.ndarray, dt) ->
 
     K is the checked curvature of h; dt is a float, or one step per
     element.  Every stage derives the curvature from its stage values; the
-    stages' radii are kept and checked once, after the last stage, so a
-    stage that loses convexity raises NonConvex.  Its NaN or inf values run
-    on through the later stages and are discarded with the step, so the
-    caller turns numpy's floating-point warnings off.  Then new values that
-    are not finite and positive raise OriginOutside, and a new state that
-    is not strictly convex raises NonConvex.  Returns the new values with
-    their checked (radii, K), as the layout splits them.
+    stages' radii are kept and checked once, after the last stage.  A
+    stage's NaN or inf values run on through the later stages, so the
+    caller turns numpy's floating-point warnings off.  Then the new values
+    are checked, and last the new state's radii.  Returns the new values
+    with their (radii, K), as the layout splits them, and the failures:
+    None if the step passed every check, else per row the exception its
+    own step raises (see _row_failure) or None.  Rows that failed hold
+    values to be discarded; the others hold their step.
 
-    Each check is one minimum and one maximum, compared inline;
-    require_convex and require_admissible run only on a failure, to raise
-    their exceptions.  The stages carry the law values f rather than the
-    rates -f: negating a product or a sum is exact, so h - c*f is bit for
-    bit h + c*(-f).
+    Each check is one minimum and one maximum over all rows, compared
+    inline; the rows are checked one by one only after one of these
+    fails.  The stages carry the law values f rather than the rates -f:
+    negating a product or a sum is exact, so h - c*f is bit for bit
+    h + c*(-f).
     """
     radii, gauss, f = layout.radii, layout.gauss, law.f
     half = 0.5 * dt
@@ -209,14 +213,31 @@ def _rk4(law: FlatLaws, layout: FlatLayout, h: np.ndarray, K: np.ndarray, dt) ->
     f3 = f(gauss(radii(h - half * f2, stages[1])))
     f4 = f(gauss(radii(h - dt * f3, stages[2])))
     new = h - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    if not (_minimum(stages, axis=None) > RADIUS_FLOOR and _maximum(stages, axis=None) < math.inf):
-        require_convex(stages)
-    if not (_minimum(new) > 0.0 and _maximum(new) < math.inf):
-        require_admissible(new)
+    checked = (_minimum(stages, axis=None) > RADIUS_FLOOR and _maximum(stages, axis=None) < math.inf
+               and _minimum(new) > 0.0 and _maximum(new) < math.inf)
     r = radii(new)
-    if not (_minimum(r) > RADIUS_FLOOR and _maximum(r) < math.inf):
-        require_convex(r)
-    return new, layout.split(r), gauss(r)
+    failures = None
+    if not (checked and _minimum(r) > RADIUS_FLOOR and _maximum(r) < math.inf):
+        failures = [_row_failure(layout, j, stages, new, r) for j in range(len(layout.rows))]
+    return new, layout.split(r), gauss(r), failures
+
+
+def _row_failure(layout: FlatLayout, j: int, stages, new, r) -> Exception | None:
+    """The NonConvex or OriginOutside that row j's own step raises, or None.
+
+    The checks are a solo step's, in its order, on row j's part of a flat
+    step: its radii of all three stages together, then its new values,
+    then its new radii.  A row's arithmetic in a flat step is that of its
+    solo step, so the exception and its message are the solo step's.
+    """
+    start = int(layout.starts[j])
+    try:
+        require_convex(layout.row_radii(j, stages))
+        require_admissible(new[start:start + int(layout.sizes[j])])
+        require_convex(layout.row_radii(j, r))
+    except (NonConvex, OriginOutside) as exc:
+        return exc
+    return None
 
 
 def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
@@ -234,9 +255,11 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
         raise ValueError("dt must be non-negative")
     layout = row_layout(grid.n, grid.size, grid.spacing)
     with np.errstate(all="ignore"):
-        values, radii, K = _rk4(
+        values, radii, K, failures = _rk4(
             FlatLaws([law], [grid.size]), layout, grid.values, grid.curvature()[1], dt
         )
+    if failures:
+        raise failures[0]
     return SupportGrid.with_curvature(grid.n, values, radii, K)
 
 
@@ -313,10 +336,11 @@ def run_ensemble(configs) -> list:
     fixed_dt, or the smaller of its own step bound and its remaining
     time), time, step count, stored states and termination reason.  A row
     that completes or ends early leaves the ensemble and the other rows
-    run on.  Each row is computed with the arithmetic of a solo run, so
-    every trace equals run(config) exactly; only its rhs_evals also counts
-    the steps it took again alone after a joint step failed.  Returns the
-    traces in the order of configs.
+    run on; so does a row whose step fails, which ends as run(config)
+    would, while the others keep the values that step computed for them.
+    Each row is computed with the arithmetic of a solo run, so every trace
+    equals run(config) exactly, its step count, RHS evaluations and dt
+    range included.  Returns the traces in the order of configs.
     """
     configs = list(configs)
     traces = [None] * len(configs)
@@ -403,6 +427,7 @@ class _Row:
     def end(self, reason: str, grid: SupportGrid) -> None:
         """End early at the last accepted state, stored unless it already is."""
         self.trace.reason = reason
+        self.running = False
         if self.trace.times[-1] < self.t:
             self.store(grid)
 
@@ -482,45 +507,14 @@ def _run_rows(rows: list) -> list:
                     batch = batch.keep(planned)
                     if batch is None:
                         break
-            try:
-                batch.h, batch.radii, batch.K = _rk4(
-                    batch.law, batch.layout, batch.h, batch.K, batch.dt()
-                )
-            except (NonConvex, OriginOutside) as exc:
-                batch = _step_rows_alone(batch, exc)
-                if batch is None:
-                    break
+            h, radii, K, failures = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
+            for j, exc in enumerate(failures or ()):
+                if exc is not None:  # the row ends, its failed step counted
+                    batch.rows[j].trace.rhs_evals += 4
+                    batch.rows[j].end(_REASONS[type(exc)], batch.grid(j))
+            batch.h, batch.radii, batch.K = h, radii, K
             for j, row in enumerate(batch.rows):
-                if row.advance():
+                if row.running and row.advance():
                     row.store(batch.grid(j))
             batch = batch.keep([row.running for row in batch.rows])
     return traces
-
-
-def _step_rows_alone(batch: _Batch, exc: Exception) -> _Batch | None:
-    """After a batch's joint step raised exc, step each of its rows alone.
-
-    The failed step counts as attempted by every row.  A batch of one row
-    ends it with exc as its reason.  Otherwise a row whose own step fails
-    ends with that failure as its reason, exactly where a solo run would;
-    the batch of the other rows is returned stepped (None if none is
-    left).
-    """
-    for row in batch.rows:
-        row.trace.rhs_evals += 4
-    if len(batch.rows) == 1:
-        batch.rows[0].end(_REASONS[type(exc)], batch.grid(0))
-        return None
-    rows, results = [], []
-    for j, row in enumerate(batch.rows):
-        n, size, dx = batch.layout.rows[j]
-        h, _, K = batch.row(j)
-        law = FlatLaws([row.cfg.law], [size])
-        try:
-            results.append(_rk4(law, row_layout(n, size, dx), h, K, row.dt))
-        except (NonConvex, OriginOutside) as own:
-            row.trace.rhs_evals += 4
-            row.end(_REASONS[type(own)], batch.grid(j))
-        else:
-            rows.append(row)
-    return _Batch.of(rows, results)

@@ -268,6 +268,15 @@ class FlatLayout:
             r += (radii[1][start - self.tail:nodes.stop - self.tail],)
         return h[nodes], r, K[nodes]
 
+    def row_radii(self, j: int, r: np.ndarray) -> np.ndarray:
+        """Row j's entries of flat radii r, along r's last axis: its r1, then its r2."""
+        start = int(self.starts[j])
+        stop = start + int(self.sizes[j])
+        if self.rows[j][0] == 1:
+            return r[..., start:stop]
+        shift = self.size - self.tail
+        return np.concatenate((r[..., start:stop], r[..., start + shift:stop + shift]), axis=-1)
+
     def grid(self, j: int, h: np.ndarray, radii: tuple, K: np.ndarray) -> SupportGrid:
         """Row j of a flat state as a grid of its own, with its curvature kept."""
         values, r, K = self.row(j, h, radii, K)
@@ -282,25 +291,13 @@ def row_layout(n: int, size: int, dx: float) -> FlatLayout:
     return FlatLayout(((n, size, dx),))
 
 
-def _d1(n, u, dx, parity="even"):
-    if n == 1:
-        return stencils.d1_periodic(u, dx)
-    return stencils.d1_reflect(u, dx, parity)
-
-
-def _d2(n, u, dx, parity="even"):
-    if n == 1:
-        return stencils.d2_periodic(u, dx)
-    return stencils.d2_reflect(u, dx, parity)
-
-
 @dataclass(frozen=True)
 class GeometryState:
     """All pointwise geometry derived from one support grid, or a stack.
 
     Radii, curvatures, the embedding, and the chain-rule derivative bundle
-    (first angular derivatives of the radii, K and H, and second ones of r1
-    and K) used by downstream fields.  For n=1, r2 and the azimuthal entries are None.
+    (first angular derivatives of the radii, K and H, and the second one of
+    K) used by downstream fields.  For n=1, r2 and the azimuthal entries are None.
     A stacked state (see derive_state) holds S grids as (S, N) rows; d1,
     d2, grad_norm_sq_h, h_norm_sq and box_op work along the last axis, so
     they serve both.
@@ -315,7 +312,6 @@ class GeometryState:
     r2: np.ndarray | None
     r1p: np.ndarray
     r2p: np.ndarray | None
-    r1pp: np.ndarray
     K: np.ndarray
     Kp: np.ndarray
     Kpp: np.ndarray
@@ -335,11 +331,11 @@ class GeometryState:
     def radii(self) -> tuple:
         return (self.r1,) if self.n == 1 else (self.r1, self.r2)
 
-    def d1(self, u, parity="even"):
-        return _d1(self.n, u, self.dx, parity)
+    def d1(self, u):
+        return (stencils.d1_periodic if self.n == 1 else stencils.d1_reflect)(u, self.dx)
 
-    def d2(self, u, parity="even"):
-        return _d2(self.n, u, self.dx, parity)
+    def d2(self, u):
+        return (stencils.d2_periodic if self.n == 1 else stencils.d2_reflect)(u, self.dx)
 
 
 def stack_grids(grids) -> tuple:
@@ -405,7 +401,7 @@ def derive_state(grid) -> GeometryState:
         positions = h[..., None] * normals + hp[..., None] * tangents
         return GeometryState(
             grid=grid, n=1, angles=ang, dx=dx, h=h,
-            r1=r1, r2=None, r1p=r1p, r2p=None, r1pp=r1pp,
+            r1=r1, r2=None, r1p=r1p, r2p=None,
             K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Kp, Gamma=r1p / r1,
             positions=positions, normals=normals,
             sinphi=None, cosphi=None, cot=None,
@@ -414,11 +410,11 @@ def derive_state(grid) -> GeometryState:
     r1, r2 = radii
     sin_p, cos_p = np.sin(ang), np.cos(ang)
     cot = _polar_cot(h.shape[-1])
-    hp = stencils.d1_reflect(h, dx, "even")
-    r1p = stencils.d1_reflect(r1, dx, "even")
+    hp = stencils.d1_reflect(h, dx)
+    r1p = stencils.d1_reflect(r1, dx)
     # Closed forms below keep every pole-singular factor analytic.
     r2p = (r1 - r2) * cot
-    r1pp = stencils.d2_reflect(r1, dx, "even")
+    r1pp = stencils.d2_reflect(r1, dx)
     r2pp = (r1p - r2p) * cot - (r1 - r2) / sin_p**2
     L1 = r1p / r1 + r2p / r2
     Kp = -K * L1
@@ -431,7 +427,7 @@ def derive_state(grid) -> GeometryState:
     normals = np.stack([sin_p, cos_p], axis=-1)
     return GeometryState(
         grid=grid, n=2, angles=ang, dx=dx, h=h,
-        r1=r1, r2=r2, r1p=r1p, r2p=r2p, r1pp=r1pp,
+        r1=r1, r2=r2, r1p=r1p, r2p=r2p,
         K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Hp, Gamma=r1p / r1,
         positions=positions, normals=normals,
         sinphi=sin_p, cosphi=cos_p, cot=cot,

@@ -365,6 +365,27 @@ def test_sweep_tuples_match_solo_runs(tmp_path):
         assert meta["wall_time_s"] > 0.0
 
 
+def test_sweep_tuple_record_independent_of_a_failing_neighbour(tmp_path):
+    # beside a tuple whose flow loses convexity, the other tuple's record is
+    # the one it has alone: the failed step ends only the failing row
+    base = {"grid": {"N": 32}, "time": {"t_end": 1.0, "safety": 1.0}, "output": {"stride": 2}}
+    ok, failing = {"n": 1, "b": 0.8}, {"n": 2, "b": 0.2}
+    metas = []
+    for name, tuples, rc in (("alone", [ok], 0), ("beside", [ok, failing], 1)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"tuples": tuples, **base}))
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == rc
+        meta = json.loads((out / "tuple_0000" / "meta.json").read_text())
+        metas.append({k: v for k, v in meta.items()
+                      if k not in ("wall_time_s", "phase_wall_s", "ensemble_size")})
+    _, rows = read_csv(tmp_path / "beside" / "sweep.csv")
+    assert [row[4] for row in rows] == ["ok", "failed:nonconvex"]
+    assert metas[0]["termination_reason"] == "completed"
+    assert metas[0]["rhs_evals"] == 4 * metas[0]["steps"]
+    assert metas[1] == metas[0]
+
+
 def test_sweep_csv_independent_of_tuple_order(tmp_path):
     order = [4, 2, 0, 5, 1, 3]
     outs = [

@@ -309,9 +309,9 @@ def test_monitor_derives_its_states_as_one_stack(monkeypatch):
 
     d1 = GeometryState.d1
 
-    def counting_d1(self, u, parity="even"):
+    def counting_d1(self, u):
         d1_args.append(u)
-        return d1(self, u, parity)
+        return d1(self, u)
 
     monkeypatch.setattr(harnack, "derive_state", counting)
     monkeypatch.setattr(GeometryState, "d1", counting_d1)
