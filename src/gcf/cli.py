@@ -1,7 +1,8 @@
 """Configuration-driven command line: run flows, emit Harnack monitors,
 execute verification suites, sweep parameters.
 
-All outputs are flat files written atomically (temp file + rename):
+Configs are read, and outputs written, as UTF-8 in any locale.  All
+outputs are flat files written atomically (temp file + rename):
 trace.csv, harnack.csv, report.csv, sweep.csv, and a meta.json with the
 echoed configuration, the run's steps and right-hand-side evaluations,
 and the wall time of each of its phases (step, monitor, write).  Timing
@@ -58,6 +59,11 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _echo(value) -> str:
+    """str(value) with any non-ASCII character escaped, so any locale can print it."""
+    return str(value).encode("ascii", "backslashreplace").decode("ascii")
+
+
 def _number_or_blank(x) -> str:
     try:
         return _fmt(x)
@@ -75,7 +81,7 @@ def _atomic_write(path: str, text) -> None:
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -85,7 +91,7 @@ def _atomic_write(path: str, text) -> None:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise InvalidConfig("the config must be a JSON object")
@@ -144,7 +150,8 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
     )
 
 
-def _meta(doc: dict, law: SpeedLaw, wall: float, trace, command: str, **extra) -> str:
+def _meta(doc: dict, wall: float, trace, command: str, **extra) -> str:
+    law = trace.law
     payload = {
         "command": command,
         "config": doc,
@@ -215,9 +222,7 @@ def _report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_run(
-    out_dir: str, doc: dict, law: SpeedLaw, wall: float, trace, command: str, phases: dict
-) -> int:
+def _write_run(out_dir: str, doc: dict, wall: float, trace, command: str, phases: dict) -> int:
     """Write trace.csv and meta.json of a run; the exit code its end gives.
 
     phases holds the wall seconds of the run's phases so far; the time of
@@ -229,7 +234,7 @@ def _write_run(
     phases["write"] = phases.get("write", 0.0) + time.monotonic() - start
     _atomic_write(
         os.path.join(out_dir, "meta.json"),
-        _meta(doc, law, wall, trace, command, phase_wall_s=phases),
+        _meta(doc, wall, trace, command, phase_wall_s=phases),
     )
     if trace.reason != "completed":
         print(f"flow terminated early: {trace.reason}", file=sys.stderr)
@@ -247,20 +252,20 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     start = time.monotonic()
     trace = run(cfg)
     wall = time.monotonic() - start
-    code = _write_run(out_dir, doc, cfg.law, wall, trace, "run", {"step": wall})
+    code = _write_run(out_dir, doc, wall, trace, "run", {"step": wall})
     if code == EXIT_OK:
         print(f"completed: {len(trace)} stored states -> {out_dir}/trace.csv")
     return code
 
 
-def _monitor_and_write(trace, law: SpeedLaw, out_dir: str, phases: dict) -> MarginSummary:
+def _monitor_and_write(trace, out_dir: str, phases: dict) -> MarginSummary:
     """Monitor a trace and write out_dir/harnack.csv; the margin summary.
 
     The wall seconds of monitoring and of writing are set as phases'
     "monitor" and "write".
     """
     start = time.monotonic()
-    table = monitor(trace, law, t0=0.0)
+    table = monitor(trace, t0=0.0)
     monitored = time.monotonic()
     _atomic_write(os.path.join(out_dir, "harnack.csv"), _harnack_csv(table))
     phases["monitor"], phases["write"] = monitored - start, time.monotonic() - monitored
@@ -287,12 +292,12 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
     trace = run(cfg)
     phases = {"step": time.monotonic() - start}
     try:
-        summary = _monitor_and_write(trace, cfg.law, out_dir, phases)
+        summary = _monitor_and_write(trace, out_dir, phases)
     except InsufficientTrace as exc:
         # A completed run that stored too few states is misconfigured
         # (output.stride too coarse); an early end keeps its own exit code.
         wall = time.monotonic() - start
-        code = _write_run(out_dir, doc, cfg.law, wall, trace, "harnack", phases)
+        code = _write_run(out_dir, doc, wall, trace, "harnack", phases)
         if code != EXIT_OK:
             return code
         print(f"config error: {exc}", file=sys.stderr)
@@ -302,7 +307,7 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         f"min_margin = {summary.min_margin:.6e} (relative {summary.min_margin_rel:.6e}, "
         f"scale {summary.max_abs_P:.6e})"
     )
-    return _write_run(out_dir, doc, cfg.law, wall, trace, "harnack", phases)
+    return _write_run(out_dir, doc, wall, trace, "harnack", phases)
 
 
 def cmd_verify(suite: str, out_dir: str | None = None) -> int:
@@ -366,7 +371,7 @@ def _sweep_failed(row: dict, exc: Exception) -> None:
         print(f"tuple {row['index']} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
-def _sweep_one(row, doc, cfg, trace, wall: float, ensemble_size: int, out_dir: str) -> None:
+def _sweep_one(row, doc, trace, wall: float, ensemble_size: int, out_dir: str) -> None:
     """Monitor one tuple's trace; write its harnack.csv and meta.json.
 
     wall is the stepping time of the tuple's whole ensemble, which is also
@@ -379,10 +384,10 @@ def _sweep_one(row, doc, cfg, trace, wall: float, ensemble_size: int, out_dir: s
         return
     sub = os.path.join(out_dir, f"tuple_{row['index']:04d}")
     phases = {"step": wall}
-    row.update(_monitor_and_write(trace, cfg.law, sub, phases)._asdict())
+    row.update(_monitor_and_write(trace, sub, phases)._asdict())
     _atomic_write(
         os.path.join(sub, "meta.json"),
-        _meta(doc, cfg.law, wall, trace, "sweep", ensemble_size=ensemble_size, phase_wall_s=phases),
+        _meta(doc, wall, trace, "sweep", ensemble_size=ensemble_size, phase_wall_s=phases),
     )
 
 
@@ -418,9 +423,9 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
                 pending[:0] = [[m] for m in members]
             continue
         wall = time.monotonic() - start
-        for (row, tuple_doc, cfg), trace in zip(members, traces):
+        for (row, tuple_doc, _), trace in zip(members, traces):
             try:
-                _sweep_one(row, tuple_doc, cfg, trace, wall, len(members), out_dir)
+                _sweep_one(row, tuple_doc, trace, wall, len(members), out_dir)
             except Exception as exc:
                 _sweep_failed(row, exc)
     lines = ["index,n,b,shape,status,min_margin,min_margin_rel,max_abs_P"]
@@ -443,7 +448,7 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
     bad = [r for r in rows if r["status"] != "ok"]
     for row in rows:
         print(
-            f"tuple {row['index']}: n={row['n']} b={row['b']} -> {row['status']}"
+            f"tuple {row['index']}: n={_echo(row['n'])} b={_echo(row['b'])} -> {row['status']}"
             + (
                 f", min_margin_rel={row['min_margin_rel']:.3e}"
                 if row["status"] == "ok"

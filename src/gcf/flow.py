@@ -153,6 +153,8 @@ class FlowConfig:
 class FlowTrace:
     """Stored states of one run, the reason it stopped, and its steps.
 
+    n and law are the run's own: everything that evaluates the law on the
+    stored states (harnack.monitor, the verify checks) reads it here.
     steps counts the accepted RK4 steps; dt_min and dt_max bound their
     sizes, and are None while no step has been accepted.  rhs_evals counts
     the right-hand-side evaluations of every step attempted, 4 per RK4
@@ -318,40 +320,32 @@ def run(config):
     fixed_dt is set.  Stores the initial state, every stride-th state, and
     the final state.  Loss of convexity, the origin leaving the body, or a
     dt underflow terminates early: the last accepted state is stored and
-    the partial trace is returned with the reason recorded.  Given a list
-    of configs instead of one config, returns their traces from
-    run_ensemble.
+    the partial trace is returned with the reason recorded.
+
+    Given a list of configs instead of one config, returns their traces in
+    its order, stepping configs together.  Each ensemble (see ensembles())
+    lays its configs' support values end to end in one flat array,
+    whatever their n and size, so one RK4 step updates every row.  Each
+    row keeps its own law parameters, step (its fixed_dt, or the smaller
+    of its own step bound and its remaining time), time, step count,
+    stored states and termination reason.  A row that completes or ends
+    early leaves the ensemble and the other rows run on; so does a row
+    whose step fails, which ends as its solo run would, while the others
+    keep the values that step computed for them.  Each row is computed
+    with the arithmetic of a solo run, so every trace equals run(config)
+    exactly, its step count, RHS evaluations and dt range included.
     """
-    if isinstance(config, FlowConfig):
-        return run_ensemble([config])[0]
-    return run_ensemble(config)
-
-
-def run_ensemble(configs) -> list:
-    """Run each config as run() does, stepping configs together.
-
-    Each ensemble (see ensembles()) lays its configs' support values end to
-    end in one flat array, whatever their n and size, so one RK4 step
-    updates every row.  Each row keeps its own law parameters, step (its
-    fixed_dt, or the smaller of its own step bound and its remaining
-    time), time, step count, stored states and termination reason.  A row
-    that completes or ends early leaves the ensemble and the other rows
-    run on; so does a row whose step fails, which ends as run(config)
-    would, while the others keep the values that step computed for them.
-    Each row is computed with the arithmetic of a solo run, so every trace
-    equals run(config) exactly, its step count, RHS evaluations and dt
-    range included.  Returns the traces in the order of configs.
-    """
-    configs = list(configs)
+    solo = isinstance(config, FlowConfig)
+    configs = [config] if solo else list(config)
     traces = [None] * len(configs)
     for members in ensembles(configs):
         for j, trace in zip(members, _run_rows([_Row(configs[j]) for j in members])):
             traces[j] = trace
-    return traces
+    return traces[0] if solo else traces
 
 
 def ensembles(configs) -> list:
-    """Indices of the configs that run_ensemble steps together, per ensemble.
+    """Indices of the configs that run steps together, per ensemble.
 
     Configs share an ensemble when they share a law kind, at any n and
     size; the ensembles and their members keep the order of configs.  A

@@ -303,11 +303,9 @@ class GeometryState:
     they serve both.
     """
 
-    grid: SupportGrid | tuple
     n: int
     angles: np.ndarray
     dx: float
-    h: np.ndarray
     r1: np.ndarray
     r2: np.ndarray | None
     r1p: np.ndarray
@@ -326,10 +324,6 @@ class GeometryState:
     sinphi: np.ndarray | None
     cosphi: np.ndarray | None
     cot: np.ndarray | None
-
-    @property
-    def radii(self) -> tuple:
-        return (self.r1,) if self.n == 1 else (self.r1, self.r2)
 
     def d1(self, u):
         return (stencils.d1_periodic if self.n == 1 else stencils.d1_reflect)(u, self.dx)
@@ -370,8 +364,7 @@ def derive_state(grid) -> GeometryState:
     A sequence gives one stacked state: every per-node field is an (S, N)
     array whose row s is that of derive_state(grid[s]), bit for bit, and
     positions are (S, N, 2); angles, normals and the polar factors, which
-    depend on the node alone, stay (N,) and (N, 2).  Its grid field is the
-    tuple of grids.
+    depend on the node alone, stay (N,) and (N, 2).
 
     Raises NonConvex if any curvature radius falls below the strict
     positivity floor, OriginOutside if any support value is non-positive
@@ -382,7 +375,6 @@ def derive_state(grid) -> GeometryState:
         first, h = grid, grid.values
         radii, K = grid.curvature()
     else:
-        grid = tuple(grid)
         first = grid[0]
         h, radii, K = stack_grids(grid)
     n, dx, ang = first.n, first.spacing, first.angles
@@ -400,7 +392,7 @@ def derive_state(grid) -> GeometryState:
         tangents = np.stack([-sin_t, cos_t], axis=-1)
         positions = h[..., None] * normals + hp[..., None] * tangents
         return GeometryState(
-            grid=grid, n=1, angles=ang, dx=dx, h=h,
+            n=1, angles=ang, dx=dx,
             r1=r1, r2=None, r1p=r1p, r2p=None,
             K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Kp, Gamma=r1p / r1,
             positions=positions, normals=normals,
@@ -426,7 +418,7 @@ def derive_state(grid) -> GeometryState:
     positions = np.stack([rho, z], axis=-1)
     normals = np.stack([sin_p, cos_p], axis=-1)
     return GeometryState(
-        grid=grid, n=2, angles=ang, dx=dx, h=h,
+        n=2, angles=ang, dx=dx,
         r1=r1, r2=r2, r1p=r1p, r2p=r2p,
         K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Hp, Gamma=r1p / r1,
         positions=positions, normals=normals,

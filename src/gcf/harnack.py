@@ -203,8 +203,9 @@ def _central_dt(qm, q0, qp, dm: list, dp: list) -> np.ndarray:
     return (wm * qp - wp * qm + w0 * q0) / den
 
 
-def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> HarnackTable:
-    """Harnack diagnostics at every interior stored time of a trace.
+def monitor(trace: FlowTrace, t0: float = 0.0) -> HarnackTable:
+    """Harnack diagnostics at every interior stored time of a trace, under
+    the law the trace was stepped with (trace.law).
 
     t0 anchors the bound: the time entering the Harnack expressions is the
     stored time minus t0, so traces whose initial data logically sits at a
@@ -217,7 +218,7 @@ def monitor(trace: FlowTrace, law: SpeedLaw, t0: float = 0.0) -> HarnackTable:
     """
     if len(trace) < 3:
         raise InsufficientTrace(f"monitor needs at least 3 stored states, got {len(trace)}")
-    times = trace.times
+    times, law = trace.times, trace.law
     # Stored times increase, so the monitored times are the interior rows from lo on.
     lo = next((m for m in range(1, len(trace) - 1) if times[m] - t0 > 0.0), None)
     if lo is None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import stencils
 from .errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
-from .flow import FlowConfig, FlowTrace, InitialShape, run, run_ensemble, stable_dt
+from .flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt
 from .geometry import (
     GeometryState,
     SupportGrid,
@@ -283,19 +283,19 @@ def _evolution_parts(sf: SpeedFields, which: str):
 
 def check_evolution(
     trace: FlowTrace,
-    law: SpeedLaw,
     which=("g", "h", "f", "H"),
     tolerance: float = 1e-5,
     order_window=(1.7, 2.3),
 ) -> list:
-    """Central-time-difference residuals of the evolution equations.
+    """Central-time-difference residuals of the evolution equations, under
+    the trace's own law.
 
     Needs uniformly spaced stored states.  Residuals are evaluated at the
     middle stored state for spacings (1, 2, 4) * base (as far as the trace
     allows), all centered at the same state so the measured order is clean.
     """
     ladder = _ladder_states(trace)
-    sf = speed_fields(ladder.states[ladder.mid], law)
+    sf = speed_fields(ladder.states[ladder.mid], trace.law)
     return [
         _ladder_report(f"evolve-{q}", _evolution_parts(sf, q), ladder, tolerance, order_window)
         for q in which
@@ -304,11 +304,11 @@ def check_evolution(
 
 def check_P_evolution(
     trace: FlowTrace,
-    law: SpeedLaw,
     tolerance: float = 1e-4,
     order_window=(1.7, 2.3),
 ) -> IdentityReport:
-    """Residual of the evolution equation of the Harnack-tensor trace (n=1).
+    """Residual of the evolution equation of the Harnack-tensor trace (n=1),
+    under the trace's own law.
 
     d_t trP = f'K box trP + 2(1 + f''K/f') <grad f, grad trP>_h + |P|^2_h
               + (1 + f''K/f') trP^2 + (H beta - beta'/(f f') |grad f|^2_h) trP,
@@ -318,7 +318,7 @@ def check_P_evolution(
     """
     if trace.n != 1:
         raise ValueError("the trace-evolution residual is implemented for n=1")
-    ladder = _ladder_states(trace)
+    ladder, law = _ladder_states(trace), trace.law
     st = ladder.states[ladder.mid]
     sf = speed_fields(st, law)
     V = sf.fp / st.r1
@@ -610,7 +610,7 @@ def oracle_suite() -> list:
         for n, b, size in ORACLE_CASES
     ]
     reports = []
-    for (n, b, size), trace in zip(ORACLE_CASES, run_ensemble(configs)):
+    for (n, b, size), trace in zip(ORACLE_CASES, run(configs)):
         r_exact = sphere_radius_exact(1.0, t_end, n, b)
         h_final = trace.grids[-1].values
         rel = float(np.max(np.abs(h_final - r_exact)) / r_exact)
@@ -644,7 +644,7 @@ def evolution_suite() -> list:
     trace = uniform_trace(
         1, 512, law, _perturbed_circle_shape(), spacing=1e-3, n_stored=9, burn_in=0.1
     )
-    return check_evolution(trace, law)
+    return check_evolution(trace)
 
 
 def identity_suite() -> list:
@@ -700,8 +700,8 @@ def pevol_suite() -> list:
     exp_law = SpeedLaw.exponential()
     exp_trace = uniform_trace(1, 128, exp_law, shape, spacing=1e-3, n_stored=9, burn_in=0.02)
     return [
-        check_P_evolution(trace, law),
-        replace(check_P_evolution(exp_trace, exp_law), identity="evolve-P-exp"),
+        check_P_evolution(trace),
+        replace(check_P_evolution(exp_trace), identity="evolve-P-exp"),
     ]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gcf.cli import main as cli_main
-from gcf.flow import FlowConfig, InitialShape, run, run_ensemble
+from gcf.flow import FlowConfig, InitialShape, run
 from gcf.harnack import monitor
 from gcf.speedlaw import (
     SpeedLaw,
@@ -58,7 +58,7 @@ def test_criterion_2_equality_case(n, b, size):
     )
     trace = run(cfg)
     assert trace.reason == "completed"
-    table = monitor(trace, cfg.law, t0=0.0)
+    table = monitor(trace, t0=0.0)
     # each state's largest |margin| and |lhs| relative to its own scale
     p_scale = np.max(np.abs(table.p_trace), axis=1)
     u_scale = np.max(np.abs(table.dt_u_spatial), axis=1)
@@ -95,9 +95,9 @@ def test_criterion_3_harnack_property_on_perturbed_circles():
         FlowConfig(n=1, size=256, law=HALF, shape=shape, t_end=2.0, stride=40)
         for shape in _perturbed_shapes(20, rng)
     ]
-    for trace in run_ensemble(configs):
+    for trace in run(configs):
         assert trace.reason == "completed"
-        table = monitor(trace, HALF, t0=0.0)
+        table = monitor(trace, t0=0.0)
         p_scale = np.max(np.abs(table.p_trace))
         u_scale = np.max(np.abs(table.dt_u_spatial))
         worst_margin_rel = min(worst_margin_rel, np.min(table.margin) / p_scale)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,7 +356,7 @@ def test_sweep_tuples_match_solo_runs(tmp_path):
             t_end=0.5, stride=2,
         )
         trace = run(cfg)
-        solo = "".join(_harnack_csv(monitor(trace, cfg.law, t0=0.0)))
+        solo = "".join(_harnack_csv(monitor(trace, t0=0.0)))
         sub = out / f"tuple_{i:04d}"
         assert (sub / "harnack.csv").read_bytes() == solo.encode()
         meta = json.loads((sub / "meta.json").read_text())
@@ -424,6 +428,37 @@ def test_sweep_reruns_a_failed_ensemble_one_tuple_at_a_time(tmp_path, monkeypatc
     assert not (out / "tuple_0001").exists()
 
 
+# The C locale without UTF-8 mode: its preferred encoding is ASCII.
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True], ids=["utf8-bytes", "escaped"])
+def test_sweep_outputs_do_not_depend_on_the_locale(tmp_path, ensure_ascii):
+    # a config holding non-ASCII text is read, and sweep.csv written, as
+    # UTF-8 in the C locale too; the summary line of a tuple whose n is not
+    # ASCII is printed escaped
+    tuples = [{"n": 1, "b": 0.3}, {"n": 1, "b": 0.3, "shape": {"type": "\u00e9"}},
+              {"n": "\u00e9", "b": 0.3}]
+    cfg = tmp_path / "s.json"
+    cfg.write_bytes(json.dumps({"tuples": tuples, **SWEEP_BASE}, ensure_ascii=ensure_ascii)
+                    .encode("utf-8"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "here")]) == 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **C_LOCALE,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "gcf.cli", "sweep", "--config", str(cfg),
+         "--out", str(tmp_path / "c")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert "Traceback" not in done.stderr.decode("utf-8", "replace")
+    assert done.returncode == 1
+    csv = (tmp_path / "c" / "sweep.csv").read_bytes()
+    assert csv == (tmp_path / "here" / "sweep.csv").read_bytes()
+    assert "\u00e9".encode("utf-8") in csv
+    assert b"tuple 2: n=\\xe9 b=0.3 -> failed:config" in done.stdout
+
+
 def test_atomic_write_of_chunks_keeps_old_file_on_error(tmp_path):
     path = tmp_path / "x.csv"
     _atomic_write(str(path), (f"{i}\n" for i in range(3)))
@@ -448,7 +483,7 @@ def trace_csv_row_by_row(trace):
         chunks = ["t,node_index,angle,h,r1,r2,K,H\n"]
     for t, grid in zip(trace.times, trace.grids):
         st = derive_state(grid)
-        cols = (st.angles, st.h, *st.radii, st.K, st.H)
+        cols = (st.angles, grid.values, *grid.curvature()[0], st.K, st.H)
         row = "%.17g" % t + ",%d" + ",%.17g" * len(cols) + "\n"
         chunks.append("".join(row % r for r in zip(range(grid.size), *(c.tolist() for c in cols))))
     return "".join(chunks)
@@ -486,7 +521,7 @@ def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end, t0):
     if n == 1:  # the H column repeats K
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert all(r[5] == r[6] for r in rows)
-    table = monitor(trace, law, t0)
+    table = monitor(trace, t0)
     text = "".join(_harnack_csv(table))
     assert text == harnack_csv_row_by_row(table)
     # lhs_eq12 and bound_eq316 are NaN outside the -K^(-b) form

@@ -6,7 +6,7 @@ import pytest
 
 from gcf import flow, geometry
 from gcf.errors import InvalidConfig, NonConvex
-from gcf.flow import FlowConfig, FlowTrace, InitialShape, run, run_ensemble, stable_dt, step
+from gcf.flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
 from gcf.geometry import FlatLayout, derive_state, fourier_grid, round_grid
 from gcf.speedlaw import FlatLaws, SpeedLaw
 from gcf.verify import ORACLE_CASES, sphere_radius_exact
@@ -267,7 +267,7 @@ def _mixed_configs(seed):
 
 
 def assert_same_trace(a, b):
-    assert a.reason == b.reason
+    assert (a.n, a.law, a.reason) == (b.n, b.law, b.reason)
     assert (a.steps, a.rhs_evals, a.dt_min, a.dt_max) == (b.steps, b.rhs_evals, b.dt_min, b.dt_max)
     assert a.times == b.times
     assert len(a.grids) == len(b.grids)
@@ -282,9 +282,9 @@ def test_ensemble_traces_equal_solo_runs():
     rng = np.random.default_rng(3)
     for _ in range(4):
         pick = rng.permutation(len(configs))[: rng.integers(2, len(configs) + 1)]
-        for j, trace in zip(pick, run_ensemble([configs[j] for j in pick])):
+        for j, trace in zip(pick, run([configs[j] for j in pick])):
             assert_same_trace(trace, solo[j])
-    for trace, ref in zip(run(configs[:3]), solo):  # run() takes a list as well
+    for trace, ref in zip(run(configs[:3]), solo):  # the first three, in their order
         assert_same_trace(trace, ref)
 
 
@@ -301,7 +301,7 @@ def test_fast_power_exponent_rows_equal_their_solo_runs(beta):
 
     configs = [cfg(beta), cfg(1.3), cfg(beta)]
     assert flow.ensembles(configs) == [[0, 2], [1]]
-    traces = run_ensemble(configs)
+    traces = run(configs)
     assert traces[0].reason == "completed" and traces[0].steps > 10
     assert_same_trace(traces[0], run(configs[0]))
     assert_same_trace(traces[2], traces[0])
@@ -340,7 +340,7 @@ def test_a_huge_round_body_whose_f1_overflows_steps_its_remaining_time(beta, R0)
         trace = run(huge)
         configs = _mixed_configs(2)[:4]
         configs.insert(1, huge)
-        together = run_ensemble(configs)
+        together = run(configs)
     assert 1.0 < bound < math.inf
     assert trace.reason == "completed"
     assert (trace.steps, trace.dt_min, trace.dt_max, trace.times) == (1, 1.0, 1.0, [0.0, 1.0])
@@ -384,7 +384,7 @@ def test_ensemble_row_ends_early_as_alone(early, monkeypatch):
 
     rk4 = flow._rk4
     monkeypatch.setattr(flow, "_rk4", counting)
-    traces = run_ensemble(configs)
+    traces = run(configs)
     monkeypatch.undo()
     assert traces[2].reason == reason
     for cfg, trace in zip(configs, traces):
@@ -412,7 +412,7 @@ def test_one_joint_step_per_step_of_the_longest_row(monkeypatch):
 
     rk4 = flow._rk4
     monkeypatch.setattr(flow, "_rk4", counting)
-    traces = run_ensemble(configs)
+    traces = run(configs)
     assert all(trace.reason == "completed" for trace in traces)
     assert len(calls) == max(trace.steps for trace in traces)
     assert calls[0] == len(configs)

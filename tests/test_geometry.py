@@ -215,12 +215,9 @@ def test_stacked_derivation_equals_derive_state_per_grid(n, size):
     grids = [fourier_grid(n, 1.0 + 0.1 * k, [(2, 0.02 * rng.random()), (3, 0.01)], size)
              for k in range(5)]
     stacked = derive_state(grids)
-    assert stacked.grid == tuple(grids)
     singles = [derive_state(g) for g in grids]
     shared = ("n", "angles", "dx", "normals", "sinphi", "cosphi", "cot")
     for name in GeometryState.__dataclass_fields__:
-        if name == "grid":
-            continue
         got = getattr(stacked, name)
         for s, single in enumerate(singles):
             want = getattr(single, name)

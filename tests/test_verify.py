@@ -222,7 +222,7 @@ def test_check_evolution_round_circle_values():
     # is at integrator level; the metric residual follows the predicted
     # third-derivative constant d^3(R^2)/dt^3 / 6 = (1 + t/2)/2
     tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=9)
-    reps = {r.identity: r for r in check_evolution(tr, HALF)}
+    reps = {r.identity: r for r in check_evolution(tr)}
     assert reps["evolve-f"].finest_residual <= 1e-9
     t_mid = tr.times[len(tr) // 2]
     predicted = 1e-6 * 3.0 * (1.0 + t_mid / 2.0) / 6.0
@@ -236,7 +236,7 @@ def test_check_evolution_perturbed_orders():
         1, 512, HALF, InitialShape("fourier", 1.0, ((3, 0.02), (2, 0.01))),
         spacing=1e-3, n_stored=9, burn_in=0.1,
     )
-    for rep in check_evolution(tr, HALF):
+    for rep in check_evolution(tr):
         assert 1.7 <= rep.order <= 2.3, rep
         assert rep.finest_residual <= 1e-5, rep
 
@@ -249,17 +249,17 @@ def test_check_evolution_n2_sphere_perturbed():
         InitialShape("fourier", 1.0, ((2, 0.02),)),
         spacing=2e-2, n_stored=9, burn_in=0.1,
     )
-    for rep in check_evolution(tr, SpeedLaw.power(-1.0, -0.25)):
+    for rep in check_evolution(tr):
         assert 1.5 <= rep.order <= 2.5, rep
 
 
 def test_check_evolution_guards():
     tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=3)
-    reps = check_evolution(tr, HALF, which=("f",))
+    reps = check_evolution(tr, which=("f",))
     assert reps[0].order is None  # single spacing, no order claim
     tr.times[-1] += 1e-6  # break uniformity
     with pytest.raises(InsufficientTrace):
-        check_evolution(tr, HALF)
+        check_evolution(tr)
 
 
 def test_ladder_residual_nan_fails():
@@ -273,7 +273,7 @@ def test_ladder_residual_nan_fails():
 
 def test_p_evolution_round_circle():
     tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=9)
-    rep = check_P_evolution(tr, HALF)
+    rep = check_P_evolution(tr)
     assert rep.finest_residual <= 1e-6
     assert 1.7 <= rep.order <= 2.3
 
@@ -288,7 +288,7 @@ def test_p_evolution_self_similar_rate():
     dP = (p[2] - p[0]) / (2e-3)
     t_mid = 2.0 * np.sqrt(states[1].r1[0])  # self-similar time of the middle state
     assert dP == pytest.approx(2.0 / t_mid**2, rel=1e-5)
-    rep = check_P_evolution(tr, HALF)
+    rep = check_P_evolution(tr)
     assert rep.finest_residual <= 1e-5 * max(1.0, rep.scale)
 
 
@@ -297,7 +297,7 @@ def test_p_evolution_perturbed_order_and_relative_residual():
         1, 128, HALF, InitialShape("fourier", 1.0, ((2, 0.01),)),
         spacing=8e-3, n_stored=9, burn_in=0.25,
     )
-    rep = check_P_evolution(tr, HALF)
+    rep = check_P_evolution(tr)
     assert 1.7 <= rep.order <= 2.3
     assert rep.finest_residual <= 1e-4 * rep.scale
 
@@ -321,7 +321,7 @@ def test_p_evolution_exponential_control_law():
         1, 128, law, InitialShape("fourier", 1.0, ((2, 0.01),)),
         spacing=1e-3, n_stored=9, burn_in=0.02,
     )
-    rep = check_P_evolution(tr, law)
+    rep = check_P_evolution(tr)
     assert 1.7 <= rep.order <= 2.3
     assert rep.finest_residual <= 1e-3 * rep.scale
 
@@ -330,7 +330,7 @@ def test_p_evolution_requires_curve_trace():
     tr = uniform_trace(2, 64, SpeedLaw.power(-1.0, -0.25), InitialShape("round", 1.0),
                        spacing=1e-3, n_stored=3)
     with pytest.raises(ValueError):
-        check_P_evolution(tr, SpeedLaw.power(-1.0, -0.25))
+        check_P_evolution(tr)
 
 
 # --- algebraic expansions ------------------------------------------------------
@@ -359,7 +359,7 @@ def test_p_checks_evaluate_speed_fields_once_per_state(monkeypatch):
         assert len(calls) == 1 and calls[0] is st
     tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=9)
     calls.clear()
-    check_P_evolution(tr, HALF)
+    check_P_evolution(tr)
     # the middle state, then each state of the (4, 2, 1) ladder around it
     assert len(calls) == len({id(s) for s in calls}) == 1 + 2 * len(_ladder_states(tr).ks)
     calls.clear()
