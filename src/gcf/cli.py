@@ -11,10 +11,11 @@ so identical configurations reproduce byte-identical CSVs.  A sweep steps
 all its valid tuples in one run: every tuple's law is -K^(-b), so they
 form one ensemble (see flow.ensembles) at any n and N.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 early flow termination (lost convexity, the origin leaving the body, or
-step underflow), 4 law outside the Harnack-bound hypotheses when
-enforcement is requested.  A configuration error prints one line on stderr.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or
+an --out path that cannot be a directory (checked before any work is
+done), 3 early flow termination (lost convexity, the origin leaving the
+body, or step underflow), 4 law outside the Harnack-bound hypotheses when
+enforcement is requested.  Exit 2 prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -92,10 +93,24 @@ def _atomic_write(path: str, text) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # arrays or objects nested deeper than the parser recurses
+            raise InvalidConfig("the config nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise InvalidConfig("the config must be a JSON object")
     return doc
+
+
+def _make_out_dir(out_dir: str) -> bool:
+    """Create out_dir, if missing, before any work is done; False, after
+    one stderr line, if it cannot be a directory."""
+    try:
+        os.makedirs(os.path.abspath(out_dir), exist_ok=True)  # "" is the working directory
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -249,6 +264,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     except (OSError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not _make_out_dir(out_dir):
+        return EXIT_CONFIG
     start = time.monotonic()
     trace = run(cfg)
     wall = time.monotonic() - start
@@ -265,7 +282,7 @@ def _monitor_and_write(trace, out_dir: str, phases: dict) -> MarginSummary:
     "monitor" and "write".
     """
     start = time.monotonic()
-    table = monitor(trace, t0=0.0)
+    table = monitor(trace)
     monitored = time.monotonic()
     _atomic_write(os.path.join(out_dir, "harnack.csv"), _harnack_csv(table))
     phases["monitor"], phases["write"] = monitored - start, time.monotonic() - monitored
@@ -287,6 +304,8 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         cfg = _flow_config_from_doc(doc)
     except (OSError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not _make_out_dir(out_dir):
         return EXIT_CONFIG
     start = time.monotonic()
     trace = run(cfg)
@@ -316,6 +335,8 @@ def cmd_verify(suite: str, out_dir: str | None = None) -> int:
             f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}",
             file=sys.stderr,
         )
+        return EXIT_CONFIG
+    if out_dir and not _make_out_dir(out_dir):
         return EXIT_CONFIG
     reports = SUITES[suite]()
     if out_dir:
@@ -400,6 +421,8 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
         return EXIT_CONFIG
     if not isinstance(tuples, list) or not tuples:
         print("config error: sweep needs a non-empty 'tuples' list", file=sys.stderr)
+        return EXIT_CONFIG
+    if not _make_out_dir(out_dir):
         return EXIT_CONFIG
     rows, valid = [], []
     for index, tup in enumerate(tuples):

@@ -296,8 +296,9 @@ def _lambda_tops(lam: np.ndarray, layout: FlatLayout, radii: tuple) -> list:
     return np.maximum.reduceat(lam, layout.starts).tolist()
 
 
-def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) -> float:
-    """Explicit parabolic step bound safety * dx**2 / lambda.
+def stable_dt(grid: SupportGrid, law: SpeedLaw) -> float:
+    """Explicit parabolic step bound DEFAULT_SAFETY * dx**2 / lambda, the
+    bound a flow steps under at its config's default safety.
 
     lambda bounds the linearized speed sensitivity to the curvature radii:
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
@@ -309,7 +310,7 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw, safety: float = DEFAULT_SAFETY) 
     layout = row_layout(grid.n, grid.size, dx)
     law = FlatLaws([law], [grid.size])
     with np.errstate(all="ignore"):
-        return _dt_bound(law, layout, *grid.curvature(), [safety * dx * dx])[0]
+        return _dt_bound(law, layout, *grid.curvature(), [DEFAULT_SAFETY * dx * dx])[0]
 
 
 def run(config):

@@ -178,7 +178,7 @@ class HarnackTable(NamedTuple):
     whose row i holds the per-node values at time t[i].
     """
 
-    t: np.ndarray             # stored time minus the bound's time origin
+    t: np.ndarray             # stored time, on the clock the config's t0 sets
     u: np.ndarray
     dt_u_spatial: np.ndarray
     dt_u_fd: np.ndarray
@@ -203,28 +203,21 @@ def _central_dt(qm, q0, qp, dm: list, dp: list) -> np.ndarray:
     return (wm * qp - wp * qm + w0 * q0) / den
 
 
-def monitor(trace: FlowTrace, t0: float = 0.0) -> HarnackTable:
+def monitor(trace: FlowTrace) -> HarnackTable:
     """Harnack diagnostics at every interior stored time of a trace, under
     the law the trace was stepped with (trace.law).
 
-    t0 anchors the bound: the time entering the Harnack expressions is the
-    stored time minus t0, so traces whose initial data logically sits at a
-    later moment of a longer flow can be tested with shifted time.  Stored
-    times at or before t0 are skipped.
-
-    The stored states from the one before the first monitored time on are
-    derived as one stack, and every column is evaluated on that stack, with
-    the times and the time-step weights as (S, 1) columns.
+    The time entering the Harnack expressions is the stored time itself.
+    The flow's config places its initial data at time t0 >= 0 on the
+    bound's clock, so every stored time after the first is > 0.  The
+    stored states are derived as one stack, and every column is evaluated
+    on that stack, with the times and the time-step weights as (S, 1)
+    columns.
     """
     if len(trace) < 3:
         raise InsufficientTrace(f"monitor needs at least 3 stored states, got {len(trace)}")
     times, law = trace.times, trace.law
-    # Stored times increase, so the monitored times are the interior rows from lo on.
-    lo = next((m for m in range(1, len(trace) - 1) if times[m] - t0 > 0.0), None)
-    if lo is None:
-        raise InsufficientTrace("no stored times after the bound's time origin")
-    times = times[lo - 1:]
-    st = derive_state(trace.grids[lo - 1:])
+    st = derive_state(trace.grids)
     sf = speed_fields(st, law)
     u = -sf.f
     du = st.d1(u)
@@ -235,7 +228,7 @@ def monitor(trace: FlowTrace, t0: float = 0.0) -> HarnackTable:
     dt_u_spatial = -dt_f_spatial(sf)[mid]
     gsq_h = h_norm_sq(st, du)[mid]
     p_tr = P_trace(sf)[mid]
-    t = np.array(times[1:-1]) - t0
+    t = np.array(times[1:-1])
     u = u[mid]
     b = expanding_b(law, trace.n)
     if b is None:

@@ -58,7 +58,7 @@ def test_criterion_2_equality_case(n, b, size):
     )
     trace = run(cfg)
     assert trace.reason == "completed"
-    table = monitor(trace, t0=0.0)
+    table = monitor(trace)
     # each state's largest |margin| and |lhs| relative to its own scale
     p_scale = np.max(np.abs(table.p_trace), axis=1)
     u_scale = np.max(np.abs(table.dt_u_spatial), axis=1)
@@ -97,7 +97,7 @@ def test_criterion_3_harnack_property_on_perturbed_circles():
     ]
     for trace in run(configs):
         assert trace.reason == "completed"
-        table = monitor(trace, t0=0.0)
+        table = monitor(trace)
         p_scale = np.max(np.abs(table.p_trace))
         u_scale = np.max(np.abs(table.dt_u_spatial))
         worst_margin_rel = min(worst_margin_rel, np.min(table.margin) / p_scale)

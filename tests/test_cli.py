@@ -356,7 +356,7 @@ def test_sweep_tuples_match_solo_runs(tmp_path):
             t_end=0.5, stride=2,
         )
         trace = run(cfg)
-        solo = "".join(_harnack_csv(monitor(trace, t0=0.0)))
+        solo = "".join(_harnack_csv(monitor(trace)))
         sub = out / f"tuple_{i:04d}"
         assert (sub / "harnack.csv").read_bytes() == solo.encode()
         meta = json.loads((sub / "meta.json").read_text())
@@ -504,15 +504,15 @@ def harnack_csv_row_by_row(table):
 
 
 @pytest.mark.parametrize(
-    "n,size,law,t_end,t0",
+    "n,size,law,t_end",
     [
-        (1, 64, SpeedLaw.power(-1.0, -0.5), 0.5, 0.0),
-        (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5, 0.1),
-        (1, 64, SpeedLaw.exponential(), 0.02, 0.0),
+        (1, 64, SpeedLaw.power(-1.0, -0.5), 0.5),
+        (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5),
+        (1, 64, SpeedLaw.exponential(), 0.02),
     ],
     ids=["n1-power", "n2-power", "n1-exp"],
 )
-def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end, t0):
+def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end):
     trace = run(FlowConfig(n=n, size=size, law=law,
                            shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
                            t_end=t_end, stride=3))
@@ -521,7 +521,7 @@ def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end, t0):
     if n == 1:  # the H column repeats K
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert all(r[5] == r[6] for r in rows)
-    table = monitor(trace, t0)
+    table = monitor(trace)
     text = "".join(_harnack_csv(table))
     assert text == harnack_csv_row_by_row(table)
     # lhs_eq12 and bound_eq316 are NaN outside the -K^(-b) form
@@ -565,6 +565,46 @@ def run_rejected(tmp_path, capsys, *argv, **overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     return err
+
+
+@pytest.mark.parametrize("command", ["run", "harnack", "sweep"])
+def test_a_config_nested_too_deeply_exits_2(tmp_path, capsys, command):
+    # json.load recurses once per nested array
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: the config nests too deeply to parse\n"
+    assert not out.exists()
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work began before the output directory was made")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["run", "harnack", "sweep", "verify"])
+def test_an_out_path_that_cannot_be_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, under
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out = blocker / "o" if under else blocker
+    cfg = tmp_path / "cfg.json"
+    if command == "sweep":
+        cfg.write_text(json.dumps({"tuples": [{"n": 1, "b": 0.3}], "grid": {"N": 32}}))
+    else:
+        write_config(cfg)
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setitem(cli.SUITES, "speedlaw", no_work)
+    if command == "verify":
+        argv = ["verify", "--suite", "speedlaw"]
+    else:
+        argv = [command, "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert blocker.read_text() == "a file\n"
 
 
 def test_run_rejects_a_non_finite_t_end(tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_monitor_columns_equal_the_speed_fields_functions(n, size, law, t_end):
     cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
                      t_end=t_end, stride=3)
     trace = run(cfg)
-    table = monitor(trace, t0=0.0)
+    table = monitor(trace)
     assert len(table.t) == len(trace) - 2 >= 3
     for i, grid in enumerate(trace.grids[1:-1]):
         sf = speed_fields(derive_state(grid), law)
@@ -182,7 +182,7 @@ def test_monitor_unit_circle_lhs_profile():
     cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0),
                      t_end=2.0, stride=60)
     trace = run(cfg)
-    table = monitor(trace, t0=0.0)
+    table = monitor(trace)
     assert len(table.t) >= 3
     assert np.max(np.abs(table.lhs_12 + 1.0 / table.t[:, None])) <= 1e-5
     assert np.max(np.abs(table.grad_sq_h)) <= 1e-20
@@ -193,7 +193,7 @@ def test_monitor_two_time_derivative_estimates_agree_at_order_two():
     for spacing in (4e-3, 2e-3, 1e-3):
         tr = uniform_trace(1, 512, HALF, InitialShape("fourier", 1.0, ((3, 0.03),)),
                            spacing=spacing, n_stored=3, burn_in=0.05)
-        table = monitor(tr, t0=0.0)
+        table = monitor(tr)
         diffs.append(float(np.max(np.abs(table.dt_u_spatial[0] - table.dt_u_fd[0]))))
     assert 3.0 <= diffs[0] / diffs[1] <= 5.0
     assert 3.0 <= diffs[1] / diffs[2] <= 5.0
@@ -203,7 +203,7 @@ def test_monitor_lhs_eq12_nonpositive_on_perturbed_flow():
     cfg = FlowConfig(n=1, size=128, law=HALF,
                      shape=InitialShape("fourier", 1.0, ((3, 0.04),)),
                      t_end=1.0, stride=30)
-    table = monitor(run(cfg), t0=0.0)
+    table = monitor(run(cfg))
     assert np.all(table.lhs_12 <= 1e-8)
 
 
@@ -211,7 +211,7 @@ def test_monitor_margin_nonnegative_on_perturbed_flow():
     cfg = FlowConfig(n=1, size=256, law=HALF,
                      shape=InitialShape("fourier", 1.0, ((4, 0.03),)),
                      t_end=2.0, stride=40)
-    summary = margin_summary(monitor(run(cfg), t0=0.0))
+    summary = margin_summary(monitor(run(cfg)))
     assert summary.min_margin >= -1e-3 * summary.max_abs_P
 
 
@@ -220,13 +220,13 @@ def test_monitor_outside_hypotheses_emits_raw_trace_quantities():
     law = SpeedLaw.exponential()
     tr = uniform_trace(1, 128, law, InitialShape("fourier", 1.0, ((2, 0.02),)),
                        spacing=5e-4, n_stored=3)
-    table = monitor(tr, t0=0.0)
+    table = monitor(tr)
     assert np.isnan(table.bound[0])
     assert np.all(np.isnan(table.lhs_12[0]))
     assert np.all(np.isfinite(table.p_trace[0]))
 
 
-def per_state_monitor(trace, law, t0):
+def per_state_monitor(trace, law):
     # monitor as it was written state by state, kept as the reference for
     # the stacked evaluation: one HarnackTable per state, whose fields are
     # that state's row (t and bound are floats)
@@ -235,9 +235,7 @@ def per_state_monitor(trace, law, t0):
     b = expanding_b(law, trace.n)
     rows = []
     for m in range(1, len(trace) - 1):
-        t = trace.times[m] - t0
-        if t <= 0.0:
-            continue
+        t = trace.times[m]
         st = states[m]
         sf = speed_fields(st, law)
         u = u_fields[m]
@@ -282,20 +280,18 @@ def test_monitor_equals_the_per_state_loop(n, size, law, t_end, stride):
         assert trace.steps % stride != 0  # the final state is stored off the stride
     else:  # some step's dt**2, the C library's pow, differs from dt*dt
         assert any(d**2 != d * d for d in np.diff(trace.times).tolist())
-    times = trace.times
-    for t0 in (0.0, 0.5 * (times[2] + times[3])):
-        table, rows = monitor(trace, t0), per_state_monitor(trace, law, t0)
-        S = len(trace) - (2 if t0 == 0.0 else 4)
-        assert len(rows) == S
-        assert table.t.shape == table.bound.shape == (S,)
-        for i, r in enumerate(rows):
-            assert table.t[i] == r.t
-            assert table.bound[i] == r.bound or np.isnan(r.bound)
-            for name in ("u", "dt_u_spatial", "dt_u_fd", "grad_sq_h", "lhs_12", "p_trace",
-                         "margin"):
-                got = getattr(table, name)
-                assert got.shape == (S, size), name
-                assert np.array_equal(got[i], getattr(r, name), equal_nan=True), name
+    table, rows = monitor(trace), per_state_monitor(trace, law)
+    S = len(trace) - 2
+    assert len(rows) == S
+    assert table.t.shape == table.bound.shape == (S,)
+    for i, r in enumerate(rows):
+        assert table.t[i] == r.t
+        assert table.bound[i] == r.bound or np.isnan(r.bound)
+        for name in ("u", "dt_u_spatial", "dt_u_fd", "grad_sq_h", "lhs_12", "p_trace",
+                     "margin"):
+            got = getattr(table, name)
+            assert got.shape == (S, size), name
+            assert np.array_equal(got[i], getattr(r, name), equal_nan=True), name
 
 
 def test_monitor_derives_its_states_as_one_stack(monkeypatch):
@@ -318,9 +314,9 @@ def test_monitor_derives_its_states_as_one_stack(monkeypatch):
     cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
                      t_end=0.5, stride=4)
     trace = run(cfg)
-    table = monitor(trace, t0=trace.times[2])
-    assert len(calls) == 1 and list(calls[0]) == trace.grids[2:]
-    assert len(table.t) == len(trace) - 4
+    table = monitor(trace)
+    assert len(calls) == 1 and list(calls[0]) == trace.grids
+    assert len(table.t) == len(trace) - 2
     assert len(d1_args) == 2 and not np.array_equal(d1_args[0], d1_args[1])
 
 
@@ -338,7 +334,7 @@ def test_margin_summary_equals_the_per_state_reduction(n, size, law, t_end):
     # over the states in Python, as margin_summary did over per-state rows
     cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
                      t_end=t_end, stride=3)
-    table = monitor(run(cfg), t0=0.0)
+    table = monitor(run(cfg))
     mm = min(float(np.min(row)) for row in table.margin)
     scale = max(float(np.max(np.abs(row))) for row in table.p_trace)
     want = (mm, scale, mm / scale if scale > 0 else float("nan"))

@@ -1,0 +1,59 @@
+"""Invariants of the flow on random data, not only on hand-picked shapes.
+
+The Harnack inequality holds along every flow of the expanding law -K^(-b)
+with 0 < b < 1/n from a random convex shape: trP stays above the bound
+-1/((1/n + beta) t) at every monitored state, up to the truncation error
+of a coarse grid.  And a round shape stays round: its support values all
+follow the same radius ODE, so they stay equal to within a few ulps.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gcf.flow import FlowConfig, InitialShape, run
+from gcf.harnack import margin_summary, monitor
+from gcf.speedlaw import SpeedLaw
+from gcf.verify import random_convex_grid
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def expanding_laws(draw):
+    """(n, b) with n in {1, 2} and b in (0, 1/n)."""
+    n = draw(st.sampled_from([1, 2]))
+    return n, draw(st.floats(0.0, 1.0 / n, exclude_min=True, exclude_max=True))
+
+
+# coarse grids, so each flow takes a few hundred steps at most
+SIZES = {1: (32, 48, 64), 2: (16, 24, 32)}
+SIZE_INDICES = st.integers(0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, expanding_laws(), SIZE_INDICES)
+@example(0, (2, 5e-324), 0)
+@example(0, (2, 0.49999999999999994), 0)
+def test_harnack_inequality_on_random_convex_data(seed, nb, size_index):
+    n, b = nb
+    size = SIZES[n][size_index]
+    grid = random_convex_grid(n, size, np.random.default_rng(seed))
+    trace = run(FlowConfig(n=n, size=size, law=SpeedLaw.power(-1.0, -b), shape=grid,
+                           t_end=0.5, stride=1))
+    if len(trace) < 3:  # too few steps to monitor
+        return
+    summary = margin_summary(monitor(trace))
+    assert summary.min_margin_rel >= -1e-3, summary
+
+
+@settings(max_examples=60, deadline=None)
+@given(expanding_laws(), SIZE_INDICES, st.floats(0.2, 3.0))
+def test_round_shapes_stay_round(nb, size_index, R0):
+    n, b = nb
+    size = SIZES[n][size_index]
+    trace = run(FlowConfig(n=n, size=size, law=SpeedLaw.power(-1.0, -b),
+                           shape=InitialShape("round", R0), t_end=0.5, stride=10**9))
+    h = trace.grids[-1].values
+    spread = (np.max(h) - np.min(h)) / np.mean(h)
+    assert spread <= 8 * np.finfo(float).eps, spread

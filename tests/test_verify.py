@@ -255,7 +255,7 @@ def test_check_evolution_n2_sphere_perturbed():
 
 def test_check_evolution_guards():
     tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=3)
-    reps = check_evolution(tr, which=("f",))
+    reps = [r for r in check_evolution(tr) if r.identity == "evolve-f"]
     assert reps[0].order is None  # single spacing, no order claim
     tr.times[-1] += 1e-6  # break uniformity
     with pytest.raises(InsufficientTrace):
