@@ -9,7 +9,7 @@ and the wall time of each of its phases (step, monitor, write).  Timing
 goes only into meta.json: numeric CSV fields carry 17 significant digits,
 so identical configurations reproduce byte-identical CSVs.  A sweep steps
 all its valid tuples in one run: every tuple's law is -K^(-b), so they
-form one ensemble (see flow.ensembles) at any n and N.
+form one ensemble (see flow.run) at any n and N.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error or
 an --out path that cannot be a directory (checked before any work is
@@ -271,7 +271,7 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     wall = time.monotonic() - start
     code = _write_run(out_dir, doc, wall, trace, "run", {"step": wall})
     if code == EXIT_OK:
-        print(f"completed: {len(trace)} stored states -> {out_dir}/trace.csv")
+        print(f"completed: {len(trace)} stored states -> {os.path.join(out_dir, 'trace.csv')}")
     return code
 
 

@@ -22,12 +22,12 @@ step.
 
 Runs are stepped as ensembles: the configs of one call that share a law
 kind are the rows of one flat array, whatever their n and size (see
-geometry.FlatLayout), and every RK4 stage updates all rows at once.  The
-arithmetic of each row is that of a solo run, so a config's trace does not
-depend on the ensemble it ran in (see ensembles() for the power laws that
-need equal laws beside them for that).  A step that fails ends only its
-failing rows, with what each one's own step would raise; the other rows
-keep the values it computed.
+geometry.FlatLayout), and every RK4 stage updates all rows at once.  Every
+batch, a solo run's included, evaluates its laws from per-element columns
+(see speedlaw.FlatLaws), so the arithmetic of each row is that of a solo
+run and a config's trace does not depend on the ensemble it ran in.  A
+step that fails ends only its failing rows, with what each one's own step
+would raise; the other rows keep the values it computed.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .geometry import (
     round_grid,
     row_layout,
 )
-from .speedlaw import FAST_POWER_EXPONENTS, POWER, FlatLaws, SpeedLaw, theorem_hypotheses
+from .speedlaw import POWER, FlatLaws, SpeedLaw, theorem_hypotheses
 
 DT_FLOOR = 1e-12
 DEFAULT_SAFETY = 0.3
@@ -272,15 +272,16 @@ def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, sc
     The division is Python's, the IEEE division numpy's also is; a lambda
     of 0, as when K**2 underflows on a very large body, gives an infinite
     bound, so the row steps its remaining time.  A row whose maximum is
-    not finite forms a power law's lambda again as a*beta * K**(beta + 1):
-    on a very large body f1(K) can overflow to inf where K**2 underflows,
-    while lambda itself tends to 0.  (The exponential law's f1 = exp(K)
-    overflows only where K**2 > 1.)  A lambda still beyond the float range,
-    as of a contracting law on a tiny body, gives a bound of 0.
+    not finite forms a power law's lambda again from the f1 columns, as
+    a*beta * K**(beta + 1): on a very large body f1(K) can overflow to inf
+    where K**2 underflows, while lambda itself tends to 0.  (The
+    exponential law's f1 = exp(K) overflows only where K**2 > 1.)  A lambda
+    still beyond the float range, as of a contracting law on a tiny body,
+    gives a bound of 0.
     """
     tops = _lambda_tops(law.f1(K) * (K * K), layout, radii)  # K * K is K**2 without the dispatch
     if not all(map(math.isfinite, tops)) and law.kind == POWER:
-        again = _lambda_tops(law.a_beta * np.power(K, law.beta_1 + 2.0), layout, radii)
+        again = _lambda_tops(law.coefs[1] * np.power(K, law.expos[1] + 2.0), layout, radii)
         tops = [top if math.isfinite(top) else top2 for top, top2 in zip(tops, again)]
     return [s / top if top else math.inf for s, top in zip(scale, tops)]
 
@@ -324,12 +325,12 @@ def run(config):
     the partial trace is returned with the reason recorded.
 
     Given a list of configs instead of one config, returns their traces in
-    its order, stepping configs together.  Each ensemble (see ensembles())
-    lays its configs' support values end to end in one flat array,
-    whatever their n and size, so one RK4 step updates every row.  Each
-    row keeps its own law parameters, step (its fixed_dt, or the smaller
-    of its own step bound and its remaining time), time, step count,
-    stored states and termination reason.  A row that completes or ends
+    its order, stepping configs together.  The configs that share a law
+    kind form one ensemble, which lays their support values end to end in
+    one flat array, whatever their n and size, so one RK4 step updates
+    every row.  Each row keeps its own law columns, step (its fixed_dt, or
+    the smaller of its own step bound and its remaining time), time, step
+    count, stored states and termination reason.  A row that completes or ends
     early leaves the ensemble and the other rows run on; so does a row
     whose step fails, which ends as its solo run would, while the others
     keep the values that step computed for them.  Each row is computed
@@ -338,31 +339,14 @@ def run(config):
     """
     solo = isinstance(config, FlowConfig)
     configs = [config] if solo else list(config)
+    ensembles = {}
+    for j, cfg in enumerate(configs):
+        ensembles.setdefault(cfg.law.kind, []).append(j)
     traces = [None] * len(configs)
-    for members in ensembles(configs):
+    for members in ensembles.values():
         for j, trace in zip(members, _run_rows([_Row(configs[j]) for j in members])):
             traces[j] = trace
     return traces[0] if solo else traces
-
-
-def ensembles(configs) -> list:
-    """Indices of the configs that run steps together, per ensemble.
-
-    Configs share an ensemble when they share a law kind, at any n and
-    size; the ensembles and their members keep the order of configs.  A
-    power law with an f or f1 exponent in FAST_POWER_EXPONENTS shares one
-    only with equal laws: np.power's scalar path for that exponent, which
-    a batch of equal laws keeps (see FlatLaws), can differ in the last bit
-    from the element-wise one of a batch of mixed laws.
-    """
-    groups = {}
-    for j, cfg in enumerate(configs):
-        law = cfg.law
-        key = law.kind
-        if law.is_power and not FAST_POWER_EXPONENTS.isdisjoint((law.beta, law.beta - 1.0)):
-            key = law
-        groups.setdefault(key, []).append(j)
-    return list(groups.values())
 
 
 class _Row:

@@ -50,6 +50,11 @@ class SpeedLaw:
         ``"power"`` for f(x) = a*x**beta, ``"exp"`` for f(x) = exp(x).
     a, beta : float
         Power-law coefficient and exponent; ignored for the exponential law.
+
+    f, f1, f2 and f3 read one derivative table, formed once: the k-th
+    derivative of a power law is coefs[k] * x**expos[k], with coefs
+    (a, a*b, a*b*(b - 1), a*b*(b - 1)*(b - 2)) and expos (b, b - 1, b - 2,
+    b - 3) for b = beta.  FlatLaws builds its columns from the same table.
     """
 
     kind: str
@@ -66,9 +71,10 @@ class SpeedLaw:
                 raise InvalidSpeedLaw(
                     f"power law needs a*beta > 0 for f' > 0; got a={self.a}, beta={self.beta}"
                 )
-        # f1's power-law coefficient and exponent, formed once rather than per call
-        object.__setattr__(self, "_a_beta", self.a * self.beta)
-        object.__setattr__(self, "_beta_1", self.beta - 1.0)
+        a, b = self.a, self.beta
+        coefs = (a, a * b, a * b * (b - 1.0), a * b * (b - 1.0) * (b - 2.0))
+        object.__setattr__(self, "coefs", coefs)
+        object.__setattr__(self, "expos", (b, b - 1.0, b - 2.0, b - 3.0))
 
     @staticmethod
     def power(a: float, beta: float) -> "SpeedLaw":
@@ -84,25 +90,19 @@ class SpeedLaw:
 
     def f(self, x):
         _check_positive(x)
-        return _power_or_exp(self.kind, self.a, self.beta, x)
+        return _power_or_exp(self.kind, self.coefs[0], self.expos[0], x)
 
     def f1(self, x):
         _check_positive(x)
-        return _power_or_exp(self.kind, self._a_beta, self._beta_1, x)
+        return _power_or_exp(self.kind, self.coefs[1], self.expos[1], x)
 
     def f2(self, x):
         _check_positive(x)
-        if self.kind == POWER:
-            b = self.beta
-            return self.a * b * (b - 1.0) * np.power(x, b - 2.0)
-        return np.exp(x)
+        return _power_or_exp(self.kind, self.coefs[2], self.expos[2], x)
 
     def f3(self, x):
         _check_positive(x)
-        if self.kind == POWER:
-            b = self.beta
-            return self.a * b * (b - 1.0) * (b - 2.0) * np.power(x, b - 3.0)
-        return np.exp(x)
+        return _power_or_exp(self.kind, self.coefs[3], self.expos[3], x)
 
 
 def _check_positive(x) -> None:
@@ -112,23 +112,17 @@ def _check_positive(x) -> None:
         raise NonPositiveArgument("speed laws are defined for positive arguments only")
 
 
-# The float exponents for which np.power takes a scalar path (reciprocal,
-# square root, square) that can differ in the last bit from its element-wise
-# loop over an exponent array.
-FAST_POWER_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
-
-
 class FlatLaws:
     """The laws of grids laid end to end, one law per grid, as f and f1 of
     flat arguments.
 
     laws[i] applies to the sizes[i] elements of grid i.  All laws must be
-    of one kind.  Power laws that differ give the parameters a, beta, a*beta
-    and beta - 1 as per-element columns; equal laws keep that law's floats,
-    because np.power's scalar fast paths (FAST_POWER_EXPONENTS) can
-    differ in the last bit from its element-wise loop.  f and f1 are
-    SpeedLaw.f and f1 without the positivity check: a caller that has
-    checked the curvature radii knows K is positive.
+    of one kind.  The f and f1 rows of each law's table (SpeedLaw.coefs,
+    SpeedLaw.expos) are per-element columns, also when every law is equal,
+    so each element takes np.power's element-wise loop whatever its
+    neighbours' laws.  f and f1 are SpeedLaw.f and f1 without the
+    positivity check: a caller that has checked the curvature radii knows
+    K is positive.
     """
 
     def __init__(self, laws, sizes):
@@ -136,18 +130,16 @@ class FlatLaws:
         if any(law.kind != first.kind for law in laws):
             raise InvalidSpeedLaw("a flat batch needs laws of one kind")
         self.kind = first.kind
-        names = ("a", "beta", "_a_beta", "_beta_1")
-        if all(law == first for law in laws):
-            params = [getattr(first, name) for name in names]
-        else:
-            params = [np.repeat([getattr(law, name) for law in laws], sizes) for name in names]
-        self.a, self.beta, self.a_beta, self.beta_1 = params
+        # coefs[k] and expos[k]: the k-th derivative's column, for k = 0, 1
+        table = np.array([law.coefs[:2] + law.expos[:2] for law in laws])
+        a, a1, b, b1 = np.repeat(table.T, sizes, axis=1)
+        self.coefs, self.expos = (a, a1), (b, b1)
 
     def f(self, x):
-        return _power_or_exp(self.kind, self.a, self.beta, x)
+        return _power_or_exp(self.kind, self.coefs[0], self.expos[0], x)
 
     def f1(self, x):
-        return _power_or_exp(self.kind, self.a_beta, self.beta_1, x)
+        return _power_or_exp(self.kind, self.coefs[1], self.expos[1], x)
 
 
 def theorem_hypotheses(law: SpeedLaw, n: int) -> bool:

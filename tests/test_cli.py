@@ -96,6 +96,17 @@ def test_run_of_a_huge_round_body_whose_f1_overflows_is_silent(tmp_path, capsys,
     )
 
 
+@pytest.mark.parametrize("out", ["", "out"], ids=["working-directory", "a-directory"])
+def test_run_names_the_trace_it_wrote(tmp_path, monkeypatch, capsys, out):
+    # --out "" writes into the working directory, so the trace is trace.csv
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "cfg.json", grid={"N": 16})
+    assert main(["run", "--config", "cfg.json", "--out", out]) == 0
+    named = capsys.readouterr().out.strip().rsplit(" -> ", 1)[1]
+    assert named == os.path.join(out, "trace.csv")
+    assert (tmp_path / named).is_file()
+
+
 def test_run_rejects_exponent_out_of_range(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, n=2, speed={"a": -1.0, "beta": -0.9}, grid={"N": 32})

@@ -3,8 +3,10 @@
 The Harnack inequality holds along every flow of the expanding law -K^(-b)
 with 0 < b < 1/n from a random convex shape: trP stays above the bound
 -1/((1/n + beta) t) at every monitored state, up to the truncation error
-of a coarse grid.  And a round shape stays round: its support values all
-follow the same radius ODE, so they stay equal to within a few ulps.
+of a coarse grid.  A round shape stays round: its support values all
+follow the same radius ODE, so they stay equal to within a few ulps.  And
+the flow keeps the order of two bodies (the comparison principle): a body
+whose support function lies above another's at t=0 stays above it.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcf.flow import FlowConfig, InitialShape, run
+from gcf.geometry import SupportGrid
 from gcf.harnack import margin_summary, monitor
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import random_convex_grid
@@ -57,3 +60,20 @@ def test_round_shapes_stay_round(nb, size_index, R0):
     h = trace.grids[-1].values
     spread = (np.max(h) - np.min(h)) / np.mean(h)
     assert spread <= 8 * np.finfo(float).eps, spread
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, expanding_laws(), SIZE_INDICES, st.floats(1e-3, 0.2), st.booleans())
+def test_comparison_principle_on_random_convex_data(seed, nb, size_index, delta, scaled):
+    # the upper body is the lower one grown by delta: scaled by 1 + delta,
+    # or moved out by delta along every normal
+    n, b = nb
+    size = SIZES[n][size_index]
+    lower = random_convex_grid(n, size, np.random.default_rng(seed))
+    upper = SupportGrid(n, (1.0 + delta) * lower.values if scaled else lower.values + delta)
+    law = SpeedLaw.power(-1.0, -b)
+    traces = run([FlowConfig(n=n, size=size, law=law, shape=grid, t_end=0.3, stride=10**9)
+                  for grid in (lower, upper)])
+    assert [trace.reason for trace in traces] == ["completed", "completed"]
+    gap = traces[1].grids[-1].values - traces[0].grids[-1].values
+    assert np.min(gap) > 0.0, np.min(gap)

@@ -5,7 +5,6 @@ import pytest
 
 from gcf.errors import InvalidSpeedLaw, NonPositiveArgument
 from gcf.speedlaw import (
-    FAST_POWER_EXPONENTS,
     FlatLaws,
     SpeedLaw,
     alpha_fn,
@@ -151,12 +150,6 @@ def test_stacked_law_evaluates_each_row_with_its_own_law():
         got = getattr(flat, name)(x)
         for law, nodes in zip(laws, rows):
             assert np.array_equal(got[nodes], getattr(law, name)(x[nodes]))
-    # equal laws keep their floats, so np.power's scalar fast path for the
-    # exponent 2 gives the bits SpeedLaw.f does
-    square = SpeedLaw.power(1.0, 2.0)
-    same = FlatLaws([square, SpeedLaw.power(1.0, 2.0)], [32, 32])
-    assert same.beta == 2.0
-    assert np.array_equal(same.f(x[:64]), square.f(x[:64]))
     exp = FlatLaws([SpeedLaw.exponential()] * 2, [32, 32])
     assert np.array_equal(exp.f1(x[:64]), np.exp(x[:64]))
     with pytest.raises(InvalidSpeedLaw):
@@ -169,6 +162,44 @@ def test_stacked_law_evaluates_each_row_with_its_own_law():
         assert np.isinf(flat.f(bad)[5])
 
 
+# beta 0.5 and 2 are f exponents, and beta - 1 = 0.5 and 2 f1 exponents, for
+# which np.power has a scalar path besides its element-wise loop
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0, 1.3])
+def test_flat_law_row_does_not_depend_on_its_neighbours(beta):
+    law = SpeedLaw.power(1.0, beta)
+    x = np.random.default_rng(1).uniform(0.1, 5.0, 3 * 256)
+    row = slice(256, 512)
+    same = FlatLaws([law] * 3, [256] * 3)
+    mixed = FlatLaws([SpeedLaw.power(1.0, 1.7), law, SpeedLaw.power(2.0, 0.7)], [256] * 3)
+    alone = FlatLaws([law], [256])
+    for name in ("f", "f1"):
+        want = getattr(mixed, name)(x)[row]
+        assert np.array_equal(getattr(same, name)(x)[row], want)
+        assert np.array_equal(getattr(alone, name)(x[row]), want)
+
+
+@pytest.mark.parametrize("a,b", [(-1.0, -0.3), (-1.0, -0.5), (1.0, 0.5), (1.0, 2.0), (2.5, 3.0),
+                                 (0.7, 1.3)])
+def test_derivative_table_equals_the_textbook_expressions(a, b):
+    law = SpeedLaw.power(a, b)
+
+    def textbook(x):
+        return (
+            a * np.power(x, b),
+            a * b * np.power(x, b - 1.0),
+            a * b * (b - 1.0) * np.power(x, b - 2.0),
+            a * b * (b - 1.0) * (b - 2.0) * np.power(x, b - 3.0),
+        )
+
+    x = np.random.default_rng(2).uniform(0.1, 5.0, 257)
+    for name, want, want_at_1_7 in zip(("f", "f1", "f2", "f3"), textbook(x), textbook(1.7)):
+        assert np.array_equal(getattr(law, name)(x), want)
+        assert getattr(law, name)(1.7) == want_at_1_7
+    exp = SpeedLaw.exponential()
+    for name in ("f", "f1", "f2", "f3"):
+        assert np.array_equal(getattr(exp, name)(x), np.exp(x))
+
+
 def test_expanding_b_only_for_the_minus_k_power_form():
     # b is the exponent of the speed K^(-b), i.e. of the law f = -K^(-b),
     # and only within the theorem's range 0 < b < 1/n
@@ -179,16 +210,3 @@ def test_expanding_b_only_for_the_minus_k_power_form():
     assert expanding_b(SpeedLaw.exponential(), 1) is None
     assert expanding_b(SpeedLaw.power(-1.0, -0.25), 2) == 0.25
     assert expanding_b(SpeedLaw.power(-1.0, -0.5), 2) is None
-
-
-def test_fast_power_exponents_match_this_numpy():
-    # np.power with a float exponent differs from its element-wise loop over
-    # an exponent array exactly for FAST_POWER_EXPONENTS, on which flow's
-    # ensembles rely to keep a row's trace independent of its ensemble
-    x = np.random.default_rng(0).uniform(0.01, 100.0, 20000)
-    exponents = [k / 4.0 for k in range(-16, 17)] + [1.0 / 3.0, -2.0 / 3.0, 0.3, -1.3]
-    differ = {
-        e for e in exponents
-        if not np.array_equal(np.power(x, e), np.power(x, np.full(x.shape, e)))
-    }
-    assert differ == FAST_POWER_EXPONENTS
