@@ -113,11 +113,14 @@ def _make_out_dir(out_dir: str) -> bool:
     return True
 
 
-def _section(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})
+def _object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise InvalidConfig(f"{key!r} must be a JSON object, got {value!r}")
     return value
+
+
+def _section(doc: dict, key: str) -> dict:
+    return _object(doc.get(key, {}), key)
 
 
 def _integer(value, name: str) -> int:
@@ -294,7 +297,8 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
         doc = _load_json(config_path)
         law = _law_from_doc(doc)
         n = _integer(doc["n"], "n")
-        if enforce_hypotheses and not theorem_hypotheses(law, n):
+        # any other n is a config error, which _flow_config_from_doc reports
+        if enforce_hypotheses and n in (1, 2) and not theorem_hypotheses(law, n):
             print(
                 f"law outside the Harnack-bound hypotheses for n={n}: "
                 f"need a power law with a > 0, beta > 0 or a < 0, -1/n < beta < 0",
@@ -336,10 +340,10 @@ def cmd_verify(suite: str, out_dir: str | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    if out_dir and not _make_out_dir(out_dir):
+    if out_dir is not None and not _make_out_dir(out_dir):
         return EXIT_CONFIG
     reports = SUITES[suite]()
-    if out_dir:
+    if out_dir is not None:
         _atomic_write(os.path.join(out_dir, "report.csv"), _report_csv(reports))
     failed = [r for r in reports if not r.passed]
     for rep in reports:
@@ -375,10 +379,10 @@ def _sweep_doc(tup, base_doc: dict) -> dict:
     return {
         "n": tup["n"],
         "speed": {"a": -1.0, "beta": -float(tup["b"])},
-        "grid": dict(base_doc.get("grid", {"N": 256})),
-        "initial": dict(tup.get("shape", {"type": "circle", "R0": 1.0})),
-        "time": dict(base_doc.get("time", {"t_end": 2.0})),
-        "output": dict(base_doc.get("output", {"stride": 50})),
+        "grid": _object(base_doc.get("grid", {"N": 256}), "grid"),
+        "initial": _object(tup.get("shape", {"type": "circle", "R0": 1.0}), "shape"),
+        "time": _object(base_doc.get("time", {"t_end": 2.0}), "time"),
+        "output": _object(base_doc.get("output", {"stride": 50}), "output"),
     }
 
 

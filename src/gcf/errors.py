@@ -21,10 +21,6 @@ class NonConvex(GcfError):
     """A curvature radius is non-positive; strict convexity lost."""
 
 
-class WrongLawForm(GcfError):
-    """Operation requires the expanding negative-power law -K^(-b), 0 < b < 1/n."""
-
-
 class NonPositiveTime(GcfError):
     """Time since flow start must be positive."""
 

@@ -299,8 +299,7 @@ class GeometryState:
     (first angular derivatives of the radii, K and H, and the second one of
     K) used by downstream fields.  For n=1, r2 and the azimuthal entries are None.
     A stacked state (see derive_state) holds S grids as (S, N) rows; d1,
-    d2, grad_norm_sq_h, h_norm_sq and box_op work along the last axis, so
-    they serve both.
+    d2, h_norm_sq and box_op work along the last axis, so they serve both.
     """
 
     n: int
@@ -439,16 +438,9 @@ def require_convex(radii: np.ndarray) -> None:
         raise NonConvex(f"curvature radius dropped to {float(lo):.3e} (floor {RADIUS_FLOOR:g})")
 
 
-def grad_norm_sq_h(state: GeometryState, u: np.ndarray) -> np.ndarray:
-    """Squared gradient in the inverse-second-fundamental-form norm.
-
-    n=1: (u_theta)**2 / r; n=2 axisymmetric: (u_phi)**2 / r1.
-    """
-    return h_norm_sq(state, state.d1(u))
-
-
 def h_norm_sq(state: GeometryState, du: np.ndarray) -> np.ndarray:
-    """grad_norm_sq_h of a field whose angular derivative du is at hand."""
+    """Squared gradient in the inverse-second-fundamental-form norm, from
+    the field's angular derivative du: (du)**2 / r1 for n=1 and n=2."""
     return du * du / state.r1
 
 
@@ -473,18 +465,3 @@ def laplace_beltrami(state: GeometryState, u: np.ndarray) -> np.ndarray:
     if state.n == 1:
         return hess_mer / state.r1**2
     return (hess_mer + (state.r1 / state.r2) * state.cot * du) / state.r1**2
-
-
-def hessian_principal(state: GeometryState, u: np.ndarray) -> np.ndarray:
-    """Covariant Hessian components in the orthonormal principal frame.
-
-    Returns shape (N,) for n=1 (the arc-length second derivative) and
-    (M, 2) for n=2 (meridian, azimuthal).
-    """
-    du = state.d1(u)
-    ddu = state.d2(u)
-    mer = (ddu - state.Gamma * du) / state.r1**2
-    if state.n == 1:
-        return mer
-    azi = state.cot * du / (state.r1 * state.r2)
-    return np.stack([mer, azi], axis=1)

@@ -33,9 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientTrace, NonPositiveTime, WrongLawForm
+from .errors import InsufficientTrace, NonPositiveTime
 from .flow import FlowTrace
-from .geometry import GeometryState, box_op, derive_state, grad_norm_sq_h, h_norm_sq
+from .geometry import GeometryState, box_op, derive_state, h_norm_sq
 from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
 
 
@@ -81,30 +81,6 @@ def dt_f_spatial(sf: SpeedFields) -> np.ndarray:
     finite differences of the f(K) field, matching the monitored quantity.
     """
     return sf.f1K * (box_op(sf.state, sf.f) + sf.state.H * sf.f)
-
-
-def _lhs_eq12(dt_u, gsq_h, u, nb: float, t: float) -> np.ndarray:
-    """harnack_lhs from its parts, which monitor already holds."""
-    return dt_u + gsq_h - (nb / ((1.0 - nb) * t)) * u
-
-
-def harnack_lhs(sf: SpeedFields, t: float) -> np.ndarray:
-    """Differential-Harnack expression for u = K^(-b) at time t since start.
-
-    d_t u + |grad u|^2_h - (n b / ((1 - n b) t)) u, non-positive along
-    flows of compact convex initial data started at t = 0.
-    """
-    state, law = sf.state, sf.law
-    b = expanding_b(law, state.n)
-    if b is None:
-        raise WrongLawForm(
-            f"need the law -K^(-b) with 0 < b < 1/n for the curvature-power bound; "
-            f"got kind={law.kind}, a={law.a}, beta={law.beta}, n={state.n}"
-        )
-    if t <= 0.0:
-        raise NonPositiveTime(f"need t > 0, got {t}")
-    u = -sf.f
-    return _lhs_eq12(-dt_f_spatial(sf), grad_norm_sq_h(state, u), u, state.n * b, t)
 
 
 def P_tensor(sf: SpeedFields) -> np.ndarray:
@@ -234,7 +210,8 @@ def monitor(trace: FlowTrace) -> HarnackTable:
     if b is None:
         lhs12 = np.full_like(u, np.nan)
     else:
-        lhs12 = _lhs_eq12(dt_u_spatial, gsq_h, u, trace.n * b, t[:, None])
+        nb = trace.n * b
+        lhs12 = dt_u_spatial + gsq_h - (nb / ((1.0 - nb) * t[:, None])) * u
     bound = harnack_bound(law, trace.n, t)
     return HarnackTable(
         t, u, dt_u_spatial, dt_u_fd, gsq_h, lhs12, p_tr, bound, p_tr - bound[:, None]

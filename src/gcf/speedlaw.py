@@ -203,7 +203,6 @@ def beta_fn_prime_fd(law: SpeedLaw, x, rel_step: float = 5e-6):
 class PowerLawIdentityReport:
     """Residuals of the structural identities over a set of sample points."""
 
-    points: tuple
     max_gamma_residual: float  # |gamma + beta/(x f')|
     max_beta_prime_residual: float  # |beta'_fd - f*alpha/x|
     max_alpha: float
@@ -227,7 +226,6 @@ def check_power_law_identities(law: SpeedLaw, sample_points) -> PowerLawIdentity
     res_gamma = np.abs(g_v + b_v / (x * f1))
     res_bp = np.abs(beta_fn_prime_fd(law, x) - f * a_v / x)
     return PowerLawIdentityReport(
-        points=tuple(float(v) for v in np.atleast_1d(x)),
         max_gamma_residual=float(np.max(res_gamma)),
         max_beta_prime_residual=float(np.max(res_bp)),
         max_alpha=float(np.max(np.abs(a_v))),

@@ -93,7 +93,6 @@ class IdentityReport:
     tolerance: float
     order_window: tuple | None = None
     scale: float = 1.0
-    note: str = ""
 
     @property
     def order(self) -> float | None:
@@ -341,8 +340,7 @@ def check_identities(grid: SupportGrid) -> list:
     for n=1; for n=2 reflected at the poles, odd for the distance from the
     axis and even for the height.  n=2 adds the azimuthal rows of the
     embedding Hessian.  For n=1 the divergence identity collapses to the
-    definitional curvature relation and is reported with a degenerate note
-    and no order window.
+    definitional curvature relation and is reported with no order window.
     """
     state = derive_state(grid)
     n, dx = grid.n, grid.spacing
@@ -374,7 +372,7 @@ def check_identities(grid: SupportGrid) -> list:
     if n == 1:
         # n=1 divergence of K h^-1 reduces to the definitional K = 1/r.
         div = d1(state.K, "even") + d1(state.r1, "even") * state.K / state.r1
-        note, div_window = "degenerate for n=1", None
+        div_window = None
     else:
         # Divergence of K h^-1 in conservation form, weighted by sqrt(det g)
         # so the residual stays uniformly second order up to the poles.
@@ -384,7 +382,7 @@ def check_identities(grid: SupportGrid) -> list:
         gam_phph = d1(state.r1, "even") / state.r1
         gam_phps = -rho * Fp[:, 0] / state.r1**2
         div = d1(sqrtg * t_phph, "odd") + sqrtg * (gam_phph * t_phph + gam_phps * t_psps)
-        note, div_window = "", window
+        div_window = window
 
     def worst(pairs):
         """The largest |lhs - rhs| over an identity's (lhs, rhs) rows."""
@@ -395,7 +393,7 @@ def check_identities(grid: SupportGrid) -> list:
         IdentityReport("weingarten", (dx,), (worst(weingarten),), 1e-2, order_window=window),
         IdentityReport(
             "curvature-divergence", (dx,), (float(np.max(np.abs(div))),), 1e-2,
-            order_window=div_window, note=note,
+            order_window=div_window,
         ),
     ]
 
@@ -581,13 +579,7 @@ def oracle_suite() -> list:
         h_final = trace.grids[-1].values
         rel = float(np.max(np.abs(h_final - r_exact)) / r_exact)
         reports.append(
-            IdentityReport(
-                f"round-oracle-n{n}-b{b:g}",
-                (float(size),),
-                (rel,),
-                tolerance=1e-6,
-                note=f"t_end={t_end:g}",
-            )
+            IdentityReport(f"round-oracle-n{n}-b{b:g}", (float(size),), (rel,), tolerance=1e-6)
         )
     return reports
 

@@ -173,7 +173,7 @@ def test_criterion_8_geometric_identities():
     ok = True
     details = []
     for rep in reports:
-        if rep.note:  # degenerate curve case of the divergence identity
+        if rep.order_window is None:  # degenerate curve case of the divergence identity
             continue
         ok = ok and rep.order is not None and rep.order >= 1.7
         details.append(f"{rep.identity}: order {rep.order:.2f}")

@@ -169,6 +169,13 @@ def test_verify_speedlaw_report(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_out_empty_is_the_working_directory(tmp_path, monkeypatch):
+    # as for the other commands, --out "" writes into the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "speedlaw", "--out", ""]) == 0
+    assert (tmp_path / "report.csv").is_file()
+
+
 def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nonsense"]) == 2
 
@@ -626,6 +633,24 @@ def test_run_rejects_a_non_finite_t_end(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
     header, rows = read_csv(tmp_path / "s" / "sweep.csv")
     assert rows[0][header.index("status")] == "failed:config"
+
+
+@pytest.mark.parametrize(
+    "shared,shape",
+    [({"grid": [["N", 16]]}, None), ({}, [["type", "fourier"], ["modes", [[2, 0.02]]]])],
+    ids=["shared-block", "tuple-shape"],
+)
+def test_sweep_rejects_a_list_of_pairs_where_an_object_is_required(tmp_path, capsys, shared,
+                                                                    shape):
+    # gcf run rejects the same blocks; the tuple ends failed:config
+    tup = {"n": 1, "b": 0.3} if shape is None else {"n": 1, "b": 0.3, "shape": shape}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"tuples": [tup], "grid": {"N": 16}, "time": {"t_end": 0.5},
+                               "output": {"stride": 1}, **shared}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    header, rows = read_csv(tmp_path / "s" / "sweep.csv")
+    assert rows[0][header.index("status")] == "failed:config"
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["run"], ["harnack", "--enforce-hypotheses"]],

@@ -4,9 +4,11 @@ A small valid `gcf run` document has one field replaced by an arbitrary
 JSON value.  Either reading it raises one of cli.CONFIG_ERRORS, and
 `gcf run` on it exits 2 with one line on stderr; or it reads as a flow
 config that keeps the document's integers and law kind and has finite
-times.  `run` is replaced by a stub that fails the test, so no accepted
-document steps a flow; the integers drawn keep every accepted grid at 256
-nodes or fewer.
+times.  Under `gcf harnack --enforce-hypotheses` the same documents exit
+2 or 4 with one line on stderr (4 only with n = 1 or 2), or read as a
+config whose law meets the Harnack-bound hypotheses.  `run` is replaced
+by a stub that fails the test, so no accepted document steps a flow; the
+integers drawn keep every accepted grid at 256 nodes or fewer.
 
 A bad sweep tuple stops no other tuple: in a two-tuple sweep whose second
 tuple has one field replaced by an arbitrary JSON value, the first tuple
@@ -28,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcf import cli
+from gcf.speedlaw import theorem_hypotheses
 
 DOC = {
     "n": 1,
@@ -76,8 +79,8 @@ def replaced(path, value, doc=DOC):
     return doc
 
 
-def gcf_run(doc):
-    """Exit code and stderr of `gcf run` on doc, with run stubbed out."""
+def gcf_command(doc, *command):
+    """Exit code and stderr of `gcf COMMAND` on doc, with run stubbed out."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -85,7 +88,7 @@ def gcf_run(doc):
             json.dump(doc, fh)
         stub = mock.patch.object(cli, "run", side_effect=AssertionError("a rejected config ran"))
         with stub, contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+            code = cli.main([*command, "--config", path, "--out", os.path.join(tmp, "out")])
     return code, err.getvalue()
 
 
@@ -103,7 +106,7 @@ def test_a_config_field_of_any_json_value(path, value):
     try:
         cfg = cli._flow_config_from_doc(doc)
     except cli.CONFIG_ERRORS:
-        code, err = gcf_run(doc)
+        code, err = gcf_command(doc, "run")
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         return
@@ -115,6 +118,29 @@ def test_a_config_field_of_any_json_value(path, value):
     if cfg.shape.kind == "fourier":
         assert [k for k, _ in cfg.shape.modes] == [k for k, _ in doc["initial"].get("modes", [])]
         assert all(type(k) is int for k, _ in cfg.shape.modes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PATHS), JSON)
+@example(("n",), 0)
+@example(("n",), -1)
+@example(("n",), 3)
+@example(("speed", "kind"), "exp")
+@example(("speed", "beta"), -1.2)
+def test_enforced_hypotheses_on_a_config_field_of_any_json_value(path, value):
+    doc = replaced(path, value)
+    try:
+        cfg = cli._flow_config_from_doc(doc)
+    except cli.CONFIG_ERRORS:
+        cfg = None
+    if cfg is not None and theorem_hypotheses(cfg.law, cfg.n):
+        return
+    code, err = gcf_command(doc, "harnack", "--enforce-hypotheses")
+    assert err.count("\n") == 1, err
+    if code == cli.EXIT_HYPOTHESES:
+        assert doc["n"] in (1, 2) and err.startswith("law outside the Harnack-bound hypotheses")
+    else:
+        assert cfg is None and code == cli.EXIT_CONFIG and err.startswith("config error: ")
 
 
 SWEEP = {"grid": {"N": 16}, "time": {"t_end": 0.5}, "output": {"stride": 1}}

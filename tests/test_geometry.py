@@ -9,8 +9,7 @@ from gcf.geometry import (
     box_op,
     derive_state,
     fourier_grid,
-    grad_norm_sq_h,
-    hessian_principal,
+    h_norm_sq,
     laplace_beltrami,
     radii_and_K,
     round_grid,
@@ -98,7 +97,7 @@ def test_scaling_covariance(n, size):
 
 def test_grad_norm_constant_field_vanishes():
     st = derive_state(fourier_grid(1, 1.0, [(3, 0.05)], 64))
-    assert np.max(np.abs(grad_norm_sq_h(st, np.full(64, 2.3)))) <= 1e-24
+    assert np.max(np.abs(h_norm_sq(st, st.d1(np.full(64, 2.3))))) <= 1e-24
 
 
 def test_grad_norm_circle_sine_field():
@@ -106,7 +105,7 @@ def test_grad_norm_circle_sine_field():
     N = 256
     st = derive_state(round_grid(1, 2.0, N))
     u = np.sin(st.angles)
-    assert np.max(np.abs(grad_norm_sq_h(st, u) - np.cos(st.angles) ** 2 / 2.0)) <= 1e-7
+    assert np.max(np.abs(h_norm_sq(st, st.d1(u)) - np.cos(st.angles) ** 2 / 2.0)) <= 1e-7
 
 
 def test_grad_norm_matches_embedding_oracle():
@@ -121,7 +120,7 @@ def test_grad_norm_matches_embedding_oracle():
         chord = np.linalg.norm(np.roll(pos, -1, axis=0) - np.roll(pos, 1, axis=0), axis=1)
         du_ds = (np.roll(u, -1) - np.roll(u, 1)) / chord
         oracle = du_ds**2 * st.r1
-        errs.append(np.max(np.abs(grad_norm_sq_h(st, u) - oracle)))
+        errs.append(np.max(np.abs(h_norm_sq(st, st.d1(u)) - oracle)))
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) >= 1.6
 
@@ -177,13 +176,6 @@ def test_box_converges_at_least_second_order():
         vals = box_op(st, u_of(st.angles))
         errs.append(np.max(np.abs(vals - ref[:: 2048 // N])))
     assert np.log2(errs[0] / errs[1]) >= 2.0
-
-
-def test_hessian_principal_shapes():
-    st1 = derive_state(round_grid(1, 1.0, 64))
-    assert hessian_principal(st1, np.cos(st1.angles)).shape == (64,)
-    st2 = derive_state(round_grid(2, 1.0, 64))
-    assert hessian_principal(st2, np.cos(st2.angles)).shape == (64, 2)
 
 
 def test_nonconvex_grid_rejected():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gcf.errors import InsufficientTrace, NonPositiveTime, WrongLawForm
-from gcf.flow import FlowConfig, InitialShape, run
+from gcf.errors import InsufficientTrace, NonPositiveTime
+from gcf.flow import FlowConfig, FlowTrace, InitialShape, run
 from gcf import harnack
-from gcf.geometry import GeometryState, derive_state, fourier_grid, grad_norm_sq_h, round_grid
+from gcf.geometry import GeometryState, derive_state, fourier_grid, h_norm_sq, round_grid
 from gcf.harnack import (
     HarnackTable,
     P_norm_sq_h,
@@ -13,7 +13,6 @@ from gcf.harnack import (
     P_trace,
     dt_f_spatial,
     harnack_bound,
-    harnack_lhs,
     margin_summary,
     monitor,
     speed_fields,
@@ -42,31 +41,34 @@ def test_dt_f_spatial_round_values():
     assert np.max(np.abs(got2 - (-0.5))) <= 1e-12
 
 
-def test_harnack_lhs_equality_on_self_similar_circle():
+def round_trace(law, radius, t, size=128):
+    # exact round grids of radius(s) at the stored times s = t - 0.1, t, t + 0.1,
+    # so that monitor's one row is the state at t
+    times = [t - 0.1, t, t + 0.1]
+    grids = [round_grid(1, radius(s), size) for s in times]
+    return FlowTrace(n=1, law=law, times=times, grids=grids)
+
+
+def test_lhs12_equality_on_self_similar_circle():
     # R(t) = (t/2)^2 for b = 1/2: u = t/2, d_t u = 1/2, gradient zero,
     # and the time factor removes exactly u/t = 1/2
-    t = 0.8
-    st = round_state(1, (t / 2.0) ** 2)
-    lhs = harnack_lhs(speed_fields(st, HALF), t)
-    assert np.max(np.abs(lhs)) <= 1e-12
+    table = monitor(round_trace(HALF, lambda t: (t / 2.0) ** 2, 0.8))
+    assert np.max(np.abs(table.lhs_12)) <= 1e-12
 
 
-def test_harnack_lhs_unit_circle_value():
+def test_lhs12_unit_circle_value():
     # R0=1: R(t) = (1 + t/2)^2, u = 1 + t/2, LHS = 1/2 - u/t = -1/t
     t = 2.0
-    st = round_state(1, (1.0 + t / 2.0) ** 2)
-    lhs = harnack_lhs(speed_fields(st, HALF), t)
-    assert np.max(np.abs(lhs + 1.0 / t)) <= 1e-12
+    table = monitor(round_trace(HALF, lambda s: (1.0 + s / 2.0) ** 2, t))
+    assert np.max(np.abs(table.lhs_12 + 1.0 / t)) <= 1e-12
 
 
-def test_harnack_lhs_law_and_time_guards():
-    st = round_state(1, 1.0)
-    with pytest.raises(WrongLawForm):
-        harnack_lhs(speed_fields(st, SpeedLaw.power(1.0, 0.5)), 1.0)
-    with pytest.raises(WrongLawForm):
-        harnack_lhs(speed_fields(st, SpeedLaw.power(-1.0, -1.2)), 1.0)
+def test_lhs12_law_and_time_guards():
+    for law in (SpeedLaw.power(1.0, 0.5), SpeedLaw.power(-1.0, -1.2)):
+        table = monitor(round_trace(law, lambda t: 1.0, 1.0))
+        assert np.all(np.isnan(table.lhs_12))
     with pytest.raises(NonPositiveTime):
-        harnack_lhs(speed_fields(st, HALF), 0.0)
+        harnack_bound(HALF, 1, 0.0)
 
 
 def test_p_tensor_and_trace_on_rounds():
@@ -157,15 +159,8 @@ def test_monitor_columns_equal_the_speed_fields_functions(n, size, law, t_end):
     assert len(table.t) == len(trace) - 2 >= 3
     for i, grid in enumerate(trace.grids[1:-1]):
         sf = speed_fields(derive_state(grid), law)
-        t = float(table.t[i])
         assert np.array_equal(table.dt_u_spatial[i], -dt_f_spatial(sf))
         assert np.array_equal(table.p_trace[i], P_trace(sf))
-        if law.is_power:
-            assert np.array_equal(table.lhs_12[i], harnack_lhs(sf, t))
-        else:
-            assert np.all(np.isnan(table.lhs_12[i]))
-            with pytest.raises(WrongLawForm):
-                harnack_lhs(sf, t)
 
 
 def test_monitor_requires_three_states():
@@ -247,7 +242,7 @@ def per_state_monitor(trace, law):
         central = (dm**2 * u_fields[m + 1] - dp**2 * u_fields[m - 1]
                    + (dp**2 - dm**2) * u) / (dm * dp * (dm + dp))
         dt_u_fd = central + v * du
-        gsq_h = grad_norm_sq_h(st, u)
+        gsq_h = h_norm_sq(st, st.d1(u))
         p_tr = P_trace(sf)
         if b is None:
             lhs12 = np.full_like(u, np.nan)

@@ -1,10 +1,20 @@
-"""tools/csv_digests.py's comparison with a saved listing."""
+"""tools/csv_digests.py's comparison with a saved listing, and a check
+that every public name of src/gcf is read by the program itself."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "csv_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "csv_digests.py"
+# Public names of src/gcf that only tests read, each kept as an independent
+# reference that tests compare the program against.
+KEPT_FOR_TESTS = {
+    "hessian_oracle": "the covariant Hessian from the embedding alone, against geometry.box_op",
+    "P_tensor_trace": "the Harnack tensor contracted term by term, against harnack.P_trace",
+    "self_similar_start_time": "the start time of the self-similar solution, for equality cases",
+}
 
 
 def _tool():
@@ -41,3 +51,26 @@ def test_expect_names_each_csv_that_differs(tmp_path):
         ("gone.csv", "missing"),
         ("new.csv", "not in the listing"),
     ]
+
+
+def test_every_public_name_of_src_is_read_outside_its_definition():
+    # a public module-level function or class of src/gcf that no code in
+    # src/, perfbench/ or tools/ names, by use or by import, is a copy that
+    # only tests call
+    defined, read = set(), set()
+    for path in (p for d in ("src", "perfbench", "tools") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if (ROOT / "src" / "gcf") in path.parents:
+            defined |= {
+                node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rsplit(".", 1)[-1])
+    assert sorted(defined - read) == sorted(KEPT_FOR_TESTS)
