@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GcfError, InsufficientTrace, InvalidConfig
-from .flow import DEFAULT_SAFETY, FlowConfig, InitialShape, run
+from .flow import FlowConfig, InitialShape, run
 from .geometry import mean_curvature
 from .harnack import MarginSummary, margin_summary, monitor
 from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
@@ -43,10 +43,11 @@ EXIT_CONFIG = 2
 EXIT_NONCONVEX = 3
 EXIT_HYPOTHESES = 4
 
-# What a malformed config raises while it is read: bad JSON is a
-# ValueError, a missing field a KeyError, a field of the wrong type a
-# TypeError, an integer too large for a float an OverflowError.
-CONFIG_ERRORS = (GcfError, KeyError, ValueError, TypeError, OverflowError)
+# What a malformed config raises while it is read: a missing field, or a
+# number, integer or block of the wrong kind, is a GcfError; bad JSON, or
+# a mode that is not a pair, a ValueError or TypeError; an integer too
+# large for a float an OverflowError.
+CONFIG_ERRORS = (GcfError, ValueError, TypeError, OverflowError)
 
 
 def _fmt(x) -> str:
@@ -123,6 +124,13 @@ def _section(doc: dict, key: str) -> dict:
     return _object(doc.get(key, {}), key)
 
 
+def _required(block: dict, key: str, name: str):
+    """block[key], the field called name; a config error if it is missing."""
+    if key not in block:
+        raise InvalidConfig(f"{name} is required")
+    return block[key]
+
+
 def _integer(value, name: str) -> int:
     """A JSON integer, or a float with an integral value such as 2.0."""
     if isinstance(value, float) and value.is_integer():
@@ -132,27 +140,37 @@ def _integer(value, name: str) -> int:
     raise InvalidConfig(f"{name} must be an integer, got {value!r}")
 
 
+def _number(value, name: str) -> float:
+    """A JSON number, integer or not, as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidConfig(f"{name} must be a number, got {value!r}")
+
+
 def _law_from_doc(doc: dict) -> SpeedLaw:
     speed = _section(doc, "speed")
     kind = speed.get("kind", "power")
     if kind == "power":
-        return SpeedLaw.power(float(speed["a"]), float(speed["beta"]))
+        a = _number(_required(speed, "a", "speed.a"), "speed.a")
+        return SpeedLaw.power(a, _number(_required(speed, "beta", "speed.beta"), "speed.beta"))
     return SpeedLaw(kind)  # rejects a kind that is neither power nor exp
 
 
 def _flow_config_from_doc(doc: dict) -> FlowConfig:
     law = _law_from_doc(doc)
-    n = _integer(doc["n"], "n")
+    n = _integer(_required(doc, "n", "n"), "n")
     size = _integer(_section(doc, "grid").get("N", 256), "grid.N")
     init = _section(doc, "initial")
     kind = init.get("type", "circle")
+    R0 = _number(init.get("R0", 1.0), "initial.R0")
     if kind in ("circle", "sphere", "round"):
-        shape = InitialShape("round", R0=float(init.get("R0", 1.0)))
+        shape = InitialShape("round", R0=R0)
     elif kind == "fourier":
         modes = tuple(
-            (_integer(k, "mode wavenumber"), float(a)) for k, a in init.get("modes", [])
+            (_integer(k, "mode wavenumber"), _number(a, "mode amplitude"))
+            for k, a in init.get("modes", [])
         )
-        shape = InitialShape("fourier", R0=float(init.get("R0", 1.0)), modes=modes)
+        shape = InitialShape("fourier", R0=R0, modes=modes)
     else:
         raise GcfError(f"unknown initial type {kind!r}")
     tdoc = _section(doc, "time")
@@ -161,9 +179,8 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
         size=size,
         law=law,
         shape=shape,
-        t_end=float(tdoc["t_end"]),
-        t0=float(tdoc.get("t0", 0.0)),
-        safety=float(tdoc.get("safety", DEFAULT_SAFETY)),
+        t_end=_number(_required(tdoc, "t_end", "time.t_end"), "time.t_end"),
+        t0=_number(tdoc.get("t0", 0.0), "time.t0"),
         stride=_integer(_section(doc, "output").get("stride", 1), "output.stride"),
     )
 
@@ -296,7 +313,7 @@ def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False
     try:
         doc = _load_json(config_path)
         law = _law_from_doc(doc)
-        n = _integer(doc["n"], "n")
+        n = _integer(_required(doc, "n", "n"), "n")
         # any other n is a config error, which _flow_config_from_doc reports
         if enforce_hypotheses and n in (1, 2) and not theorem_hypotheses(law, n):
             print(
@@ -373,16 +390,19 @@ def _sweep_row(index: int, tup) -> dict:
     }
 
 
+# A sweep's defaults for the fields of its shared blocks; a field a block
+# gives replaces its default, and the others keep theirs.
+_SWEEP_DEFAULTS = {"grid": {"N": 256}, "time": {"t_end": 2.0}, "output": {"stride": 50}}
+
+
 def _sweep_doc(tup, base_doc: dict) -> dict:
     if not isinstance(tup, dict):
         raise InvalidConfig(f"a sweep tuple must be a JSON object, got {tup!r}")
     return {
-        "n": tup["n"],
-        "speed": {"a": -1.0, "beta": -float(tup["b"])},
-        "grid": _object(base_doc.get("grid", {"N": 256}), "grid"),
+        "n": _required(tup, "n", "n"),
+        "speed": {"a": -1.0, "beta": -_number(_required(tup, "b", "b"), "b")},
         "initial": _object(tup.get("shape", {"type": "circle", "R0": 1.0}), "shape"),
-        "time": _object(base_doc.get("time", {"t_end": 2.0}), "time"),
-        "output": _object(base_doc.get("output", {"stride": 50}), "output"),
+        **{key: {**fields, **_section(base_doc, key)} for key, fields in _SWEEP_DEFAULTS.items()},
     }
 
 

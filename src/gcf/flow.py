@@ -51,7 +51,7 @@ from .geometry import (
 from .speedlaw import POWER, FlatLaws, SpeedLaw, theorem_hypotheses
 
 DT_FLOOR = 1e-12
-DEFAULT_SAFETY = 0.3
+SAFETY = 0.3  # RK4 with the 4th-order d2 stencil is stable to about 0.52
 
 _minimum, _maximum = np.minimum.reduce, np.maximum.reduce
 
@@ -83,13 +83,8 @@ class FlowConfig:
     shape is an InitialShape, built on the (n, size) grid, or a
     SupportGrid of that (n, size) to start from as it is, such as the
     last state of an earlier run.  The initial state must be strictly
-    convex and the law defined on its curvature.
-
-    safety scales the explicit step bound dx**2 / lambda (see stable_dt).
-    RK4's linear stability limit with the 4th-order d2 stencil is about
-    0.52 of that bound, so a safety near 1 can step unstably: perturbed
-    circles at t_end = 0.5 end nonconvex at safety 0.8 and 1.0 and
-    complete at 0.6 or below.
+    convex and the law defined on its curvature.  Without fixed_dt the
+    run steps under stable_dt.
     """
 
     n: int
@@ -98,7 +93,6 @@ class FlowConfig:
     shape: InitialShape | SupportGrid
     t_end: float
     t0: float = 0.0
-    safety: float = DEFAULT_SAFETY
     stride: int = 1
     fixed_dt: float | None = None
 
@@ -109,8 +103,6 @@ class FlowConfig:
             raise InvalidConfig(
                 f"need a finite t_end > t0 >= 0, got t0={self.t0}, t_end={self.t_end}"
             )
-        if not (0.0 < self.safety <= 1.0):
-            raise InvalidConfig(f"safety must lie in (0, 1], got {self.safety}")
         if self.stride < 1:
             raise InvalidConfig(f"stride must be >= 1, got {self.stride}")
         if self.fixed_dt is not None:
@@ -266,7 +258,7 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
 
 
 def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, scale: list) -> list:
-    """scale[j] / lambda per row j as floats, with scale = safety * dx**2 per
+    """scale[j] / lambda per row j as floats, with scale = SAFETY * dx**2 per
     row and lambda maximised over the row.
 
     The division is Python's, the IEEE division numpy's also is; a lambda
@@ -298,8 +290,8 @@ def _lambda_tops(lam: np.ndarray, layout: FlatLayout, radii: tuple) -> list:
 
 
 def stable_dt(grid: SupportGrid, law: SpeedLaw) -> float:
-    """Explicit parabolic step bound DEFAULT_SAFETY * dx**2 / lambda, the
-    bound a flow steps under at its config's default safety.
+    """Explicit parabolic step bound SAFETY * dx**2 / lambda, the bound
+    every adaptive flow steps under.
 
     lambda bounds the linearized speed sensitivity to the curvature radii:
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
@@ -311,7 +303,7 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw) -> float:
     layout = row_layout(grid.n, grid.size, dx)
     law = FlatLaws([law], [grid.size])
     with np.errstate(all="ignore"):
-        return _dt_bound(law, layout, *grid.curvature(), [DEFAULT_SAFETY * dx * dx])[0]
+        return _dt_bound(law, layout, *grid.curvature(), [SAFETY * dx * dx])[0]
 
 
 def run(config):
@@ -358,7 +350,7 @@ class _Row:
         grid = cfg.build_grid()
         self.trace = FlowTrace(n=cfg.n, law=cfg.law, times=[cfg.t0], grids=[grid])
         self.dx = grid.spacing
-        self.scale = cfg.safety * self.dx * self.dx  # the step bound's safety * dx**2
+        self.scale = SAFETY * self.dx * self.dx
         self.t, self.i, self.dt = cfg.t0, 0, cfg.fixed_dt
         self.t_end, self.stride = cfg.t_end, cfg.stride
         self.adaptive = cfg.fixed_dt is None
@@ -420,7 +412,7 @@ class _Batch:
 
     The rows are laid out n=1 first; h, radii and K are as the layout holds
     them.  Per batch, not per step: the layout, the rows' laws, their
-    safety * dx**2, and whether any row steps adaptively (else no step
+    SAFETY * dx**2, and whether any row steps adaptively (else no step
     bound is needed).
     """
 

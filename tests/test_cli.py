@@ -225,30 +225,44 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+# Contracting flows that end early (see test_flow.EARLY_ENDS): a circle
+# centred off the origin, which shrinks past it, and a perturbed circle
+# that shrinks until its step bound underflows.
+ORIGIN_OUTSIDE = {"speed": {"a": 1, "beta": 1}, "grid": {"N": 32},
+                  "initial": {"type": "fourier", "modes": [[1, 0.5]]}, "time": {"t_end": 1}}
+DT_UNDERFLOW = {"speed": {"a": 1.0, "beta": 1.1700967619904363}, "grid": {"N": 32},
+                "initial": {"type": "fourier", "modes": [[5, 0.017207980635981685]]},
+                "time": {"t_end": 3.0}}
+
+
 @pytest.mark.parametrize(
-    "beta,modes,safety,reason",
-    [
-        (1.1700967619904363, [[5, 0.017207980635981685]], 1.0, "nonconvex"),
-        (1.7070944094947509, [[3, 0.03747968438365297]], 0.6, "origin_outside"),
-    ],
+    "overrides,reason",
+    [(ORIGIN_OUTSIDE, "origin_outside"), (DT_UNDERFLOW, "dt_underflow")],
+    ids=["origin_outside", "dt_underflow"],
 )
-def test_run_early_end_exits_3(tmp_path, capsys, beta, modes, safety, reason):
+def test_run_early_end_exits_3(tmp_path, capsys, overrides, reason):
     cfg = tmp_path / "cfg.json"
-    write_config(
-        cfg,
-        speed={"a": 1.0, "beta": beta},
-        initial={"type": "fourier", "modes": modes},
-        grid={"N": 32},
-        time={"t_end": 3.0, "safety": safety},
-    )
+    write_config(cfg, **overrides)
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"flow terminated early: {reason}\n"
     meta = json.loads((out / "meta.json").read_text())
     assert meta["termination_reason"] == reason
     assert meta["steps"] > 0 and 0.0 < meta["dt_min"] <= meta["dt_max"]
-    assert meta["rhs_evals"] == 4 * meta["steps"] + 4  # the failed step was evaluated too
+    # a failed step was evaluated too; a step bound that underflows takes none
+    assert meta["rhs_evals"] == 4 * meta["steps"] + 4 * (reason != "dt_underflow")
     assert (out / "trace.csv").exists()
+
+
+def test_a_time_safety_key_changes_no_output(tmp_path):
+    # every adaptive flow steps at flow.SAFETY; a safety key is ignored
+    outs = []
+    for time_block in ({"t_end": 0.5}, {"t_end": 0.5, "safety": 0.5}):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, initial={"type": "fourier", "modes": [[3, 0.02]]}, time=time_block)
+        outs.append(tmp_path / f"o{len(outs)}")
+        assert main(["run", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    assert (outs[0] / "trace.csv").read_bytes() == (outs[1] / "trace.csv").read_bytes()
 
 
 def test_harnack_with_too_few_stored_states_is_a_config_error(tmp_path, capsys):
@@ -265,22 +279,15 @@ def test_harnack_with_too_few_stored_states_is_a_config_error(tmp_path, capsys):
 
 
 def test_harnack_early_end_with_too_few_stored_states_exits_3(tmp_path, capsys):
-    # the nonconvex flow of test_run_early_end_exits_3, storing only its two ends
+    # the origin_outside flow of test_run_early_end_exits_3, storing only its two ends
     cfg = tmp_path / "cfg.json"
-    write_config(
-        cfg,
-        speed={"a": 1.0, "beta": 1.1700967619904363},
-        initial={"type": "fourier", "modes": [[5, 0.017207980635981685]]},
-        grid={"N": 32},
-        time={"t_end": 3.0, "safety": 1.0},
-        output={"stride": 1000000},
-    )
+    write_config(cfg, **ORIGIN_OUTSIDE, output={"stride": 1000000})
     out = tmp_path / "o"
     assert main(["harnack", "--config", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "flow terminated early: nonconvex\n"
+    assert capsys.readouterr().err == "flow terminated early: origin_outside\n"
     assert (out / "trace.csv").exists()
     assert not (out / "harnack.csv").exists()
-    assert json.loads((out / "meta.json").read_text())["termination_reason"] == "nonconvex"
+    assert json.loads((out / "meta.json").read_text())["termination_reason"] == "origin_outside"
 
 
 def test_sweep_tuple_with_too_few_stored_states_fails_config(tmp_path):
@@ -326,15 +333,16 @@ def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
             {"n": None, "b": 0.3},
             {"n": 1, "b": 0.3},
             "not a tuple",
-            {"n": 1, "b": 0.45, "shape": {"type": "fourier", "modes": [[3, 0.03]]}},
+            # so small that its step bound underflows before the first step
+            {"n": 1, "b": 0.1, "shape": {"type": "circle", "R0": 2e-12}},
             {"n": 1, "b": "x"},
             # so large that K = 1/(r1*r2) underflows to 0, which the law rejects
             {"n": 2, "b": 0.3, "shape": {"type": "sphere", "R0": 1e160}},
             {"n": 2, "b": 0.1},
             {"n": 1.7, "b": 0.3},  # not an integer, so not run as n=1
         ],
-        "grid": {"N": 32},
-        "time": {"t_end": 1.0, "safety": 1.0},
+        "grid": {"N": 128},
+        "time": {"t_end": 1.0},
         "output": {"stride": 2},
     }))
     out = tmp_path / "s"
@@ -342,7 +350,7 @@ def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
     header, rows = read_csv(out / "sweep.csv")
     status = [r[header.index("status")] for r in rows]
     assert status == [
-        "failed:config", "ok", "failed:config", "failed:nonconvex", "failed:config",
+        "failed:config", "ok", "failed:config", "failed:dt_underflow", "failed:config",
         "failed:config", "ok", "failed:config",
     ]
     assert all(len(r) == len(header) for r in rows)
@@ -388,10 +396,11 @@ def test_sweep_tuples_match_solo_runs(tmp_path):
 
 
 def test_sweep_tuple_record_independent_of_a_failing_neighbour(tmp_path):
-    # beside a tuple whose flow loses convexity, the other tuple's record is
-    # the one it has alone: the failed step ends only the failing row
-    base = {"grid": {"N": 32}, "time": {"t_end": 1.0, "safety": 1.0}, "output": {"stride": 2}}
-    ok, failing = {"n": 1, "b": 0.8}, {"n": 2, "b": 0.2}
+    # beside a tuple whose step bound underflows (at N=128; at N=32 it
+    # completes), the other tuple's record is the one it has alone: the
+    # failing row ends alone
+    base = {"grid": {"N": 128}, "time": {"t_end": 1.0}, "output": {"stride": 2}}
+    ok, failing = {"n": 1, "b": 0.8}, {"n": 1, "b": 0.1, "shape": {"type": "circle", "R0": 2e-12}}
     metas = []
     for name, tuples, rc in (("alone", [ok], 0), ("beside", [ok, failing], 1)):
         cfg = tmp_path / f"{name}.json"
@@ -402,7 +411,7 @@ def test_sweep_tuple_record_independent_of_a_failing_neighbour(tmp_path):
         metas.append({k: v for k, v in meta.items()
                       if k not in ("wall_time_s", "phase_wall_s", "ensemble_size")})
     _, rows = read_csv(tmp_path / "beside" / "sweep.csv")
-    assert [row[4] for row in rows] == ["ok", "failed:nonconvex"]
+    assert [row[4] for row in rows] == ["ok", "failed:dt_underflow"]
     assert metas[0]["termination_reason"] == "completed"
     assert metas[0]["rhs_evals"] == 4 * metas[0]["steps"]
     assert metas[1] == metas[0]
@@ -676,6 +685,71 @@ def test_run_rejects_a_non_integer_in_an_integer_field(tmp_path, capsys, overrid
     for command in (["run"], ["harnack", "--enforce-hypotheses"]):
         err = run_rejected(tmp_path, capsys, *command, **overrides)
         assert f"{name} must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "overrides,name",
+    [
+        ({"time": {"t_end": "0.5"}}, "time.t_end"),
+        ({"time": {"t_end": 0.5, "t0": False}}, "time.t0"),
+        ({"initial": {"type": "circle", "R0": True}}, "initial.R0"),
+        ({"speed": {"a": "-1", "beta": -0.5}}, "speed.a"),
+        ({"speed": {"a": -1.0, "beta": True}}, "speed.beta"),
+        ({"initial": {"type": "fourier", "modes": [[2, "0.01"]]}}, "mode amplitude"),
+    ],
+    ids=["t_end-string", "t0-bool", "R0-bool", "a-string", "beta-bool", "amplitude-string"],
+)
+def test_run_rejects_a_non_number_in_a_float_field(tmp_path, capsys, overrides, name):
+    for command in (["run"], ["harnack", "--enforce-hypotheses"]):
+        err = run_rejected(tmp_path, capsys, *command, **overrides)
+        assert f"{name} must be a number" in err
+
+
+@pytest.mark.parametrize(
+    "block,key,name",
+    [(None, "n", "n"), ("time", "t_end", "time.t_end"), ("speed", "a", "speed.a"),
+     ("speed", "beta", "speed.beta")],
+    ids=["n", "time.t_end", "speed.a", "speed.beta"],
+)
+def test_run_names_a_missing_required_field(tmp_path, capsys, block, key, name):
+    cfg = tmp_path / "cfg.json"
+    doc = write_config(cfg)
+    del (doc[block] if block else doc)[key]
+    cfg.write_text(json.dumps(doc))
+    for command in (["run"], ["harnack", "--enforce-hypotheses"]):
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {name} is required\n"
+
+
+def test_sweep_rejects_a_tuple_without_a_numeric_b_or_an_n(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"tuples": [{"n": 1}, {"b": 0.3}, {"n": 1, "b": "0.3"}],
+                               "grid": {"N": 16}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    header, rows = read_csv(tmp_path / "s" / "sweep.csv")
+    assert [row[header.index("status")] for row in rows] == ["failed:config"] * 3
+    assert capsys.readouterr().err.splitlines() == [
+        "tuple 0 rejected: b is required",
+        "tuple 1 rejected: n is required",
+        "tuple 2 rejected: b must be a number, got '0.3'",
+    ]
+
+
+def test_sweep_defaults_apply_to_each_missing_field(tmp_path):
+    # a shared block that leaves a field out keeps that field's default, as
+    # a missing block does: t_end 2.0 and stride 50
+    tuples = [{"n": 1, "b": 0.5, "shape": {"type": "fourier", "modes": [[3, 0.02]]}}]
+    outputs = []
+    for blocks in ({}, {"time": {}, "output": {}},
+                   {"time": {"t_end": 2.0}, "output": {"stride": 50}}):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"tuples": tuples, "grid": {"N": 64}, **blocks}))
+        out = tmp_path / f"s{len(outputs)}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "tuple_0000" / "meta.json").read_text())
+        outputs.append([(out / "sweep.csv").read_bytes(),
+                        (out / "tuple_0000" / "harnack.csv").read_bytes(), meta["config"]])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_integral_floats_read_as_integers(tmp_path):

@@ -3,8 +3,8 @@
 A small valid `gcf run` document has one field replaced by an arbitrary
 JSON value.  Either reading it raises one of cli.CONFIG_ERRORS, and
 `gcf run` on it exits 2 with one line on stderr; or it reads as a flow
-config that keeps the document's integers and law kind and has finite
-times.  Under `gcf harnack --enforce-hypotheses` the same documents exit
+config that keeps the document's integers and law kind, read each float
+field from a JSON number, and has finite times.  Under `gcf harnack --enforce-hypotheses` the same documents exit
 2 or 4 with one line on stderr (4 only with n = 1 or 2), or read as a
 config whose law meets the Harnack-bound hypotheses.  `run` is replaced
 by a stub that fails the test, so no accepted document steps a flow; the
@@ -37,7 +37,7 @@ DOC = {
     "speed": {"a": -1.0, "beta": -0.5},
     "grid": {"N": 32},
     "initial": {"type": "fourier", "R0": 1.0, "modes": [[2, 0.02]]},
-    "time": {"t_end": 0.5, "t0": 0.0, "safety": 0.3},
+    "time": {"t_end": 0.5, "t0": 0.0},
     "output": {"stride": 5},
 }
 # The fields that may be replaced, as paths of keys and list indices;
@@ -47,7 +47,7 @@ PATHS = [
     ("grid",), ("grid", "N"), ("initial",), ("initial", "type"), ("initial", "R0"),
     ("initial", "modes"), ("initial", "modes", 0), ("initial", "modes", 0, 0),
     ("initial", "modes", 0, 1), ("time",), ("time", "t_end"), ("time", "t0"),
-    ("time", "safety"), ("output",), ("output", "stride"),
+    ("output",), ("output", "stride"),
 ]
 # No integer from 257 up to 2**63 is drawn, as an int or an integral float,
 # so that an accepted grid size never allocates a large grid; 10**400 is
@@ -68,6 +68,11 @@ JSON = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+def is_number(value):
+    """Whether value is a JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def replaced(path, value, doc=DOC):
@@ -101,6 +106,8 @@ def gcf_command(doc, *command):
 @example(("initial", "modes", 0, 0), 2.5)
 @example(("speed", "kind"), "weird")
 @example(("grid", "N"), 64.0)
+@example(("time", "t_end"), "0.5")
+@example(("initial", "R0"), True)
 def test_a_config_field_of_any_json_value(path, value):
     doc = replaced(path, value)
     try:
@@ -115,9 +122,15 @@ def test_a_config_field_of_any_json_value(path, value):
     assert type(cfg.stride) is int and cfg.stride == doc["output"].get("stride", 1)
     assert cfg.law.kind == doc["speed"].get("kind", "power")
     assert math.isfinite(cfg.t0) and math.isfinite(cfg.t_end)
+    # every float field read was a JSON number
+    floats = [doc["time"]["t_end"], doc["time"].get("t0", 0.0), doc["initial"].get("R0", 1.0)]
+    if cfg.law.is_power:
+        floats += [doc["speed"]["a"], doc["speed"]["beta"]]
     if cfg.shape.kind == "fourier":
         assert [k for k, _ in cfg.shape.modes] == [k for k, _ in doc["initial"].get("modes", [])]
         assert all(type(k) is int for k, _ in cfg.shape.modes)
+        floats += [a for _, a in doc["initial"].get("modes", [])]
+    assert all(map(is_number, floats)), floats
 
 
 @settings(max_examples=200, deadline=None)

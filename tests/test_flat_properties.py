@@ -109,7 +109,7 @@ def test_run_leaves_the_error_state_unchanged():
     nonconvex = FlowConfig(
         n=1, size=32, law=SpeedLaw.power(1.0, 1.1700967619904363),
         shape=InitialShape("fourier", 1.0, ((5, 0.017207980635981685),)),
-        t_end=3.0, safety=1.0, stride=7,
+        t_end=3.0, fixed_dt=3.0 / 750, stride=7,
     )
     before = np.geterr()
     with np.errstate(divide="raise", over="warn", under="print", invalid="ignore"):

@@ -159,11 +159,6 @@ def test_config_validation():
             n=2, size=32, law=SpeedLaw.power(-1.0, -0.9),
             shape=InitialShape("round", 1.0), t_end=1.0,
         )
-    with pytest.raises(InvalidConfig):
-        FlowConfig(
-            n=1, size=64, law=HALF, shape=InitialShape("round", 1.0),
-            t_end=1.0, safety=1.5,
-        )
     for n, size in ((1, 32), (2, 64)):  # a start grid of another (n, size)
         with pytest.raises(InvalidConfig, match="initial grid"):
             FlowConfig(
@@ -183,25 +178,25 @@ def test_fixed_dt_must_divide_span():
 
 
 # Contracting laws (speed -K^beta) that end a run early: (beta, modes,
-# safety, fixed_dt, t_end, reason).  The first loses convexity in the state
-# a step produces while every RK stage stays convex; the second and fourth
-# move the origin out of the body (the fourth is a circle centred off the
-# origin, shrinking towards its centre); the fifth shrinks until its step
+# fixed_dt, t_end, reason).  Each end comes from the geometry, not from an
+# unstable step.  The first loses convexity in the state a step produces
+# while every RK stage stays convex; the second and third move the origin
+# out of the body (a circle centred off the origin, shrinking towards its
+# centre), under fixed_dt and adaptively; the fourth shrinks until its step
 # bound underflows.
 EARLY_ENDS = [
-    (1.1700967619904363, ((5, 0.017207980635981685),), 1.0, None, 3.0, "nonconvex"),
-    (1.7070944094947509, ((3, 0.03747968438365297),), 0.6, None, 3.0, "origin_outside"),
-    (1.1700967619904363, ((5, 0.017207980635981685),), 1.0, 3.0 / 750, 3.0, "nonconvex"),
-    (1.0, ((1, 0.5),), 1.0, 1e-3, 1.0, "origin_outside"),
-    (1.1700967619904363, ((5, 0.017207980635981685),), 0.3, None, 3.0, "dt_underflow"),
+    (1.1700967619904363, ((5, 0.017207980635981685),), 3.0 / 750, 3.0, "nonconvex"),
+    (1.0, ((1, 0.5),), 1e-3, 1.0, "origin_outside"),
+    (1.0, ((1, 0.5),), None, 1.0, "origin_outside"),
+    (1.1700967619904363, ((5, 0.017207980635981685),), None, 3.0, "dt_underflow"),
 ]
 
 
-@pytest.mark.parametrize("beta,modes,safety,fixed_dt,t_end,reason", EARLY_ENDS)
-def test_run_ends_early_with_reason(beta, modes, safety, fixed_dt, t_end, reason):
+@pytest.mark.parametrize("beta,modes,fixed_dt,t_end,reason", EARLY_ENDS)
+def test_run_ends_early_with_reason(beta, modes, fixed_dt, t_end, reason):
     cfg = FlowConfig(
         n=1, size=32, law=SpeedLaw.power(1.0, beta),
-        shape=InitialShape("fourier", 1.0, modes), t_end=t_end, safety=safety,
+        shape=InitialShape("fourier", 1.0, modes), t_end=t_end,
         fixed_dt=fixed_dt, stride=7,
     )
     with warnings.catch_warnings():
@@ -241,8 +236,8 @@ def test_each_accepted_state_derived_once(monkeypatch):
 
 
 def _mixed_configs(seed):
-    """n=1 and n=2 expanding flows of two sizes each, with mixed b, t_end,
-    safety and stride, plus one fixed_dt flow and one exponential-law flow."""
+    """n=1 and n=2 expanding flows of two sizes each, with mixed b, t_end
+    and stride, plus one fixed_dt flow and one exponential-law flow."""
     rng = np.random.default_rng(seed)
     configs = []
     for j in range(9):
@@ -252,7 +247,7 @@ def _mixed_configs(seed):
             n=n, size=(32, 48)[j % 2] if n == 1 else (16, 24)[j % 3 % 2],
             law=SpeedLaw.power(-1.0, -float(rng.uniform(0.1, 0.9 / n))),
             shape=InitialShape("fourier", 1.0, (mode,)),
-            t_end=float(rng.uniform(0.05, 0.4)), safety=float(rng.uniform(0.1, 0.6)),
+            t_end=float(rng.uniform(0.05, 0.4)),
             stride=int(rng.integers(1, 25)),
         ))
     configs.append(FlowConfig(
@@ -356,12 +351,12 @@ def test_a_lambda_beyond_the_float_range_still_ends_dt_underflow():
     assert (trace.reason, trace.steps, trace.times) == ("dt_underflow", 0, [0.0])
 
 
-@pytest.mark.parametrize("early", [EARLY_ENDS[0], EARLY_ENDS[3]], ids=lambda e: e[-1])
+@pytest.mark.parametrize("early", EARLY_ENDS[:2], ids=lambda e: e[-1])
 def test_ensemble_row_ends_early_as_alone(early, monkeypatch):
-    beta, modes, safety, fixed_dt, t_end, reason = early
+    beta, modes, fixed_dt, t_end, reason = early
     ending = FlowConfig(
         n=1, size=32, law=SpeedLaw.power(1.0, beta),
-        shape=InitialShape("fourier", 1.0, modes), t_end=t_end, safety=safety,
+        shape=InitialShape("fourier", 1.0, modes), t_end=t_end,
         fixed_dt=fixed_dt, stride=7,
     )
     configs = _mixed_configs(5)[:8]  # n=1 at sizes 32 and 48, n=2 at 16 and 24

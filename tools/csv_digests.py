@@ -5,11 +5,12 @@ runs writes.
 
 Runs, in-process through `gcf.cli.main` and from the `src/` of this
 checkout, the benchmark's surface-dense and sweep-mixed configs for the
-seed (generated by `perfbench/workloads.build`), the two fixed configs of
-FIXED, and the six verification suites with `--out`, all under OUT_DIR.
-That is 32 CSVs and 23 meta.json files (one per run and per completed
-sweep tuple).  A CSV's digest is that of its bytes; a meta.json's is that
-of its JSON without the timing keys (TIMING_KEYS), so it covers the steps,
+seed (generated by `perfbench/workloads.build`), the three fixed configs
+of FIXED, and the six verification suites with `--out`, all under
+OUT_DIR; each run must exit 0, or with the code FIXED gives it.  That is
+33 CSVs and 24 meta.json files (one per run and per completed sweep
+tuple).  A CSV's digest is that of its bytes; a meta.json's is that of
+its JSON without the timing keys (TIMING_KEYS), so it covers the steps,
 the RHS evaluations and the dt range.  Prints one `sha256  path` line per
 file, paths relative to OUT_DIR, sorted.  Run it in two checkouts and diff
 the outputs to show that a change leaves every CSV byte-identical and
@@ -36,18 +37,26 @@ import workloads  # noqa: E402
 from gcf.cli import main as gcf_main  # noqa: E402
 
 
-# Configs the benchmark's workloads leave out: an n=1 `gcf run`, whose
-# trace.csv has the n=1 columns (H repeats K), and a short exponential-law
-# `gcf harnack`, whose lhs_eq12 and bound_eq316 columns are NaN.
+# Configs the benchmark's workloads leave out, with the exit code each
+# run must give: an n=1 `gcf run`, whose trace.csv has the n=1 columns (H
+# repeats K); a short exponential-law `gcf harnack`, whose lhs_eq12 and
+# bound_eq316 columns are NaN; and a `gcf run` that ends early (exit 3), a
+# contracting circle centred off the origin that shrinks past it, whose
+# partial trace.csv and meta.json record the failed step.
 _SHAPE = {"type": "fourier", "R0": 1.0, "modes": [[3, 0.02], [2, 0.01]]}
 FIXED = {
-    "run-n1": ("run", {
+    "run-n1": ("run", 0, {
         "n": 1, "speed": {"a": -1.0, "beta": -0.5}, "grid": {"N": 128}, "initial": _SHAPE,
         "time": {"t_end": 0.5}, "output": {"stride": 25},
     }),
-    "harnack-exp": ("harnack", {
+    "harnack-exp": ("harnack", 0, {
         "n": 1, "speed": {"kind": "exp"}, "grid": {"N": 64}, "initial": _SHAPE,
         "time": {"t_end": 0.02}, "output": {"stride": 3},
+    }),
+    "run-early-end": ("run", 3, {
+        "n": 1, "speed": {"a": 1, "beta": 1}, "grid": {"N": 32},
+        "initial": {"type": "fourier", "R0": 1.0, "modes": [[1, 0.5]]},
+        "time": {"t_end": 1}, "output": {"stride": 10},
     }),
 }
 
@@ -75,21 +84,21 @@ def meta_digests(out_dir: str) -> dict:
 
 
 def calls(out_dir: str, seed: int) -> list:
-    """The argv lists of every run, writing under out_dir."""
+    """(argv, expected exit code) of every run, writing under out_dir."""
     argvs = [
-        call.argv
+        (call.argv, 0)
         for name in ("surface-dense", "sweep-mixed")
         for call in workloads.build(name, seed, os.path.join(out_dir, name), 1).calls
     ]
-    for name, (command, doc) in FIXED.items():
+    for name, (command, code, doc) in FIXED.items():
         work = os.path.join(out_dir, name)
         os.makedirs(work, exist_ok=True)
         path = os.path.join(work, f"{command}.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
-        argvs.append([command, "--config", path, "--out", os.path.join(work, "out")])
+        argvs.append(([command, "--config", path, "--out", os.path.join(work, "out")], code))
     argvs += [
-        ["verify", "--suite", s, "--out", os.path.join(out_dir, "verify", s)]
+        (["verify", "--suite", s, "--out", os.path.join(out_dir, "verify", s)], 0)
         for s in workloads.SUITES
     ]
     return argvs
@@ -101,10 +110,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--expect", metavar="FILE", help="a saved listing to compare against")
     args = parser.parse_args(argv)
-    for call in calls(args.out_dir, args.seed):
+    for call, code in calls(args.out_dir, args.seed):
         with contextlib.redirect_stdout(sys.stderr):
             rc = gcf_main(call)
-        if rc != 0:
+        if rc != code:
             print(f"gcf {' '.join(call)} exited {rc}", file=sys.stderr)
             return 1
     digests, _, _ = workloads.scan(args.out_dir)
