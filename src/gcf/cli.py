@@ -66,11 +66,17 @@ def _echo(value) -> str:
     return str(value).encode("ascii", "backslashreplace").decode("ascii")
 
 
-def _number_or_blank(x) -> str:
-    try:
-        return _fmt(x)
-    except (TypeError, ValueError, OverflowError):
+def _b_field(b) -> str:
+    """A sweep tuple's b as a CSV field: blank if missing, a JSON number as
+    %.17g, anything else (a rejected b) echoed as given."""
+    if b is None:
         return ""
+    if isinstance(b, (int, float)) and not isinstance(b, bool):
+        try:
+            return _fmt(b)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    return _csv_field(str(b))
 
 
 def _atomic_write(path: str, text) -> None:
@@ -482,7 +488,7 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
                 [
                     str(row["index"]),
                     _csv_field(str(row["n"])),  # a bad tuple's n and shape are echoed as given
-                    _number_or_blank(row["b"]),
+                    _b_field(row["b"]),
                     _csv_field(str(row["shape"])),
                     row["status"],
                     _fmt(row["min_margin"]),

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -357,6 +358,21 @@ def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_sweep_echoes_a_rejected_b_as_given(tmp_path):
+    # only a JSON number is formatted as one; a missing b stays blank
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "tuples": [{"n": 1, "b": "0.3"}, {"n": 1, "b": True}, {"n": 1, "b": "0,3"},
+                   {"n": 1}, {"n": 1, "b": 0.3}],
+        "grid": {"N": 16}, "time": {"t_end": 0.5}, "output": {"stride": 1},
+    }))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))  # "0,3" is written quoted
+    assert [r["b"] for r in rows] == ["0.3", "True", "0,3", "", "%.17g" % 0.3]
+    assert [r["status"] for r in rows] == ["failed:config"] * 4 + ["ok"]
+
+
 SWEEP_BASE = {"grid": {"N": 32}, "time": {"t_end": 0.5}, "output": {"stride": 2}}
 SWEEP_TUPLES = [
     {"n": 1 + (i % 3 == 2), "b": 0.1 + 0.1 * (i % 3),
@@ -480,9 +496,9 @@ def test_sweep_outputs_do_not_depend_on_the_locale(tmp_path, ensure_ascii):
     )
     assert "Traceback" not in done.stderr.decode("utf-8", "replace")
     assert done.returncode == 1
-    csv = (tmp_path / "c" / "sweep.csv").read_bytes()
-    assert csv == (tmp_path / "here" / "sweep.csv").read_bytes()
-    assert "\u00e9".encode("utf-8") in csv
+    written = (tmp_path / "c" / "sweep.csv").read_bytes()
+    assert written == (tmp_path / "here" / "sweep.csv").read_bytes()
+    assert "\u00e9".encode("utf-8") in written
     assert b"tuple 2: n=\\xe9 b=0.3 -> failed:config" in done.stdout
 
 

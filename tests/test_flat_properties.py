@@ -76,7 +76,8 @@ def test_flat_rk4_equals_each_grid_alone(rows, one_dt, scales):
     # each row's own step bound, or the smallest for all rows; scaled up to
     # 100 times, the steps lose convexity in some rows, and each row's
     # failure must then be the one its own step meets
-    bounds = flow._dt_bound(law, layout, radii, K, [0.3 * dx * dx for _, _, dx, _, _ in rows])
+    bounds = flow._dt_bound(law, layout, radii, K,
+                            [flow.SAFETY * dx * dx for _, _, dx, _, _ in rows])
     if scales:
         bounds = [bound * scale for bound, scale in zip(bounds, scales)]
     row_dt = [min(bounds)] * len(rows) if one_dt else bounds

@@ -7,7 +7,7 @@ import pytest
 from gcf import flow, geometry
 from gcf.errors import InvalidConfig, NonConvex
 from gcf.flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
-from gcf.geometry import FlatLayout, derive_state, fourier_grid, round_grid
+from gcf.geometry import FlatLayout, SupportGrid, derive_state, fourier_grid, round_grid
 from gcf.speedlaw import FlatLaws, SpeedLaw
 from gcf.verify import ORACLE_CASES, sphere_radius_exact
 
@@ -140,6 +140,28 @@ def test_stable_dt_scalings():
     assert ratio == pytest.approx(4.0, rel=1e-6)
     # flatter shapes are less stiff for negative exponents
     assert stable_dt(round_grid(1, 2.0, 64), law) > stable_dt(g64, law)
+
+
+def _noise_growth(n, size, b):
+    """Largest 4th difference of h after 0.2 time units over its start
+    value, on a circle with 1e-8 node noise."""
+    rng = np.random.default_rng(1)
+    grid = SupportGrid(n, 1.0 + 1e-8 * rng.standard_normal(size))
+    trace = run(FlowConfig(n=n, size=size, law=SpeedLaw.power(-1.0, -b), shape=grid,
+                           t_end=0.2, stride=10**9))
+    first, last = (np.max(np.abs(np.diff(g.values, 4))) for g in trace.grids)
+    return last / first
+
+
+def test_step_bound_sits_below_the_stability_limit(monkeypatch):
+    # RK4 with the 4th-order d2 stencil is linearly stable to about
+    # 2.785*3/16 = 0.522 of dx^2/lambda; at flow.SAFETY node noise decays,
+    # and just above the limit the n=1 noise grows (the measured cliff lies
+    # between 0.520 and 0.525 at n=1, higher at n=2)
+    assert _noise_growth(1, 256, 0.9) <= 1.0
+    assert _noise_growth(2, 128, 0.45) <= 1.0
+    monkeypatch.setattr(flow, "SAFETY", 0.53)
+    assert _noise_growth(1, 256, 0.9) >= 100.0
 
 
 def test_config_validation():
@@ -476,7 +498,7 @@ def test_rk4_step_equals_reference(n, size, kind):
     for got, want in zip(radii, ref_radii):
         assert np.array_equal(got, want.ravel())
     assert np.array_equal(K, ref_K.ravel())
-    bounds = flow._dt_bound(law, flat, radii, K, [0.3 * dx * dx] * 4)
+    bounds = flow._dt_bound(law, flat, radii, K, [flow.SAFETY * dx * dx] * 4)
     single = geometry.row_layout(n, size, dx)
     cases = [(flat, law, [0, 1, 2, 3], min(bounds)),
              (flat, law, [0, 1, 2, 3], np.repeat(bounds, size))]

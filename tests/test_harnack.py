@@ -145,7 +145,7 @@ def test_p_tensor_matches_embedding_oracle_assembly():
     [
         (1, 64, HALF, 0.5),
         (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5),
-        (1, 64, SpeedLaw.exponential(), 0.01),
+        (1, 64, SpeedLaw.exponential(), 0.02),
     ],
     ids=["n1-power", "n2-power", "n1-exp"],
 )
@@ -175,7 +175,7 @@ def test_monitor_requires_three_states():
 def test_monitor_unit_circle_lhs_profile():
     # lhs_eq12 is identically -1/t along the unit-circle flow
     cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0),
-                     t_end=2.0, stride=60)
+                     t_end=2.0, stride=40)
     trace = run(cfg)
     table = monitor(trace)
     assert len(table.t) >= 3
@@ -261,9 +261,10 @@ def per_state_monitor(trace, law):
     "n,size,law,t_end,stride",
     [
         (1, 64, HALF, 0.5, 4),
-        (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5, 3),
+        (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5, 4),
         (1, 64, SpeedLaw.exponential(), 0.02, 3),
-        (1, 64, HALF, 0.5, 1),
+        # t_end picked so that the last, shortened step's dt**2 != dt*dt
+        (1, 64, HALF, 0.5311, 1),
     ],
     ids=["n1-power", "n2-power", "n1-exp", "n1-every-state"],
 )

@@ -1,5 +1,6 @@
-"""tools/csv_digests.py's comparison with a saved listing, and a check
-that every public name of src/gcf is read by the program itself."""
+"""tools/csv_digests.py's comparison with a saved listing,
+tools/bench_record.py's record of alternating pairs, and a check that
+every public name of src/gcf is read by the program itself."""
 
 import ast
 import importlib.util
@@ -7,7 +8,7 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "csv_digests.py"
+TOOLS = ROOT / "tools"
 # Public names of src/gcf that only tests read, each kept as an independent
 # reference that tests compare the program against.
 KEPT_FOR_TESTS = {
@@ -17,8 +18,8 @@ KEPT_FOR_TESTS = {
 }
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("csv_digests", TOOL)
+def _tool(name="csv_digests"):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -51,6 +52,49 @@ def test_expect_names_each_csv_that_differs(tmp_path):
         ("gone.csv", "missing"),
         ("new.csv", "not in the listing"),
     ]
+
+
+def _fake_result(path, wall_s, peak_rss_mb, sha):
+    # the keys of a perfbench/run.py result file that the record reads
+    path.write_text(json.dumps({
+        "correct": True, "attempted": 4, "failed": 0, "workload": "verify-suites",
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                    "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}},
+        "provenance": {"git_sha": sha, "seed": 1},
+    }))
+    return path
+
+
+def test_bench_record_from_two_result_files(tmp_path):
+    tool = _tool("bench_record")
+    spec = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    base = tool.read_result(_fake_result(tmp_path / "base.json", 1.0, 40.0, "b" * 40))
+    head = tool.read_result(_fake_result(tmp_path / "head.json", 0.8, 40.0, "h" * 40))
+    assert base["metrics"] == {"wall_s": 1.0, "peak_rss_mb": 40.0}
+
+    def moved(result, wall_s):
+        return dict(result, metrics=dict(result["metrics"], wall_s=wall_s))
+
+    # head wins the wall_s of two pairs out of three; an equal peak is no win
+    pairs = [{"order": ["base", "head"], "base": base, "head": head},
+             {"order": ["head", "base"], "base": moved(base, 1.2), "head": moved(head, 0.9)},
+             {"order": ["base", "head"], "base": moved(base, 0.9), "head": moved(head, 1.0)}]
+    record = tool.build_record("t", {"rev": "HEAD~1", "sha": "b" * 40}, {"pairs": 3}, spec,
+                               {"verify-suites": pairs})
+    wl = record["workloads"]["verify-suites"]
+    assert wl["provenance"]["base"]["git_sha"] == "b" * 40
+    assert wl["provenance"]["head"]["git_sha"] == "h" * 40
+    assert [p["order"] for p in wl["pairs"]] == [p["order"] for p in pairs]
+    assert all(p[tree]["correct"] and "provenance" not in p[tree]
+               for p in wl["pairs"] for tree in ("base", "head"))
+    wall = wl["metrics"]["wall_s"]
+    assert wall["faster"] == "2/3"
+    assert wall["base"] == {"median": 1.0, "q1": 0.95, "q3": 1.1}
+    assert wall["head"]["median"] == 0.9
+    assert wl["metrics"]["peak_rss_mb"]["faster"] == "0/3"
+    assert set(record["noisy"]) == {"peak_rss_mb"}
+    assert json.loads(json.dumps(record)) == record
 
 
 def test_every_public_name_of_src_is_read_outside_its_definition():
