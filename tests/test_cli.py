@@ -359,18 +359,19 @@ def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
 
 
 def test_sweep_echoes_a_rejected_b_as_given(tmp_path):
-    # only a JSON number is formatted as one; a missing b stays blank
+    # only a JSON number within the float range is formatted as one; a
+    # missing b stays blank
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
         "tuples": [{"n": 1, "b": "0.3"}, {"n": 1, "b": True}, {"n": 1, "b": "0,3"},
-                   {"n": 1}, {"n": 1, "b": 0.3}],
+                   {"n": 1}, {"n": 1, "b": 10**400}, {"n": 1, "b": 0.3}],
         "grid": {"N": 16}, "time": {"t_end": 0.5}, "output": {"stride": 1},
     }))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
     with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))  # "0,3" is written quoted
-    assert [r["b"] for r in rows] == ["0.3", "True", "0,3", "", "%.17g" % 0.3]
-    assert [r["status"] for r in rows] == ["failed:config"] * 4 + ["ok"]
+    assert [r["b"] for r in rows] == ["0.3", "True", "0,3", "", str(10**400), "%.17g" % 0.3]
+    assert [r["status"] for r in rows] == ["failed:config"] * 5 + ["ok"]
 
 
 SWEEP_BASE = {"grid": {"N": 32}, "time": {"t_end": 0.5}, "output": {"stride": 2}}
