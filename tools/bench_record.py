@@ -47,8 +47,8 @@ NOISY = {
 }
 
 
-def _git(*args, cwd=ROOT) -> str:
-    done = subprocess.run(["git", "-C", str(cwd), *args], capture_output=True, text=True)
+def _git(*args) -> str:
+    done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"git {' '.join(args)}: {done.stderr.strip()}")
     return done.stdout.strip()
@@ -141,11 +141,12 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     with open(ROOT / "BENCHMARK.json") as fh:
         bench = json.load(fh)
-    against = {"rev": args.against, "sha": _git("rev-parse", "--verify", args.against + "^{commit}")}
+    sha = _git("rev-parse", "--verify", args.against + "^{commit}")
+    against = {"rev": args.against, "sha": sha}
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_record-"))
     base = scratch / "tree"
-    _git("worktree", "add", "--detach", str(base), against["sha"])
+    _git("worktree", "add", "--detach", str(base), sha)
     trees = {"base": base, "head": ROOT}
     try:
         runs = {}
