@@ -5,13 +5,15 @@ with normal velocity -f(K)*nu collapses to the scalar equation
 dh/dt = -f(K(h)) on the fixed grid of normal directions.  For the
 expanding negative-power law (a = -1, beta = -b) the speed is K**(-b).
 
-Stepping is classical RK4 with an explicit parabolic step bound: each
-right-hand-side evaluation re-derives the curvature from the stage values,
-and any stage that loses strict convexity aborts the step.  The state a
-step produces is checked the same way, once; that checked curvature is
-kept and serves the next step bound and the next first stage.  Round
-initial data stays exactly round, so closed-form radius ODEs provide
-oracles for the integrator.
+Stepping is classical RK4: each right-hand-side evaluation re-derives the
+curvature from the stage values, and any stage that loses strict
+convexity aborts the step.  The state a step produces is checked the same
+way, once; that checked curvature is kept and serves the next step bound
+and the next first stage.  run() has one step policy: each step is the
+smaller of the explicit parabolic step bound (stable_dt) and the time
+left; step() takes the step its caller gives.  Round initial data stays
+exactly round, so closed-form radius ODEs provide oracles for the
+integrator.
 
 Each step is held near the floor of the numpy calls it must make: its
 checks are minimum and maximum reductions compared inline, the check
@@ -51,10 +53,10 @@ from .geometry import (
 from .speedlaw import POWER, FlatLaws, SpeedLaw, theorem_hypotheses
 
 DT_FLOOR = 1e-12
-# Every adaptive step is SAFETY * dx**2 / lambda.  RK4 with the 4th-order d2
-# stencil is linearly stable to 2.785 * 3/16 = 0.522 of dx**2 / lambda (node
-# noise on an n=1 circle grows from 0.525 on); 0.45 is 86% of that limit,
-# and its time error is at rounding level.
+# Every step of run() is at most SAFETY * dx**2 / lambda.  RK4 with the
+# 4th-order d2 stencil is linearly stable to 2.785 * 3/16 = 0.522 of
+# dx**2 / lambda (node noise on an n=1 circle grows from 0.525 on); 0.45 is
+# 86% of that limit, and its time error is at rounding level.
 SAFETY = 0.45
 
 _minimum, _maximum = np.minimum.reduce, np.maximum.reduce
@@ -87,8 +89,8 @@ class FlowConfig:
     shape is an InitialShape, built on the (n, size) grid, or a
     SupportGrid of that (n, size) to start from as it is, such as the
     last state of an earlier run.  The initial state must be strictly
-    convex and the law defined on its curvature.  Without fixed_dt the
-    run steps under stable_dt.
+    convex and the law defined on its curvature.  run() steps it under
+    stable_dt.
     """
 
     n: int
@@ -98,7 +100,6 @@ class FlowConfig:
     t_end: float
     t0: float = 0.0
     stride: int = 1
-    fixed_dt: float | None = None
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -109,16 +110,6 @@ class FlowConfig:
             )
         if self.stride < 1:
             raise InvalidConfig(f"stride must be >= 1, got {self.stride}")
-        if self.fixed_dt is not None:
-            if not (math.isfinite(self.fixed_dt) and self.fixed_dt > 0.0):
-                raise InvalidConfig(f"fixed_dt must be finite and positive, got {self.fixed_dt}")
-            span = self.t_end - self.t0
-            n_steps = max(1, round(span / self.fixed_dt))
-            if not math.isclose(n_steps * self.fixed_dt, span, rel_tol=1e-9):
-                raise InvalidConfig(
-                    f"fixed_dt = {self.fixed_dt} does not divide the time span {span}"
-                )
-            object.__setattr__(self, "_n_steps", n_steps)
         if self.law.is_power and not theorem_hypotheses(self.law, self.n):
             raise InvalidConfig(
                 f"expanding power law needs b < 1/n (and b > 0): "
@@ -295,7 +286,7 @@ def _lambda_tops(lam: np.ndarray, layout: FlatLayout, radii: tuple) -> list:
 
 def stable_dt(grid: SupportGrid, law: SpeedLaw) -> float:
     """Explicit parabolic step bound SAFETY * dx**2 / lambda, the bound
-    every adaptive flow steps under.
+    every step of run() sits under.
 
     lambda bounds the linearized speed sensitivity to the curvature radii:
     |d(-f)/dr| = f'(K) * K**2 times the complementary radius for n=2.
@@ -314,20 +305,21 @@ def run(config):
     """Integrate the flow from the initial shape at t0 to t_end.
 
     The initial state is the config's InitialShape built on its grid, or
-    the SupportGrid it was given.  Steps adaptively with stable_dt unless
-    fixed_dt is set.  Stores the initial state, every stride-th state, and
-    the final state.  Loss of convexity, the origin leaving the body, or a
-    dt underflow terminates early: the last accepted state is stored and
-    the partial trace is returned with the reason recorded.
+    the SupportGrid it was given.  Each step is the smaller of stable_dt of
+    the state it starts from and the time left.  Stores the initial state,
+    every stride-th state, and the final state.  Loss of convexity, the
+    origin leaving the body, or a dt underflow terminates early: the last
+    accepted state is stored and the partial trace is returned with the
+    reason recorded.
 
     Given a list of configs instead of one config, returns their traces in
     its order, stepping configs together.  The configs that share a law
     kind form one ensemble, which lays their support values end to end in
     one flat array, whatever their n and size, so one RK4 step updates
-    every row.  Each row keeps its own law columns, step (its fixed_dt, or
-    the smaller of its own step bound and its remaining time), time, step
-    count, stored states and termination reason.  A row that completes or ends
-    early leaves the ensemble and the other rows run on; so does a row
+    every row.  Each row keeps its own law columns, step (the smaller of
+    its own step bound and its remaining time), time, step count, stored
+    states and termination reason.  A row that completes or ends early
+    leaves the ensemble and the other rows run on; so does a row
     whose step fails, which ends as its solo run would, while the others
     keep the values that step computed for them.  Each row is computed
     with the arithmetic of a solo run, so every trace equals run(config)
@@ -346,8 +338,8 @@ def run(config):
 
 
 class _Row:
-    """One config in an ensemble: its time, step count, next step and trace,
-    and whether it still runs."""
+    """One config in an ensemble: its time, next step and trace (which
+    counts its steps), and whether it still runs."""
 
     def __init__(self, cfg: FlowConfig):
         self.cfg = cfg
@@ -355,37 +347,29 @@ class _Row:
         self.trace = FlowTrace(n=cfg.n, law=cfg.law, times=[cfg.t0], grids=[grid])
         self.dx = grid.spacing
         self.scale = SAFETY * self.dx * self.dx
-        self.t, self.i, self.dt = cfg.t0, 0, cfg.fixed_dt
+        self.t, self.dt = cfg.t0, None
         self.t_end, self.stride = cfg.t_end, cfg.stride
-        self.adaptive = cfg.fixed_dt is None
         self.t_stop = cfg.t_end - 1e-14 * max(1.0, cfg.t_end)
-        self.running = not self.adaptive or self.t < self.t_stop
+        self.running = self.t < self.t_stop
 
     def plan(self, bound: float) -> bool:
         """Set the next step from the row's step bound; False if it underflows.
 
         The step is the smaller of the bound and the time left, so an
-        infinite bound steps the time left.  A fixed_dt row keeps its step.
+        infinite bound steps the time left.
         """
-        if self.adaptive:
-            if bound < DT_FLOOR:
-                return False
-            left = self.t_end - self.t
-            self.dt = left if left < bound else bound  # min(bound, left)
+        if bound < DT_FLOOR:
+            return False
+        left = self.t_end - self.t
+        self.dt = left if left < bound else bound  # min(bound, left)
         return True
 
     def advance(self) -> bool:
         """Count one accepted step; whether its state is to be stored."""
         dt, trace = self.dt, self.trace
-        self.i = i = self.i + 1
-        if self.adaptive:
-            self.t += dt
-            self.running = self.t < self.t_stop
-        else:
-            cfg = self.cfg
-            self.t = cfg.t0 + i * dt
-            self.running = i < cfg._n_steps
-        trace.steps = i
+        self.t += dt
+        self.running = self.t < self.t_stop
+        trace.steps = i = trace.steps + 1
         trace.rhs_evals += 4
         if i == 1:
             trace.dt_min = trace.dt_max = dt
@@ -415,16 +399,14 @@ class _Batch:
     """The running rows of an ensemble and their flat checked state.
 
     The rows are laid out n=1 first; h, radii and K are as the layout holds
-    them.  Per batch, not per step: the layout, the rows' laws, their
-    SAFETY * dx**2, and whether any row steps adaptively (else no step
-    bound is needed).
+    them.  Per batch, not per step: the layout, the rows' laws and their
+    SAFETY * dx**2.
     """
 
     def __init__(self, rows: list, layout: FlatLayout, h, radii, K):
         self.rows, self.layout, self.h, self.radii, self.K = rows, layout, h, radii, K
         self.law = FlatLaws([row.cfg.law for row in rows], layout.sizes)
         self.scale = [row.scale for row in rows]
-        self.adaptive = any(row.adaptive for row in rows)
 
     @classmethod
     def of(cls, rows: list, parts) -> "_Batch | None":
@@ -472,16 +454,15 @@ def _run_rows(rows: list) -> list:
     batch = _Batch.of(rows, [(grid.values, *grid.curvature()) for grid in grids])
     with np.errstate(all="ignore"):
         while batch is not None:
-            if batch.adaptive:
-                bounds = _dt_bound(batch.law, batch.layout, batch.radii, batch.K, batch.scale)
-                planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
-                if not all(planned):
-                    for j, ok in enumerate(planned):
-                        if not ok:
-                            batch.rows[j].end("dt_underflow", batch.grid(j))
-                    batch = batch.keep(planned)
-                    if batch is None:
-                        break
+            bounds = _dt_bound(batch.law, batch.layout, batch.radii, batch.K, batch.scale)
+            planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
+            if not all(planned):
+                for j, ok in enumerate(planned):
+                    if not ok:
+                        batch.rows[j].end("dt_underflow", batch.grid(j))
+                batch = batch.keep(planned)
+                if batch is None:
+                    break
             h, radii, K, failures = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
             for j, exc in enumerate(failures or ()):
                 if exc is not None:  # the row ends, its failed step counted

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import stencils
 from .errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
-from .flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt
+from .flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
 from .geometry import (
     GeometryState,
     SupportGrid,
@@ -146,11 +146,12 @@ def uniform_trace(
 
     An optional burn-in phase integrates past the fast startup transients
     of the high harmonics before storing begins; residual checks centered
-    on the stored window then see only the slow dynamics.  Both phases are
-    flow.run calls: the burn-in steps adaptively, the window with a fixed
-    step that divides the spacing and is at most HEADROOM times the
-    explicit step bound of the window's first state.  A phase that ends
-    early raises (NonConvex, OriginOutside, or InsufficientTrace on a step
+    on the stored window then see only the slow dynamics.  The burn-in is
+    a flow.run call; the window is a loop of flow.step calls, each step
+    spacing / m with m the fewest steps per spacing that keep it at most
+    HEADROOM times the step bound of the window's first state, and every
+    m-th state stored at burn_in + i * step.  A phase that ends early
+    raises (NonConvex, OriginOutside, or InsufficientTrace on a step
     underflow) instead of returning a partial trace.
     """
     if burn_in > 0.0:
@@ -159,22 +160,34 @@ def uniform_trace(
     else:
         grid = shape.build(n, size)
     m = max(1, math.ceil(spacing / (HEADROOM * stable_dt(grid, law))))
-    window = FlowConfig(
-        n=n, size=size, law=law, shape=grid,
-        t0=burn_in, t_end=burn_in + (n_stored - 1) * spacing,
-        fixed_dt=spacing / m, stride=m,
-    )
-    return _completed(run(window))
+    dt, steps = spacing / m, (n_stored - 1) * m
+    trace = FlowTrace(n=n, law=law, times=[burn_in], grids=[grid], steps=steps,
+                      dt_min=dt, dt_max=dt, rhs_evals=4 * steps)
+    for i in range(1, steps + 1):
+        try:
+            grid = step(grid, law, dt)
+        except (NonConvex, OriginOutside) as exc:
+            reason = "nonconvex" if isinstance(exc, NonConvex) else "origin_outside"
+            raise _ended_early(burn_in + (i - 1) * dt, reason) from exc
+        if i % m == 0:
+            trace.times.append(burn_in + i * dt)
+            trace.grids.append(grid)
+    return trace
 
 
 def _completed(trace: FlowTrace) -> FlowTrace:
     """The trace of a run that reached its end; raise if it ended early."""
     if trace.reason == "completed":
         return trace
+    raise _ended_early(trace.times[-1], trace.reason)
+
+
+def _ended_early(t: float, reason: str) -> Exception:
+    """The error of a flow that ended early at t, its last accepted time."""
     error = {"nonconvex": NonConvex, "origin_outside": OriginOutside}.get(
-        trace.reason, InsufficientTrace
+        reason, InsufficientTrace
     )
-    raise error(f"flow ended early at t = {trace.times[-1]!r}: {trace.reason}")
+    return error(f"flow ended early at t = {t!r}: {reason}")
 
 
 def _central_diff(qm, qp, dt):

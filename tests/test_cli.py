@@ -256,7 +256,7 @@ def test_run_early_end_exits_3(tmp_path, capsys, overrides, reason):
 
 
 def test_a_time_safety_key_changes_no_output(tmp_path):
-    # every adaptive flow steps at flow.SAFETY; a safety key is ignored
+    # every flow steps under flow.SAFETY; a safety key is ignored
     outs = []
     for time_block in ({"t_end": 0.5}, {"t_end": 0.5, "safety": 0.5}):
         cfg = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from gcf.errors import InvalidConfig, NonConvex
 from gcf.flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
 from gcf.geometry import FlatLayout, SupportGrid, derive_state, fourier_grid, round_grid
 from gcf.speedlaw import FlatLaws, SpeedLaw
-from gcf.verify import ORACLE_CASES, sphere_radius_exact
+from gcf.verify import ORACLE_CASES, sphere_radius_exact, uniform_trace
 
 HALF = SpeedLaw.power(-1.0, -0.5)
 
@@ -81,10 +81,9 @@ def test_times_strictly_increasing_and_grids_convex():
 
 
 def test_comparison_principle_on_rounds():
-    # same fixed step so stored times align
-    kw = dict(n=1, size=32, law=HALF, t_end=1.0, stride=100, fixed_dt=1e-3)
-    tr_a = run(FlowConfig(shape=InitialShape("round", 1.0), **kw))
-    tr_b = run(FlowConfig(shape=InitialShape("round", 1.1), **kw))
+    # uniformly spaced stored states, so stored times align
+    tr_a, tr_b = (uniform_trace(1, 32, HALF, InitialShape("round", R0), spacing=0.1, n_stored=11)
+                  for R0 in (1.0, 1.1))
     assert tr_a.times == tr_b.times
     for ga, gb in zip(tr_a.grids, tr_b.grids):
         assert np.all(gb.values > ga.values)
@@ -121,12 +120,10 @@ def test_perturbed_circle_rounds_out():
 def test_rk4_fourth_order_in_dt():
     errs = []
     for dt in (0.05, 0.025, 0.0125):
-        cfg = FlowConfig(
-            n=1, size=16, law=HALF, shape=InitialShape("round", 1.0),
-            t_end=2.0, stride=10**9, fixed_dt=dt,
-        )
-        trace = run(cfg)
-        errs.append(abs(trace.grids[-1].values[0] - 4.0))
+        grid = round_grid(1, 1.0, 16)
+        for _ in range(round(2.0 / dt)):
+            grid = step(grid, HALF, dt)
+        errs.append(abs(grid.values[0] - 4.0))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     assert 8.0 <= r1 <= 32.0
     assert 8.0 <= r2 <= 32.0
@@ -166,8 +163,7 @@ def test_step_bound_sits_below_the_stability_limit(monkeypatch):
 
 def test_config_validation():
     inf, nan = float("inf"), float("nan")
-    for times in ({"t_end": 0.0}, {"t_end": inf}, {"t_end": nan}, {"t_end": 1.0, "t0": nan},
-                  {"t_end": 1.0, "fixed_dt": inf}, {"t_end": 1.0, "fixed_dt": nan}):
+    for times in ({"t_end": 0.0}, {"t_end": inf}, {"t_end": nan}, {"t_end": 1.0, "t0": nan}):
         with pytest.raises(InvalidConfig):
             FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0), **times)
     with pytest.raises(InvalidConfig):
@@ -189,38 +185,37 @@ def test_config_validation():
             )
 
 
-def test_fixed_dt_must_divide_span():
-    with pytest.raises(InvalidConfig):
-        run(
-            FlowConfig(
-                n=1, size=32, law=HALF, shape=InitialShape("round", 1.0),
-                t_end=1.0, fixed_dt=0.3,
-            )
-        )
-
-
-# Contracting laws (speed -K^beta) that end a run early: (beta, modes,
-# fixed_dt, t_end, reason).  Each end comes from the geometry, not from an
-# unstable step.  The first loses convexity in the state a step produces
-# while every RK stage stays convex; the second and third move the origin
+# Contracting laws (speed -K^beta) that end a run early: (safety, beta,
+# modes, t_end, reason), with safety the flow.SAFETY the run steps at (None
+# for the module's own).  The first steps at 1.5, about 3 times RK4's
+# stability limit of 0.522, and its fourth step loses convexity in an RK
+# stage: a nonconvex end comes from an unstable step, and at flow.SAFETY the
+# same flow ends dt_underflow (the third case).  The second moves the origin
 # out of the body (a circle centred off the origin, shrinking towards its
-# centre), under fixed_dt and adaptively; the fourth shrinks until its step
-# bound underflows.
+# centre); the third shrinks until its step bound underflows.  The second
+# and third end from the geometry.
 EARLY_ENDS = [
-    (1.1700967619904363, ((5, 0.017207980635981685),), 3.0 / 750, 3.0, "nonconvex"),
-    (1.0, ((1, 0.5),), 1e-3, 1.0, "origin_outside"),
-    (1.0, ((1, 0.5),), None, 1.0, "origin_outside"),
-    (1.1700967619904363, ((5, 0.017207980635981685),), None, 3.0, "dt_underflow"),
+    (1.5, 1.1700967619904363, ((5, 0.017207980635981685),), 3.0, "nonconvex"),
+    (None, 1.0, ((1, 0.5),), 1.0, "origin_outside"),
+    (None, 1.1700967619904363, ((5, 0.017207980635981685),), 3.0, "dt_underflow"),
 ]
 
 
-@pytest.mark.parametrize("beta,modes,fixed_dt,t_end,reason", EARLY_ENDS)
-def test_run_ends_early_with_reason(beta, modes, fixed_dt, t_end, reason):
-    cfg = FlowConfig(
+def _early_end(early, monkeypatch) -> FlowConfig:
+    """The config of an EARLY_ENDS case, with flow.SAFETY patched to its safety."""
+    safety, beta, modes, t_end, _ = early
+    if safety is not None:
+        monkeypatch.setattr(flow, "SAFETY", safety)
+    return FlowConfig(
         n=1, size=32, law=SpeedLaw.power(1.0, beta),
-        shape=InitialShape("fourier", 1.0, modes), t_end=t_end,
-        fixed_dt=fixed_dt, stride=7,
+        shape=InitialShape("fourier", 1.0, modes), t_end=t_end, stride=7,
     )
+
+
+@pytest.mark.parametrize("early", EARLY_ENDS, ids=lambda e: e[-1])
+def test_run_ends_early_with_reason(early, monkeypatch):
+    *_, t_end, reason = early
+    cfg = _early_end(early, monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a failing stage's NaN and inf stay silent
         trace = run(cfg)
@@ -259,7 +254,7 @@ def test_each_accepted_state_derived_once(monkeypatch):
 
 def _mixed_configs(seed):
     """n=1 and n=2 expanding flows of two sizes each, with mixed b, t_end
-    and stride, plus one fixed_dt flow and one exponential-law flow."""
+    and stride, plus one b = 1/2 flow and one exponential-law flow."""
     rng = np.random.default_rng(seed)
     configs = []
     for j in range(9):
@@ -274,7 +269,7 @@ def _mixed_configs(seed):
         ))
     configs.append(FlowConfig(
         n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
-        t_end=0.3, fixed_dt=0.3 / 200, stride=13,
+        t_end=0.3, stride=13,
     ))
     configs.append(FlowConfig(
         n=2, size=16, law=SpeedLaw.exponential(),
@@ -375,18 +370,13 @@ def test_a_lambda_beyond_the_float_range_still_ends_dt_underflow():
 
 @pytest.mark.parametrize("early", EARLY_ENDS[:2], ids=lambda e: e[-1])
 def test_ensemble_row_ends_early_as_alone(early, monkeypatch):
-    beta, modes, fixed_dt, t_end, reason = early
-    ending = FlowConfig(
-        n=1, size=32, law=SpeedLaw.power(1.0, beta),
-        shape=InitialShape("fourier", 1.0, modes), t_end=t_end,
-        fixed_dt=fixed_dt, stride=7,
-    )
+    ending = _early_end(early, monkeypatch)  # every row steps at the case's safety
     configs = _mixed_configs(5)[:8]  # n=1 at sizes 32 and 48, n=2 at 16 and 24
     assert {(c.n, c.size) for c in configs} == {(1, 32), (1, 48), (2, 16), (2, 24)}
     configs.insert(2, ending)
     configs.append(FlowConfig(  # a row that runs on past the failure
-        n=2, size=16, law=SpeedLaw.power(-1.0, -0.25),
-        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.5, fixed_dt=1e-3, stride=50,
+        n=1, size=64, law=HALF,
+        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=1.0, stride=10,
     ))
     layouts = []
 
@@ -397,8 +387,8 @@ def test_ensemble_row_ends_early_as_alone(early, monkeypatch):
     rk4 = flow._rk4
     monkeypatch.setattr(flow, "_rk4", counting)
     traces = run(configs)
-    monkeypatch.undo()
-    assert traces[2].reason == reason
+    monkeypatch.setattr(flow, "_rk4", rk4)
+    assert traces[2].reason == early[-1]
     for cfg, trace in zip(configs, traces):
         assert_same_trace(trace, run(cfg))
     # one joint step per step the longest row attempted, the failed one
@@ -521,21 +511,15 @@ def test_rk4_step_equals_reference(n, size, kind):
 
 
 def test_trace_records_steps_and_dt_range():
-    fixed = run(FlowConfig(
-        n=2, size=32, law=SpeedLaw.power(-1.0, -0.25),
-        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.1, fixed_dt=1e-3, stride=7,
-    ))
-    assert fixed.steps == 100
-    assert fixed.dt_min == fixed.dt_max == 1e-3
-    adaptive = run(FlowConfig(
+    trace = run(FlowConfig(
         n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
         t_end=0.3, stride=1,
     ))
-    assert adaptive.steps == len(adaptive.times) - 1 > 1
-    steps = np.diff(adaptive.times)
-    assert adaptive.dt_min == pytest.approx(steps.min(), rel=1e-12)
-    assert adaptive.dt_max == pytest.approx(steps.max(), rel=1e-12)
-    assert adaptive.dt_min < adaptive.dt_max
+    assert trace.steps == len(trace.times) - 1 > 1
+    steps = np.diff(trace.times)
+    assert trace.dt_min == pytest.approx(steps.min(), rel=1e-12)
+    assert trace.dt_max == pytest.approx(steps.max(), rel=1e-12)
+    assert trace.dt_min < trace.dt_max
     # a trace without an accepted step has no dt range
     done = FlowTrace(n=1, law=HALF)
     assert (done.steps, done.dt_min, done.dt_max) == (0, None, None)

@@ -257,24 +257,32 @@ def per_state_monitor(trace, law):
     return rows
 
 
+# Unequal steps, as an adaptive run's stored states have; the step
+# 0.575 - 0.2 = 0.375 - 2**-54 is one whose dt**2 != dt*dt.
+EVERY_STATE_TIMES = (0.1, 0.2, 0.575, 0.7, 0.9, 1.0)
+
+
 @pytest.mark.parametrize(
     "n,size,law,t_end,stride",
     [
         (1, 64, HALF, 0.5, 4),
         (2, 32, SpeedLaw.power(-1.0, -0.25), 0.5, 4),
         (1, 64, SpeedLaw.exponential(), 0.02, 3),
-        # t_end picked so that the last, shortened step's dt**2 != dt*dt
-        (1, 64, HALF, 0.5311, 1),
+        # every state, stored at EVERY_STATE_TIMES rather than stepped
+        (1, 64, HALF, None, 1),
     ],
     ids=["n1-power", "n2-power", "n1-exp", "n1-every-state"],
 )
 def test_monitor_equals_the_per_state_loop(n, size, law, t_end, stride):
-    cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
-                     t_end=t_end, stride=stride)
-    trace = run(cfg)
+    modes = ((2, 0.02),)
     if stride > 1:
+        trace = run(FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, modes),
+                               t_end=t_end, stride=stride))
         assert trace.steps % stride != 0  # the final state is stored off the stride
-    else:  # some step's dt**2, the C library's pow, differs from dt*dt
+    else:  # the shape grown by the unit circle's radius (1 + t/2)^2 at each time
+        grids = [fourier_grid(n, (1.0 + t / 2.0) ** 2, modes, size) for t in EVERY_STATE_TIMES]
+        trace = FlowTrace(n=n, law=law, times=list(EVERY_STATE_TIMES), grids=grids)
+        # some step's dt**2, the C library's pow, differs from dt*dt
         assert any(d**2 != d * d for d in np.diff(trace.times).tolist())
     table, rows = monitor(trace), per_state_monitor(trace, law)
     S = len(trace) - 2

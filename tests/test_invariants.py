@@ -6,14 +6,18 @@ with 0 < b < 1/n from a random convex shape: trP stays above the bound
 of a coarse grid.  A round shape stays round: its support values all
 follow the same radius ODE, so they stay equal to within a few ulps.  And
 the flow keeps the order of two bodies (the comparison principle): a body
-whose support function lies above another's at t=0 stays above it.
+whose support function lies above another's at t=0 stays above it.  Every
+step a run accepts, alone or in an ensemble, is at most the step bound of
+the state it starts from.
 """
+
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcf.flow import FlowConfig, InitialShape, run
+from gcf.flow import FlowConfig, InitialShape, run, stable_dt
 from gcf.geometry import SupportGrid
 from gcf.harnack import margin_summary, monitor
 from gcf.speedlaw import SpeedLaw
@@ -77,3 +81,23 @@ def test_comparison_principle_on_random_convex_data(seed, nb, size_index, delta,
     assert [trace.reason for trace in traces] == ["completed", "completed"]
     gap = traces[1].grids[-1].values - traces[0].grids[-1].values
     assert np.min(gap) > 0.0, np.min(gap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(SEEDS, expanding_laws(), SIZE_INDICES), min_size=1, max_size=3))
+def test_every_step_sits_under_the_step_bound(flows):
+    # one flow runs alone, two or three as one ensemble; with stride 1 the
+    # stored states are every accepted step's start and end
+    configs = []
+    for seed, (n, b), size_index in flows:
+        size = SIZES[n][size_index]
+        grid = random_convex_grid(n, size, np.random.default_rng(seed))
+        configs.append(FlowConfig(n=n, size=size, law=SpeedLaw.power(-1.0, -b), shape=grid,
+                                  t_end=0.1, stride=1))
+    traces = [run(configs[0])] if len(configs) == 1 else run(configs)
+    for trace in traces:
+        assert trace.steps == len(trace) - 1
+        for t0, t1, grid in zip(trace.times, trace.times[1:], trace.grids):
+            # a stored time is the sum of the steps before it, so t1 - t0 is
+            # the step up to the rounding of that sum
+            assert t1 - t0 <= stable_dt(grid, trace.law) + math.ulp(t1), (t0, t1)
