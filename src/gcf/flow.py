@@ -124,7 +124,8 @@ class FlowConfig:
                     f"initial grid has (n, size) = ({grid.n}, {grid.size}), "
                     f"the config ({self.n}, {self.size})"
                 )
-            self.law.f(grid.curvature()[1])
+            with np.errstate(all="ignore"):  # as in run(): the checks report, not numpy
+                self.law.f(grid.curvature()[1])
         except InvalidConfig:
             raise
         except Exception as exc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import stencils
 from .errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
-from .flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
+from .flow import FlowConfig, FlowTrace, InitialShape, run
 from .geometry import (
     GeometryState,
     SupportGrid,
@@ -130,9 +130,6 @@ def estimate_order(resolutions, residuals) -> float | None:
 # traces with uniformly spaced stored states
 
 
-HEADROOM = 0.5
-
-
 def uniform_trace(
     n: int,
     size: int,
@@ -146,48 +143,43 @@ def uniform_trace(
 
     An optional burn-in phase integrates past the fast startup transients
     of the high harmonics before storing begins; residual checks centered
-    on the stored window then see only the slow dynamics.  The burn-in is
-    a flow.run call; the window is a loop of flow.step calls, each step
-    spacing / m with m the fewest steps per spacing that keep it at most
-    HEADROOM times the step bound of the window's first state, and every
-    m-th state stored at burn_in + i * step.  A phase that ends early
-    raises (NonConvex, OriginOutside, or InsufficientTrace on a step
-    underflow) instead of returning a partial trace.
+    on the stored window then see only the slow dynamics.  Every stored
+    state ends a flow.run: the burn-in runs from 0 to burn_in (with no
+    burn-in the first state is the shape as built), and run i from the
+    state before it to burn_in + i * spacing.  So each step is run()'s
+    own, the smaller of stable_dt and the time left, and each state lands
+    on its time.  The trace sums the runs' steps and RHS evaluations and
+    spans their step sizes.  A run that ends early raises (NonConvex,
+    OriginOutside, or InsufficientTrace on a step underflow) instead of
+    returning a partial trace.
     """
-    if burn_in > 0.0:
-        burn = FlowConfig(n=n, size=size, law=law, shape=shape, t_end=burn_in, stride=10**9)
-        grid = _completed(run(burn)).grids[-1]
-    else:
-        grid = shape.build(n, size)
-    m = max(1, math.ceil(spacing / (HEADROOM * stable_dt(grid, law))))
-    dt, steps = spacing / m, (n_stored - 1) * m
-    trace = FlowTrace(n=n, law=law, times=[burn_in], grids=[grid], steps=steps,
-                      dt_min=dt, dt_max=dt, rhs_evals=4 * steps)
-    for i in range(1, steps + 1):
-        try:
-            grid = step(grid, law, dt)
-        except (NonConvex, OriginOutside) as exc:
-            reason = "nonconvex" if isinstance(exc, NonConvex) else "origin_outside"
-            raise _ended_early(burn_in + (i - 1) * dt, reason) from exc
-        if i % m == 0:
-            trace.times.append(burn_in + i * dt)
-            trace.grids.append(grid)
-    return trace
+    times = [burn_in + i * spacing for i in range(n_stored)]
+    grid, t0, grids, runs = shape.build(n, size), 0.0, [], []
+    for i, t in enumerate(times):
+        if i or burn_in > 0.0:
+            cfg = FlowConfig(n=n, size=size, law=law, shape=grid, t0=t0, t_end=t, stride=10**9)
+            runs.append(_completed(run(cfg)))
+            grid = runs[-1].grids[-1]
+        grids.append(grid)
+        t0 = t
+    stepped = [r for r in runs if r.steps]
+    return FlowTrace(
+        n=n, law=law, times=times, grids=grids,
+        steps=sum(r.steps for r in runs), rhs_evals=sum(r.rhs_evals for r in runs),
+        dt_min=min((r.dt_min for r in stepped), default=None),
+        dt_max=max((r.dt_max for r in stepped), default=None),
+    )
 
 
 def _completed(trace: FlowTrace) -> FlowTrace:
-    """The trace of a run that reached its end; raise if it ended early."""
+    """The trace of a run that reached its end; raise if it ended early,
+    naming its last accepted time."""
     if trace.reason == "completed":
         return trace
-    raise _ended_early(trace.times[-1], trace.reason)
-
-
-def _ended_early(t: float, reason: str) -> Exception:
-    """The error of a flow that ended early at t, its last accepted time."""
     error = {"nonconvex": NonConvex, "origin_outside": OriginOutside}.get(
-        reason, InsufficientTrace
+        trace.reason, InsufficientTrace
     )
-    return error(f"flow ended early at t = {t!r}: {reason}")
+    raise error(f"flow ended early at t = {trace.times[-1]!r}: {trace.reason}")
 
 
 def _central_diff(qm, qp, dt):

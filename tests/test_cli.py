@@ -313,7 +313,6 @@ def test_run_rejects_non_object_section(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "harnack"])
 def test_run_rejects_initial_curvature_outside_law_domain(tmp_path, capsys, command):
     # so large that K = 1/(r1*r2) underflows to 0, where the law is undefined
@@ -326,7 +325,42 @@ def test_run_rejects_initial_curvature_outside_law_domain(tmp_path, capsys, comm
     assert err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def _gcf(args, env=None):
+    """Run the gcf CLI of this checkout in a fresh interpreter, outside the
+    test suite's warning filters, with env added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gcf.cli", *args],
+                          env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["run", "harnack"])
+@pytest.mark.parametrize(
+    "overrides,code,message",
+    [
+        # K = 1/(r1*r2) underflows to 0, outside the law's domain
+        ({"n": 2, "speed": {"a": -1.0, "beta": -0.3},
+          "initial": {"type": "sphere", "R0": 1e160}}, 2, "config error: "),
+        ({"n": 2, "speed": {"a": -1.0, "beta": -0.3},
+          "initial": {"type": "sphere", "R0": 1e200}}, 2, "config error: "),
+        # f1 = exp(K) overflows, so the first step bound is 0
+        ({"speed": {"kind": "exp"}, "initial": {"type": "circle", "R0": 1e-3}}, 3,
+         "flow terminated early: dt_underflow"),
+    ],
+    ids=["sphere-1e160", "sphere-1e200", "exp-circle-1e-3"],
+)
+def test_a_config_that_overflows_prints_one_stderr_line(tmp_path, command, overrides, code,
+                                                        message):
+    # numpy's overflow warnings are not printed: stderr holds the message only
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, grid={"N": 16}, time={"t_end": 1.0}, **overrides)
+    done = _gcf([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = done.stderr.decode("utf-8", "replace")
+    assert done.returncode == code
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
 def test_sweep_records_bad_tuples_and_continues(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -487,14 +521,7 @@ def test_sweep_outputs_do_not_depend_on_the_locale(tmp_path, ensure_ascii):
     cfg.write_bytes(json.dumps({"tuples": tuples, **SWEEP_BASE}, ensure_ascii=ensure_ascii)
                     .encode("utf-8"))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "here")]) == 1
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, **C_LOCALE,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "gcf.cli", "sweep", "--config", str(cfg),
-         "--out", str(tmp_path / "c")],
-        env=env, capture_output=True, timeout=120,
-    )
+    done = _gcf(["sweep", "--config", str(cfg), "--out", str(tmp_path / "c")], env=C_LOCALE)
     assert "Traceback" not in done.stderr.decode("utf-8", "replace")
     assert done.returncode == 1
     written = (tmp_path / "c" / "sweep.csv").read_bytes()

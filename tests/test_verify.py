@@ -1,10 +1,9 @@
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gcf import harnack, verify
+from gcf import flow, harnack, verify
 from gcf.errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
 from gcf.flow import InitialShape, stable_dt, step
 from gcf.geometry import box_op, derive_state, fourier_grid, round_grid
@@ -151,23 +150,22 @@ def test_uniform_trace_spacing_and_count():
 
 
 def reference_uniform_trace(n, size, law, shape, spacing, n_stored, burn_in=0.0):
-    """uniform_trace as a hand-written step loop: adaptive stable_dt steps
-    to burn_in, then spacing / m steps at half the step bound."""
-    grid = shape.build(n, size)
-    t = 0.0
-    while t < burn_in - 1e-15:
-        dt = min(stable_dt(grid, law), burn_in - t)
-        grid = step(grid, law, dt)
-        t += dt
-    m = max(1, math.ceil(spacing / (0.5 * stable_dt(grid, law))))
-    dt = spacing / m
-    times, grids = [burn_in], [grid]
-    for j in range(1, (n_stored - 1) * m + 1):
-        grid = step(grid, law, dt)
-        if j % m == 0:
-            times.append(burn_in + j * dt)
-            grids.append(grid)
-    return times, grids
+    """uniform_trace as a hand-written step loop: each step is the smaller
+    of stable_dt and the time to the next stored time, under run's stop
+    rule, and each stored state sits at its time.  Returns the stored
+    times, the stored grids and the steps taken."""
+    grid, t = shape.build(n, size), 0.0
+    times = [burn_in + i * spacing for i in range(n_stored)]
+    grids, dts = [], []
+    for target in times:
+        while t < target - 1e-14 * max(1.0, target):
+            dt = min(stable_dt(grid, law), target - t)
+            grid = step(grid, law, dt)
+            t += dt
+            dts.append(dt)
+        t = target
+        grids.append(grid)
+    return times, grids, dts
 
 
 QUARTER = SpeedLaw.power(-1.0, -0.25)
@@ -190,9 +188,11 @@ GENTLE = InitialShape("fourier", 1.0, ((2, 0.01),))
 )
 def test_uniform_trace_equals_step_loop(n, size, law, shape, spacing, n_stored, burn_in):
     tr = uniform_trace(n, size, law, shape, spacing, n_stored, burn_in)
-    times, grids = reference_uniform_trace(n, size, law, shape, spacing, n_stored, burn_in)
+    times, grids, dts = reference_uniform_trace(n, size, law, shape, spacing, n_stored, burn_in)
     assert tr.reason == "completed"
-    assert np.array_equal(tr.times, times)
+    assert tr.times == times == [burn_in + i * spacing for i in range(n_stored)]
+    assert (tr.steps, tr.rhs_evals) == (len(dts), 4 * len(dts))
+    assert (tr.dt_min, tr.dt_max) == (min(dts), max(dts))
     assert len(tr.grids) == len(grids)
     for got, ref in zip(tr.grids, grids):
         assert np.array_equal(got.values, ref.values)
@@ -208,16 +208,36 @@ FIVE_LOBES = InitialShape("fourier", 1.0, ((5, 0.017207980635981685),))
     [
         # the burn-in's step bound underflows as the curve shrinks
         (CONTRACTING, FIVE_LOBES, 1e-2, 3.0, InsufficientTrace),
-        # the fixed-step window loses convexity
+        # steps above RK4's stability limit lose convexity before the first
+        # stored time
         (CONTRACTING, FIVE_LOBES, 0.5, 0.0, NonConvex),
         # an off-centre circle shrinks past the origin during the burn-in
         (SpeedLaw.power(1.0, 1.0), InitialShape("fourier", 1.0, ((1, 0.5),)), 1e-2, 3.0,
          OriginOutside),
     ],
 )
-def test_uniform_trace_raises_when_the_flow_ends_early(law, shape, spacing, burn_in, error):
+def test_uniform_trace_raises_when_the_flow_ends_early(
+    law, shape, spacing, burn_in, error, monkeypatch
+):
+    if error is NonConvex:  # steps at test_flow.EARLY_ENDS's nonconvex safety
+        monkeypatch.setattr(flow, "SAFETY", 1.5)
     with pytest.raises(error, match="ended early"):
         uniform_trace(1, 32, law, shape, spacing=spacing, n_stored=7, burn_in=burn_in)
+
+
+def test_uniform_trace_that_ends_after_stored_states_names_the_last_accepted_time():
+    # stored states at 0, 0.1, ..., 0.4 complete; the step bound then
+    # underflows before 0.5, at a time that is no stored time
+    stored = uniform_trace(1, 32, CONTRACTING, FIVE_LOBES, spacing=0.1, n_stored=5)
+    assert stored.times[-1] == 0.4
+    rest = flow.run(flow.FlowConfig(
+        n=1, size=32, law=CONTRACTING, shape=stored.grids[-1], t0=0.4, t_end=0.5, stride=10**9,
+    ))
+    t = rest.times[-1]
+    assert rest.reason == "dt_underflow" and 0.4 < t < 0.5
+    with pytest.raises(InsufficientTrace) as info:
+        uniform_trace(1, 32, CONTRACTING, FIVE_LOBES, spacing=0.1, n_stored=7)
+    assert str(info.value) == f"flow ended early at t = {t!r}: dt_underflow"
 
 
 def test_check_evolution_round_circle_values():
