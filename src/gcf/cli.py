@@ -542,10 +542,7 @@ def main(argv=None) -> int:
         return cmd_harnack(args.config, args.out, args.enforce_hypotheses)
     if args.command == "verify":
         return cmd_verify(args.suite, args.out)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.out)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
+    return cmd_sweep(args.config, args.out)
 
 
 if __name__ == "__main__":

@@ -18,18 +18,18 @@ integrator.
 Each step is held near the floor of the numpy calls it must make: its
 checks are minimum and maximum reductions compared inline, the check
 functions of geometry running row by row only after a failure, and
-numpy's floating-point warnings are turned off once per ensemble's time
-loop (_run_rows), not once per step; step() turns them off for its one
-step.
+numpy's floating-point warnings are turned off once per run() call's time
+loop, not once per step; step() turns them off for its one step.
 
-Runs are stepped as ensembles: the configs of one call that share a law
-kind are the rows of one flat array, whatever their n and size (see
-geometry.FlatLayout), and every RK4 stage updates all rows at once.  Every
-batch, a solo run's included, evaluates its laws from per-element columns
-(see speedlaw.FlatLaws), so the arithmetic of each row is that of a solo
-run and a config's trace does not depend on the ensemble it ran in.  A
-step that fails ends only its failing rows, with what each one's own step
-would raise; the other rows keep the values it computed.
+One run() call is one flat batch: its configs are the rows of one flat
+array, whatever their n and size (see geometry.FlatLayout), and every RK4
+stage updates all rows at once.  The configs of a call must share a law
+kind.  Every batch, a solo run's included, evaluates its laws from
+per-element columns (see speedlaw.FlatLaws), so the arithmetic of each
+row is that of a solo run and a config's trace does not depend on the
+ensemble it ran in.  A step that fails ends only its failing rows, with
+what each one's own step would raise; the other rows keep the values it
+computed.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ from .speedlaw import POWER, FlatLaws, SpeedLaw, theorem_hypotheses
 DT_FLOOR = 1e-12
 # Every step of run() is at most SAFETY * dx**2 / lambda.  RK4 with the
 # 4th-order d2 stencil is linearly stable to 2.785 * 3/16 = 0.522 of
-# dx**2 / lambda (node noise on an n=1 circle grows from 0.525 on); 0.45 is
-# 86% of that limit, and its time error is at rounding level.
+# dx**2 / lambda (node noise on an n=1 circle grows from 0.525 on, and on an
+# n=2 sphere of 128 nodes it decays at 0.52 and grows 167x at 0.53); 0.45
+# is 86% of that limit, and its time error is at rounding level.
 SAFETY = 0.45
 
 _minimum, _maximum = np.minimum.reduce, np.maximum.reduce
@@ -314,27 +315,51 @@ def run(config):
     reason recorded.
 
     Given a list of configs instead of one config, returns their traces in
-    its order, stepping configs together.  The configs that share a law
-    kind form one ensemble, which lays their support values end to end in
-    one flat array, whatever their n and size, so one RK4 step updates
-    every row.  Each row keeps its own law columns, step (the smaller of
-    its own step bound and its remaining time), time, step count, stored
-    states and termination reason.  A row that completes or ends early
-    leaves the ensemble and the other rows run on; so does a row
-    whose step fails, which ends as its solo run would, while the others
-    keep the values that step computed for them.  Each row is computed
-    with the arithmetic of a solo run, so every trace equals run(config)
-    exactly, its step count, RHS evaluations and dt range included.
+    its order, stepping the configs together as one ensemble: their
+    support values lie end to end in one flat array, whatever their n and
+    size, so one RK4 step updates every row.  The configs must share a law
+    kind; a list that mixes power and exponential laws raises
+    InvalidSpeedLaw before any step.  Each row keeps its own law columns,
+    step (the smaller of its own step bound and its remaining time), time,
+    step count, stored states and termination reason.  A row that
+    completes or ends early leaves the ensemble and the other rows run on;
+    so does a row whose step fails, which ends as its solo run would,
+    while the others keep the values that step computed for them.  Each
+    row is computed with the arithmetic of a solo run, so every trace
+    equals run(config) exactly, its step count, RHS evaluations and dt
+    range included.
+
+    numpy's floating-point warnings are off for the whole time loop (see
+    _rk4); the caller's error state is restored on return, as on an
+    exception.
     """
     solo = isinstance(config, FlowConfig)
-    configs = [config] if solo else list(config)
-    ensembles = {}
-    for j, cfg in enumerate(configs):
-        ensembles.setdefault(cfg.law.kind, []).append(j)
-    traces = [None] * len(configs)
-    for members in ensembles.values():
-        for j, trace in zip(members, _run_rows([_Row(configs[j]) for j in members])):
-            traces[j] = trace
+    rows = [_Row(cfg) for cfg in ([config] if solo else config)]
+    traces = [row.trace for row in rows]
+    rows = sorted((row for row in rows if row.running), key=lambda row: row.cfg.n)
+    grids = [row.trace.grids[0] for row in rows]
+    batch = _Batch.of(rows, [(grid.values, *grid.curvature()) for grid in grids])
+    with np.errstate(all="ignore"):
+        while batch is not None:
+            bounds = _dt_bound(batch.law, batch.layout, batch.radii, batch.K, batch.scale)
+            planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
+            if not all(planned):
+                for j, ok in enumerate(planned):
+                    if not ok:
+                        batch.rows[j].end("dt_underflow", batch.grid(j))
+                batch = batch.keep(planned)
+                if batch is None:
+                    break
+            h, radii, K, failures = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
+            for j, exc in enumerate(failures or ()):
+                if exc is not None:  # the row ends, its failed step counted
+                    batch.rows[j].trace.rhs_evals += 4
+                    batch.rows[j].end(_REASONS[type(exc)], batch.grid(j))
+            batch.h, batch.radii, batch.K = h, radii, K
+            for j, row in enumerate(batch.rows):
+                if row.running and row.advance():
+                    row.store(batch.grid(j))
+            batch = batch.keep([row.running for row in batch.rows])
     return traces[0] if solo else traces
 
 
@@ -440,38 +465,3 @@ class _Batch:
             return self
         kept = [j for j, k in enumerate(mask) if k]
         return _Batch.of([self.rows[j] for j in kept], [self.row(j) for j in kept])
-
-
-def _run_rows(rows: list) -> list:
-    """Step rows that share a law kind until each has ended.
-
-    numpy's floating-point warnings are off for the whole loop, entered
-    once per call rather than once per step (see _rk4); the caller's
-    error state is restored on return, as on an exception.
-    """
-    traces = [row.trace for row in rows]
-    rows = sorted((row for row in rows if row.running), key=lambda row: row.cfg.n)
-    grids = [row.trace.grids[0] for row in rows]
-    batch = _Batch.of(rows, [(grid.values, *grid.curvature()) for grid in grids])
-    with np.errstate(all="ignore"):
-        while batch is not None:
-            bounds = _dt_bound(batch.law, batch.layout, batch.radii, batch.K, batch.scale)
-            planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
-            if not all(planned):
-                for j, ok in enumerate(planned):
-                    if not ok:
-                        batch.rows[j].end("dt_underflow", batch.grid(j))
-                batch = batch.keep(planned)
-                if batch is None:
-                    break
-            h, radii, K, failures = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
-            for j, exc in enumerate(failures or ()):
-                if exc is not None:  # the row ends, its failed step counted
-                    batch.rows[j].trace.rhs_evals += 4
-                    batch.rows[j].end(_REASONS[type(exc)], batch.grid(j))
-            batch.h, batch.radii, batch.K = h, radii, K
-            for j, row in enumerate(batch.rows):
-                if row.running and row.advance():
-                    row.store(batch.grid(j))
-            batch = batch.keep([row.running for row in batch.rows])
-    return traces

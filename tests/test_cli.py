@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -119,6 +120,16 @@ def test_run_rejects_nonconvex_initial(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, initial={"type": "fourier", "R0": 1.0, "modes": [[4, 0.2]]})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["run"], []], ids=["unknown", "no-options", "none"])
+def test_a_bad_command_line_exits_2_with_a_usage_error(argv, capsys):
+    # argparse's required subcommand and options end the parse before any dispatch
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.rstrip("\n").splitlines()[-1]
+    assert re.match(r"gcf( \w+)?: error: ", last)
 
 
 def test_harnack_outputs_and_summary(tmp_path, capsys):

@@ -4,12 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gcf import flow, geometry
-from gcf.errors import InvalidConfig, NonConvex
+from gcf import flow, geometry, stencils
+from gcf.errors import InvalidConfig, InvalidSpeedLaw, NonConvex
 from gcf.flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
 from gcf.geometry import FlatLayout, SupportGrid, derive_state, fourier_grid, round_grid
 from gcf.speedlaw import FlatLaws, SpeedLaw
-from gcf.verify import ORACLE_CASES, sphere_radius_exact, uniform_trace
+from gcf.verify import ORACLE_CASES, random_convex_grid, sphere_radius_exact, uniform_trace
 
 HALF = SpeedLaw.power(-1.0, -0.5)
 
@@ -153,12 +153,70 @@ def _noise_growth(n, size, b):
 def test_step_bound_sits_below_the_stability_limit(monkeypatch):
     # RK4 with the 4th-order d2 stencil is linearly stable to about
     # 2.785*3/16 = 0.522 of dx^2/lambda; at flow.SAFETY node noise decays,
-    # and just above the limit the n=1 noise grows (the measured cliff lies
-    # between 0.520 and 0.525 at n=1, higher at n=2)
+    # and just above the limit it grows at n=1 and at n=2 alike (the
+    # measured cliff lies between 0.520 and 0.525 at n=1; at n=2, N=128 the
+    # noise decays at 0.52 (1e-4) and grows 167x at 0.53, while N=32 still
+    # decays at 0.53 (0.14))
     assert _noise_growth(1, 256, 0.9) <= 1.0
     assert _noise_growth(2, 128, 0.45) <= 1.0
     monkeypatch.setattr(flow, "SAFETY", 0.53)
     assert _noise_growth(1, 256, 0.9) >= 100.0
+    assert _noise_growth(2, 128, 0.45) >= 100.0
+
+
+# The noise sentinel: s = max|4th difference of h| / max h, the difference
+# taken across the grid's own ghosts (periodic for n=1, mirrored at the poles
+# for n=2).  A step too large for RK4 need not blow up: the noise it raises
+# lifts lambda, the bound shrinks dt, and the noise saturates in a run that
+# completes with no check failing.  On smooth data under an expanding law s
+# stays below its start value.  (Smooth contracting flows raise s through
+# the geometry alone, by up to 1.57x at beta = 1 with the same peak at
+# flow.SAFETY 0.1 as at 0.45, so they are not gated.)
+SENTINEL_CASES = [
+    (1, 256, 0.5), (1, 64, 0.9), (1, 128, 0.2), (2, 128, 0.25), (2, 32, 0.45), (2, 64, 0.1),
+]
+
+
+def _sentinel(grid):
+    h = grid.values
+    ghosted = h[stencils.ghost_index(grid.size, grid.n == 1)]
+    return np.max(np.abs(np.diff(ghosted, 4))) / np.max(h)
+
+
+def _sentinel_growth(trace):
+    """The sentinel's largest value over the stored states after the first,
+    over its value at the first."""
+    return max(map(_sentinel, trace.grids[1:])) / _sentinel(trace.grids[0])
+
+
+def _sentinel_config(n, size, b, shape):
+    return FlowConfig(n=n, size=size, law=SpeedLaw.power(-1.0, -b), shape=shape,
+                      t_end=0.5, stride=25)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_noise_sentinel_falls_on_smooth_expanding_flows(seed):
+    rng = np.random.default_rng(seed)
+    traces = run([_sentinel_config(n, size, b, random_convex_grid(n, size, rng))
+                  for n, size, b in SENTINEL_CASES])
+    for trace in traces:
+        assert trace.reason == "completed"
+        assert _sentinel_growth(trace) <= 1.0  # reads at most 0.937 over the seeds
+
+
+def test_noise_sentinel_sees_a_step_above_the_stability_limit(monkeypatch):
+    # node noise under a step just above RK4's limit saturates: both runs
+    # complete, and the sentinel reads 12.7 at n=1 and 2.77 at n=2
+    monkeypatch.setattr(flow, "SAFETY", 0.53)
+
+    def noisy_circle(n, size):
+        return SupportGrid(n, 1.0 + 1e-6 * np.random.default_rng(1).standard_normal(size))
+
+    configs = [_sentinel_config(n, size, b, noisy_circle(n, size))
+               for n, size, b in ((1, 256, 0.9), (2, 128, 0.45))]
+    for trace in run(configs):
+        assert trace.reason == "completed"
+        assert _sentinel_growth(trace) > 1.0
 
 
 def test_config_validation():
@@ -254,7 +312,7 @@ def test_each_accepted_state_derived_once(monkeypatch):
 
 def _mixed_configs(seed):
     """n=1 and n=2 expanding flows of two sizes each, with mixed b, t_end
-    and stride, plus one b = 1/2 flow and one exponential-law flow."""
+    and stride, plus one b = 1/2 flow."""
     rng = np.random.default_rng(seed)
     configs = []
     for j in range(9):
@@ -270,10 +328,6 @@ def _mixed_configs(seed):
     configs.append(FlowConfig(
         n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
         t_end=0.3, stride=13,
-    ))
-    configs.append(FlowConfig(
-        n=2, size=16, law=SpeedLaw.exponential(),
-        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.05, stride=4,
     ))
     return configs
 
@@ -298,6 +352,42 @@ def test_ensemble_traces_equal_solo_runs():
             assert_same_trace(trace, solo[j])
     for trace, ref in zip(run(configs[:3]), solo):  # the first three, in their order
         assert_same_trace(trace, ref)
+
+
+def test_exponential_ensemble_traces_equal_solo_runs():
+    # rows of mixed n and size under the exponential law, stepped together
+    configs = [
+        FlowConfig(
+            n=n, size=size, law=SpeedLaw.exponential(),
+            shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=t_end, stride=stride,
+        )
+        for n, size, t_end, stride in ((2, 16, 0.05, 4), (1, 32, 0.04, 3), (1, 48, 0.03, 5))
+    ]
+    traces = run(configs)
+    assert all(trace.reason == "completed" and trace.steps > 5 for trace in traces)
+    for cfg, trace in zip(configs, traces):
+        assert_same_trace(trace, run(cfg))
+
+
+def test_a_list_that_mixes_law_kinds_raises_before_any_step(monkeypatch):
+    power, exp = (
+        FlowConfig(
+            n=1, size=32, law=law, shape=InitialShape("fourier", 1.0, ((3, 0.02),)), t_end=0.1,
+        )
+        for law in (HALF, SpeedLaw.exponential())
+    )
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rk4(*args)
+
+    rk4 = flow._rk4
+    monkeypatch.setattr(flow, "_rk4", counting)
+    for configs in ([power, exp], [exp, power, power]):
+        with pytest.raises(InvalidSpeedLaw, match="one kind"):
+            run(configs)
+    assert calls == []  # no step was taken
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0])
