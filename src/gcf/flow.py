@@ -50,7 +50,7 @@ from .geometry import (
     round_grid,
     row_layout,
 )
-from .speedlaw import POWER, FlatLaws, SpeedLaw, theorem_hypotheses
+from .speedlaw import POWER, FlatLaws, SpeedLaw, require_one_kind, theorem_hypotheses
 
 DT_FLOOR = 1e-12
 # Every step of run() is at most SAFETY * dx**2 / lambda.  RK4 with the
@@ -334,7 +334,9 @@ def run(config):
     exception.
     """
     solo = isinstance(config, FlowConfig)
-    rows = [_Row(cfg) for cfg in ([config] if solo else config)]
+    configs = [config] if solo else list(config)
+    require_one_kind([cfg.law for cfg in configs])  # with no time to step, a config still counts
+    rows = [_Row(cfg) for cfg in configs]
     traces = [row.trace for row in rows]
     rows = sorted((row for row in rows if row.running), key=lambda row: row.cfg.n)
     grids = [row.trace.grids[0] for row in rows]

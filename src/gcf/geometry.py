@@ -173,9 +173,11 @@ def radii_and_K(n: int, h: np.ndarray, dx: float) -> tuple:
 
 
 def _as_slice(index: np.ndarray):
-    # A run of consecutive indices picks a view; any other index array a copy.
-    if index.size and np.array_equal(index, np.arange(index[0], index[0] + index.size)):
-        return slice(int(index[0]), int(index[0]) + index.size)
+    # A descending run of consecutive indices picks a view; any other index
+    # array a copy.
+    first, count = int(index[0]), index.size
+    if np.array_equal(index, np.arange(first, first - count, -1)):
+        return slice(first, first - count if first >= count else None, -1)
     return index
 
 
@@ -185,10 +187,15 @@ class FlatLayout:
     rows holds each grid's (n, size, dx), the n=1 grids first, so that the
     n=2 grids form one contiguous tail of nodes from `tail` on.  A flat
     state is the values h and K, one element per node, and the radii
-    (r1 of every node, r2 of the tail nodes).  radii() gathers each grid's
-    ghost cells with one precomputed index, runs the 4th-order stencil
-    over all grids at once with each grid's own divisor, and picks each
-    grid's nodes back; so every grid gets the arithmetic it gets alone.
+    (r1 of every node, r2 of the tail nodes).  radii() gathers every grid's
+    values with its ghost cells in reversed order, with one precomputed
+    index, and runs each 4th-order stencil over all grids at once as one
+    np.correlate with the reversed weights of stencils (the n=2 tail's d1
+    over the first part of the same reversed values).  It picks each
+    node's output back, which lies at a reversed position, and divides it
+    by its grid's 12 dx**2 (or 12 dx).  Each output sums the textbook
+    stencil's terms in the textbook order (see stencils), so every grid
+    gets the bits it gets alone.
     """
 
     def __init__(self, rows):
@@ -204,21 +211,25 @@ class FlatLayout:
         # the flat radii: r1 of every node, then r2 of the tail nodes
         self.radii_size = 2 * self.size - self.tail
         # Extended rows are size + 4 long; their outputs at their own first
-        # size places are the nodes' derivatives.
+        # size places are the nodes' derivatives.  Gathered in reversed
+        # order, the output at flat place k of L extended values is the
+        # correlate's output L - 5 - k.
         ext = sizes + 4
         ext_starts = np.cumsum(ext) - ext
-        self.ghosts = np.concatenate([
+        ghosts = np.concatenate([
             stencils.ghost_index(size, n == 1) + int(start)
             for (n, size, _), start in zip(rows, self.starts)
         ])
+        self.ghosts = ghosts[::-1].copy()
         pick = np.concatenate([np.arange(size) + int(es) for size, es in zip(sizes, ext_starts)])
-        self.pick = _as_slice(pick)
-        self.div2 = np.repeat([12.0 * dx * dx for _, _, dx in rows], ext)[:-4]
+        self.pick = _as_slice(ghosts.size - 5 - pick)
+        self.div2 = np.repeat([12.0 * dx * dx for _, _, dx in rows], sizes)
         tail_rows = rows[first_tail:]
         if tail_rows:
-            self.ext_tail = int(ext_starts[first_tail])
-            self.pick_tail = _as_slice(pick[self.tail:] - self.ext_tail)
-            self.div1 = np.repeat([12.0 * dx for _, _, dx in tail_rows], ext[first_tail:])[:-4]
+            # the tail's extended values, the first tail_ext of the reversed ones
+            self.tail_ext = int(ghosts.size - ext_starts[first_tail])
+            self.pick_tail = _as_slice(ghosts.size - 5 - pick[self.tail:])
+            self.div1 = np.repeat([12.0 * dx for _, _, dx in tail_rows], sizes[first_tail:])
             self.cot = np.concatenate([_polar_cot(size) for _, size, _ in tail_rows])
 
     def radii(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -227,11 +238,13 @@ class FlatLayout:
         if out is None:
             out = np.empty(self.radii_size)
         e = h[self.ghosts]
-        np.add(stencils.d2_extended(e, self.div2)[self.pick], h, out=out[:size])
+        r1 = np.divide(np.correlate(e, stencils.D2_REVERSED, "valid")[self.pick], self.div2,
+                       out=out[:size])
+        r1 += h
         if tail < size:
-            r2 = out[size:]
-            np.multiply(stencils.d1_extended(e[self.ext_tail:], self.div1)[self.pick_tail],
-                        self.cot, out=r2)
+            r2 = np.divide(np.correlate(e[:self.tail_ext], stencils.D1_REVERSED, "valid")
+                           [self.pick_tail], self.div1, out=out[size:])
+            r2 *= self.cot
             r2 += h[tail:]
         return out
 

@@ -112,6 +112,12 @@ def _check_positive(x) -> None:
         raise NonPositiveArgument("speed laws are defined for positive arguments only")
 
 
+def require_one_kind(laws) -> None:
+    """Raise InvalidSpeedLaw unless all laws are of one kind."""
+    if len({law.kind for law in laws}) > 1:
+        raise InvalidSpeedLaw("a flat batch needs laws of one kind")
+
+
 class FlatLaws:
     """The laws of grids laid end to end, one law per grid, as f and f1 of
     flat arguments.
@@ -126,10 +132,8 @@ class FlatLaws:
     """
 
     def __init__(self, laws, sizes):
-        first = laws[0]
-        if any(law.kind != first.kind for law in laws):
-            raise InvalidSpeedLaw("a flat batch needs laws of one kind")
-        self.kind = first.kind
+        require_one_kind(laws)
+        self.kind = laws[0].kind
         # coefs[k] and expos[k]: the k-th derivative's column, for k = 0, 1
         table = np.array([law.coefs[:2] + law.expos[:2] for law in laws])
         a, a1, b, b1 = np.repeat(table.T, sizes, axis=1)

@@ -11,8 +11,9 @@ verification oracles differentiate through an independent code path.
 Every stencil works along the last axis, so a (B, N) array of B grids is
 differentiated row by row with the same arithmetic as a single (N,) grid.
 Grids of different sizes and topologies laid end to end in one flat array
-are differentiated by d1_extended/d2_extended, on values extended by a
-gather with ghost_index, with the same arithmetic again.
+(geometry.FlatLayout) are differentiated on values extended by a gather
+with ghost_index, with the same arithmetic again: each 4th-order stencil
+is one np.correlate with D1_REVERSED or D2_REVERSED.
 """
 
 from __future__ import annotations
@@ -48,45 +49,43 @@ def ghost_index(size: int, periodic: bool) -> np.ndarray:
 
 
 # 4th-order stencils on values e extended by two ghost cells per side.  The
-# rows of e are taken end to end, so that every term is one contiguous slice:
-# the output at flat index k reads e.flat[k:k + 5], which lies in k's own row
-# for the first N outputs of each row; the 4 outputs per row that straddle
-# two rows are computed and dropped.  The rows may differ in length, as in a
-# flat layout of grids of several sizes; the output at flat index k is then
-# divided by element k of an array div, formed per row.  A 1-D e (one grid,
-# or a flat layout) is differentiated as it is, into a new array of its
-# e.size - 4 outputs, straddling ones included, from which the caller picks
-# its nodes; only an (S, N+4) stack is reshaped, into a buffer of its shape.
-# The textbook forms lead with -e[4:]; starting from the next term instead
-# subtracts it, the same floating-point operation, and the two terms of
-# equal weight share one scaled copy of e.  The weights are 0-d arrays: a
-# Python float operand is converted on every call.
-_W8, _W16, _W30 = np.array(8.0), np.array(16.0), np.array(30.0)
+# rows of e are taken end to end, so that every output is one dot product
+# over a contiguous window: the output at flat index k reads e.flat[k:k + 5],
+# which lies in k's own row for the first N outputs of each row; the 4
+# outputs per row that straddle two rows are computed and dropped.  The rows
+# may differ in length, as in a flat layout of grids of several sizes; the
+# output at flat index k is then divided by element k of an array div,
+# formed per row.  A 1-D e (one grid, or a flat layout) is differentiated as
+# it is, into a new array of its e.size - 4 outputs, straddling ones
+# included, from which the caller picks its nodes; only an (S, N+4) stack is
+# reshaped, into a buffer of its shape.
+#
+# Each evaluation is one np.correlate, in "valid" mode, of the values in
+# reversed order r = e[::-1] with the weights below.  Its output m is the dot
+# product of r[m:m + 5] with the weights, and belongs to the flat output
+# k = e.size - 5 - m; its terms, first to last, are those of the textbook
+# form -e[k+4] + 16 e[k+3] - 30 e[k+2] + 16 e[k+1] - e[k], in that order.
+# numpy adds them one rounded product at a time to a leading +0.0, so the
+# bits are the textbook form's, except that an exact zero reads +0.0.  d1's
+# 0 * e[k+2] term adds a zero, which leaves the sum unchanged (an infinite
+# e[k+2] makes it NaN, where the textbook d1 skips that value).  numpy
+# hands each window to cblas_ddot; a BLAS kernel that fused or reordered the
+# five terms would change the bits, and a Hypothesis property in the tests
+# checks the kernel that numpy dispatches to.  np.correlate copies a
+# reversed view into a contiguous array first; geometry.FlatLayout gathers
+# its values reversed, so it correlates them with these weights as they are.
+D1_REVERSED = np.array((-1.0, 8.0, 0.0, -8.0, 1.0))
+D2_REVERSED = np.array((-1.0, 16.0, -30.0, 16.0, -1.0))
 
 
-def _d1_flat(u, div, out=None):
-    s = _W8 * u
-    d = np.subtract(s[3:-1], u[4:], out=out)
-    d -= s[1:-3]
-    d += u[:-4]
-    d /= div
-    return d
+def _flat(weights, e, div, out=None):
+    return np.divide(np.correlate(e[::-1], weights, "valid")[::-1], div, out=out)
 
 
-def _d2_flat(u, div, out=None):
-    s = _W16 * u
-    d = np.subtract(s[3:-1], u[4:], out=out)
-    d -= _W30 * u[2:-2]
-    d += s[1:-3]
-    d -= u[:-4]
-    d /= div
-    return d
-
-
-def _stacked(flat, e, div):
+def _stacked(weights, e, div):
     # The outputs of each row of an (S, N+4) stack, as an (S, N) view.
     out = np.empty(e.shape)
-    flat(e.reshape(-1), div, out.reshape(-1)[:-4])
+    _flat(weights, e.reshape(-1), div, out.reshape(-1)[:-4])
     return out[..., :-4]
 
 
@@ -97,7 +96,7 @@ def d1_extended(e: np.ndarray, div) -> np.ndarray:
     Returns e.size - 4 flat outputs for a 1-D e, else the outputs as e's
     shape less 4 along the last axis.
     """
-    return _d1_flat(e, div) if e.ndim == 1 else _stacked(_d1_flat, e, div)
+    return _flat(D1_REVERSED, e, div) if e.ndim == 1 else _stacked(D1_REVERSED, e, div)
 
 
 def d2_extended(e: np.ndarray, div) -> np.ndarray:
@@ -105,7 +104,7 @@ def d2_extended(e: np.ndarray, div) -> np.ndarray:
 
     div is a float, or one divisor per flat output, as in d1_extended.
     """
-    return _d2_flat(e, div) if e.ndim == 1 else _stacked(_d2_flat, e, div)
+    return _flat(D2_REVERSED, e, div) if e.ndim == 1 else _stacked(D2_REVERSED, e, div)
 
 
 def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:

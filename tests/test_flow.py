@@ -390,6 +390,19 @@ def test_a_list_that_mixes_law_kinds_raises_before_any_step(monkeypatch):
     assert calls == []  # no step was taken
 
 
+def test_a_config_with_no_time_to_step_still_counts_for_the_law_kind():
+    # t_end - t0 = 4e-16 is below run()'s stop tolerance, so this config
+    # takes no step; its law kind must still be checked
+    power = FlowConfig(n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
+                       t_end=0.1)
+    idle = FlowConfig(n=1, size=32, law=SpeedLaw.exponential(), shape=InitialShape(),
+                      t0=1.0, t_end=1.0 + 4e-16)
+    assert run(idle).steps == 0
+    for configs in ([power, idle], [idle, power]):
+        with pytest.raises(InvalidSpeedLaw, match="one kind"):
+            run(configs)
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0])
 def test_fast_power_exponent_rows_equal_their_solo_runs(beta):
     # beta 0.5 and 2 are f exponents, and beta - 1 = 0.5 and 2 f1 exponents,

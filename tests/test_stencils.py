@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gcf import stencils
+from gcf.geometry import FlatLayout
 
 SIZES = (16, 17, 64, 127, 256, 1000, 1024)
 
@@ -131,3 +137,114 @@ def test_periodic_stencils_leave_input_unchanged():
     for fn, _ in PAIRS:
         fn(u, 0.1)
     assert np.array_equal(u, before)
+
+
+# The textbook forms on extended values e, along the last axis, each sum
+# taken left to right from -e[k+4] and then divided by div.  The stencils
+# must give their bits on whatever BLAS kernel numpy's np.correlate reaches:
+# a kernel that fused a product into its sum (as an FMA does with
+# -30 e[k+2]) or summed the five terms in another order would show here.
+def textbook_d1(e, div):
+    return (-e[..., 4:] + 8.0 * e[..., 3:-1] - 8.0 * e[..., 1:-3] + e[..., :-4]) / div
+
+
+def textbook_d2(e, div):
+    return (-e[..., 4:] + 16.0 * e[..., 3:-1] - 30.0 * e[..., 2:-2] + 16.0 * e[..., 1:-3]
+            - e[..., :-4]) / div
+
+
+def assert_same_bits(got, want):
+    # bit for bit, except the sign of an exact zero: the stencils sum onto
+    # a leading +0.0, so a sum of signed zeros reads +0.0
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    same = (got.view(np.uint64) == want.view(np.uint64)) | ((got == 0.0) & (want == 0.0))
+    assert same.all(), (got[~same], want[~same])
+
+
+# Finite values small enough that no stencil sum overflows: any magnitude,
+# subnormals and zeros included.
+FINITE = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def extended_values(draw, shape):
+    """Values of the given shape, random or a level with small noise (where
+    the terms cancel most), placed at a random byte offset into a larger
+    buffer, so that their alignment varies."""
+    if draw(st.booleans()):
+        values = draw(hnp.arrays(np.float64, shape, elements=FINITE))
+    else:
+        level = draw(st.floats(0.1, 10.0))
+        noise = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+        values = level + draw(st.floats(0.0, 1e-3)) * noise
+    count = math.prod(shape)
+    offset = draw(st.integers(0, 127))
+    buffer = bytearray(offset + 8 * count + 64)
+    view = np.frombuffer(buffer, np.float64, count, offset).reshape(shape)
+    view[...] = values
+    return view
+
+
+DIVISORS = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(5, 300), st.booleans())
+def test_flat_stencils_equal_the_textbook_forms_bit_for_bit(data, count, per_output):
+    e = data.draw(extended_values((count,)))
+    div = (data.draw(hnp.arrays(np.float64, count - 4, elements=DIVISORS)) if per_output
+           else data.draw(DIVISORS))
+    before = e.copy()
+    assert_same_bits(stencils.d1_extended(e, div), textbook_d1(e, div))
+    assert_same_bits(stencils.d2_extended(e, div), textbook_d2(e, div))
+    assert np.array_equal(e, before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 80), st.booleans())
+def test_stacked_stencils_equal_the_textbook_forms_bit_for_bit(data, rows, size, per_output):
+    e = data.draw(extended_values((rows, size + 4)))
+    # a flat divisor has one entry per flat output, straddling ones included
+    div = (data.draw(hnp.arrays(np.float64, e.size - 4, elements=DIVISORS)) if per_output
+           else data.draw(DIVISORS))
+    for fn, textbook in ((stencils.d1_extended, textbook_d1), (stencils.d2_extended, textbook_d2)):
+        got = fn(e, div)
+        assert got.shape == (rows, size)
+        want = np.empty(e.size)
+        want[:-4] = textbook(e.reshape(-1), div)
+        assert_same_bits(got, want.reshape(e.shape)[:, :size])
+
+
+@st.composite
+def mixed_layouts(draw):
+    """1-5 rows of (n, size, dx, values), the n=1 rows first; values are
+    random positive, not necessarily convex, since radii() does not check."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from((1, 2)))
+        size = 2 * draw(st.integers(8, 48)) if n == 1 else draw(st.integers(16, 96))
+        dx = (2.0 if n == 1 else 1.0) * math.pi / size * draw(st.floats(0.9, 1.1))
+        level = draw(st.floats(0.5, 2.0))
+        noise = draw(hnp.arrays(np.float64, size, elements=st.floats(-1.0, 1.0)))
+        rows.append((n, size, dx, level + draw(st.sampled_from((1e-6, 1e-2, 0.4))) * noise))
+    return sorted(rows, key=lambda row: row[0])
+
+
+def textbook_radii(n, dx, u):
+    """r1 = h'' + h, and for n=2 r2 = h' cot(phi) + h, from the textbook forms."""
+    if n == 1:
+        return (textbook_d2(np.concatenate((u[-2:], u, u[:2])), 12.0 * dx * dx) + u,)
+    e = mirror(u, "even")
+    phi = (np.arange(u.size) + 0.5) * np.pi / u.size
+    return (textbook_d2(e, 12.0 * dx * dx) + u,
+            textbook_d1(e, 12.0 * dx) * (np.cos(phi) / np.sin(phi)) + u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_layouts())
+def test_flat_layout_radii_equal_each_rows_textbook_radii(rows):
+    layout = FlatLayout([(n, size, dx) for n, size, dx, _ in rows])
+    r = layout.radii(np.concatenate([u for *_, u in rows]))
+    for j, (n, _, dx, u) in enumerate(rows):
+        assert_same_bits(layout.row_radii(j, r), np.concatenate(textbook_radii(n, dx, u)))
