@@ -7,15 +7,19 @@ trace.csv, harnack.csv, report.csv, sweep.csv, and a meta.json with the
 echoed configuration, the run's steps and right-hand-side evaluations,
 and the wall time of each of its phases (step, monitor, write).  Timing
 goes only into meta.json: numeric CSV fields carry 17 significant digits,
-so identical configurations reproduce byte-identical CSVs.  A sweep steps
-all its valid tuples in one run: every tuple's law is -K^(-b), so they
-form one ensemble (see flow.run) at any n and N.
+so identical configurations reproduce byte-identical CSVs.  `gcf run` and
+`gcf harnack` are one driver (cmd_flow): run is harnack without the
+monitor, so both write the same trace.csv and meta.json for a config.  A
+sweep steps all its valid tuples in one run: every tuple's law is
+-K^(-b), so they form one ensemble (see flow.run) at any n and N.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error or
-an --out path that cannot be a directory (checked before any work is
-done), 3 early flow termination (lost convexity, the origin leaving the
-body, or step underflow), 4 law outside the Harnack-bound hypotheses when
-enforcement is requested.  Exit 2 prints one line on stderr.
+Exit codes: 0 success, 1 verification failure, 2 configuration error,
+bad command line, or an --out path that cannot be a directory (checked
+before any work is done), 3 early flow termination (lost convexity, the
+origin leaving the body, or step underflow), 4 law outside the
+Harnack-bound hypotheses when enforcement is requested.  Exit 2 prints
+one line on stderr; for a bad command line it is argparse's
+`gcf ...: error: ...` line, without the usage text.
 """
 
 from __future__ import annotations
@@ -263,44 +267,6 @@ def _report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_run(out_dir: str, doc: dict, wall: float, trace, command: str, phases: dict) -> int:
-    """Write trace.csv and meta.json of a run; the exit code its end gives.
-
-    phases holds the wall seconds of the run's phases so far; the time of
-    writing trace.csv is added to its "write", and meta.json records it as
-    phase_wall_s.  A flow that ended early is reported on stderr and exits 3.
-    """
-    start = time.monotonic()
-    _atomic_write(os.path.join(out_dir, "trace.csv"), _trace_csv(trace))
-    phases["write"] = phases.get("write", 0.0) + time.monotonic() - start
-    _atomic_write(
-        os.path.join(out_dir, "meta.json"),
-        _meta(doc, wall, trace, command, phase_wall_s=phases),
-    )
-    if trace.reason != "completed":
-        print(f"flow terminated early: {trace.reason}", file=sys.stderr)
-        return EXIT_NONCONVEX
-    return EXIT_OK
-
-
-def cmd_run(config_path: str, out_dir: str) -> int:
-    try:
-        doc = _load_json(config_path)
-        cfg = _flow_config_from_doc(doc)
-    except (OSError, *CONFIG_ERRORS) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not _make_out_dir(out_dir):
-        return EXIT_CONFIG
-    start = time.monotonic()
-    trace = run(cfg)
-    wall = time.monotonic() - start
-    code = _write_run(out_dir, doc, wall, trace, "run", {"step": wall})
-    if code == EXIT_OK:
-        print(f"completed: {len(trace)} stored states -> {os.path.join(out_dir, 'trace.csv')}")
-    return code
-
-
 def _monitor_and_write(trace, out_dir: str, phases: dict) -> MarginSummary:
     """Monitor a trace and write out_dir/harnack.csv; the margin summary.
 
@@ -315,45 +281,68 @@ def _monitor_and_write(trace, out_dir: str, phases: dict) -> MarginSummary:
     return margin_summary(table)
 
 
-def cmd_harnack(config_path: str, out_dir: str, enforce_hypotheses: bool = False) -> int:
+def cmd_flow(args: argparse.Namespace) -> int:
+    """`gcf run` or `gcf harnack`, as args.command names it; the exit code.
+
+    Both step the config's flow and write trace.csv and meta.json; harnack
+    first checks the law against the theorem's hypotheses if asked, and
+    monitors the trace and writes harnack.csv before trace.csv.  meta.json's
+    wall_time_s is the stepping time, plus the monitoring time for harnack,
+    and its phase_wall_s holds each phase.  A flow that ended early exits 3;
+    a completed harnack run that stored too few states to monitor exits 2.
+    """
+    harnack = args.command == "harnack"
     try:
-        doc = _load_json(config_path)
-        law = _law_from_doc(doc)
-        n = _integer(_required(doc, "n", "n"), "n")
-        # any other n is a config error, which _flow_config_from_doc reports
-        if enforce_hypotheses and n in (1, 2) and not theorem_hypotheses(law, n):
-            print(
-                f"law outside the Harnack-bound hypotheses for n={n}: "
-                f"need a power law with a > 0, beta > 0 or a < 0, -1/n < beta < 0",
-                file=sys.stderr,
-            )
-            return EXIT_HYPOTHESES
+        doc = _load_json(args.config)
+        if harnack and args.enforce_hypotheses:
+            law, n = _law_from_doc(doc), _integer(_required(doc, "n", "n"), "n")
+            # any other n is a config error, which _flow_config_from_doc reports
+            if n in (1, 2) and not theorem_hypotheses(law, n):
+                print(
+                    f"law outside the Harnack-bound hypotheses for n={n}: "
+                    f"need a power law with a > 0, beta > 0 or a < 0, -1/n < beta < 0",
+                    file=sys.stderr,
+                )
+                return EXIT_HYPOTHESES
         cfg = _flow_config_from_doc(doc)
     except (OSError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not _make_out_dir(out_dir):
+    if not _make_out_dir(args.out):
         return EXIT_CONFIG
     start = time.monotonic()
-    trace = run(cfg)
+    trace = run(cfg)  # perfbench/probe.py ends its set-up timing at run
     phases = {"step": time.monotonic() - start}
-    try:
-        summary = _monitor_and_write(trace, out_dir, phases)
-    except InsufficientTrace as exc:
-        # A completed run that stored too few states is misconfigured
-        # (output.stride too coarse); an early end keeps its own exit code.
-        wall = time.monotonic() - start
-        code = _write_run(out_dir, doc, wall, trace, "harnack", phases)
-        if code != EXIT_OK:
-            return code
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    wall = phases["step"] + phases["monitor"]
-    print(
-        f"min_margin = {summary.min_margin:.6e} (relative {summary.min_margin_rel:.6e}, "
-        f"scale {summary.max_abs_P:.6e})"
+    wall, too_few = phases["step"], None
+    if harnack:
+        try:
+            summary = _monitor_and_write(trace, args.out, phases)
+        except InsufficientTrace as exc:
+            # A completed run that stored too few states is misconfigured
+            # (output.stride too coarse); an early end keeps its own exit code.
+            wall, too_few = time.monotonic() - start, exc
+        else:
+            wall += phases["monitor"]
+            print(
+                f"min_margin = {summary.min_margin:.6e} (relative {summary.min_margin_rel:.6e}, "
+                f"scale {summary.max_abs_P:.6e})"
+            )
+    written = time.monotonic()
+    _atomic_write(os.path.join(args.out, "trace.csv"), _trace_csv(trace))
+    phases["write"] = phases.get("write", 0.0) + time.monotonic() - written
+    _atomic_write(
+        os.path.join(args.out, "meta.json"),
+        _meta(doc, wall, trace, args.command, phase_wall_s=phases),
     )
-    return _write_run(out_dir, doc, wall, trace, "harnack", phases)
+    if trace.reason != "completed":
+        print(f"flow terminated early: {trace.reason}", file=sys.stderr)
+        return EXIT_NONCONVEX
+    if too_few is not None:
+        print(f"config error: {too_few}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not harnack:
+        print(f"completed: {len(trace)} stored states -> {os.path.join(args.out, 'trace.csv')}")
+    return EXIT_OK
 
 
 def cmd_verify(suite: str, out_dir: str | None = None) -> int:
@@ -511,38 +500,39 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
     return EXIT_OK if not bad else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is one stderr line, with no usage text."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcf",
         description="Power-of-Gauss-curvature flow simulator and verification harness",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # its parsers are _Parsers
+    io = argparse.ArgumentParser(add_help=False)  # the options of run, harnack and sweep
+    io.add_argument("--config", required=True)
+    io.add_argument("--out", required=True)
 
-    p_run = sub.add_parser("run", help="integrate a flow and write trace.csv")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", required=True)
-
-    p_h = sub.add_parser("harnack", help="run a flow and monitor Harnack quantities")
-    p_h.add_argument("--config", required=True)
-    p_h.add_argument("--out", required=True)
+    sub.add_parser("run", parents=[io], help="integrate a flow and write trace.csv")
+    p_h = sub.add_parser("harnack", parents=[io], help="run a flow and monitor Harnack quantities")
     p_h.add_argument("--enforce-hypotheses", action="store_true")
 
     p_v = sub.add_parser("verify", help="run a named verification suite")
     p_v.add_argument("--suite", required=True)
     p_v.add_argument("--out", default=None)
 
-    p_s = sub.add_parser("sweep", help="run a Harnack sweep over (n, b, shape) tuples")
-    p_s.add_argument("--config", required=True)
-    p_s.add_argument("--out", required=True)
+    sub.add_parser("sweep", parents=[io], help="run a Harnack sweep over (n, b, shape) tuples")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out)
-    if args.command == "harnack":
-        return cmd_harnack(args.config, args.out, args.enforce_hypotheses)
     if args.command == "verify":
         return cmd_verify(args.suite, args.out)
-    return cmd_sweep(args.config, args.out)
+    if args.command == "sweep":
+        return cmd_sweep(args.config, args.out)
+    return cmd_flow(args)
 
 
 if __name__ == "__main__":

@@ -356,7 +356,7 @@ def run(config):
             for j, exc in enumerate(failures or ()):
                 if exc is not None:  # the row ends, its failed step counted
                     batch.rows[j].trace.rhs_evals += 4
-                    batch.rows[j].end(_REASONS[type(exc)], batch.grid(j))
+                    batch.rows[j].end(REASONS[type(exc)], batch.grid(j))
             batch.h, batch.radii, batch.K = h, radii, K
             for j, row in enumerate(batch.rows):
                 if row.running and row.advance():
@@ -419,8 +419,8 @@ class _Row:
             self.store(grid)
 
 
-# The reason a row ends with when its step raises.
-_REASONS = {NonConvex: "nonconvex", OriginOutside: "origin_outside"}
+# The reason a row ends with when its step raises (verify maps it back).
+REASONS = {NonConvex: "nonconvex", OriginOutside: "origin_outside"}
 
 
 class _Batch:

@@ -457,6 +457,15 @@ def h_norm_sq(state: GeometryState, du: np.ndarray) -> np.ndarray:
     return du * du / state.r1
 
 
+def h_trace(state: GeometryState, hess: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """A field's covariant Hessian contracted with the inverse second
+    fundamental form, from its meridian component hess and its angular
+    derivative du: hess/r1, plus cot*du/r1 from the azimuthal direction at n=2."""
+    if state.n == 1:
+        return hess / state.r1
+    return hess / state.r1 + state.cot * du / state.r1
+
+
 def box_op(state: GeometryState, u: np.ndarray) -> np.ndarray:
     """Covariant Hessian of u contracted with the inverse second fundamental form.
 
@@ -464,10 +473,7 @@ def box_op(state: GeometryState, u: np.ndarray) -> np.ndarray:
     """
     du = state.d1(u)
     ddu = state.d2(u)
-    hess_mer = ddu - state.Gamma * du
-    if state.n == 1:
-        return hess_mer / state.r1
-    return hess_mer / state.r1 + state.cot * du / state.r1
+    return h_trace(state, ddu - state.Gamma * du, du)
 
 
 def laplace_beltrami(state: GeometryState, u: np.ndarray) -> np.ndarray:

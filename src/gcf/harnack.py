@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InsufficientTrace, NonPositiveTime
 from .flow import FlowTrace
-from .geometry import GeometryState, box_op, derive_state, h_norm_sq
+from .geometry import GeometryState, box_op, derive_state, h_norm_sq, h_trace
 from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
 
 
@@ -66,11 +66,7 @@ def speed_fields(state: GeometryState, law: SpeedLaw) -> SpeedFields:
     fp = f1 * state.Kp
     fpp = f2 * state.Kp**2 + f1 * state.Kpp
     hess = fpp - state.Gamma * fp
-    if state.n == 1:
-        box = hess / state.r1
-    else:
-        box = hess / state.r1 + state.cot * fp / state.r1
-    gradsq_h = fp * fp / state.r1
+    box, gradsq_h = h_trace(state, hess, fp), h_norm_sq(state, fp)
     return SpeedFields(state, law, f, f1, f2, fp, fpp, hess, box, gradsq_h, f1 * K)
 
 

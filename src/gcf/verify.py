@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stencils
-from .errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
-from .flow import FlowConfig, FlowTrace, InitialShape, run
+from .errors import BadExponent, InsufficientTrace
+from .flow import REASONS, FlowConfig, FlowTrace, InitialShape, run
 from .geometry import (
     GeometryState,
     SupportGrid,
@@ -176,9 +176,7 @@ def _completed(trace: FlowTrace) -> FlowTrace:
     naming its last accepted time."""
     if trace.reason == "completed":
         return trace
-    error = {"nonconvex": NonConvex, "origin_outside": OriginOutside}.get(
-        trace.reason, InsufficientTrace
-    )
+    error = {reason: exc for exc, reason in REASONS.items()}.get(trace.reason, InsufficientTrace)
     raise error(f"flow ended early at t = {trace.times[-1]!r}: {trace.reason}")
 
 

@@ -122,14 +122,57 @@ def test_run_rejects_nonconvex_initial(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("argv", [["bogus"], ["run"], []], ids=["unknown", "no-options", "none"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        ["run"],
+        [],
+        ["run", "--enforce-hypotheses"],
+        ["run", "--config", "c.json", "--out", "o", "--enforce-hypotheses"],
+    ],
+    ids=["unknown", "no-options", "none", "run-enforce-hypotheses", "run-unknown-option"],
+)
 def test_a_bad_command_line_exits_2_with_a_usage_error(argv, capsys):
-    # argparse's required subcommand and options end the parse before any dispatch
+    # argparse's required subcommand and options end the parse before any
+    # dispatch, with one stderr line and no usage text
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    last = capsys.readouterr().err.rstrip("\n").splitlines()[-1]
-    assert re.match(r"gcf( \w+)?: error: ", last)
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert re.match(r"gcf( \w+)?: error: ", line)
+
+
+@pytest.mark.parametrize(
+    "doc,code",
+    [
+        ({"initial": {"type": "fourier", "R0": 1.0, "modes": [[3, 0.03]]}}, 0),
+        ({"n": 2, "speed": {"a": -1.0, "beta": -0.25}, "grid": {"N": 32},
+          "time": {"t_end": 0.3}, "output": {"stride": 5}}, 0),
+        ({"speed": {"a": 1, "beta": 1}, "grid": {"N": 32},
+          "initial": {"type": "fourier", "R0": 1.0, "modes": [[1, 0.5]]},
+          "time": {"t_end": 1}, "output": {"stride": 10}}, 3),
+    ],
+    ids=["n1", "n2", "early-end"],
+)
+def test_run_and_harnack_write_the_same_trace_and_record(tmp_path, doc, code):
+    # one config under both commands: the same trace.csv bytes, and a
+    # meta.json that differs only in the command and the wall times
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **doc)
+    metas = {}
+    for command in ("run", "harnack"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == code
+        metas[command] = json.loads((tmp_path / command / "meta.json").read_text())
+        for key in ("command", "wall_time_s", "phase_wall_s"):
+            metas[command].pop(key)
+    assert (tmp_path / "run" / "trace.csv").read_bytes() == (
+        tmp_path / "harnack" / "trace.csv"
+    ).read_bytes()
+    assert metas["run"] == metas["harnack"]
+    assert metas["run"]["termination_reason"] == ("completed" if code == 0 else "origin_outside")
 
 
 def test_harnack_outputs_and_summary(tmp_path, capsys):

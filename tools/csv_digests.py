@@ -5,10 +5,10 @@ runs writes.
 
 Runs, in-process through `gcf.cli.main` and from the `src/` of this
 checkout, the benchmark's surface-dense and sweep-mixed configs for the
-seed (generated by `perfbench/workloads.build`), the three fixed configs
+seed (generated by `perfbench/workloads.build`), the five fixed configs
 of FIXED, and the six verification suites with `--out`, all under
 OUT_DIR; each run must exit 0, or with the code FIXED gives it.  That is
-33 CSVs and 24 meta.json files (one per run and per completed sweep
+36 CSVs and 26 meta.json files (one per run and per completed sweep
 tuple).  A CSV's digest is that of its bytes; a meta.json's is that of
 its JSON without the timing keys (TIMING_KEYS), so it covers the steps,
 the RHS evaluations and the dt range.  Prints one `sha256  path` line per
@@ -40,10 +40,18 @@ from gcf.cli import main as gcf_main  # noqa: E402
 # Configs the benchmark's workloads leave out, with the exit code each
 # run must give: an n=1 `gcf run`, whose trace.csv has the n=1 columns (H
 # repeats K); a short exponential-law `gcf harnack`, whose lhs_eq12 and
-# bound_eq316 columns are NaN; and a `gcf run` that ends early (exit 3), a
-# contracting circle centred off the origin that shrinks past it, whose
-# partial trace.csv and meta.json record the failed step.
+# bound_eq316 columns are NaN; a contracting circle centred off the origin
+# that shrinks past it (exit 3) under `gcf run` and under `gcf harnack`,
+# whose partial trace.csv and meta.json record the failed step (harnack
+# also monitors the states stored before it); and a round n=1 `gcf
+# harnack` whose stride stores only its first and last states (exit 2,
+# after writing trace.csv and meta.json).
 _SHAPE = {"type": "fourier", "R0": 1.0, "modes": [[3, 0.02], [2, 0.01]]}
+_EARLY_END = {
+    "n": 1, "speed": {"a": 1, "beta": 1}, "grid": {"N": 32},
+    "initial": {"type": "fourier", "R0": 1.0, "modes": [[1, 0.5]]},
+    "time": {"t_end": 1}, "output": {"stride": 10},
+}
 FIXED = {
     "run-n1": ("run", 0, {
         "n": 1, "speed": {"a": -1.0, "beta": -0.5}, "grid": {"N": 128}, "initial": _SHAPE,
@@ -53,10 +61,12 @@ FIXED = {
         "n": 1, "speed": {"kind": "exp"}, "grid": {"N": 64}, "initial": _SHAPE,
         "time": {"t_end": 0.02}, "output": {"stride": 3},
     }),
-    "run-early-end": ("run", 3, {
-        "n": 1, "speed": {"a": 1, "beta": 1}, "grid": {"N": 32},
-        "initial": {"type": "fourier", "R0": 1.0, "modes": [[1, 0.5]]},
-        "time": {"t_end": 1}, "output": {"stride": 10},
+    "run-early-end": ("run", 3, _EARLY_END),
+    "harnack-early-end": ("harnack", 3, _EARLY_END),
+    "harnack-two-states": ("harnack", 2, {
+        "n": 1, "speed": {"a": -1.0, "beta": -0.5}, "grid": {"N": 64},
+        "initial": {"type": "circle", "R0": 1.0}, "time": {"t_end": 0.5},
+        "output": {"stride": 100000},
     }),
 }
 
