@@ -411,19 +411,21 @@ def _sweep_failed(row: dict, exc: Exception) -> None:
         print(f"tuple {row['index']} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
-def _sweep_one(row, doc, trace, wall: float, ensemble_size: int, out_dir: str) -> None:
+def _sweep_one(row, doc, trace, wall: float, share: float, ensemble_size: int,
+               out_dir: str) -> None:
     """Monitor one tuple's trace; write its harnack.csv and meta.json.
 
     wall is the stepping time of the tuple's whole ensemble, which is also
-    the "step" of its phase_wall_s, and ensemble_size the number of tuples
-    in that ensemble: every tuple of the sweep, unless its ensemble failed
-    and the tuple was run again alone.
+    the "step" of its phase_wall_s, share the tuple's part of it (its
+    "step_share"), and ensemble_size the number of tuples in that ensemble:
+    every tuple of the sweep, unless its ensemble failed and the tuple was
+    run again alone.
     """
     if trace.reason != "completed":
         row["status"] = f"failed:{trace.reason}"
         return
     sub = os.path.join(out_dir, f"tuple_{row['index']:04d}")
-    phases = {"step": wall}
+    phases = {"step": wall, "step_share": share}
     row.update(_monitor_and_write(trace, sub, phases)._asdict())
     _atomic_write(
         os.path.join(sub, "meta.json"),
@@ -465,9 +467,14 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
                 pending[:0] = [[m] for m in members]
             continue
         wall = time.monotonic() - start
-        for (row, tuple_doc, _), trace in zip(members, traces):
+        # each tuple's share of the stepping time: by its accepted steps
+        # times its nodes, or an equal share when no tuple took a step
+        work = [trace.steps * cfg.size for (*_, cfg), trace in zip(members, traces)]
+        total = sum(work)
+        for (row, tuple_doc, _), trace, w in zip(members, traces, work):
+            share = wall * w / total if total else wall / len(members)
             try:
-                _sweep_one(row, tuple_doc, trace, wall, len(members), out_dir)
+                _sweep_one(row, tuple_doc, trace, wall, share, len(members), out_dir)
             except Exception as exc:
                 _sweep_failed(row, exc)
     lines = ["index,n,b,shape,status,min_margin,min_margin_rel,max_abs_P"]

@@ -15,11 +15,16 @@ left; step() takes the step its caller gives.  Round initial data stays
 exactly round, so closed-form radius ODEs provide oracles for the
 integrator.
 
-Each step is held near the floor of the numpy calls it must make: its
-checks are minimum and maximum reductions compared inline, the check
-functions of geometry running row by row only after a failure, and
-numpy's floating-point warnings are turned off once per run() call's time
-loop, not once per step; step() turns them off for its one step.
+Each step is held near the floor of the numpy calls it must make.  Each
+curvature derivation is one FlatLayout.curvature call, which writes its
+radii into a row of one radii buffer per step: three rows for the
+stages, one for the new state.  The checks are one minimum and one
+maximum over that buffer and the minimum of the new values, compared
+inline, the check functions of geometry running row by row only after a
+failure.  The stage values and the final sum are formed in place in one
+scratch array, and numpy's floating-point warnings are turned off once
+per run() call's time loop, not once per step; step() turns them off for
+its one step.
 
 One run() call is one flat batch: its configs are the rows of one flat
 array, whatever their n and size (see geometry.FlatLayout), and every RK4
@@ -180,52 +185,60 @@ def _rk4(law: FlatLaws, layout: FlatLayout, h: np.ndarray, K: np.ndarray, dt) ->
     """One classical RK4 update of the flat support values h of a layout.
 
     K is the checked curvature of h; dt is a float, or one step per
-    element.  Every stage derives the curvature from its stage values; the
-    stages' radii are kept and checked once, after the last stage.  A
-    stage's NaN or inf values run on through the later stages, so the
-    caller turns numpy's floating-point warnings off.  Then the new values
-    are checked, and last the new state's radii.  Returns the new values
-    with their (radii, K), as the layout splits them, and the failures:
+    element.  Every stage derives the curvature from its stage values.
+    One (4, radii_size) buffer per step holds the radii: rows 0-2 those of
+    the three stages, row 3 those of the new values.  A stage's NaN or inf
+    values run on through the later stages, so the caller turns numpy's
+    floating-point warnings off.  Returns the new values with their
+    (radii, K), the radii as the layout splits row 3, and the failures:
     None if the step passed every check, else per row the exception its
     own step raises (see _row_failure) or None.  Rows that failed hold
     values to be discarded; the others hold their step.
 
-    Each check is one minimum and one maximum over all rows, compared
-    inline; the rows are checked one by one only after one of these
-    fails.  The stages carry the law values f rather than the rates -f:
-    negating a product or a sum is exact, so h - c*f is bit for bit
-    h + c*(-f).
+    The checks are one minimum and one maximum over the whole buffer and
+    the minimum of the new values, compared inline; the rows are checked
+    one by one, in a solo step's order, only after one of these fails.
+    New values that are not below inf need no check of their own: an inf
+    or NaN value makes its node's radii inf or NaN.  The stage values and
+    the final sum are formed in one scratch array, with the operands of
+    the textbook form in its order (2 f2 + f1 is f1 + 2 f2 bit for bit).
+    The stages carry the law values f rather than the rates -f: negating a
+    product or a sum is exact, so h - c*f is bit for bit h + c*(-f).
     """
-    radii, gauss, f = layout.radii, layout.gauss, law.f
+    curvature, f, mul, sub = layout.curvature, law.f, np.multiply, np.subtract
     half = 0.5 * dt
-    stages = np.empty((3, layout.radii_size))
+    buf, work = np.empty((4, layout.radii_size)), np.empty(h.size)
     f1 = f(K)
-    f2 = f(gauss(radii(h - half * f1, stages[0])))
-    f3 = f(gauss(radii(h - half * f2, stages[1])))
-    f4 = f(gauss(radii(h - dt * f3, stages[2])))
-    new = h - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    checked = (_minimum(stages, axis=None) > RADIUS_FLOOR and _maximum(stages, axis=None) < math.inf
-               and _minimum(new) > 0.0 and _maximum(new) < math.inf)
-    r = radii(new)
+    f2 = f(curvature(sub(h, mul(half, f1, work), work), buf[0]))
+    f3 = f(curvature(sub(h, mul(half, f2, work), work), buf[1]))
+    f4 = f(curvature(sub(h, mul(dt, f3, work), work), buf[2]))
+    total = mul(2.0, f2, work)
+    total += f1
+    total += mul(2.0, f3, f3)
+    total += f4
+    new = sub(h, mul(dt / 6.0, total, total))
+    K = curvature(new, buf[3])
     failures = None
-    if not (checked and _minimum(r) > RADIUS_FLOOR and _maximum(r) < math.inf):
-        failures = [_row_failure(layout, j, stages, new, r) for j in range(len(layout.rows))]
-    return new, layout.split(r), gauss(r), failures
+    if not (_minimum(buf, axis=None) > RADIUS_FLOOR and _maximum(buf, axis=None) < math.inf
+            and _minimum(new) > 0.0):
+        failures = [_row_failure(layout, j, buf, new) for j in range(len(layout.rows))]
+    return new, layout.split(buf[3]), K, failures
 
 
-def _row_failure(layout: FlatLayout, j: int, stages, new, r) -> Exception | None:
+def _row_failure(layout: FlatLayout, j: int, buf, new) -> Exception | None:
     """The NonConvex or OriginOutside that row j's own step raises, or None.
 
     The checks are a solo step's, in its order, on row j's part of a flat
-    step: its radii of all three stages together, then its new values,
-    then its new radii.  A row's arithmetic in a flat step is that of its
-    solo step, so the exception and its message are the solo step's.
+    step's radii buffer and new values: its radii of all three stages
+    together (buf[:3]), then its new values, then its new radii (buf[3]).
+    A row's arithmetic in a flat step is that of its solo step, so the
+    exception and its message are the solo step's.
     """
     start = int(layout.starts[j])
     try:
-        require_convex(layout.row_radii(j, stages))
+        require_convex(layout.row_radii(j, buf[:3]))
         require_admissible(new[start:start + int(layout.sizes[j])])
-        require_convex(layout.row_radii(j, r))
+        require_convex(layout.row_radii(j, buf[3]))
     except (NonConvex, OriginOutside) as exc:
         return exc
     return None
@@ -251,7 +264,8 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
         )
     if failures:
         raise failures[0]
-    return SupportGrid.with_curvature(grid.n, values, radii, K)
+    # the radii are views of the step's buffer, which the grid does not keep
+    return SupportGrid.with_curvature(grid.n, values, tuple(r.copy() for r in radii), K)
 
 
 def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, scale: list) -> list:

@@ -162,14 +162,19 @@ def radii_and_K(n: int, h: np.ndarray, dx: float) -> tuple:
     Returns ((r,), 1/r) with r = h'' + h for n=1, and ((r1, r2), 1/(r1 r2))
     with r1 = h_pp + h, r2 = h_p cot(phi) + h for n=2.  Raises NonConvex if
     a radius is not finite or does not exceed RADIUS_FLOOR.  This is the
-    checked one-grid case of FlatLayout.radii and FlatLayout.gauss, the
-    only place the radii and K are formed from h; SupportGrid.curvature()
-    calls it on accepted states.
+    checked one-grid case of FlatLayout.curvature, the only place the radii
+    and K are formed from h; SupportGrid.curvature() calls it on grids
+    whose curvature was not kept.  K is formed before the check, so a
+    radius that fails it may divide by zero: that K is discarded with the
+    exception, and numpy's divide and invalid warnings are off while K is
+    formed.
     """
     layout = row_layout(n, h.size, dx)
-    r = layout.radii(h)
+    r = np.empty(layout.radii_size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = layout.curvature(h, r)
     require_convex(r)
-    return layout.split(r), layout.gauss(r)
+    return layout.split(r), K
 
 
 def _as_slice(index: np.ndarray):
@@ -187,15 +192,17 @@ class FlatLayout:
     rows holds each grid's (n, size, dx), the n=1 grids first, so that the
     n=2 grids form one contiguous tail of nodes from `tail` on.  A flat
     state is the values h and K, one element per node, and the radii
-    (r1 of every node, r2 of the tail nodes).  radii() gathers every grid's
-    values with its ghost cells in reversed order, with one precomputed
-    index, and runs each 4th-order stencil over all grids at once as one
-    np.correlate with the reversed weights of stencils (the n=2 tail's d1
-    over the first part of the same reversed values).  It picks each
-    node's output back, which lies at a reversed position, and divides it
-    by its grid's 12 dx**2 (or 12 dx).  Each output sums the textbook
-    stencil's terms in the textbook order (see stencils), so every grid
-    gets the bits it gets alone.
+    (r1 of every node, r2 of the tail nodes).  curvature() is the one
+    derivation of a flat state's radii and K from its values.  It gathers
+    every grid's values with its ghost cells in reversed order, with one
+    precomputed index, and runs each 4th-order stencil over all grids at
+    once as one np.correlate with the reversed weights of stencils (the
+    n=2 tail's d1 over the first part of the same reversed values).  It
+    picks each node's output back, which lies at a reversed position, and
+    divides it by its grid's 12 dx**2 (or 12 dx), into the caller's radii
+    buffer; K is formed from those radii in one pass.  Each output sums
+    the textbook stencil's terms in the textbook order (see stencils), so
+    every grid gets the bits it gets alone.
     """
 
     def __init__(self, rows):
@@ -232,29 +239,22 @@ class FlatLayout:
             self.div1 = np.repeat([12.0 * dx for _, _, dx in tail_rows], sizes[first_tail:])
             self.cot = np.concatenate([_polar_cot(size) for _, size, _ in tail_rows])
 
-    def radii(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Flat radii of the flat values h, into out if given; unchecked."""
+    def curvature(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """K of the flat values h, with their flat radii written into out;
+        unchecked.  K is 1/r1 on the n=1 nodes and 1/(r1 r2) on the tail."""
         size, tail = self.size, self.tail
-        if out is None:
-            out = np.empty(self.radii_size)
         e = h[self.ghosts]
         r1 = np.divide(np.correlate(e, stencils.D2_REVERSED, "valid")[self.pick], self.div2,
                        out=out[:size])
         r1 += h
-        if tail < size:
-            r2 = np.divide(np.correlate(e[:self.tail_ext], stencils.D1_REVERSED, "valid")
-                           [self.pick_tail], self.div1, out=out[size:])
-            r2 *= self.cot
-            r2 += h[tail:]
-        return out
-
-    def gauss(self, r: np.ndarray) -> np.ndarray:
-        """K of flat radii r: 1/r1 on the n=1 nodes, 1/(r1 r2) on the tail."""
-        size, tail = self.size, self.tail
         if tail == size:
-            return 1.0 / r
-        den = r[:size].copy()
-        den[tail:] *= r[size:]
+            return 1.0 / r1
+        r2 = np.divide(np.correlate(e[:self.tail_ext], stencils.D1_REVERSED, "valid")
+                       [self.pick_tail], self.div1, out=out[size:])
+        r2 *= self.cot
+        r2 += h[tail:]
+        den = r1.copy()
+        den[tail:] *= r2
         return np.divide(1.0, den, out=den)
 
     def split(self, r: np.ndarray) -> tuple:

@@ -664,11 +664,17 @@ def test_meta_records_phase_wall_times(tmp_path):
         assert set(meta["phase_wall_s"]) == phases
         assert all(v >= 0.0 for v in meta["phase_wall_s"].values())
         assert meta["phase_wall_s"]["step"] <= meta["wall_time_s"]
-    out = run_sweep(tmp_path, "s", SWEEP_TUPLES[:2])
-    for i in range(2):
-        meta = json.loads((out / f"tuple_{i:04d}" / "meta.json").read_text())
-        assert set(meta["phase_wall_s"]) == {"step", "monitor", "write"}
-        assert meta["phase_wall_s"]["step"] == meta["wall_time_s"]
+    out = run_sweep(tmp_path, "s", SWEEP_TUPLES[:3])
+    metas = [json.loads((out / f"tuple_{i:04d}" / "meta.json").read_text()) for i in range(3)]
+    for meta in metas:
+        assert set(meta["phase_wall_s"]) == {"step", "step_share", "monitor", "write"}
+        assert meta["phase_wall_s"]["step"] == meta["wall_time_s"] == metas[0]["wall_time_s"]
+    # the tuples split the ensemble's stepping time by row-steps times N
+    # (one N in a sweep), and their shares sum to it
+    step, steps = metas[0]["wall_time_s"], [meta["steps"] for meta in metas]
+    for meta in metas:
+        assert meta["phase_wall_s"]["step_share"] == pytest.approx(step * meta["steps"] / sum(steps))
+    assert sum(meta["phase_wall_s"]["step_share"] for meta in metas) == pytest.approx(step)
 
 
 @pytest.mark.parametrize("a,beta,paper_b", [(-1.0, -0.5, 0.5), (-2.0, -0.5, None), (1.0, 0.5, None)])

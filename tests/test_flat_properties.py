@@ -2,7 +2,7 @@
 
 A flat layout lays grids of any (n, size, dx) end to end.  Each grid of it
 must get, bit for bit, the curvature and the RK4 update it gets alone:
-FlatLayout.radii and gauss against radii_and_K of the grid, and one flat
+FlatLayout.curvature against radii_and_K of the grid, and one flat
 _rk4 against the grid's own _rk4 on its one-row layout.  With steps too
 large for some rows, each row must meet the failure, or make the update,
 of its own step.  Grids are random convex perturbed round shapes, each
@@ -54,8 +54,9 @@ def _flat(rows):
 @given(flat_rows())
 def test_flat_radii_and_gauss_equal_each_grid_alone(rows):
     layout, h = _flat(rows)
-    r = layout.radii(h)
-    radii, K = layout.split(r), layout.gauss(r)
+    r = np.empty(layout.radii_size)
+    K = layout.curvature(h, r)
+    radii = layout.split(r)
     for j, (n, _, dx, values, _) in enumerate(rows):
         _, row_radii, row_K = layout.row(j, h, radii, K)
         want_radii, want_K = radii_and_K(n, values, dx)
@@ -70,8 +71,9 @@ def test_flat_radii_and_gauss_equal_each_grid_alone(rows):
        st.none() | st.lists(st.floats(1.0, 100.0), min_size=4, max_size=4))
 def test_flat_rk4_equals_each_grid_alone(rows, one_dt, scales):
     layout, h = _flat(rows)
-    r = layout.radii(h)
-    radii, K = layout.split(r), layout.gauss(r)
+    r = np.empty(layout.radii_size)
+    K = layout.curvature(h, r)
+    radii = layout.split(r)
     law = FlatLaws([law for *_, law in rows], layout.sizes)
     # each row's own step bound, or the smallest for all rows; scaled up to
     # 100 times, the steps lose convexity in some rows, and each row's

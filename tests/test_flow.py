@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gcf import flow, geometry, stencils
-from gcf.errors import InvalidConfig, InvalidSpeedLaw, NonConvex
+from gcf.errors import InvalidConfig, InvalidSpeedLaw, NonConvex, OriginOutside
 from gcf.flow import FlowConfig, FlowTrace, InitialShape, run, stable_dt, step
 from gcf.geometry import FlatLayout, SupportGrid, derive_state, fourier_grid, round_grid
 from gcf.speedlaw import FlatLaws, SpeedLaw
@@ -289,12 +289,12 @@ def test_run_ends_early_with_reason(early, monkeypatch):
 def test_each_accepted_state_derived_once(monkeypatch):
     calls = []
 
-    def counting(self, h, out=None):
+    def counting(self, h, out):
         calls.append(h.size)
-        return radii(self, h, out)
+        return curvature(self, h, out)
 
-    radii = FlatLayout.radii
-    monkeypatch.setattr(FlatLayout, "radii", counting)
+    curvature = FlatLayout.curvature
+    monkeypatch.setattr(FlatLayout, "curvature", counting)
     cfg = FlowConfig(
         n=2, size=32, law=SpeedLaw.power(-1.0, -0.25),
         shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.5, stride=1,
@@ -500,6 +500,75 @@ def test_ensemble_row_ends_early_as_alone(early, monkeypatch):
     assert len(layouts[traces[2].steps].rows) > 1  # it fails while other rows run
 
 
+# One case per part of a step's check, each an n=1, N=32 flow whose step
+# fails: (flow.SAFETY or None, law, shape, t_end, which parts fail (stage
+# radii, new values, new radii), the exception and message the failing
+# row's own step raises, and the reason its run ends with).  The first
+# contracting flow, above RK4's stability limit, loses convexity in a
+# stage; the second's new values leave the origin outside while their
+# radii stay above the floor; a round body of radius 1e300 whose speed is
+# 1e308 overflows f1 + 2 f2 + 2 f3 + f4 to inf in its first step, so its
+# new values are +inf (finite stages), and their radii are NaN.
+FAILED_CHECKS = [
+    (1.5, SpeedLaw.power(1.0, 1.1700967619904363),
+     InitialShape("fourier", 1.0, ((5, 0.017207980635981685),)), 3.0, (True, True, True),
+     NonConvex, "curvature radius dropped to -2.630e+00 (floor 1e-12)", "nonconvex"),
+    (None, SpeedLaw.power(1.0, 1.0), InitialShape("fourier", 1.0, ((1, 0.5),)), 1.0,
+     (False, True, False), OriginOutside, "support values must be strictly positive",
+     "origin_outside"),
+    (None, SpeedLaw.power(-1e158, -0.5), InitialShape("round", 1e300), 1.0,
+     (False, True, True), OriginOutside, "support values must be finite", "origin_outside"),
+]
+
+
+def _fails(a, low) -> bool:
+    return not (np.min(a) > low and np.max(a) < math.inf)
+
+
+@pytest.mark.parametrize("case", FAILED_CHECKS, ids=["stage-nonconvex", "new-outside",
+                                                     "new-overflows"])
+def test_a_failed_check_ends_the_row_as_its_own_step_does(case, monkeypatch):
+    safety, law, shape, t_end, parts, exc_type, message, reason = case
+    if safety is not None:
+        monkeypatch.setattr(flow, "SAFETY", safety)
+    ending = FlowConfig(n=1, size=32, law=law, shape=shape, t_end=t_end, stride=7)
+    configs = _mixed_configs(5)[:8]  # n=1 at sizes 32 and 48, n=2 at 16 and 24
+    configs.insert(2, ending)
+    raised, failed_parts = [], []
+
+    def failures_of(*args):
+        result = rk4(*args)
+        raised.extend(exc for exc in result[3] or () if exc is not None)
+        return result
+
+    def parts_of(layout, j, buf, new):
+        exc = row_failure(layout, j, buf, new)
+        if exc is not None:
+            start = int(layout.starts[j])
+            failed_parts.append((
+                _fails(layout.row_radii(j, buf[:3]), geometry.RADIUS_FLOOR),
+                _fails(new[start:start + int(layout.sizes[j])], 0.0),
+                _fails(layout.row_radii(j, buf[3]), geometry.RADIUS_FLOOR),
+            ))
+        return exc
+
+    rk4, row_failure = flow._rk4, flow._row_failure
+    monkeypatch.setattr(flow, "_rk4", failures_of)
+    monkeypatch.setattr(flow, "_row_failure", parts_of)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the NaN and inf stay silent
+        solo, together = run(ending), run(configs)
+    monkeypatch.setattr(flow, "_rk4", rk4)
+    monkeypatch.setattr(flow, "_row_failure", row_failure)
+    # the row fails alone and in the batch, in the same part, with the same
+    # exception, and no other row fails
+    assert failed_parts == [parts, parts]
+    assert [(type(exc), str(exc)) for exc in raised] == [(exc_type, message)] * 2
+    assert solo.reason == together[2].reason == reason
+    for cfg, trace in zip(configs, together):
+        assert_same_trace(trace, solo if cfg is ending else run(cfg))
+
+
 def test_one_joint_step_per_step_of_the_longest_row(monkeypatch):
     # the five laws of the round oracle, at n=1 and n=2, step as one batch
     configs = [
@@ -585,8 +654,9 @@ def test_rk4_step_equals_reference(n, size, kind):
     # element, and each row alone with its float step, as a batch of one row
     flat = FlatLayout([(n, size, dx)] * 4)
     law = FlatLaws(laws, flat.sizes)
-    r = flat.radii(h.ravel())
-    radii, K = flat.split(r), flat.gauss(r)
+    r = np.empty(flat.radii_size)
+    K = flat.curvature(h.ravel(), r)
+    radii = flat.split(r)
     ref_radii, ref_K = _ref_radii_and_K(n, h, dx)
     for got, want in zip(radii, ref_radii):
         assert np.array_equal(got, want.ravel())
@@ -598,7 +668,7 @@ def test_rk4_step_equals_reference(n, size, kind):
     cases += [(single, FlatLaws([laws[j]], [size]), [j], bounds[j]) for j in range(4)]
     for layout, case_law, rows, dt in cases:
         case_h = h[rows].ravel()
-        case_K = layout.gauss(layout.radii(case_h))
+        case_K = layout.curvature(case_h, np.empty(layout.radii_size))
         new, new_radii, new_K, failures = flow._rk4(case_law, layout, case_h, case_K, dt)
         assert failures is None
         assert len(new_radii) == n

@@ -245,6 +245,7 @@ def textbook_radii(n, dx, u):
 @given(mixed_layouts())
 def test_flat_layout_radii_equal_each_rows_textbook_radii(rows):
     layout = FlatLayout([(n, size, dx) for n, size, dx, _ in rows])
-    r = layout.radii(np.concatenate([u for *_, u in rows]))
+    r = np.empty(layout.radii_size)
+    layout.curvature(np.concatenate([u for *_, u in rows]), r)
     for j, (n, _, dx, u) in enumerate(rows):
         assert_same_bits(layout.row_radii(j, r), np.concatenate(textbook_radii(n, dx, u)))
