@@ -290,13 +290,12 @@ def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, sc
 
 
 def _lambda_tops(lam: np.ndarray, layout: FlatLayout, radii: tuple) -> list:
-    """Each row's maximum of lam, f'(K) * K**2 per node, as floats; for n=2
-    lam is first scaled in place by the larger radius of each node."""
+    """Each row's maximum of lam, f'(K) * K**2 per node, as floats, from one
+    np.maximum.reduceat over the layout's row starts (one row included);
+    for n=2 lam is first scaled in place by the larger radius of each node."""
     if len(radii) == 2:
         tail = layout.tail
         lam[tail:] *= np.maximum(radii[0][tail:], radii[1])
-    if len(layout.rows) == 1:
-        return [float(_maximum(lam))]
     return np.maximum.reduceat(lam, layout.starts).tolist()
 
 

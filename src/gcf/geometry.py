@@ -381,7 +381,9 @@ def derive_state(grid) -> GeometryState:
     Raises NonConvex if any curvature radius falls below the strict
     positivity floor, OriginOutside if any support value is non-positive
     (already enforced by the grid itself).  The radii and K are the grids'
-    cached curvature().
+    cached curvature().  One body serves both n and both shapes: hp, r1p
+    and r1pp come from the periodic stencils for n=1 and the reflected ones
+    for n=2; only Kp, Kpp, Hp and the embedding are formed per n.
     """
     if isinstance(grid, SupportGrid):
         first, h = grid, grid.values
@@ -391,46 +393,40 @@ def derive_state(grid) -> GeometryState:
         h, radii, K = stack_grids(grid)
     n, dx, ang = first.n, first.spacing, first.angles
     H = mean_curvature(radii, K)
+    d1 = stencils.d1_periodic if n == 1 else stencils.d1_reflect
+    d2 = stencils.d2_periodic if n == 1 else stencils.d2_reflect
+    r1 = radii[0]
+    hp = d1(h, dx)
+    r1p = d1(r1, dx)
+    r1pp = d2(r1, dx)
 
     if n == 1:
-        (r1,) = radii
-        hp = stencils.d1_periodic(h, dx)
-        r1p = stencils.d1_periodic(r1, dx)
-        r1pp = stencils.d2_periodic(r1, dx)
+        r2 = r2p = sin_p = cos_p = cot = None
         Kp = -r1p / r1**2
         Kpp = -r1pp / r1**2 + 2.0 * r1p**2 / r1**3
+        Hp = Kp
         cos_t, sin_t = np.cos(ang), np.sin(ang)
         normals = np.stack([cos_t, sin_t], axis=-1)
         tangents = np.stack([-sin_t, cos_t], axis=-1)
         positions = h[..., None] * normals + hp[..., None] * tangents
-        return GeometryState(
-            n=1, angles=ang, dx=dx,
-            r1=r1, r2=None, r1p=r1p, r2p=None,
-            K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Kp, Gamma=r1p / r1,
-            positions=positions, normals=normals,
-            sinphi=None, cosphi=None, cot=None,
-        )
-
-    r1, r2 = radii
-    sin_p, cos_p = np.sin(ang), np.cos(ang)
-    cot = _polar_cot(h.shape[-1])
-    hp = stencils.d1_reflect(h, dx)
-    r1p = stencils.d1_reflect(r1, dx)
-    # Closed forms below keep every pole-singular factor analytic.
-    r2p = (r1 - r2) * cot
-    r1pp = stencils.d2_reflect(r1, dx)
-    r2pp = (r1p - r2p) * cot - (r1 - r2) / sin_p**2
-    L1 = r1p / r1 + r2p / r2
-    Kp = -K * L1
-    Kpp = -Kp * L1 - K * (r1pp / r1 - (r1p / r1) ** 2 + r2pp / r2 - (r2p / r2) ** 2)
-    Hp = -r1p / r1**2 - r2p / r2**2
-    # Meridian-plane embedding: distance from axis and height.
-    rho = h * sin_p + hp * cos_p
-    z = h * cos_p - hp * sin_p
-    positions = np.stack([rho, z], axis=-1)
-    normals = np.stack([sin_p, cos_p], axis=-1)
+    else:
+        r2 = radii[1]
+        sin_p, cos_p = np.sin(ang), np.cos(ang)
+        cot = _polar_cot(h.shape[-1])
+        # Closed forms below keep every pole-singular factor analytic.
+        r2p = (r1 - r2) * cot
+        r2pp = (r1p - r2p) * cot - (r1 - r2) / sin_p**2
+        L1 = r1p / r1 + r2p / r2
+        Kp = -K * L1
+        Kpp = -Kp * L1 - K * (r1pp / r1 - (r1p / r1) ** 2 + r2pp / r2 - (r2p / r2) ** 2)
+        Hp = -r1p / r1**2 - r2p / r2**2
+        # Meridian-plane embedding: distance from axis and height.
+        rho = h * sin_p + hp * cos_p
+        z = h * cos_p - hp * sin_p
+        positions = np.stack([rho, z], axis=-1)
+        normals = np.stack([sin_p, cos_p], axis=-1)
     return GeometryState(
-        n=2, angles=ang, dx=dx,
+        n=n, angles=ang, dx=dx,
         r1=r1, r2=r2, r1p=r1p, r2p=r2p,
         K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Hp, Gamma=r1p / r1,
         positions=positions, normals=normals,

@@ -18,7 +18,7 @@ They vanish identically exactly for power laws (alpha for f' a power,
 beta and gamma for f itself a power with a*b > 0), and satisfy the exact
 cross identities gamma = -beta/(x f') and beta' = f*alpha/x for every
 admissible law.  The three are computed from independent formulas so those
-identities remain genuine cross-checks.
+identities remain genuine cross-checks; verify.speedlaw_suite runs them.
 """
 
 from __future__ import annotations
@@ -201,38 +201,3 @@ def beta_fn_prime_fd(law: SpeedLaw, x, rel_step: float = 5e-6):
     x = np.asarray(x, dtype=float)
     h = rel_step * np.maximum(x, 1.0)
     return (beta_fn(law, x + h) - beta_fn(law, x - h)) / (2.0 * h)
-
-
-@dataclass(frozen=True)
-class PowerLawIdentityReport:
-    """Residuals of the structural identities over a set of sample points."""
-
-    max_gamma_residual: float  # |gamma + beta/(x f')|
-    max_beta_prime_residual: float  # |beta'_fd - f*alpha/x|
-    max_alpha: float
-    max_beta: float
-    max_gamma: float
-
-
-def check_power_law_identities(law: SpeedLaw, sample_points) -> PowerLawIdentityReport:
-    """Evaluate the cross identities linking alpha, beta, gamma at each point.
-
-    Reports the max residuals of gamma = -beta/(x f') and beta' = f*alpha/x
-    (the latter with a finite-difference beta'), plus the max magnitudes of
-    the three functions themselves, which vanish for power laws.
-    """
-    x = np.asarray(sample_points, dtype=float)
-    _check_positive(x)
-    f, f1 = law.f(x), law.f1(x)
-    a_v = alpha_fn(law, x)
-    b_v = beta_fn(law, x)
-    g_v = gamma_fn(law, x)
-    res_gamma = np.abs(g_v + b_v / (x * f1))
-    res_bp = np.abs(beta_fn_prime_fd(law, x) - f * a_v / x)
-    return PowerLawIdentityReport(
-        max_gamma_residual=float(np.max(res_gamma)),
-        max_beta_prime_residual=float(np.max(res_bp)),
-        max_alpha=float(np.max(np.abs(a_v))),
-        max_beta=float(np.max(np.abs(b_v))),
-        max_gamma=float(np.max(np.abs(g_v))),
-    )

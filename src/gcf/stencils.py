@@ -55,10 +55,12 @@ def ghost_index(size: int, periodic: bool) -> np.ndarray:
 # outputs per row that straddle two rows are computed and dropped.  The rows
 # may differ in length, as in a flat layout of grids of several sizes; the
 # output at flat index k is then divided by element k of an array div,
-# formed per row.  A 1-D e (one grid, or a flat layout) is differentiated as
-# it is, into a new array of its e.size - 4 outputs, straddling ones
-# included, from which the caller picks its nodes; only an (S, N+4) stack is
-# reshaped, into a buffer of its shape.
+# formed per row.  One helper serves every shape of e: its e.size - 4 flat
+# outputs are written into a buffer of e's shape, and the view that drops
+# the last 4 entries along the last axis is returned.  For a 1-D e (one
+# grid, or a flat layout) that view holds all e.size - 4 outputs,
+# straddling ones included, from which the caller picks its nodes; for an
+# (S, N+4) stack it is the (S, N) outputs of its rows.
 #
 # Each evaluation is one np.correlate, in "valid" mode, of the values in
 # reversed order r = e[::-1] with the weights below.  Its output m is the dot
@@ -78,14 +80,10 @@ D1_REVERSED = np.array((-1.0, 8.0, 0.0, -8.0, 1.0))
 D2_REVERSED = np.array((-1.0, 16.0, -30.0, 16.0, -1.0))
 
 
-def _flat(weights, e, div, out=None):
-    return np.divide(np.correlate(e[::-1], weights, "valid")[::-1], div, out=out)
-
-
-def _stacked(weights, e, div):
-    # The outputs of each row of an (S, N+4) stack, as an (S, N) view.
+def _correlate(weights, e, div):
     out = np.empty(e.shape)
-    _flat(weights, e.reshape(-1), div, out.reshape(-1)[:-4])
+    np.divide(np.correlate(e.reshape(-1)[::-1], weights, "valid")[::-1], div,
+              out=out.reshape(-1)[:-4])
     return out[..., :-4]
 
 
@@ -96,7 +94,7 @@ def d1_extended(e: np.ndarray, div) -> np.ndarray:
     Returns e.size - 4 flat outputs for a 1-D e, else the outputs as e's
     shape less 4 along the last axis.
     """
-    return _flat(D1_REVERSED, e, div) if e.ndim == 1 else _stacked(D1_REVERSED, e, div)
+    return _correlate(D1_REVERSED, e, div)
 
 
 def d2_extended(e: np.ndarray, div) -> np.ndarray:
@@ -104,7 +102,7 @@ def d2_extended(e: np.ndarray, div) -> np.ndarray:
 
     div is a float, or one divisor per flat output, as in d1_extended.
     """
-    return _flat(D2_REVERSED, e, div) if e.ndim == 1 else _stacked(D2_REVERSED, e, div)
+    return _correlate(D2_REVERSED, e, div)
 
 
 def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:

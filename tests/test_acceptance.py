@@ -12,13 +12,7 @@ import pytest
 from gcf.cli import main as cli_main
 from gcf.flow import FlowConfig, InitialShape, run
 from gcf.harnack import monitor
-from gcf.speedlaw import (
-    SpeedLaw,
-    alpha_fn,
-    beta_fn,
-    check_power_law_identities,
-    gamma_fn,
-)
+from gcf.speedlaw import SpeedLaw
 from gcf.verify import (
     evolution_suite,
     identity_suite,
@@ -26,6 +20,7 @@ from gcf.verify import (
     pevol_suite,
     pexpand_suite,
     self_similar_start_time,
+    speedlaw_suite,
 )
 
 HALF = SpeedLaw.power(-1.0, -0.5)
@@ -124,18 +119,13 @@ def test_criterion_4_evolution_equation_residuals():
 
 
 def test_criterion_5_speed_law_identities():
-    worst_power = 0.0
-    for a, beta in ((-1.0, -0.5), (-1.0, -0.2), (1.0, 2.0), (2.0, 0.5)):
-        law = SpeedLaw.power(a, beta)
-        x = np.array([0.5, 1.0, 2.0, 4.0])
-        worst_power = max(
-            worst_power,
-            float(np.max(np.abs(alpha_fn(law, x)))),
-            float(np.max(np.abs(beta_fn(law, x)))),
-            float(np.max(np.abs(gamma_fn(law, x)))),
-        )
-    rep = check_power_law_identities(SpeedLaw.exponential(), (0.5, 1.0, 2.0, 4.0))
-    worst_exp = max(rep.max_gamma_residual, rep.max_beta_prime_residual)
+    # the suite's power laws are a superset of (-1, -0.5), (-1, -0.2), (1, 2)
+    # and (2, 0.5); its points are 0.5, 1, 2 and 4
+    residuals = {rep.identity: rep.finest_residual for rep in speedlaw_suite()}
+    worst_power = residuals["power-structural-vanishing"]
+    worst_exp = float(
+        np.max([residuals["exp-gamma-identity"], residuals["exp-beta-prime-identity"]])
+    )
     ok = worst_power <= 1e-12 and worst_exp <= 1e-8
     assert report(
         5, "speed-law identities",

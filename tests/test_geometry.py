@@ -209,6 +209,12 @@ def test_stacked_derivation_equals_derive_state_per_grid(n, size):
     stacked = derive_state(grids)
     singles = [derive_state(g) for g in grids]
     shared = ("n", "angles", "dx", "normals", "sinphi", "cosphi", "cot")
+
+    def bits(a):
+        # the raw bits, so that -0.0 and +0.0 (and NaN payloads) differ
+        a = np.asarray(a, dtype=float)
+        return a.shape, a.view(np.uint64).tolist()
+
     for name in GeometryState.__dataclass_fields__:
         got = getattr(stacked, name)
         for s, single in enumerate(singles):
@@ -216,10 +222,10 @@ def test_stacked_derivation_equals_derive_state_per_grid(n, size):
             if want is None:
                 assert got is None, name
             elif name in shared:
-                assert np.array_equal(got, want), name
+                assert bits(got) == bits(want), name
             else:
                 assert got.shape[0] == len(grids)
-                assert np.array_equal(got[s], want), (name, s)
+                assert bits(got[s]) == bits(want), (name, s)
 
 
 def test_stack_of_grids_of_different_sizes_is_rejected():

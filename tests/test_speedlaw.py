@@ -10,7 +10,6 @@ from gcf.speedlaw import (
     alpha_fn,
     beta_fn,
     beta_fn_prime_fd,
-    check_power_law_identities,
     expanding_b,
     gamma_fn,
 )
@@ -116,21 +115,30 @@ def test_beta_prime_fd_second_order_in_step():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
 
+def _cross_residuals(law, x):
+    """Largest |gamma + beta/(x f')| and |beta'_fd - f*alpha/x| over x."""
+    res_gamma = np.abs(gamma_fn(law, x) + beta_fn(law, x) / (x * law.f1(x)))
+    res_bp = np.abs(beta_fn_prime_fd(law, x) - law.f(x) * alpha_fn(law, x) / x)
+    return np.max(res_gamma), np.max(res_bp)
+
+
 def test_identity_report_power_law():
-    rep = check_power_law_identities(SpeedLaw.power(-1.0, -0.5), POINTS)
-    assert rep.max_alpha <= 1e-12
-    assert rep.max_beta <= 1e-12
-    assert rep.max_gamma <= 1e-12
-    assert rep.max_gamma_residual <= 1e-12
+    law, x = SpeedLaw.power(-1.0, -0.5), np.array(POINTS)
+    assert np.max(np.abs(alpha_fn(law, x))) <= 1e-12
+    assert np.max(np.abs(beta_fn(law, x))) <= 1e-12
+    assert np.max(np.abs(gamma_fn(law, x))) <= 1e-12
+    res_gamma, res_bp = _cross_residuals(law, x)
+    assert res_gamma <= 1e-12
     # the FD beta' residual is rounding noise amplified by the step
-    assert rep.max_beta_prime_residual <= 1e-9
+    assert res_bp <= 1e-9
 
 
 def test_identity_report_exponential():
-    rep = check_power_law_identities(SpeedLaw.exponential(), (0.5, 1.0, 2.0))
-    assert rep.max_gamma_residual <= 1e-8
-    assert rep.max_beta_prime_residual <= 1e-8
-    assert rep.max_beta > 1.0  # genuinely non-power control law
+    law, x = SpeedLaw.exponential(), np.array((0.5, 1.0, 2.0))
+    res_gamma, res_bp = _cross_residuals(law, x)
+    assert res_gamma <= 1e-8
+    assert res_bp <= 1e-8
+    assert np.max(np.abs(beta_fn(law, x))) > 1.0  # genuinely non-power control law
 
 
 def test_quadratic_power_law_alpha_beta_vanish_exactly_at_one():

@@ -1,6 +1,7 @@
 """tools/csv_digests.py's comparison with a saved listing,
-tools/bench_record.py's record of alternating pairs, and a check that
-every public name of src/gcf is read by the program itself."""
+tools/bench_record.py's record of alternating pairs, tools/code_lines.py's
+count, and a check that every public name of src/gcf is read by the
+program itself."""
 
 import ast
 import importlib.util
@@ -95,6 +96,40 @@ def test_bench_record_from_two_result_files(tmp_path):
     assert wl["metrics"]["peak_rss_mb"]["faster"] == "0/3"
     assert set(record["noisy"]) == {"peak_rss_mb"}
     assert json.loads(json.dumps(record)) == record
+
+
+SAMPLE_MODULE = '''"""Module docstring,
+over two lines."""
+
+import numpy as np  # a trailing comment keeps its line
+
+# a comment line
+
+
+class Shape:
+    """Class docstring."""
+
+    def area(self):
+        """Method docstring,
+
+        over three lines."""
+        text = """a string that is not a docstring
+spans two code lines"""
+        return (1.0 +
+                2.0)
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path, capsys):
+    tool = _tool("code_lines")
+    # import, class, def, the two lines of text, the two of the return
+    assert tool.count_code_lines(SAMPLE_MODULE) == 7
+    (tmp_path / "b.py").write_text(SAMPLE_MODULE)
+    (tmp_path / "a.py").write_text("x = 1\n\n# comment\ny = 2\n")
+    assert tool.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     2  a.py", "     7  b.py", "     9  total"
+    ]
 
 
 def test_every_public_name_of_src_is_read_outside_its_definition():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gcf import flow, harnack, verify
+from gcf import flow, harnack, stencils, verify
 from gcf.errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
 from gcf.flow import InitialShape, stable_dt, step
 from gcf.geometry import box_op, derive_state, fourier_grid, round_grid
@@ -292,6 +292,65 @@ def test_ladder_residual_nan_fails():
     rep = _ladder_report("nan", parts, _ladder_states(tr), 1.0, None)
     assert np.isnan(rep.finest_residual)
     assert not rep.passed
+
+
+def test_a_nan_in_a_stencil_fails_every_pointwise_identity(monkeypatch):
+    # a NaN at one node of the 2nd-order d1 reaches each identity's residual
+    original = stencils.d1_periodic_o2
+
+    def with_nan(u, dx):
+        out = original(u, dx)
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(stencils, "d1_periodic_o2", with_nan)
+    reports = check_identities(round_grid(1, 1.0, 64))
+    assert [rep.identity for rep in reports] == [
+        "hessian-embedding", "weingarten", "curvature-divergence"
+    ]
+    for rep in reports:
+        assert np.isnan(rep.finest_residual), rep.identity
+        assert rep.passed is False, rep.identity
+
+
+def test_a_nan_in_one_states_norm_fails_its_pexpand_rows(monkeypatch):
+    # the second of the suite's states (n=1) gets a NaN in |P|^2_h, which
+    # only the tensor-norm rows read
+    original, calls = verify.P_norm_sq_h, []
+
+    def with_nan(sf):
+        out = original(sf)
+        calls.append(sf)
+        if len(calls) == 2:
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "P_norm_sq_h", with_nan)
+    reports = {rep.identity: rep for rep in pexpand_suite()}
+    assert len(calls) == 6
+    for name in ("p-tensor-norm-terms", "p-norm-trace-square"):
+        assert np.isnan(reports[name].finest_residual), name
+        assert reports[name].passed is False, name
+    assert reports["p-square-expansion"].passed is True
+
+
+def test_a_nan_in_one_power_law_fails_the_speedlaw_suite(monkeypatch):
+    # f3 of the second power law, -x^(-0.2), is NaN at x = 1, and so is alpha
+    original = SpeedLaw.f3
+
+    def with_nan(law, x):
+        out = np.array(original(law, x), dtype=float)
+        if law.is_power and law.beta == -0.2:
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(SpeedLaw, "f3", with_nan)
+    reports = {rep.identity: rep for rep in verify.speedlaw_suite()}
+    vanishing = reports["power-structural-vanishing"]
+    assert np.isnan(vanishing.finest_residual)
+    assert vanishing.passed is False
+    assert reports["exp-gamma-identity"].passed is True
+    assert reports["exp-beta-prime-identity"].passed is True
 
 
 def test_p_evolution_round_circle():
