@@ -36,7 +36,13 @@ from .geometry import (
     laplace_beltrami,
 )
 from .harnack import P_norm_sq_h, P_trace, SpeedFields, dt_f_spatial, speed_fields
-from .speedlaw import SpeedLaw, alpha_fn, beta_fn, beta_fn_prime_fd, gamma_fn
+from .speedlaw import (
+    SpeedLaw,
+    alpha_fn,
+    beta_fn,
+    beta_fn_prime_fd,
+    gamma_fn,
+)
 
 
 # ---------------------------------------------------------------------------

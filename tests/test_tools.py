@@ -120,13 +120,16 @@ spans two code lines"""
 '''
 
 
-def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path, capsys):
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path, monkeypatch, capsys):
     tool = _tool("code_lines")
     # import, class, def, the two lines of text, the two of the return
     assert tool.count_code_lines(SAMPLE_MODULE) == 7
-    (tmp_path / "b.py").write_text(SAMPLE_MODULE)
-    (tmp_path / "a.py").write_text("x = 1\n\n# comment\ny = 2\n")
-    assert tool.main([str(tmp_path)]) == 0
+    package = tmp_path / "src" / "gcf"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text(SAMPLE_MODULE)
+    (package / "a.py").write_text("x = 1\n\n# comment\ny = 2\n")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    assert tool.main() == 0
     assert capsys.readouterr().out.splitlines() == [
         "     2  a.py", "     7  b.py", "     9  total"
     ]

@@ -1,19 +1,17 @@
 """Print the code lines of each module of src/gcf and their total.
 
-    python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py
 
 A code line is a line that holds a token of code: blank lines, comment
 lines and docstrings do not count.  Docstrings are found with `ast` (the
 first statement of a module, class or function, when it is a string
 constant), so a string that is not a docstring counts on every line it
-spans.  DIR defaults to src/gcf; its *.py files are read, not imported.
-Prints one `lines  module` line per module, sorted by name, then
-`lines  total`.
+spans.  The *.py files of src/gcf are read, not imported.  Prints one
+`lines  module` line per module, sorted by name, then `lines  total`.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import tokenize
@@ -46,12 +44,9 @@ def count_code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("dir", nargs="?", default=str(ROOT / "src" / "gcf"))
-    args = parser.parse_args(argv)
+def main() -> int:
     total = 0
-    for path in sorted(Path(args.dir).glob("*.py")):
+    for path in sorted((ROOT / "src" / "gcf").glob("*.py")):
         lines = count_code_lines(path.read_text(encoding="utf-8"))
         total += lines
         print(f"{lines:6d}  {path.name}")
