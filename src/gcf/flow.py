@@ -52,7 +52,6 @@ from .geometry import (
     fourier_grid,
     require_admissible,
     require_convex,
-    round_grid,
     row_layout,
 )
 from .speedlaw import POWER, FlatLaws, SpeedLaw, require_one_kind, theorem_hypotheses
@@ -81,11 +80,12 @@ class InitialShape:
     modes: tuple = ()
 
     def build(self, n: int, size: int) -> SupportGrid:
-        if self.kind == "round":
-            return round_grid(n, self.R0, size)
-        if self.kind == "fourier":
-            return fourier_grid(n, self.R0, self.modes, size)
-        raise InvalidConfig(f"unknown initial shape kind {self.kind!r}")
+        """The shape on the (n, size) grid, through fourier_grid for both
+        kinds: a "round" shape ignores its modes and builds with none, which
+        gives round_grid's values.  An unknown kind raises InvalidConfig."""
+        if self.kind not in ("round", "fourier"):
+            raise InvalidConfig(f"unknown initial shape kind {self.kind!r}")
+        return fourier_grid(n, self.R0, self.modes if self.kind == "fourier" else (), size)
 
 
 @dataclass(frozen=True)
@@ -257,15 +257,20 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
     """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
-    layout = row_layout(grid.n, grid.size, grid.spacing)
     with np.errstate(all="ignore"):
         values, radii, K, failures = _rk4(
-            FlatLaws([law], [grid.size]), layout, grid.values, grid.curvature()[1], dt
+            *_one_grid(grid, law), grid.values, grid.curvature()[1], dt
         )
     if failures:
         raise failures[0]
     # the radii are views of the step's buffer, which the grid does not keep
     return SupportGrid.with_curvature(grid.n, values, tuple(r.copy() for r in radii), K)
+
+
+def _one_grid(grid: SupportGrid, law: SpeedLaw) -> tuple:
+    """The law columns and flat layout of one grid, in the order _rk4 and
+    _dt_bound take them."""
+    return FlatLaws([law], [grid.size]), row_layout(grid.n, grid.size, grid.spacing)
 
 
 def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, scale: list) -> list:
@@ -310,10 +315,8 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw) -> float:
     are off, as they are in run().
     """
     dx = grid.spacing
-    layout = row_layout(grid.n, grid.size, dx)
-    law = FlatLaws([law], [grid.size])
     with np.errstate(all="ignore"):
-        return _dt_bound(law, layout, *grid.curvature(), [SAFETY * dx * dx])[0]
+        return _dt_bound(*_one_grid(grid, law), *grid.curvature(), [SAFETY * dx * dx])[0]
 
 
 def run(config):
@@ -470,13 +473,10 @@ class _Batch:
         """Row j's state as a grid of its own, with its curvature kept."""
         return self.layout.grid(j, self.h, self.radii, self.K)
 
-    def row(self, j: int) -> tuple:
-        """Row j's (values, radii, K), as views."""
-        return self.layout.row(j, self.h, self.radii, self.K)
-
     def keep(self, mask: list) -> "_Batch | None":
         """The batch of the rows where mask is true; None if none is."""
         if all(mask):
             return self
         kept = [j for j, k in enumerate(mask) if k]
-        return _Batch.of([self.rows[j] for j in kept], [self.row(j) for j in kept])
+        parts = [self.layout.row(j, self.h, self.radii, self.K) for j in kept]
+        return _Batch.of([self.rows[j] for j in kept], parts)

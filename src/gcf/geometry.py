@@ -75,11 +75,7 @@ class SupportGrid:
 
         The arrays are kept as curvature() would keep them, read-only.
         """
-        grid = cls(n, values)
-        for a in (*radii, K):
-            a.flags.writeable = False
-        object.__setattr__(grid, "_curvature", (radii, K))
-        return grid
+        return cls(n, values)._keep_curvature(radii, K)
 
     @property
     def size(self) -> int:
@@ -99,17 +95,20 @@ class SupportGrid:
     def curvature(self) -> tuple:
         """Checked (radii, K) of this grid, derived on first use and cached.
 
-        The cached arrays are read-only, since every later user of this
-        grid shares them.  Raises NonConvex as radii_and_K does.
+        A grid made by with_curvature() has its (radii, K) cached from the
+        start.  The cached arrays are read-only, since every later user of
+        this grid shares them.  Raises NonConvex as radii_and_K does.
         """
-        cached = self.__dict__.get("_curvature")
-        if cached is None:
-            radii, K = radii_and_K(self.n, self.values, self.spacing)
-            for a in (*radii, K):
-                a.flags.writeable = False
-            cached = (radii, K)
-            object.__setattr__(self, "_curvature", cached)
-        return cached
+        if "_curvature" not in self.__dict__:
+            self._keep_curvature(*radii_and_K(self.n, self.values, self.spacing))
+        return self._curvature
+
+    def _keep_curvature(self, radii: tuple, K: np.ndarray) -> "SupportGrid":
+        # The one place a grid's checked (radii, K) is made read-only and kept.
+        for a in (*radii, K):
+            a.flags.writeable = False
+        object.__setattr__(self, "_curvature", (radii, K))
+        return self
 
 
 def require_admissible(values: np.ndarray) -> None:
@@ -139,10 +138,11 @@ def fourier_grid(n: int, base_radius: float, modes, size: int) -> SupportGrid:
     h = R0 * (1 + sum_k amp_k * cos(k * angle)); modes is an iterable of
     (wavenumber, relative amplitude) pairs.  Cosines of the polar angle are
     polynomials in cos(phi), so the n=2 variants stay smooth at the poles.
+    The modes are added to round_grid's values, so with no modes the
+    values are round_grid's, bit for bit.
     """
-    g = SupportGrid(n, np.full(size, float(base_radius)))
-    ang = g.angles
-    h = np.full(size, float(base_radius))
+    g = round_grid(n, base_radius, size)
+    ang, h = g.angles, g.values
     for k, amp in modes:
         h = h + base_radius * amp * np.cos(int(k) * ang)
     return SupportGrid(n, h)

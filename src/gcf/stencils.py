@@ -39,13 +39,13 @@ def _extend_reflect(u: np.ndarray, parity: str) -> np.ndarray:
 def ghost_index(size: int, periodic: bool) -> np.ndarray:
     """Indices into a grid of `size` nodes that gather its extended values.
 
+    They are the node indices np.arange(size) extended as the values are:
+    by _extend_periodic, or by the even _extend_reflect.  So
     u[ghost_index(size, True)] equals _extend_periodic(u), and
-    u[ghost_index(size, False)] the even _extend_reflect(u, "even").
+    u[ghost_index(size, False)] equals _extend_reflect(u, "even").
     """
     nodes = np.arange(size)
-    if periodic:
-        return np.concatenate((nodes[-2:], nodes, nodes[:2]))
-    return np.concatenate((nodes[1::-1], nodes, nodes[-1:-3:-1]))
+    return _extend_periodic(nodes) if periodic else _extend_reflect(nodes, "even")
 
 
 # 4th-order stencils on values e extended by two ghost cells per side.  The

@@ -17,6 +17,7 @@ from gcf.flow import FlowConfig, InitialShape, run
 from gcf.geometry import derive_state
 from gcf.harnack import monitor
 from gcf.speedlaw import SpeedLaw
+from gcf.verify import IdentityReport
 
 
 def write_config(path, **overrides):
@@ -233,6 +234,29 @@ def test_verify_out_empty_is_the_working_directory(tmp_path, monkeypatch):
 
 def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+def test_verify_a_failing_suite_exits_1(tmp_path, capsys, monkeypatch, with_out):
+    # the second report's finest residual exceeds its tolerance
+    reports = [
+        IdentityReport("passes", (1.0,), (0.5,), 1.0),
+        IdentityReport("fails", (1.0, 0.5), (4.0, 2.0), 1.0),
+    ]
+    monkeypatch.setitem(cli.SUITES, "speedlaw", lambda: reports)
+    out = tmp_path / "v"
+    argv = ["verify", "--suite", "speedlaw"] + (["--out", str(out)] if with_out else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "PASS passes: finest residual 5.000e-01, order n/a",
+        "FAIL fails: finest residual 2.000e+00, order n/a",
+    ]
+    assert captured.err == "verify failed: fails\n"
+    if with_out:
+        header, rows = read_csv(out / "report.csv")
+        passed = {r[0]: r[header.index("pass")] for r in rows}
+        assert passed == {"passes": "true", "fails": "false"}
 
 
 def test_sweep_aggregates_and_isolates_failures(tmp_path, capsys):
@@ -707,6 +731,22 @@ def test_a_config_nested_too_deeply_exits_2(tmp_path, capsys, command):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: the config nests too deeply to parse\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "harnack", "sweep"])
+def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: the config must be a JSON object\n"
+    assert not out.exists()
+
+
+def test_run_rejects_a_stride_of_zero(tmp_path, capsys):
+    for command in (["run"], ["harnack", "--enforce-hypotheses"]):
+        err = run_rejected(tmp_path, capsys, *command, output={"stride": 0})
+        assert "stride must be >= 1, got 0" in err
 
 
 def no_work(*args, **kwargs):

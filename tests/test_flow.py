@@ -42,6 +42,25 @@ def test_step_rejects_convexity_loss():
         step(g, law, 5.0)
 
 
+def test_step_rejects_a_negative_dt():
+    with pytest.raises(ValueError, match="dt must be non-negative"):
+        step(round_grid(1, 1.0, 64), HALF, -1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_initial_shape_build_rejects_an_unknown_kind_and_round_ignores_its_modes(n):
+    with pytest.raises(InvalidConfig, match="unknown initial shape kind 'ellipse'"):
+        InitialShape("ellipse", 1.0).build(n, 32)
+    built = InitialShape("round", 1.5, ((2, 0.1),)).build(n, 32)
+    assert built.values.tobytes() == round_grid(n, 1.5, 32).values.tobytes()
+
+
+def test_stored_spacing_of_fewer_than_two_states_is_none():
+    grid = round_grid(1, 1.0, 32)
+    assert FlowTrace(n=1, law=HALF).stored_spacing is None
+    assert FlowTrace(n=1, law=HALF, times=[0.0], grids=[grid]).stored_spacing is None
+
+
 @pytest.mark.parametrize(
     "n,size,b",
     [(1, 64, 0.5), (1, 64, 0.2), (2, 32, 0.25)],

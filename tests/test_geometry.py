@@ -197,6 +197,8 @@ def test_grid_size_constraints():
         SupportGrid(1, np.full(33, 1.0))
     with pytest.raises(ValueError):
         SupportGrid(3, np.full(32, 1.0))
+    with pytest.raises(ValueError, match="support values must be a 1-D array"):
+        SupportGrid(1, np.full((2, 16), 1.0))
     SupportGrid(2, np.full(17, 1.0))  # odd sizes fine for the polar grid
 
 

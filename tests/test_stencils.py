@@ -131,6 +131,13 @@ def test_reflect_stencils_bit_identical_to_mirror(fn, ref, size):
     assert_equal_to_reference(fn, ref, size)
 
 
+def test_reflect_stencils_reject_an_unknown_parity():
+    for fn in (stencils.d1_reflect, stencils.d2_reflect, stencils.d1_reflect_o2,
+               stencils.d2_reflect_o2):
+        with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'mixed'"):
+            fn(np.ones(16), 0.1, "mixed")
+
+
 def test_periodic_stencils_leave_input_unchanged():
     u = np.linspace(1.0, 2.0, 32)
     before = u.copy()

@@ -41,6 +41,11 @@ def test_sphere_radius_exact_values():
     assert sphere_radius_exact(0.0, t, 1, 0.5) == pytest.approx((t / 2.0) ** 2, rel=1e-14)
     with pytest.raises(BadExponent):
         sphere_radius_exact(1.0, 1.0, 2, 0.5)
+    for R0, t in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="need R0 >= 0 and t >= 0"):
+            sphere_radius_exact(R0, t, 1, 0.5)
+    with pytest.raises(BadExponent, match="need n\\*b < 1"):
+        verify.self_similar_start_time(1.0, 2, 0.5)
 
 
 # --- embedding Hessian oracle ------------------------------------------------
@@ -283,6 +288,9 @@ def test_check_evolution_guards():
     tr.times[-1] += 1e-6  # break uniformity
     with pytest.raises(InsufficientTrace):
         check_evolution(tr)
+    two = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=2)
+    with pytest.raises(InsufficientTrace, match="need at least 3 stored states"):
+        check_evolution(two)
 
 
 def test_ladder_residual_nan_fails():
@@ -477,3 +485,8 @@ def test_estimate_order_synthetic():
     rs = tuple(0.7 * h**2 for h in hs)
     assert estimate_order(hs, rs) == pytest.approx(2.0, abs=1e-12)
     assert estimate_order(hs[:2], rs[:2]) is None
+    # a pair with a zero residual gives no slope: the mean is of the others,
+    # and None when no pair gives one
+    with_zero = estimate_order((8e-3, *hs), (0.7 * 8e-3**2, *rs[:2], 0.0))
+    assert with_zero == pytest.approx(2.0, abs=1e-12)
+    assert estimate_order(hs, (1e-5, 0.0, 0.0)) is None
