@@ -174,13 +174,12 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
     kind = init.get("type", "circle")
     R0 = _number(init.get("R0", 1.0), "initial.R0")
     if kind in ("circle", "sphere", "round"):
-        shape = InitialShape("round", R0=R0)
+        kind, modes = "round", ()  # a round kind ignores its modes
     elif kind == "fourier":
         modes = tuple(
             (_integer(k, "mode wavenumber"), _number(a, "mode amplitude"))
             for k, a in init.get("modes", [])
         )
-        shape = InitialShape("fourier", R0=R0, modes=modes)
     else:
         raise GcfError(f"unknown initial type {kind!r}")
     tdoc = _section(doc, "time")
@@ -188,7 +187,7 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
         n=n,
         size=size,
         law=law,
-        shape=shape,
+        shape=InitialShape(kind, R0=R0, modes=modes),
         t_end=_number(_required(tdoc, "t_end", "time.t_end"), "time.t_end"),
         t0=_number(tdoc.get("t0", 0.0), "time.t0"),
         stride=_integer(_section(doc, "output").get("stride", 1), "output.stride"),
@@ -372,7 +371,7 @@ def cmd_verify(suite: str, out_dir: str | None = None) -> int:
 
 def _sweep_row(index: int, tup) -> dict:
     fields = tup if isinstance(tup, dict) else {}
-    shape = fields.get("shape", {"type": "circle", "R0": 1.0})
+    shape = fields.get("shape", _SWEEP_SHAPE)
     return {
         "index": index,
         "n": fields.get("n"),
@@ -385,6 +384,8 @@ def _sweep_row(index: int, tup) -> dict:
     }
 
 
+# The shape of a sweep tuple that gives none.
+_SWEEP_SHAPE = {"type": "circle", "R0": 1.0}
 # A sweep's defaults for the fields of its shared blocks; a field a block
 # gives replaces its default, and the others keep theirs.
 _SWEEP_DEFAULTS = {"grid": {"N": 256}, "time": {"t_end": 2.0}, "output": {"stride": 50}}
@@ -396,7 +397,7 @@ def _sweep_doc(tup, base_doc: dict) -> dict:
     return {
         "n": _required(tup, "n", "n"),
         "speed": {"a": -1.0, "beta": -_number(_required(tup, "b", "b"), "b")},
-        "initial": _object(tup.get("shape", {"type": "circle", "R0": 1.0}), "shape"),
+        "initial": _object(tup.get("shape", _SWEEP_SHAPE), "shape"),
         **{key: {**fields, **_section(base_doc, key)} for key, fields in _SWEEP_DEFAULTS.items()},
     }
 

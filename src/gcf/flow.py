@@ -189,11 +189,12 @@ def _rk4(law: FlatLaws, layout: FlatLayout, h: np.ndarray, K: np.ndarray, dt) ->
     One (4, radii_size) buffer per step holds the radii: rows 0-2 those of
     the three stages, row 3 those of the new values.  A stage's NaN or inf
     values run on through the later stages, so the caller turns numpy's
-    floating-point warnings off.  Returns the new values with their
-    (radii, K), the radii as the layout splits row 3, and the failures:
-    None if the step passed every check, else per row the exception its
-    own step raises (see _row_failure) or None.  Rows that failed hold
-    values to be discarded; the others hold their step.
+    floating-point warnings off.  Returns the new values with their flat
+    radii r and K, r being row 3 of the buffer itself (a row's radii are
+    layout.row_radii of it), and the failures: None if the step passed
+    every check, else per row the exception its own step raises (see
+    _row_failure) or None.  Rows that failed hold values to be discarded;
+    the others hold their step.
 
     The checks are one minimum and one maximum over the whole buffer and
     the minimum of the new values, compared inline; the rows are checked
@@ -222,7 +223,7 @@ def _rk4(law: FlatLaws, layout: FlatLayout, h: np.ndarray, K: np.ndarray, dt) ->
     if not (_minimum(buf, axis=None) > RADIUS_FLOOR and _maximum(buf, axis=None) < math.inf
             and _minimum(new) > 0.0):
         failures = [_row_failure(layout, j, buf, new) for j in range(len(layout.rows))]
-    return new, layout.split(buf[3]), K, failures
+    return new, buf[3], K, failures
 
 
 def _row_failure(layout: FlatLayout, j: int, buf, new) -> Exception | None:
@@ -230,9 +231,10 @@ def _row_failure(layout: FlatLayout, j: int, buf, new) -> Exception | None:
 
     The checks are a solo step's, in its order, on row j's part of a flat
     step's radii buffer and new values: its radii of all three stages
-    together (buf[:3]), then its new values, then its new radii (buf[3]).
-    A row's arithmetic in a flat step is that of its solo step, so the
-    exception and its message are the solo step's.
+    together (buf[:3]), then its new values, then its new radii (buf[3]),
+    the radii as layout.row_radii picks them.  A row's arithmetic in a
+    flat step is that of its solo step, so the exception and its message
+    are the solo step's.
     """
     start = int(layout.starts[j])
     try:
@@ -257,14 +259,13 @@ def step(grid: SupportGrid, law: SpeedLaw, dt: float) -> SupportGrid:
     """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
+    laws, layout = _one_grid(grid, law)
     with np.errstate(all="ignore"):
-        values, radii, K, failures = _rk4(
-            *_one_grid(grid, law), grid.values, grid.curvature()[1], dt
-        )
+        values, r, K, failures = _rk4(laws, layout, grid.values, grid.curvature()[1], dt)
     if failures:
         raise failures[0]
-    # the radii are views of the step's buffer, which the grid does not keep
-    return SupportGrid.with_curvature(grid.n, values, tuple(r.copy() for r in radii), K)
+    # r is a row of the step's buffer, which the grid does not keep
+    return SupportGrid.with_curvature(grid.n, values, layout.row_radii(0, r.copy()), K)
 
 
 def _one_grid(grid: SupportGrid, law: SpeedLaw) -> tuple:
@@ -273,9 +274,9 @@ def _one_grid(grid: SupportGrid, law: SpeedLaw) -> tuple:
     return FlatLaws([law], [grid.size]), row_layout(grid.n, grid.size, grid.spacing)
 
 
-def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, scale: list) -> list:
+def _dt_bound(law: FlatLaws, layout: FlatLayout, r: np.ndarray, K: np.ndarray, scale: list) -> list:
     """scale[j] / lambda per row j as floats, with scale = SAFETY * dx**2 per
-    row and lambda maximised over the row.
+    row and lambda maximised over the row, for the flat state (r, K).
 
     The division is Python's, the IEEE division numpy's also is; a lambda
     of 0, as when K**2 underflows on a very large body, gives an infinite
@@ -287,20 +288,21 @@ def _dt_bound(law: FlatLaws, layout: FlatLayout, radii: tuple, K: np.ndarray, sc
     still beyond the float range, as of a contracting law on a tiny body,
     gives a bound of 0.
     """
-    tops = _lambda_tops(law.f1(K) * (K * K), layout, radii)  # K * K is K**2 without the dispatch
+    tops = _lambda_tops(law.f1(K) * (K * K), layout, r)  # K * K is K**2 without the dispatch
     if not all(map(math.isfinite, tops)) and law.kind == POWER:
-        again = _lambda_tops(law.coefs[1] * np.power(K, law.expos[1] + 2.0), layout, radii)
+        again = _lambda_tops(law.coefs[1] * np.power(K, law.expos[1] + 2.0), layout, r)
         tops = [top if math.isfinite(top) else top2 for top, top2 in zip(tops, again)]
     return [s / top if top else math.inf for s, top in zip(scale, tops)]
 
 
-def _lambda_tops(lam: np.ndarray, layout: FlatLayout, radii: tuple) -> list:
+def _lambda_tops(lam: np.ndarray, layout: FlatLayout, r: np.ndarray) -> list:
     """Each row's maximum of lam, f'(K) * K**2 per node, as floats, from one
     np.maximum.reduceat over the layout's row starts (one row included);
-    for n=2 lam is first scaled in place by the larger radius of each node."""
-    if len(radii) == 2:
-        tail = layout.tail
-        lam[tail:] *= np.maximum(radii[0][tail:], radii[1])
+    on the n=2 tail lam is first scaled in place by the larger radius of
+    each node, the larger of its r1 and r2 in the flat radii r."""
+    tail, size = layout.tail, layout.size
+    if tail < size:
+        lam[tail:] *= np.maximum(r[tail:size], r[size:])
     return np.maximum.reduceat(lam, layout.starts).tolist()
 
 
@@ -315,8 +317,9 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw) -> float:
     are off, as they are in run().
     """
     dx = grid.spacing
+    radii, K = grid.curvature()
     with np.errstate(all="ignore"):
-        return _dt_bound(*_one_grid(grid, law), *grid.curvature(), [SAFETY * dx * dx])[0]
+        return _dt_bound(*_one_grid(grid, law), np.concatenate(radii), K, [SAFETY * dx * dx])[0]
 
 
 def run(config):
@@ -359,7 +362,7 @@ def run(config):
     batch = _Batch.of(rows, [(grid.values, *grid.curvature()) for grid in grids])
     with np.errstate(all="ignore"):
         while batch is not None:
-            bounds = _dt_bound(batch.law, batch.layout, batch.radii, batch.K, batch.scale)
+            bounds = _dt_bound(batch.law, batch.layout, batch.r, batch.K, batch.scale)
             planned = [row.plan(b) for row, b in zip(batch.rows, bounds)]
             if not all(planned):
                 for j, ok in enumerate(planned):
@@ -368,12 +371,12 @@ def run(config):
                 batch = batch.keep(planned)
                 if batch is None:
                     break
-            h, radii, K, failures = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
+            h, r, K, failures = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
             for j, exc in enumerate(failures or ()):
                 if exc is not None:  # the row ends, its failed step counted
                     batch.rows[j].trace.rhs_evals += 4
                     batch.rows[j].end(REASONS[type(exc)], batch.grid(j))
-            batch.h, batch.radii, batch.K = h, radii, K
+            batch.h, batch.r, batch.K = h, r, K
             for j, row in enumerate(batch.rows):
                 if row.running and row.advance():
                     row.store(batch.grid(j))
@@ -442,13 +445,13 @@ REASONS = {NonConvex: "nonconvex", OriginOutside: "origin_outside"}
 class _Batch:
     """The running rows of an ensemble and their flat checked state.
 
-    The rows are laid out n=1 first; h, radii and K are as the layout holds
-    them.  Per batch, not per step: the layout, the rows' laws and their
-    SAFETY * dx**2.
+    The rows are laid out n=1 first; h, r and K are the layout's flat state,
+    the radii r one flat array (see FlatLayout).  Per batch, not per step:
+    the layout, the rows' laws and their SAFETY * dx**2.
     """
 
-    def __init__(self, rows: list, layout: FlatLayout, h, radii, K):
-        self.rows, self.layout, self.h, self.radii, self.K = rows, layout, h, radii, K
+    def __init__(self, rows: list, layout: FlatLayout, h, r, K):
+        self.rows, self.layout, self.h, self.r, self.K = rows, layout, h, r, K
         self.law = FlatLaws([row.cfg.law for row in rows], layout.sizes)
         self.scale = [row.scale for row in rows]
 
@@ -471,12 +474,12 @@ class _Batch:
 
     def grid(self, j: int) -> SupportGrid:
         """Row j's state as a grid of its own, with its curvature kept."""
-        return self.layout.grid(j, self.h, self.radii, self.K)
+        return self.layout.grid(j, self.h, self.r, self.K)
 
     def keep(self, mask: list) -> "_Batch | None":
         """The batch of the rows where mask is true; None if none is."""
         if all(mask):
             return self
         kept = [j for j, k in enumerate(mask) if k]
-        parts = [self.layout.row(j, self.h, self.radii, self.K) for j in kept]
+        parts = [self.layout.row(j, self.h, self.r, self.K) for j in kept]
         return _Batch.of([self.rows[j] for j in kept], parts)

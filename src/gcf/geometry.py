@@ -160,21 +160,22 @@ def radii_and_K(n: int, h: np.ndarray, dx: float) -> tuple:
     """Principal curvature radii and Gauss curvature of one grid's values h.
 
     Returns ((r,), 1/r) with r = h'' + h for n=1, and ((r1, r2), 1/(r1 r2))
-    with r1 = h_pp + h, r2 = h_p cot(phi) + h for n=2.  Raises NonConvex if
-    a radius is not finite or does not exceed RADIUS_FLOOR.  This is the
-    checked one-grid case of FlatLayout.curvature, the only place the radii
-    and K are formed from h; SupportGrid.curvature() calls it on grids
-    whose curvature was not kept.  K is formed before the check, so a
-    radius that fails it may divide by zero: that K is discarded with the
-    exception, and numpy's divide and invalid warnings are off while K is
-    formed.
+    with r1 = h_pp + h, r2 = h_p cot(phi) + h for n=2; the radii are views,
+    through FlatLayout.row_radii, of the one flat array that
+    FlatLayout.curvature writes.  Raises NonConvex if a radius is not finite
+    or does not exceed RADIUS_FLOOR.  This is the checked one-grid case of
+    FlatLayout.curvature, the only place the radii and K are formed from h;
+    SupportGrid.curvature() calls it on grids whose curvature was not kept.
+    K is formed before the check, so a radius that fails it may divide by
+    zero: that K is discarded with the exception, and numpy's divide and
+    invalid warnings are off while K is formed.
     """
     layout = row_layout(n, h.size, dx)
     r = np.empty(layout.radii_size)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = layout.curvature(h, r)
     require_convex(r)
-    return layout.split(r), K
+    return layout.row_radii(0, r), K
 
 
 def _as_slice(index: np.ndarray):
@@ -191,18 +192,21 @@ class FlatLayout:
 
     rows holds each grid's (n, size, dx), the n=1 grids first, so that the
     n=2 grids form one contiguous tail of nodes from `tail` on.  A flat
-    state is the values h and K, one element per node, and the radii
-    (r1 of every node, r2 of the tail nodes).  curvature() is the one
+    state (h, r, K) is three flat arrays: the values h and K, one element
+    per node, and the radii r, radii_size elements (r1 of every node, then
+    r2 of the tail nodes).  row_radii() is the one rule for where a row's
+    radii lie in r; the (r1,) or (r1, r2) tuples of a SupportGrid exist only
+    per row, through row(), grid() and join().  curvature() is the one
     derivation of a flat state's radii and K from its values.  It gathers
     every grid's values with its ghost cells in reversed order, with one
     precomputed index, and runs each 4th-order stencil over all grids at
-    once as one np.correlate with the reversed weights of stencils (the
-    n=2 tail's d1 over the first part of the same reversed values).  It
-    picks each node's output back, which lies at a reversed position, and
-    divides it by its grid's 12 dx**2 (or 12 dx), into the caller's radii
-    buffer; K is formed from those radii in one pass.  Each output sums
-    the textbook stencil's terms in the textbook order (see stencils), so
-    every grid gets the bits it gets alone.
+    once as one np.correlate with the reversed weights of stencils (the n=2
+    tail's d1 over the first part of the same reversed values).  It picks
+    each node's output back, which lies at a reversed position, and divides
+    it by its grid's 12 dx**2 (or 12 dx), into the caller's radii buffer; K
+    is formed from those radii in one pass.  Each output sums the textbook
+    stencil's terms in the textbook order (see stencils), so every grid gets
+    the bits it gets alone.
     """
 
     def __init__(self, rows):
@@ -257,44 +261,36 @@ class FlatLayout:
         den[tail:] *= r2
         return np.divide(1.0, den, out=den)
 
-    def split(self, r: np.ndarray) -> tuple:
-        """Flat radii as the tuple (r1,), or (r1, r2) when there is a tail."""
-        if self.tail == self.size:
-            return (r[:self.size],)
-        return r[:self.size], r[self.size:]
-
     def join(self, parts) -> tuple:
-        """(h, radii, K) of the grids' (values, radii, K), one part per row."""
+        """(h, r, K) of the grids' (values, radii, K), one part per row, with
+        the flat radii r as curvature() writes them: every row's r1, then
+        the r2 of the tail's rows."""
         h, radii, K = zip(*parts)
-        r1 = np.concatenate([r[0] for r in radii])
-        if self.tail == self.size:
-            return np.concatenate(h), (r1,), np.concatenate(K)
-        r2 = np.concatenate([r[1] for r in radii if len(r) == 2])
-        return np.concatenate(h), (r1, r2), np.concatenate(K)
+        r = np.concatenate([a[0] for a in radii] + [a[1] for a in radii if len(a) == 2])
+        return np.concatenate(h), r, np.concatenate(K)
 
-    def row(self, j: int, h: np.ndarray, radii: tuple, K: np.ndarray) -> tuple:
-        """Row j's (values, radii, K) in a flat state, as views."""
+    def row(self, j: int, h: np.ndarray, r: np.ndarray, K: np.ndarray) -> tuple:
+        """Row j's (values, radii, K) in a flat state (h, r, K), as views."""
         start = int(self.starts[j])
         nodes = slice(start, start + int(self.sizes[j]))
-        r = (radii[0][nodes],)
-        if self.rows[j][0] == 2:
-            r += (radii[1][start - self.tail:nodes.stop - self.tail],)
-        return h[nodes], r, K[nodes]
+        return h[nodes], self.row_radii(j, r), K[nodes]
 
-    def row_radii(self, j: int, r: np.ndarray) -> np.ndarray:
-        """Row j's entries of flat radii r, along r's last axis: its r1, then its r2."""
+    def row_radii(self, j: int, r: np.ndarray) -> tuple:
+        """Row j's radii in flat radii r, along r's last axis, as views: (r1,),
+        or (r1, r2) for an n=2 row.  The one rule for where a row's radii lie."""
         start = int(self.starts[j])
         stop = start + int(self.sizes[j])
         if self.rows[j][0] == 1:
-            return r[..., start:stop]
+            return (r[..., start:stop],)
         shift = self.size - self.tail
-        return np.concatenate((r[..., start:stop], r[..., start + shift:stop + shift]), axis=-1)
+        return r[..., start:stop], r[..., start + shift:stop + shift]
 
-    def grid(self, j: int, h: np.ndarray, radii: tuple, K: np.ndarray) -> SupportGrid:
-        """Row j of a flat state as a grid of its own, with its curvature kept."""
-        values, r, K = self.row(j, h, radii, K)
+    def grid(self, j: int, h: np.ndarray, r: np.ndarray, K: np.ndarray) -> SupportGrid:
+        """Row j of a flat state (h, r, K) as a grid of its own, with its
+        curvature kept."""
+        values, radii, K = self.row(j, h, r, K)
         return SupportGrid.with_curvature(
-            self.rows[j][0], values.copy(), tuple(a.copy() for a in r), K.copy()
+            self.rows[j][0], values.copy(), tuple(a.copy() for a in radii), K.copy()
         )
 
 

@@ -34,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientTrace, NonPositiveTime
-from .flow import FlowTrace
 from .geometry import GeometryState, box_op, derive_state, h_norm_sq, h_trace
 from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
 
@@ -177,7 +176,9 @@ def _central_dt(qm, q0, qp, dm: list, dp: list) -> np.ndarray:
 
 def monitor(trace: FlowTrace) -> HarnackTable:
     """Harnack diagnostics at every interior stored time of a trace, under
-    the law the trace was stepped with (trace.law).
+    the law the trace was stepped with (trace.law).  trace is a
+    flow.FlowTrace; only its times, grids and law are read, so this module
+    does not import flow.
 
     The time entering the Harnack expressions is the stored time itself.
     The flow's config places its initial data at time t0 >= 0 on the

@@ -13,7 +13,9 @@ differentiated row by row with the same arithmetic as a single (N,) grid.
 Grids of different sizes and topologies laid end to end in one flat array
 (geometry.FlatLayout) are differentiated on values extended by a gather
 with ghost_index, with the same arithmetic again: each 4th-order stencil
-is one np.correlate with D1_REVERSED or D2_REVERSED.
+is one np.correlate with D1_REVERSED or D2_REVERSED.  extend_periodic and
+extend_reflect are the one ghost-cell rule: the stencils, ghost_index and
+the neighbours of verify.hessian_oracle all read their ghost cells from them.
 """
 
 from __future__ import annotations
@@ -21,13 +23,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def _extend_periodic(u: np.ndarray) -> np.ndarray:
-    # Two wrapped ghost cells per side: e[k + 2] = u[k], e[1] = u[-1], e[N + 2] = u[0].
+def extend_periodic(u: np.ndarray) -> np.ndarray:
+    """u with two wrapped ghost cells per side, along the last axis:
+    e[k + 2] = u[k], e[1] = u[-1], e[N + 2] = u[0]."""
     return np.concatenate((u[..., -2:], u, u[..., :2]), axis=-1)
 
 
-def _extend_reflect(u: np.ndarray, parity: str) -> np.ndarray:
-    # Cell-centered mirror: ghost[-1-k] pairs with u[k], ghost[M-1+k] with u[M-k].
+def extend_reflect(u: np.ndarray, parity: str) -> np.ndarray:
+    """u with two ghost cells per side, along the last axis, mirrored across
+    the poles of a cell-centered grid: ghost[-1-k] pairs with u[k] and
+    ghost[M-1+k] with u[M-k], negated for an "odd" parity."""
     left, right = u[..., 1::-1], u[..., -1:-3:-1]
     if parity == "odd":
         left, right = -left, -right
@@ -40,12 +45,12 @@ def ghost_index(size: int, periodic: bool) -> np.ndarray:
     """Indices into a grid of `size` nodes that gather its extended values.
 
     They are the node indices np.arange(size) extended as the values are:
-    by _extend_periodic, or by the even _extend_reflect.  So
-    u[ghost_index(size, True)] equals _extend_periodic(u), and
-    u[ghost_index(size, False)] equals _extend_reflect(u, "even").
+    by extend_periodic, or by the even extend_reflect.  So
+    u[ghost_index(size, True)] equals extend_periodic(u), and
+    u[ghost_index(size, False)] equals extend_reflect(u, "even").
     """
     nodes = np.arange(size)
-    return _extend_periodic(nodes) if periodic else _extend_reflect(nodes, "even")
+    return extend_periodic(nodes) if periodic else extend_reflect(nodes, "even")
 
 
 # 4th-order stencils on values e extended by two ghost cells per side.  The
@@ -107,43 +112,43 @@ def d2_extended(e: np.ndarray, div) -> np.ndarray:
 
 def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     """4th-order first derivative on a periodic grid."""
-    return d1_extended(_extend_periodic(u), 12.0 * dx)
+    return d1_extended(extend_periodic(u), 12.0 * dx)
 
 
 def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     """4th-order second derivative on a periodic grid."""
-    return d2_extended(_extend_periodic(u), 12.0 * dx * dx)
+    return d2_extended(extend_periodic(u), 12.0 * dx * dx)
 
 
 def d1_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
     """2nd-order first derivative on a periodic grid."""
-    e = _extend_periodic(u)
+    e = extend_periodic(u)
     return (e[..., 3:-1] - e[..., 1:-3]) / (2.0 * dx)
 
 
 def d2_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
     """2nd-order second derivative on a periodic grid."""
-    e = _extend_periodic(u)
+    e = extend_periodic(u)
     return (e[..., 3:-1] - 2.0 * u + e[..., 1:-3]) / (dx * dx)
 
 
 def d1_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
     """4th-order first derivative on a cell-centered grid with pole reflection."""
-    return d1_extended(_extend_reflect(u, parity), 12.0 * dx)
+    return d1_extended(extend_reflect(u, parity), 12.0 * dx)
 
 
 def d2_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
     """4th-order second derivative on a cell-centered grid with pole reflection."""
-    return d2_extended(_extend_reflect(u, parity), 12.0 * dx * dx)
+    return d2_extended(extend_reflect(u, parity), 12.0 * dx * dx)
 
 
 def d1_reflect_o2(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
     """2nd-order first derivative with pole reflection."""
-    e = _extend_reflect(u, parity)
+    e = extend_reflect(u, parity)
     return (e[..., 3:-1] - e[..., 1:-3]) / (2.0 * dx)
 
 
 def d2_reflect_o2(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
     """2nd-order second derivative with pole reflection."""
-    e = _extend_reflect(u, parity)
+    e = extend_reflect(u, parity)
     return (e[..., 3:-1] - 2.0 * e[..., 2:-2] + e[..., 1:-3]) / (dx * dx)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stencils
-from .errors import BadExponent, InsufficientTrace
+from .errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
 from .flow import REASONS, FlowConfig, FlowTrace, InitialShape, run
 from .geometry import (
     GeometryState,
@@ -181,10 +181,6 @@ def _completed(trace: FlowTrace) -> FlowTrace:
     raise error(f"flow ended early at t = {trace.times[-1]!r}: {trace.reason}")
 
 
-def _central_diff(qm, qp, dt):
-    return (qp - qm) / (2.0 * dt)
-
-
 class _Ladder(NamedTuple):
     """Where a residual ladder sits on a trace of uniformly spaced states:
     the middle stored index, the offsets (4, 2, 1) around it as far as the
@@ -228,7 +224,7 @@ def _ladder_report(
         dt = k * base
         res = []
         for extract, corr, rhs in parts:
-            lhs = _central_diff(extract(states[mid - k]), extract(states[mid + k]), dt) + corr
+            lhs = (extract(states[mid + k]) - extract(states[mid - k])) / (2.0 * dt) + corr
             res.append(np.max(np.abs(lhs - rhs)))
             scales.append(np.max(np.abs(lhs)))
         spacings.append(dt)
@@ -472,24 +468,22 @@ def hessian_oracle(grid: SupportGrid, u: np.ndarray) -> np.ndarray:
     the reconstructed meridian (arc length to second order), so it shares
     no stencil with the production path.  Returns principal-frame
     components: shape (N,) for n=1, (M, 2) for n=2, where the azimuthal
-    component comes from the turning of the parallel circles.
+    component comes from the turning of the parallel circles.  The -1 and
+    +1 neighbours of each node are the ghost-cell rule's, through
+    stencils.extend_periodic for n=1 and stencils.extend_reflect for n=2.
     """
     state = derive_state(grid)
     F = state.positions
     if grid.n == 1:
-        Fm = np.roll(F, 1, axis=0)
-        Fp = np.roll(F, -1, axis=0)
-        um = np.roll(u, 1)
-        up = np.roll(u, -1)
+        eF, eu = stencils.extend_periodic(F.T), stencils.extend_periodic(u)
     else:
-        # Continue through the poles along the meridian great arc: the
-        # mirror image across the axis carries the same field value.
-        first = np.array([[-F[0, 0], F[0, 1]]])
-        last = np.array([[-F[-1, 0], F[-1, 1]]])
-        Fm = np.vstack([first, F[:-1]])
-        Fp = np.vstack([F[1:], last])
-        um = np.concatenate([[u[0]], u[:-1]])
-        up = np.concatenate([u[1:], [u[-1]]])
+        # Continue through the poles along the meridian great arc: the mirror
+        # image across the axis (odd distance from the axis, even height)
+        # carries the same field value.
+        eF = np.stack([stencils.extend_reflect(F[:, c], p) for c, p in ((0, "odd"), (1, "even"))])
+        eu = stencils.extend_reflect(u, "even")
+    Fm, Fp = eF[:, 1:-3].T, eF[:, 3:-1].T
+    um, up = eu[1:-3], eu[3:-1]
     lm = np.sqrt(np.sum((F - Fm) ** 2, axis=1))
     lp = np.sqrt(np.sum((Fp - F) ** 2, axis=1))
     denom = lm * lp * (lm + lp)
@@ -520,7 +514,7 @@ def random_convex_grid(n: int, size: int, rng: np.random.Generator) -> SupportGr
             g = fourier_grid(n, 1.0, list(zip(ks, amps)), size)
             derive_state(g)
             return g
-        except Exception:
+        except (NonConvex, OriginOutside):
             amps = amps * 0.5
     raise RuntimeError("could not draw a convex grid")
 

@@ -56,14 +56,16 @@ def test_flat_radii_and_gauss_equal_each_grid_alone(rows):
     layout, h = _flat(rows)
     r = np.empty(layout.radii_size)
     K = layout.curvature(h, r)
-    radii = layout.split(r)
     for j, (n, _, dx, values, _) in enumerate(rows):
-        _, row_radii, row_K = layout.row(j, h, radii, K)
+        _, row_radii, row_K = layout.row(j, h, r, K)
         want_radii, want_K = radii_and_K(n, values, dx)
         assert len(row_radii) == len(want_radii) == n
         for got, want in zip(row_radii, want_radii):
             assert np.array_equal(got, want)
         assert np.array_equal(row_K, want_K)
+    # the rows' parts, joined again, are the flat state bit for bit
+    joined = layout.join([layout.row(j, h, r, K) for j in range(len(rows))])
+    assert [a.tobytes() for a in joined] == [a.tobytes() for a in (h, r, K)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -73,22 +75,21 @@ def test_flat_rk4_equals_each_grid_alone(rows, one_dt, scales):
     layout, h = _flat(rows)
     r = np.empty(layout.radii_size)
     K = layout.curvature(h, r)
-    radii = layout.split(r)
     law = FlatLaws([law for *_, law in rows], layout.sizes)
     # each row's own step bound, or the smallest for all rows; scaled up to
     # 100 times, the steps lose convexity in some rows, and each row's
     # failure must then be the one its own step meets
-    bounds = flow._dt_bound(law, layout, radii, K,
+    bounds = flow._dt_bound(law, layout, r, K,
                             [flow.SAFETY * dx * dx for _, _, dx, _, _ in rows])
     if scales:
         bounds = [bound * scale for bound, scale in zip(bounds, scales)]
     row_dt = [min(bounds)] * len(rows) if one_dt else bounds
     dt = row_dt[0] if one_dt else np.repeat(row_dt, layout.sizes)
     with np.errstate(all="ignore"):
-        new, new_radii, new_K, failures = flow._rk4(law, layout, h, K, dt)
+        new, new_r, new_K, failures = flow._rk4(law, layout, h, K, dt)
         assert failures is None or scales
         for j, (n, size, dx, values, row_law) in enumerate(rows):
-            K_j = layout.row(j, h, radii, K)[2]
+            K_j = layout.row(j, h, r, K)[2]
             alone = row_layout(n, size, dx)
             want = flow._rk4(FlatLaws([row_law], [size]), alone, values, K_j, row_dt[j])
             got_failure = failures[j] if failures else None
@@ -96,9 +97,9 @@ def test_flat_rk4_equals_each_grid_alone(rows, one_dt, scales):
             assert type(got_failure) is type(want_failure)
             assert str(got_failure) == str(want_failure)
             if want_failure is None:
-                got = layout.row(j, new, new_radii, new_K)
+                got = layout.row(j, new, new_r, new_K)
                 assert np.array_equal(got[0], want[0])
-                for a, b in zip(got[1], want[1]):
+                for a, b in zip(got[1], alone.row_radii(0, want[1])):
                     assert np.array_equal(a, b)
                 assert np.array_equal(got[2], want[2])
 

@@ -244,12 +244,12 @@ def test_flat_layout_derives_each_grid_as_alone():
              for n, size in ((1, 32), (1, 64), (1, 16), (2, 16), (2, 17), (2, 40))]
     layout = FlatLayout([(g.n, g.size, g.spacing) for g in grids])
     assert layout.tail == 32 + 64 + 16 and layout.size == layout.tail + 16 + 17 + 40
-    h, radii, K = layout.join([(g.values, *g.curvature()) for g in grids])
-    r = np.empty(layout.radii_size)
-    assert np.array_equal(layout.curvature(h, r), K)
-    assert all(np.array_equal(a, b) for a, b in zip(layout.split(r), radii))
+    h, r, K = layout.join([(g.values, *g.curvature()) for g in grids])
+    fresh = np.empty(layout.radii_size)
+    assert np.array_equal(layout.curvature(h, fresh), K)
+    assert np.array_equal(fresh, r)
     for j, g in enumerate(grids):
-        own = layout.grid(j, h, radii, K)
+        own = layout.grid(j, h, r, K)
         assert np.array_equal(own.values, g.values)
         want_radii, want_K = radii_and_K(g.n, g.values, g.spacing)
         assert len(own.curvature()[0]) == g.n
@@ -259,7 +259,7 @@ def test_flat_layout_derives_each_grid_as_alone():
     # some of the rows, picked and joined again, in a layout of their own
     kept = [0, 2, 4, 5]
     sub = FlatLayout([layout.rows[j] for j in kept])
-    sub_state = sub.join([layout.row(j, h, radii, K) for j in kept])
+    sub_state = sub.join([layout.row(j, h, r, K) for j in kept])
     for k, j in enumerate(kept):
         own = sub.grid(k, *sub_state)
         assert np.array_equal(own.values, grids[j].values)

@@ -51,7 +51,8 @@ def test_eval_derivs_matches_numeric_differentiation():
 
 
 @pytest.mark.parametrize(
-    "op", [SpeedLaw.f, SpeedLaw.f1, SpeedLaw.f2, SpeedLaw.f3, alpha_fn, beta_fn, gamma_fn]
+    "op", [SpeedLaw.f, SpeedLaw.f1, SpeedLaw.f2, SpeedLaw.f3, alpha_fn, beta_fn, gamma_fn,
+           beta_fn_prime_fd]
 )
 def test_nonpositive_argument_rejected(op):
     law = SpeedLaw.power(-1.0, -0.5)

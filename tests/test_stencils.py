@@ -255,4 +255,5 @@ def test_flat_layout_radii_equal_each_rows_textbook_radii(rows):
     r = np.empty(layout.radii_size)
     layout.curvature(np.concatenate([u for *_, u in rows]), r)
     for j, (n, _, dx, u) in enumerate(rows):
-        assert_same_bits(layout.row_radii(j, r), np.concatenate(textbook_radii(n, dx, u)))
+        assert_same_bits(np.concatenate(layout.row_radii(j, r)),
+                         np.concatenate(textbook_radii(n, dx, u)))

@@ -1,11 +1,12 @@
 """tools/csv_digests.py's comparison with a saved listing,
 tools/bench_record.py's record of alternating pairs, tools/code_lines.py's
-count, and a check that every public name of src/gcf is read by the
-program itself."""
+count, tools/untested_lines.py's line tracer, and a check that every
+public name of src/gcf is read by the program itself."""
 
 import ast
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +133,59 @@ def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path, monkeypatch, c
     assert tool.main() == 0
     assert capsys.readouterr().out.splitlines() == [
         "     2  a.py", "     7  b.py", "     9  total"
+    ]
+
+
+TRACED_MODULE = '''"""A sample module: its docstring is not code."""
+
+import threading
+
+
+def sign(x):
+    # a comment is not code
+    if x > 0:
+        return 1
+    return -1
+
+
+def in_a_thread():
+    worker = threading.Thread(target=sign, args=(-1,))
+    worker.start()
+    worker.join()
+
+
+def never(x):
+    """Nor is a function's docstring."""
+    return max(x,
+               1)
+'''
+
+
+def test_untested_lines_lists_the_lines_no_call_ran(tmp_path):
+    tool = _tool("untested_lines")
+    path = tmp_path / "pkg" / "sample.py"
+    path.parent.mkdir()
+    path.write_text(TRACED_MODULE)
+    # the module docstring's store, the import, the three defs and the code
+    # lines of their bodies
+    assert tool.executable_lines(path) == {1, 3, 6, 8, 9, 10, 13, 14, 15, 16, 19, 21, 22}
+    tracer = tool.LineTracer(tmp_path / "pkg")
+    before = sys.gettrace()
+    tracer.start()
+    try:
+        spec = importlib.util.spec_from_file_location("sample", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.sign(1)
+        module.in_a_thread()  # the thread runs sign's last line
+    finally:
+        tracer.stop()
+    assert sys.gettrace() is before
+    assert tracer.unrun() == [(path, 21), (path, 22)]
+    assert tool.report(tracer, root=tmp_path) == [
+        "pkg/sample.py:21: return max(x,",
+        "pkg/sample.py:22: 1)",
+        "2 line(s) of pkg not run",
     ]
 
 

@@ -477,6 +477,47 @@ def test_p_expansion_random_states():
             assert rep.finest_residual <= 1e-10, rep
 
 
+# --- random convex states -----------------------------------------------------
+
+
+def _failing_derive_state(monkeypatch, exc, times):
+    """Make verify's derive_state raise exc on its first `times` calls;
+    returns the list of the grids it was called on."""
+    calls = []
+
+    def derive(grid):
+        calls.append(grid)
+        if len(calls) <= times:
+            raise exc("drawn")
+        return derive_state(grid)
+
+    monkeypatch.setattr(verify, "derive_state", derive)
+    return calls
+
+
+def test_random_convex_grid_retries_a_nonconvex_draw_at_half_the_amplitudes(monkeypatch):
+    first = random_convex_grid(1, 64, np.random.default_rng(3))
+    calls = _failing_derive_state(monkeypatch, NonConvex, 1)
+    again = random_convex_grid(1, 64, np.random.default_rng(3))
+    assert len(calls) == 2 and calls[1] is again
+    np.testing.assert_allclose(again.values - 1.0, 0.5 * (first.values - 1.0), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("exc", [NonConvex, OriginOutside])
+def test_random_convex_grid_gives_up_after_40_draws(monkeypatch, exc):
+    calls = _failing_derive_state(monkeypatch, exc, 40)
+    with pytest.raises(RuntimeError, match="could not draw a convex grid"):
+        random_convex_grid(2, 32, np.random.default_rng(3))
+    assert len(calls) == 40
+
+
+def test_random_convex_grid_lets_a_programming_error_through(monkeypatch):
+    calls = _failing_derive_state(monkeypatch, TypeError, 1)
+    with pytest.raises(TypeError, match="drawn"):
+        random_convex_grid(1, 64, np.random.default_rng(3))
+    assert len(calls) == 1
+
+
 # --- report plumbing -----------------------------------------------------------
 
 
