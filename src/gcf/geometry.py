@@ -249,17 +249,17 @@ class FlatLayout:
         size, tail = self.size, self.tail
         e = h[self.ghosts]
         r1 = np.divide(np.correlate(e, stencils.D2_REVERSED, "valid")[self.pick], self.div2,
-                       out=out[:size])
+                       out[:size])
         r1 += h
         if tail == size:
             return 1.0 / r1
         r2 = np.divide(np.correlate(e[:self.tail_ext], stencils.D1_REVERSED, "valid")
-                       [self.pick_tail], self.div1, out=out[size:])
+                       [self.pick_tail], self.div1, out[size:])
         r2 *= self.cot
         r2 += h[tail:]
         den = r1.copy()
         den[tail:] *= r2
-        return np.divide(1.0, den, out=den)
+        return np.divide(1.0, den, den)
 
     def join(self, parts) -> tuple:
         """(h, r, K) of the grids' (values, radii, K), one part per row, with

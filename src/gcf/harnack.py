@@ -185,34 +185,37 @@ def monitor(trace: FlowTrace) -> HarnackTable:
     bound's clock, so every stored time after the first is > 0.  The
     stored states are derived as one stack, and every column is evaluated
     on that stack, with the times and the time-step weights as (S, 1)
-    columns.
+    columns.  numpy's floating-point warnings are off while it runs, as
+    they are in flow.run's time loop: a state whose quantities overflow
+    shows as inf or NaN in the table.
     """
     if len(trace) < 3:
         raise InsufficientTrace(f"monitor needs at least 3 stored states, got {len(trace)}")
-    times, law = trace.times, trace.law
-    st = derive_state(trace.grids)
-    sf = speed_fields(st, law)
-    u = -sf.f
-    du = st.d1(u)
-    v = sf.fp / st.r1  # turning rate of the normal at a material point
-    mid = slice(1, -1)
-    steps = [q - p for p, q in zip(times, times[1:])]
-    dt_u_fd = _central_dt(u[:-2], u[mid], u[2:], steps[:-1], steps[1:]) + (v * du)[mid]
-    dt_u_spatial = -dt_f_spatial(sf)[mid]
-    gsq_h = h_norm_sq(st, du)[mid]
-    p_tr = P_trace(sf)[mid]
-    t = np.array(times[1:-1])
-    u = u[mid]
-    b = expanding_b(law, trace.n)
-    if b is None:
-        lhs12 = np.full_like(u, np.nan)
-    else:
-        nb = trace.n * b
-        lhs12 = dt_u_spatial + gsq_h - (nb / ((1.0 - nb) * t[:, None])) * u
-    bound = harnack_bound(law, trace.n, t)
-    return HarnackTable(
-        t, u, dt_u_spatial, dt_u_fd, gsq_h, lhs12, p_tr, bound, p_tr - bound[:, None]
-    )
+    with np.errstate(all="ignore"):  # as in flow.run: overflow shows as inf or NaN
+        times, law = trace.times, trace.law
+        st = derive_state(trace.grids)
+        sf = speed_fields(st, law)
+        u = -sf.f
+        du = st.d1(u)
+        v = sf.fp / st.r1  # turning rate of the normal at a material point
+        mid = slice(1, -1)
+        steps = [q - p for p, q in zip(times, times[1:])]
+        dt_u_fd = _central_dt(u[:-2], u[mid], u[2:], steps[:-1], steps[1:]) + (v * du)[mid]
+        dt_u_spatial = -dt_f_spatial(sf)[mid]
+        gsq_h = h_norm_sq(st, du)[mid]
+        p_tr = P_trace(sf)[mid]
+        t = np.array(times[1:-1])
+        u = u[mid]
+        b = expanding_b(law, trace.n)
+        if b is None:
+            lhs12 = np.full_like(u, np.nan)
+        else:
+            nb = trace.n * b
+            lhs12 = dt_u_spatial + gsq_h - (nb / ((1.0 - nb) * t[:, None])) * u
+        bound = harnack_bound(law, trace.n, t)
+        return HarnackTable(
+            t, u, dt_u_spatial, dt_u_fd, gsq_h, lhs12, p_tr, bound, p_tr - bound[:, None]
+        )
 
 
 class MarginSummary(NamedTuple):

@@ -26,6 +26,7 @@ NonPositiveArgument where some x <= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,10 +36,15 @@ POWER = "power"
 EXPONENTIAL = "exp"
 
 
+def _power(coef, expo, x):
+    """coef * x**expo, a power law's derivative from a row of its table; unchecked."""
+    return coef * np.power(x, expo)
+
+
 def _power_or_exp(kind: str, coef, expo, x):
     """coef * x**expo for a power law, exp(x) for the exponential law; unchecked."""
     if kind == POWER:
-        return coef * np.power(x, expo)
+        return _power(coef, expo, x)
     return np.exp(x)
 
 
@@ -130,7 +136,7 @@ class FlatLaws:
     so each element takes np.power's element-wise loop whatever its
     neighbours' laws.  f and f1 are SpeedLaw.f and f1 without the
     positivity check: a caller that has checked the curvature radii knows
-    K is positive.
+    K is positive.  They are built once, so no call tests the law kind.
     """
 
     def __init__(self, laws, sizes):
@@ -140,12 +146,10 @@ class FlatLaws:
         table = np.array([law.coefs[:2] + law.expos[:2] for law in laws])
         a, a1, b, b1 = np.repeat(table.T, sizes, axis=1)
         self.coefs, self.expos = (a, a1), (b, b1)
-
-    def f(self, x):
-        return _power_or_exp(self.kind, self.coefs[0], self.expos[0], x)
-
-    def f1(self, x):
-        return _power_or_exp(self.kind, self.coefs[1], self.expos[1], x)
+        if self.kind == EXPONENTIAL:
+            self.f = self.f1 = np.exp
+        else:
+            self.f, self.f1 = partial(_power, a, b), partial(_power, a1, b1)
 
 
 def theorem_hypotheses(law: SpeedLaw, n: int) -> bool:

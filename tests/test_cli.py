@@ -425,14 +425,17 @@ def _gcf(args, env=None):
         # f1 = exp(K) overflows, so the first step bound is 0
         ({"speed": {"kind": "exp"}, "initial": {"type": "circle", "R0": 1e-3}}, 3,
          "flow terminated early: dt_underflow"),
+        # the circle grows until its radii overflow; the stored states the
+        # monitor derives overflow too
+        ({"time": {"t_end": 1e300}}, 3, "flow terminated early: nonconvex"),
     ],
-    ids=["sphere-1e160", "sphere-1e200", "exp-circle-1e-3"],
+    ids=["sphere-1e160", "sphere-1e200", "exp-circle-1e-3", "circle-t_end-1e300"],
 )
 def test_a_config_that_overflows_prints_one_stderr_line(tmp_path, command, overrides, code,
                                                         message):
     # numpy's overflow warnings are not printed: stderr holds the message only
     cfg = tmp_path / "cfg.json"
-    write_config(cfg, grid={"N": 16}, time={"t_end": 1.0}, **overrides)
+    write_config(cfg, **{"grid": {"N": 16}, "time": {"t_end": 1.0}, **overrides})
     done = _gcf([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = done.stderr.decode("utf-8", "replace")
     assert done.returncode == code
