@@ -22,9 +22,12 @@ stages, one for the new state.  The checks are one minimum and one
 maximum over that buffer and the minimum of the new values, compared
 inline, the check functions of geometry running row by row only after a
 failure.  The stage values and the final sum are formed in place in one
-scratch array, and numpy's floating-point warnings are turned off once
-per run() call's time loop, not once per step; step() turns them off for
-its one step.
+scratch array.  When every law of a batch is the expanding -K**beta, each
+stage's law evaluation is one np.power call, the rate -f itself, which the
+stages add; other batches carry f and subtract it, bit for bit the same
+arithmetic (see speedlaw.FlatLaws).  numpy's floating-point warnings are
+turned off once per run() call's time loop, not once per step; step()
+turns them off for its one step.
 
 One run() call is one flat batch: its configs are the rows of one flat
 array, whatever their n and size (see geometry.FlatLayout), and every RK4
@@ -202,22 +205,25 @@ def _rk4(law: FlatLaws, layout: FlatLayout, h: np.ndarray, K: np.ndarray, dt) ->
     New values that are not below inf need no check of their own: an inf
     or NaN value makes its node's radii inf or NaN.  The stage values and
     the final sum are formed in one scratch array, with the operands of
-    the textbook form in its order (2 f2 + f1 is f1 + 2 f2 bit for bit).
-    The stages carry the law values f rather than the rates -f: negating a
-    product or a sum is exact, so h - c*f is bit for bit h + c*(-f).
+    the textbook form in its order (2 g2 + g1 is g1 + 2 g2 bit for bit).
+    The stages carry the law's stage values g and update h with its update
+    (see speedlaw.FlatLaws): for a batch of expanding laws g is the rate
+    -f, one np.power call, and the update adds; else g is f and the update
+    subtracts.  Negating a product or a sum is exact, so either way
+    h - c*f is formed bit for bit.
     """
-    curvature, f, mul, sub = layout.curvature, law.f, np.multiply, np.subtract
+    curvature, g, update, mul = layout.curvature, law.stage, law.update, np.multiply
     half = 0.5 * dt
     buf, work = np.empty((4, layout.radii_size)), np.empty(h.size)
-    f1 = f(K)
-    f2 = f(curvature(sub(h, mul(half, f1, work), work), buf[0]))
-    f3 = f(curvature(sub(h, mul(half, f2, work), work), buf[1]))
-    f4 = f(curvature(sub(h, mul(dt, f3, work), work), buf[2]))
-    total = mul(2.0, f2, work)
-    total += f1
-    total += mul(2.0, f3, f3)
-    total += f4
-    new = sub(h, mul(dt / 6.0, total, total))
+    g1 = g(K)
+    g2 = g(curvature(update(h, mul(half, g1, work), work), buf[0]))
+    g3 = g(curvature(update(h, mul(half, g2, work), work), buf[1]))
+    g4 = g(curvature(update(h, mul(dt, g3, work), work), buf[2]))
+    total = mul(2.0, g2, work)
+    total += g1
+    total += mul(2.0, g3, g3)
+    total += g4
+    new = update(h, mul(dt / 6.0, total, total))
     K = curvature(new, buf[3])
     failures = None
     if not (_minimum(buf, axis=None) > RADIUS_FLOOR and _maximum(buf, axis=None) < math.inf

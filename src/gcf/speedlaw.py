@@ -128,7 +128,7 @@ def require_one_kind(laws) -> None:
 
 class FlatLaws:
     """The laws of grids laid end to end, one law per grid, as f and f1 of
-    flat arguments.
+    flat arguments, and the law values an RK4 stage carries.
 
     laws[i] applies to the sizes[i] elements of grid i.  All laws must be
     of one kind.  The f and f1 rows of each law's table (SpeedLaw.coefs,
@@ -137,6 +137,14 @@ class FlatLaws:
     neighbours' laws.  f and f1 are SpeedLaw.f and f1 without the
     positivity check: a caller that has checked the curvature radii knows
     K is positive.  They are built once, so no call tests the law kind.
+
+    stage and update are what flow's RK4 stages carry and how they update
+    the support values h: h - c*f is update(h, c*stage(x)).  When every law
+    is the expanding -x**beta (a power law with a = -1), stage is the one
+    call np.power(x, beta), which is -f exactly, and update is np.add; else
+    stage is f and update np.subtract.  Negating a product or a sum is
+    exact, so h + c*(-f) is h - c*f bit for bit, and either way each row
+    steps as it would alone.
     """
 
     def __init__(self, laws, sizes):
@@ -147,9 +155,14 @@ class FlatLaws:
         a, a1, b, b1 = np.repeat(table.T, sizes, axis=1)
         self.coefs, self.expos = (a, a1), (b, b1)
         if self.kind == EXPONENTIAL:
-            self.f = self.f1 = np.exp
+            self.f = self.f1 = self.stage = np.exp
+            self.update = np.subtract
         else:
             self.f, self.f1 = partial(_power, a, b), partial(_power, a1, b1)
+            if all(law.a == -1.0 for law in laws):
+                self.stage, self.update = (lambda x: np.power(x, b)), np.add
+            else:
+                self.stage, self.update = self.f, np.subtract
 
 
 def theorem_hypotheses(law: SpeedLaw, n: int) -> bool:

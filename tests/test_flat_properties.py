@@ -6,8 +6,12 @@ FlatLayout.curvature against radii_and_K of the grid, and one flat
 _rk4 against the grid's own _rk4 on its one-row layout.  With steps too
 large for some rows, each row must meet the failure, or make the update,
 of its own step.  Grids are random convex perturbed round shapes, each
-row with its own expanding power law, or all rows with the exponential
-law.
+row with its own expanding law -K**beta, or each with its own power law
+of any coefficient, or all rows with the exponential law.  A batch of
+expanding laws carries the rates -f through its stages and one that
+mixes in other coefficients carries f (see speedlaw.FlatLaws), while each
+row alone carries what its own law gives: both paths are checked against
+each other.
 """
 
 import math
@@ -25,7 +29,7 @@ from gcf.speedlaw import FlatLaws, SpeedLaw
 @st.composite
 def flat_rows(draw):
     """1-4 rows of (n, size, dx, values, law), the n=1 rows first."""
-    exp = draw(st.booleans())
+    kind = draw(st.sampled_from(("expanding", "power", "exp")))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.sampled_from((1, 2)))
@@ -36,10 +40,12 @@ def flat_rows(draw):
         dx = spacing * draw(st.floats(0.9, 1.1))
         modes = [(k, draw(st.floats(-0.01, 0.01)) / k**2) for k in range(2, 6)]
         values = fourier_grid(n, draw(st.floats(0.5, 2.0)), modes, size).values
-        if exp:
+        if kind == "exp":
             law = SpeedLaw.exponential()
         else:
-            law = SpeedLaw.power(-1.0, -draw(st.floats(0.05, 0.95 / n)))
+            a = -1.0 if kind == "expanding" else draw(st.sampled_from((-1.0, -2.0, -0.37, 1.0)))
+            beta = -draw(st.floats(0.05, 0.95 / n)) if a < 0.0 else draw(st.floats(0.3, 2.0))
+            law = SpeedLaw.power(a, beta)
         rows.append((n, size, dx, values, law))
     return sorted(rows, key=lambda row: row[0])
 

@@ -660,15 +660,18 @@ def _random_batch(rng, n, size, rows):
 
 
 @pytest.mark.parametrize("n,size", [(1, 256), (2, 128)])
-@pytest.mark.parametrize("kind", ["stacked-power", "exp"])
+@pytest.mark.parametrize("kind", ["stacked-power", "mixed-coefficients", "exp"])
 def test_rk4_step_equals_reference(n, size, kind):
     rng = np.random.default_rng(size + len(kind))
     h = _random_batch(rng, n, size, 4)
     dx = 2.0 * np.pi / size if n == 1 else np.pi / size
     if kind == "exp":
         laws = [SpeedLaw.exponential()] * 4
-    else:
+    elif kind == "stacked-power":  # every row -K**beta: the stages carry -f
         laws = [SpeedLaw.power(-1.0, -rng.uniform(0.05, 0.95 / n)) for _ in range(4)]
+    else:  # coefficients other than -1 in the batch: its stages carry f, row 0's alone -f
+        laws = [SpeedLaw.power(a, -rng.uniform(0.05, 0.95 / n)) for a in (-1.0, -2.0, -0.37)]
+        laws.append(SpeedLaw.power(1.0, rng.uniform(0.3, 2.0)))
     # the four rows laid out flat, with a float step and with one step per
     # element, and each row alone with its float step, as a batch of one row
     flat = FlatLayout([(n, size, dx)] * 4)

@@ -171,6 +171,26 @@ def test_stacked_law_evaluates_each_row_with_its_own_law():
         assert np.isinf(flat.f(bad)[5])
 
 
+@pytest.mark.parametrize("laws,folded", [
+    ([SpeedLaw.power(-1.0, -0.3)], True),
+    ([SpeedLaw.power(-1.0, -0.3), SpeedLaw.power(-1.0, -0.45)], True),
+    ([SpeedLaw.power(-1.0, -0.3), SpeedLaw.power(-2.0, -0.3)], False),
+    ([SpeedLaw.power(-0.37, -0.3)], False),
+    ([SpeedLaw.power(1.0, 1.7)], False),
+    ([SpeedLaw.power(-1.0, -0.3), SpeedLaw.power(1.0, 1.7)], False),
+    ([SpeedLaw.exponential()] * 2, False),
+])
+def test_flat_laws_carry_the_rate_only_when_every_law_is_expanding(laws, folded):
+    # stage is -f, bit for bit, and update adds, exactly when every law is
+    # -x**beta; else stage is f and update subtracts
+    sizes = [16 + 8 * i for i in range(len(laws))]
+    flat = FlatLaws(laws, sizes)
+    x = np.random.default_rng(2).uniform(0.1, 5.0, sum(sizes))
+    assert flat.update is (np.add if folded else np.subtract)
+    want = -flat.f(x) if folded else flat.f(x)
+    assert flat.stage(x).tobytes() == want.tobytes()
+
+
 # beta 0.5 and 2 are f exponents, and beta - 1 = 0.5 and 2 f1 exponents, for
 # which np.power has a scalar path besides its element-wise loop
 @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0, 1.3])
