@@ -408,10 +408,12 @@ class _Row:
     def plan(self, bound: float) -> bool:
         """Set the next step from the row's step bound; False if it underflows.
 
-        The step is the smaller of the bound and the time left, so an
-        infinite bound steps the time left.
+        A bound underflows below DT_FLOOR, or when adding it to the row's
+        time leaves the time unchanged (from t = 2**14 on, a bound above
+        DT_FLOOR can be below half an ulp of t).  The step is the smaller of
+        the bound and the time left, so an infinite bound steps the time left.
         """
-        if bound < DT_FLOOR:
+        if bound < DT_FLOOR or not self.t + bound > self.t:
             return False
         left = self.t_end - self.t
         self.dt = left if left < bound else bound  # min(bound, left)

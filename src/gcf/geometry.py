@@ -334,10 +334,10 @@ class GeometryState:
     cot: np.ndarray | None
 
     def d1(self, u):
-        return (stencils.d1_periodic if self.n == 1 else stencils.d1_reflect)(u, self.dx)
+        return stencils.d1(u, self.dx, self.n == 1)
 
     def d2(self, u):
-        return (stencils.d2_periodic if self.n == 1 else stencils.d2_reflect)(u, self.dx)
+        return stencils.d2(u, self.dx, self.n == 1)
 
 
 def stack_grids(grids) -> tuple:
@@ -378,8 +378,9 @@ def derive_state(grid) -> GeometryState:
     positivity floor, OriginOutside if any support value is non-positive
     (already enforced by the grid itself).  The radii and K are the grids'
     cached curvature().  One body serves both n and both shapes: hp, r1p
-    and r1pp come from the periodic stencils for n=1 and the reflected ones
-    for n=2; only Kp, Kpp, Hp and the embedding are formed per n.
+    and r1pp come from the stencils on the grid's topology (periodic for
+    n=1, reflected for n=2); only Kp, Kpp, Hp and the embedding are formed
+    per n.
     """
     if isinstance(grid, SupportGrid):
         first, h = grid, grid.values
@@ -389,12 +390,10 @@ def derive_state(grid) -> GeometryState:
         h, radii, K = stack_grids(grid)
     n, dx, ang = first.n, first.spacing, first.angles
     H = mean_curvature(radii, K)
-    d1 = stencils.d1_periodic if n == 1 else stencils.d1_reflect
-    d2 = stencils.d2_periodic if n == 1 else stencils.d2_reflect
-    r1 = radii[0]
-    hp = d1(h, dx)
-    r1p = d1(r1, dx)
-    r1pp = d2(r1, dx)
+    r1, periodic = radii[0], n == 1
+    hp = stencils.d1(h, dx, periodic)
+    r1p = stencils.d1(r1, dx, periodic)
+    r1pp = stencils.d2(r1, dx, periodic)
 
     if n == 1:
         r2 = r2p = sin_p = cos_p = cot = None

@@ -206,14 +206,17 @@ def gamma_fn(law: SpeedLaw, x):
     return (1.0 + x * f2 / f1) * f / (x * f1) - 1.0
 
 
-def beta_fn_prime_fd(law: SpeedLaw, x, rel_step: float = 5e-6):
-    """Central finite difference of beta at x, step rel_step*max(x, 1).
+BETA_FD_REL_STEP = 5e-6
+
+
+def beta_fn_prime_fd(law: SpeedLaw, x):
+    """Central finite difference of beta at x, step BETA_FD_REL_STEP*max(x, 1).
 
     Kept numeric on purpose: it makes the beta' = f*alpha/x identity a test
-    that is independent of alpha's closed form.  The default step balances
-    the h**2 truncation of exp-scale laws at x up to ~4 against roundoff.
+    that is independent of alpha's closed form.  The step balances the h**2
+    truncation of exp-scale laws at x up to ~4 against roundoff.
     An x <= 0 raises NonPositiveArgument from beta at x - h < 0.
     """
     x = np.asarray(x, dtype=float)
-    h = rel_step * np.maximum(x, 1.0)
+    h = BETA_FD_REL_STEP * np.maximum(x, 1.0)
     return (beta_fn(law, x + h) - beta_fn(law, x - h)) / (2.0 * h)

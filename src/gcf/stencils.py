@@ -1,21 +1,23 @@
 """Central finite-difference stencils on the two grid topologies.
 
-Periodic stencils serve the n=1 grid of normal angles.  Reflected stencils
-serve the cell-centered n=2 polar grid, where smooth axisymmetric fields
-extend evenly across the poles and fields odd under the mirror (anything
-carrying a single polar derivative or a lone sin factor) extend oddly.
+Each operation takes the topology as an argument: periodic=True for the
+n=1 grid of normal angles, False for the cell-centered n=2 polar grid,
+where smooth axisymmetric fields extend evenly across the poles and fields
+odd under the mirror (anything carrying a single polar derivative or a
+lone sin factor) extend oddly.  A periodic extension ignores the parity.
 
-The 4th-order variants are the workhorses; the 2nd-order ones exist so the
-verification oracles differentiate through an independent code path.
+The 4th-order d1 and d2 are the workhorses; the 2nd-order d1_o2 and d2_o2
+exist so the verification oracles differentiate through an independent
+code path.
 
 Every stencil works along the last axis, so a (B, N) array of B grids is
 differentiated row by row with the same arithmetic as a single (N,) grid.
 Grids of different sizes and topologies laid end to end in one flat array
 (geometry.FlatLayout) are differentiated on values extended by a gather
 with ghost_index, with the same arithmetic again: each 4th-order stencil
-is one np.correlate with D1_REVERSED or D2_REVERSED.  extend_periodic and
-extend_reflect are the one ghost-cell rule: the stencils, ghost_index and
-the neighbours of verify.hessian_oracle all read their ghost cells from them.
+is one np.correlate with D1_REVERSED or D2_REVERSED.  extend is the one
+ghost-cell rule: the stencils, ghost_index and the neighbours of
+verify.hessian_oracle all read their ghost cells from it.
 """
 
 from __future__ import annotations
@@ -23,34 +25,29 @@ from __future__ import annotations
 import numpy as np
 
 
-def extend_periodic(u: np.ndarray) -> np.ndarray:
-    """u with two wrapped ghost cells per side, along the last axis:
-    e[k + 2] = u[k], e[1] = u[-1], e[N + 2] = u[0]."""
-    return np.concatenate((u[..., -2:], u, u[..., :2]), axis=-1)
+def extend(u: np.ndarray, periodic: bool, parity: str = "even") -> np.ndarray:
+    """u with two ghost cells per side, along the last axis.
 
-
-def extend_reflect(u: np.ndarray, parity: str) -> np.ndarray:
-    """u with two ghost cells per side, along the last axis, mirrored across
-    the poles of a cell-centered grid: ghost[-1-k] pairs with u[k] and
-    ghost[M-1+k] with u[M-k], negated for an "odd" parity."""
-    left, right = u[..., 1::-1], u[..., -1:-3:-1]
-    if parity == "odd":
-        left, right = -left, -right
-    elif parity != "even":
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    Periodic: wrapped, e[k + 2] = u[k], e[1] = u[-1], e[N + 2] = u[0].
+    Otherwise mirrored across the poles of a cell-centered grid:
+    ghost[-1-k] pairs with u[k] and ghost[M-1+k] with u[M-k], negated for
+    an "odd" parity.
+    """
+    if periodic:
+        left, right = u[..., -2:], u[..., :2]
+    else:
+        left, right = u[..., 1::-1], u[..., -1:-3:-1]
+        if parity == "odd":
+            left, right = -left, -right
+        elif parity != "even":
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return np.concatenate((left, u, right), axis=-1)
 
 
 def ghost_index(size: int, periodic: bool) -> np.ndarray:
-    """Indices into a grid of `size` nodes that gather its extended values.
-
-    They are the node indices np.arange(size) extended as the values are:
-    by extend_periodic, or by the even extend_reflect.  So
-    u[ghost_index(size, True)] equals extend_periodic(u), and
-    u[ghost_index(size, False)] equals extend_reflect(u, "even").
-    """
-    nodes = np.arange(size)
-    return extend_periodic(nodes) if periodic else extend_reflect(nodes, "even")
+    """Indices into a grid of `size` nodes that gather its extended values:
+    u[ghost_index(size, periodic)] equals extend(u, periodic)."""
+    return extend(np.arange(size), periodic)
 
 
 # 4th-order stencils on values e extended by two ghost cells per side.  The
@@ -110,45 +107,33 @@ def d2_extended(e: np.ndarray, div) -> np.ndarray:
     return _correlate(D2_REVERSED, e, div)
 
 
-def d1_periodic(u: np.ndarray, dx: float) -> np.ndarray:
-    """4th-order first derivative on a periodic grid."""
-    return d1_extended(extend_periodic(u), 12.0 * dx)
+def d1(u: np.ndarray, dx: float, periodic: bool, parity: str = "even") -> np.ndarray:
+    """4th-order first derivative."""
+    return d1_extended(extend(u, periodic, parity), 12.0 * dx)
 
 
-def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
-    """4th-order second derivative on a periodic grid."""
-    return d2_extended(extend_periodic(u), 12.0 * dx * dx)
+def d2(u: np.ndarray, dx: float, periodic: bool, parity: str = "even") -> np.ndarray:
+    """4th-order second derivative."""
+    return d2_extended(extend(u, periodic, parity), 12.0 * dx * dx)
 
 
-def d1_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
-    """2nd-order first derivative on a periodic grid."""
-    e = extend_periodic(u)
+def d1_o2(u: np.ndarray, dx: float, periodic: bool, parity: str = "even") -> np.ndarray:
+    """2nd-order first derivative."""
+    e = extend(u, periodic, parity)
     return (e[..., 3:-1] - e[..., 1:-3]) / (2.0 * dx)
 
 
-def d2_periodic_o2(u: np.ndarray, dx: float) -> np.ndarray:
-    """2nd-order second derivative on a periodic grid."""
-    e = extend_periodic(u)
-    return (e[..., 3:-1] - 2.0 * u + e[..., 1:-3]) / (dx * dx)
+def d2_o2(u: np.ndarray, dx: float, periodic: bool, parity: str = "even") -> np.ndarray:
+    """2nd-order second derivative."""
+    e = extend(u, periodic, parity)
+    return (e[..., 3:-1] - 2.0 * e[..., 2:-2] + e[..., 1:-3]) / (dx * dx)
 
 
-def d1_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
-    """4th-order first derivative on a cell-centered grid with pole reflection."""
-    return d1_extended(extend_reflect(u, parity), 12.0 * dx)
+# The 4th-order second derivative on each topology, under the names that
+# perfbench/kernels.py times.
+def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
+    return d2(u, dx, True)
 
 
 def d2_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
-    """4th-order second derivative on a cell-centered grid with pole reflection."""
-    return d2_extended(extend_reflect(u, parity), 12.0 * dx * dx)
-
-
-def d1_reflect_o2(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
-    """2nd-order first derivative with pole reflection."""
-    e = extend_reflect(u, parity)
-    return (e[..., 3:-1] - e[..., 1:-3]) / (2.0 * dx)
-
-
-def d2_reflect_o2(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
-    """2nd-order second derivative with pole reflection."""
-    e = extend_reflect(u, parity)
-    return (e[..., 3:-1] - 2.0 * e[..., 2:-2] + e[..., 1:-3]) / (dx * dx)
+    return d2(u, dx, False, parity)

@@ -13,7 +13,7 @@ report's convergence order is estimated from that ladder itself (given at
 least three resolutions), so a ladder supplies only its resolutions and
 residuals.  Closed-form checks (round solutions, power-law identities)
 carry absolute tolerances.  The pointwise geometric identities are
-assembled once for both n: n picks the stencil family and the parities.
+assembled once for both n: n picks the stencils' topology and the parities.
 """
 
 from __future__ import annotations
@@ -345,12 +345,8 @@ def check_identities(grid: SupportGrid) -> list:
     state = derive_state(grid)
     n, dx = grid.n, grid.spacing
     window = (1.7, 99.0)  # the order window of an identity's grid-size ladder
-    if n == 1:
-        d1 = lambda u, parity: stencils.d1_periodic_o2(u, dx)
-        d2 = lambda u, parity: stencils.d2_periodic_o2(u, dx)
-    else:
-        d1 = lambda u, parity: stencils.d1_reflect_o2(u, dx, parity)
-        d2 = lambda u, parity: stencils.d2_reflect_o2(u, dx, parity)
+    d1 = lambda u, parity: stencils.d1_o2(u, dx, n == 1, parity)
+    d2 = lambda u, parity: stencils.d2_o2(u, dx, n == 1, parity)
     parities = ("odd", "even")  # distance from the axis, height (n=2 only)
     F, nu = state.positions, state.normals
     Fp = np.stack([d1(F[:, c], parities[c]) for c in (0, 1)], axis=1)
@@ -470,18 +466,16 @@ def hessian_oracle(grid: SupportGrid, u: np.ndarray) -> np.ndarray:
     components: shape (N,) for n=1, (M, 2) for n=2, where the azimuthal
     component comes from the turning of the parallel circles.  The -1 and
     +1 neighbours of each node are the ghost-cell rule's, through
-    stencils.extend_periodic for n=1 and stencils.extend_reflect for n=2.
+    stencils.extend on the grid's topology.
     """
     state = derive_state(grid)
     F = state.positions
-    if grid.n == 1:
-        eF, eu = stencils.extend_periodic(F.T), stencils.extend_periodic(u)
-    else:
-        # Continue through the poles along the meridian great arc: the mirror
-        # image across the axis (odd distance from the axis, even height)
-        # carries the same field value.
-        eF = np.stack([stencils.extend_reflect(F[:, c], p) for c, p in ((0, "odd"), (1, "even"))])
-        eu = stencils.extend_reflect(u, "even")
+    # For n=2, continue through the poles along the meridian great arc: the
+    # mirror image across the axis (odd distance from the axis, even height)
+    # carries the same field value.
+    periodic = grid.n == 1
+    eF = np.stack([stencils.extend(F[:, c], periodic, p) for c, p in ((0, "odd"), (1, "even"))])
+    eu = stencils.extend(u, periodic)
     Fm, Fp = eF[:, 1:-3].T, eF[:, 3:-1].T
     um, up = eu[1:-3], eu[3:-1]
     lm = np.sqrt(np.sum((F - Fm) ** 2, axis=1))

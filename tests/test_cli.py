@@ -369,6 +369,26 @@ def test_harnack_early_end_with_too_few_stored_states_exits_3(tmp_path, capsys):
     assert json.loads((out / "meta.json").read_text())["termination_reason"] == "origin_outside"
 
 
+# A tiny contracting circle late in time: from t = 2**14 on, a step bound
+# above flow.DT_FLOOR can still be too small to move the clock.
+LATE_CLOCK = {"speed": {"a": 1, "beta": 1}, "grid": {"N": 32},
+              "initial": {"type": "circle", "R0": 1e-4},
+              "time": {"t0": 100000, "t_end": 100001}, "output": {"stride": 1}}
+
+
+def test_harnack_of_a_flow_whose_clock_stops_moving_exits_3_with_finite_rows(tmp_path, capsys):
+    # the flow ends dt_underflow when its bound no longer moves t, so no two
+    # monitored states share a time and every finite difference in time is finite
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **LATE_CLOCK)
+    out = tmp_path / "o"
+    assert main(["harnack", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "flow terminated early: dt_underflow\n"
+    header, rows = read_csv(out / "harnack.csv")
+    column = header.index("dt_u_fd")
+    assert rows and all(math.isfinite(float(row[column])) for row in rows)
+
+
 def test_sweep_tuple_with_too_few_stored_states_fails_config(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({

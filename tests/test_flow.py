@@ -478,6 +478,17 @@ def test_a_huge_round_body_whose_f1_overflows_steps_its_remaining_time(beta, R0)
         assert_same_trace(got, run(cfg))
 
 
+def test_a_bound_the_clock_cannot_carry_ends_dt_underflow():
+    # at t = 1e5 half an ulp of t is 7.3e-12, so the bound of a contracting
+    # circle of radius 1e-4 stops moving t while it is still above DT_FLOOR
+    cfg = FlowConfig(n=1, size=32, law=SpeedLaw.power(1.0, 1.0),
+                     shape=InitialShape("round", 1e-4), t0=1e5, t_end=1e5 + 1.0, stride=1)
+    trace = run(cfg)
+    assert trace.reason == "dt_underflow" and trace.steps > 0
+    assert len(trace.times) == trace.steps + 1
+    assert all(a < b for a, b in zip(trace.times, trace.times[1:]))
+
+
 def test_a_lambda_beyond_the_float_range_still_ends_dt_underflow():
     # f1(K) * K*K overflows for K = 1e11 and a contracting K**27: lambda is
     # beyond the float range, so the bound is 0, formed again or not

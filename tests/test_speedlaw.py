@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gcf import speedlaw
 from gcf.errors import InvalidSpeedLaw, NonPositiveArgument
 from gcf.speedlaw import (
     FlatLaws,
@@ -104,13 +105,14 @@ def test_beta_prime_identity_exponential():
     assert np.max(np.abs(fd - law.f(x) * alpha_fn(law, x) / x)) <= 1e-8
 
 
-def test_beta_prime_fd_second_order_in_step():
+def test_beta_prime_fd_second_order_in_step(monkeypatch):
     # truncation of the central difference is h^2 * |beta'''| / 6
     law = SpeedLaw.exponential()
     x = 2.0
     errs = []
     for step in (4e-4, 2e-4, 1e-4):
-        fd = beta_fn_prime_fd(law, x, rel_step=step / max(x, 1.0))
+        monkeypatch.setattr(speedlaw, "BETA_FD_REL_STEP", step / max(x, 1.0))
+        fd = beta_fn_prime_fd(law, x)
         errs.append(abs(fd - (-math.exp(x))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)

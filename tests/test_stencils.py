@@ -53,12 +53,43 @@ def mirror_d2(u, dx, parity="even"):
     return (-e[4:] + 16.0 * e[3:-1] - 30.0 * e[2:-2] + 16.0 * e[1:-3] - e[:-4]) / (12.0 * dx * dx)
 
 
+def mirror_d1_o2(u, dx, parity="even"):
+    e = mirror(u, parity)
+    return (e[3:-1] - e[1:-3]) / (2.0 * dx)
+
+
+def mirror_d2_o2(u, dx, parity="even"):
+    e = mirror(u, parity)
+    return (e[3:-1] - 2.0 * e[2:-2] + e[1:-3]) / (dx * dx)
+
+
+def named(fn, name):
+    def renamed(*args):
+        return fn(*args)
+
+    renamed.__name__ = name
+    return renamed
+
+
 def odd(fn):
     def with_odd_parity(u, dx):
         return fn(u, dx, "odd")
 
     with_odd_parity.__name__ = fn.__name__ + "_odd"
     return with_odd_parity
+
+
+def on(topology, fn):
+    """fn on one topology, taking (u, dx) and optionally a parity; named
+    d1_periodic for fn = d1, d1_reflect_o2 for fn = d1_o2, and so on."""
+    periodic = topology == "periodic"
+
+    def bound(u, dx, parity="even"):
+        return fn(u, dx, periodic, parity)
+
+    head, _, order = fn.__name__.partition("_")
+    bound.__name__ = "_".join(filter(None, (head, topology, order)))
+    return bound
 
 
 # The derivatives of a flat layout (geometry.FlatLayout): one gathered
@@ -83,21 +114,32 @@ def gathered_d2_periodic(u, dx):
     return stencils.d2_extended(gathered(u, True), 12.0 * dx * dx)
 
 
+# perfbench/kernels.py times the 4th-order d2 under these two names
+D2_PERIODIC = named(stencils.d2_periodic, "d2_periodic_wrapper")
+D2_REFLECT = named(stencils.d2_reflect, "d2_reflect_wrapper")
+
 PAIRS = [
-    (stencils.d1_periodic, roll_d1),
-    (stencils.d2_periodic, roll_d2),
-    (stencils.d1_periodic_o2, roll_d1_o2),
-    (stencils.d2_periodic_o2, roll_d2_o2),
+    (on("periodic", stencils.d1), roll_d1),
+    (on("periodic", stencils.d2), roll_d2),
+    (on("periodic", stencils.d1_o2), roll_d1_o2),
+    (on("periodic", stencils.d2_o2), roll_d2_o2),
     (gathered_d1_periodic, roll_d1),
     (gathered_d2_periodic, roll_d2),
+    (D2_PERIODIC, roll_d2),
 ]
 REFLECT_PAIRS = [
-    (stencils.d1_reflect, mirror_d1),
-    (stencils.d2_reflect, mirror_d2),
-    (odd(stencils.d1_reflect), odd(mirror_d1)),
-    (odd(stencils.d2_reflect), odd(mirror_d2)),
+    (on("reflect", stencils.d1), mirror_d1),
+    (on("reflect", stencils.d2), mirror_d2),
+    (odd(on("reflect", stencils.d1)), odd(mirror_d1)),
+    (odd(on("reflect", stencils.d2)), odd(mirror_d2)),
+    (on("reflect", stencils.d1_o2), mirror_d1_o2),
+    (on("reflect", stencils.d2_o2), mirror_d2_o2),
+    (odd(on("reflect", stencils.d1_o2)), odd(mirror_d1_o2)),
+    (odd(on("reflect", stencils.d2_o2)), odd(mirror_d2_o2)),
     (shared_d1, mirror_d1),
     (shared_d2, mirror_d2),
+    (D2_REFLECT, mirror_d2),
+    (odd(D2_REFLECT), odd(mirror_d2)),
 ]
 
 
@@ -132,10 +174,19 @@ def test_reflect_stencils_bit_identical_to_mirror(fn, ref, size):
 
 
 def test_reflect_stencils_reject_an_unknown_parity():
-    for fn in (stencils.d1_reflect, stencils.d2_reflect, stencils.d1_reflect_o2,
-               stencils.d2_reflect_o2):
-        with pytest.raises(ValueError, match="parity must be 'even' or 'odd', got 'mixed'"):
-            fn(np.ones(16), 0.1, "mixed")
+    message = "parity must be 'even' or 'odd', got 'mixed'"
+    with pytest.raises(ValueError, match=message):
+        stencils.extend(np.ones(16), False, "mixed")
+    for fn in (stencils.d1, stencils.d2, stencils.d1_o2, stencils.d2_o2):
+        with pytest.raises(ValueError, match=message):
+            fn(np.ones(16), 0.1, False, "mixed")
+
+
+def test_a_periodic_extension_ignores_parity():
+    u = np.linspace(1.0, 2.0, 16)
+    want = np.concatenate((u[-2:], u, u[:2]))
+    for parity in ("even", "odd", "mixed"):
+        assert np.array_equal(stencils.extend(u, True, parity), want)
 
 
 def test_periodic_stencils_leave_input_unchanged():

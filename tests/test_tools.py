@@ -7,6 +7,7 @@ import ast
 import importlib.util
 import json
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +188,59 @@ def test_untested_lines_lists_the_lines_no_call_ran(tmp_path):
         "pkg/sample.py:22: 1)",
         "2 line(s) of pkg not run",
     ]
+
+
+SCRIPT_MODULE = """import sys
+
+
+def main():
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
+"""
+
+
+def test_untested_lines_leaves_out_a_script_block(tmp_path):
+    # the block runs only when the module runs as a script
+    path = tmp_path / "script.py"
+    path.write_text(SCRIPT_MODULE)
+    assert _tool("untested_lines").executable_lines(path) == {1, 4, 5}
+
+
+def _report_after(tmp_path, calls):
+    """The plugin's report and exit status for a session that ends with
+    status 0, having run sign(x) for each x of calls in the traced module."""
+    tool = _tool("untested_lines")
+    path = tmp_path / "pkg" / "sample.py"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(TRACED_MODULE)
+    tracer = tool.LineTracer(tmp_path / "pkg")
+    plugin = tool._Report(tracer, root=tmp_path)
+    session = types.SimpleNamespace(exitstatus=0)
+    tracer.start()
+    try:
+        spec = importlib.util.spec_from_file_location("sample", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for x in calls:
+            module.sign(x)
+        module.in_a_thread()
+        module.never(0)
+    finally:
+        plugin.pytest_sessionfinish(session)  # stops the tracer
+    return plugin.lines, session.exitstatus
+
+
+def test_untested_lines_fails_a_run_whose_report_lists_a_line(tmp_path):
+    # without sign(1), its `return 1` is listed and the run fails
+    lines, status = _report_after(tmp_path, [])
+    assert lines == ["pkg/sample.py:9: return 1", "1 line(s) of pkg not run"]
+    assert status == 1
+    lines, status = _report_after(tmp_path, [1])
+    assert lines == ["0 line(s) of pkg not run"]
+    assert status == 0
 
 
 def test_every_public_name_of_src_is_read_outside_its_definition():

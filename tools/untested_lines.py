@@ -9,16 +9,19 @@ sweep's thread pool).  After the test summary it prints every line of the
 *.py files of src/gcf that can execute but never did, as
 `path:line: source`, then their count.  The lines that can execute are
 those of each file's compiled code objects (co_lines): blank lines,
-comments and the docstrings of functions are never listed.  A line counts
-as run when the tracer sees a "line" event on it, or a "call" event of a
-code object that starts on it.  Subprocesses that tests start (such as
-`python -m gcf.cli`) are not traced, so the lines only they run are
-listed.  The report does not change pytest's exit status.  Tracing makes
-the tier-1 run about twice as slow.
+comments and the docstrings of functions are never listed, nor are the
+lines of a module's `if __name__ == "__main__":` block, which run only
+when the module runs as a script.  A line counts as run when the tracer
+sees a "line" event on it, or a "call" event of a code object that starts
+on it.  Subprocesses that tests start (such as `python -m gcf.cli`) are
+not traced, so the lines only they run are listed.  A run whose report
+lists any line fails: its exit status is 1 where it would be 0.  Tracing
+makes the tier-1 run about twice as slow.
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 import threading
 from pathlib import Path
@@ -27,15 +30,28 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def executable_lines(path) -> set:
-    """The numbers of the lines of a source file that hold executable code."""
-    todo = [compile(Path(path).read_text(encoding="utf-8"), str(path), "exec")]
+    """The numbers of the lines of a source file that hold executable code,
+    less those of its script-only blocks."""
+    source = Path(path).read_text(encoding="utf-8")
+    todo = [compile(source, str(path), "exec")]
     lines = set()
     while todo:
         code = todo.pop()
         # a module's first instruction sits on line 0, and some on no line
         lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if isinstance(c, type(code)))
-    return lines
+    return lines - script_lines(source)
+
+
+def script_lines(source: str) -> set:
+    """The numbers of the lines of a module's top-level
+    `if __name__ == "__main__":` blocks, the `if` line included."""
+    return {
+        line
+        for node in ast.parse(source).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
 
 
 class LineTracer:
@@ -106,19 +122,27 @@ def report(tracer: LineTracer, root: Path = ROOT) -> list:
 
 
 class _Report:
-    """The plugin's state: the tracer over src/gcf, started when made, and
-    the hook that stops it and prints its report."""
+    """The plugin's state: a started tracer, and the hooks that stop it,
+    fail the run if its report lists a line, and print the report."""
 
-    def __init__(self):
-        self.tracer = LineTracer(ROOT / "src" / "gcf")
-        self.tracer.start()
+    def __init__(self, tracer: LineTracer, root: Path = ROOT):
+        self.tracer, self.root, self.lines = tracer, root, []
+
+    def pytest_sessionfinish(self, session):
+        # a plain hook runs inside the terminal reporter's wrapper, before the
+        # summary is printed; pytest returns session.exitstatus after it
+        self.tracer.stop()
+        self.lines = report(self.tracer, self.root)
+        if len(self.lines) > 1 and session.exitstatus == 0:  # a line besides the count
+            session.exitstatus = 1
 
     def pytest_terminal_summary(self, terminalreporter):
-        self.tracer.stop()
         terminalreporter.section("src/gcf lines that no test ran")
-        for line in report(self.tracer):
+        for line in self.lines:
             terminalreporter.write_line(line)
 
 
 def pytest_configure(config):
-    config.pluginmanager.register(_Report(), "untested_lines_report")
+    tracer = LineTracer(ROOT / "src" / "gcf")
+    tracer.start()
+    config.pluginmanager.register(_Report(tracer), "untested_lines_report")
