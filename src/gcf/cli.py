@@ -183,15 +183,14 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
     else:
         raise GcfError(f"unknown initial type {kind!r}")
     tdoc = _section(doc, "time")
-    return FlowConfig(
-        n=n,
-        size=size,
-        law=law,
-        shape=InitialShape(kind, R0=R0, modes=modes),
-        t_end=_number(_required(tdoc, "t_end", "time.t_end"), "time.t_end"),
-        t0=_number(tdoc.get("t0", 0.0), "time.t0"),
-        stride=_integer(_section(doc, "output").get("stride", 1), "output.stride"),
-    )
+    t_end = _number(_required(tdoc, "t_end", "time.t_end"), "time.t_end")
+    t0 = _number(tdoc.get("t0", 0.0), "time.t0")
+    stride = _integer(_section(doc, "output").get("stride", 1), "output.stride")
+    try:  # a bad n or N, an R0 <= 0, or a grid too large to allocate
+        grid = InitialShape(kind, R0=R0, modes=modes).build(n, size)
+    except Exception as exc:
+        raise InvalidConfig(f"initial shape is not admissible: {exc}") from exc
+    return FlowConfig(grid, law, t_end, t0, stride)
 
 
 def _meta(doc: dict, wall: float, trace, command: str, **extra) -> str:
@@ -345,12 +344,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(suite: str, out_dir: str | None = None) -> int:
-    if suite not in SUITES:
-        print(
-            f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     if out_dir is not None and not _make_out_dir(out_dir):
         return EXIT_CONFIG
     reports = SUITES[suite]()
@@ -470,7 +463,7 @@ def cmd_sweep(config_path: str, out_dir: str) -> int:
         wall = time.monotonic() - start
         # each tuple's share of the stepping time: by its accepted steps
         # times its nodes, or an equal share when no tuple took a step
-        work = [trace.steps * cfg.size for (*_, cfg), trace in zip(members, traces)]
+        work = [trace.steps * cfg.grid.size for (*_, cfg), trace in zip(members, traces)]
         total = sum(work)
         for (row, tuple_doc, _), trace, w in zip(members, traces, work):
             share = wall * w / total if total else wall / len(members)
@@ -530,7 +523,7 @@ def main(argv=None) -> int:
     p_h.add_argument("--enforce-hypotheses", action="store_true")
 
     p_v = sub.add_parser("verify", help="run a named verification suite")
-    p_v.add_argument("--suite", required=True)
+    p_v.add_argument("--suite", required=True, choices=sorted(SUITES))
     p_v.add_argument("--out", default=None)
 
     sub.add_parser("sweep", parents=[io], help="run a Harnack sweep over (n, b, shape) tuples")

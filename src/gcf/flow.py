@@ -15,6 +15,11 @@ left; step() takes the step its caller gives.  Round initial data stays
 exactly round, so closed-form radius ODEs provide oracles for the
 integrator.
 
+A run starts from a grid: a FlowConfig holds its initial SupportGrid,
+built by its caller (from an InitialShape, say, or the last state of an
+earlier run), and reads the run's n and size from it, so SupportGrid's
+checks are the only checks of n and size.
+
 Each step is held near the floor of the numpy calls it must make.  Each
 curvature derivation is one FlatLayout.curvature call, which writes its
 radii into a row of one radii buffer per step: three rows for the
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, NonConvex, OriginOutside
+from .errors import GcfError, InvalidConfig, NonConvex, OriginOutside
 from .geometry import (
     RADIUS_FLOOR,
     FlatLayout,
@@ -95,55 +100,35 @@ class InitialShape:
 class FlowConfig:
     """Validated description of one flow run.
 
-    shape is an InitialShape, built on the (n, size) grid, or a
-    SupportGrid of that (n, size) to start from as it is, such as the
-    last state of an earlier run.  The initial state must be strictly
-    convex and the law defined on its curvature.  run() steps it under
-    stable_dt.
+    grid is the initial state, such as the grid an InitialShape builds or
+    the last state of an earlier run; the run's n and size are the grid's.
+    It must be strictly convex and the law defined on its curvature.
+    run() steps it under stable_dt.
     """
 
-    n: int
-    size: int
+    grid: SupportGrid
     law: SpeedLaw
-    shape: InitialShape | SupportGrid
     t_end: float
     t0: float = 0.0
     stride: int = 1
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise InvalidConfig(f"n must be 1 or 2, got {self.n}")
         if not (math.isfinite(self.t_end) and self.t_end > self.t0 >= 0.0):
             raise InvalidConfig(
                 f"need a finite t_end > t0 >= 0, got t0={self.t0}, t_end={self.t_end}"
             )
         if self.stride < 1:
             raise InvalidConfig(f"stride must be >= 1, got {self.stride}")
-        if self.law.is_power and not theorem_hypotheses(self.law, self.n):
+        if self.law.is_power and not theorem_hypotheses(self.law, self.grid.n):
             raise InvalidConfig(
                 f"expanding power law needs b < 1/n (and b > 0): "
-                f"got b = {-self.law.beta} with n = {self.n}"
+                f"got b = {-self.law.beta} with n = {self.grid.n}"
             )
         try:
-            grid = self.shape
-            if not isinstance(grid, SupportGrid):
-                grid = grid.build(self.n, self.size)
-            elif (grid.n, grid.size) != (self.n, self.size):
-                raise InvalidConfig(
-                    f"initial grid has (n, size) = ({grid.n}, {grid.size}), "
-                    f"the config ({self.n}, {self.size})"
-                )
             with np.errstate(all="ignore"):  # as in run(): the checks report, not numpy
-                self.law.f(grid.curvature()[1])
-        except InvalidConfig:
-            raise
-        except Exception as exc:
+                self.law.f(self.grid.curvature()[1])
+        except GcfError as exc:
             raise InvalidConfig(f"initial shape is not admissible: {exc}") from exc
-        object.__setattr__(self, "_grid", grid)
-
-    def build_grid(self) -> SupportGrid:
-        """The validated initial grid, with its checked curvature."""
-        return self._grid
 
 
 @dataclass
@@ -329,15 +314,15 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw) -> float:
 
 
 def run(config):
-    """Integrate the flow from the initial shape at t0 to t_end.
+    """Integrate the flow from the config's grid at t0 to t_end.
 
-    The initial state is the config's InitialShape built on its grid, or
-    the SupportGrid it was given.  Each step is the smaller of stable_dt of
-    the state it starts from and the time left.  Stores the initial state,
-    every stride-th state, and the final state.  Loss of convexity, the
-    origin leaving the body, or a dt underflow terminates early: the last
-    accepted state is stored and the partial trace is returned with the
-    reason recorded.
+    The initial state is the config's grid as it is, its checked
+    curvature included; the run's n and size are the grid's.  Each step
+    is the smaller of stable_dt of the state it starts from and the time
+    left.  Stores the initial state, every stride-th state, and the final
+    state.  Loss of convexity, the origin leaving the body, or a dt
+    underflow terminates early: the last accepted state is stored and the
+    partial trace is returned with the reason recorded.
 
     Given a list of configs instead of one config, returns their traces in
     its order, stepping the configs together as one ensemble: their
@@ -363,7 +348,7 @@ def run(config):
     require_one_kind([cfg.law for cfg in configs])  # with no time to step, a config still counts
     rows = [_Row(cfg) for cfg in configs]
     traces = [row.trace for row in rows]
-    rows = sorted((row for row in rows if row.running), key=lambda row: row.cfg.n)
+    rows = sorted((row for row in rows if row.running), key=lambda row: row.trace.n)
     grids = [row.trace.grids[0] for row in rows]
     batch = _Batch.of(rows, [(grid.values, *grid.curvature()) for grid in grids])
     with np.errstate(all="ignore"):
@@ -396,9 +381,8 @@ class _Row:
 
     def __init__(self, cfg: FlowConfig):
         self.cfg = cfg
-        grid = cfg.build_grid()
-        self.trace = FlowTrace(n=cfg.n, law=cfg.law, times=[cfg.t0], grids=[grid])
-        self.dx = grid.spacing
+        self.trace = FlowTrace(n=cfg.grid.n, law=cfg.law, times=[cfg.t0], grids=[cfg.grid])
+        self.dx = cfg.grid.spacing
         self.scale = SAFETY * self.dx * self.dx
         self.t, self.dt = cfg.t0, None
         self.t_end, self.stride = cfg.t_end, cfg.stride
@@ -468,7 +452,7 @@ class _Batch:
         """The batch of rows whose (values, radii, K) are parts, or None if no rows."""
         if not rows:
             return None
-        layout = FlatLayout([(row.cfg.n, row.cfg.size, row.dx) for row in rows])
+        layout = FlatLayout([(row.trace.n, row.cfg.grid.size, row.dx) for row in rows])
         return cls(rows, layout, *layout.join(parts))
 
     def dt(self):

@@ -57,7 +57,7 @@ class SupportGrid:
 
     def __post_init__(self):
         if self.n not in (1, 2):
-            raise ValueError(f"hypersurface dimension must be 1 or 2, got {self.n}")
+            raise ValueError(f"n must be 1 or 2, got {self.n}")
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.ndim != 1:

@@ -34,6 +34,7 @@ from .geometry import (
     derive_state,
     fourier_grid,
     laplace_beltrami,
+    round_grid,
 )
 from .harnack import P_norm_sq_h, P_trace, SpeedFields, dt_f_spatial, speed_fields
 from .speedlaw import (
@@ -145,9 +146,10 @@ def uniform_trace(
     An optional burn-in phase integrates past the fast startup transients
     of the high harmonics before storing begins; residual checks centered
     on the stored window then see only the slow dynamics.  Every stored
-    state ends a flow.run: the burn-in runs from 0 to burn_in (with no
-    burn-in the first state is the shape as built), and run i from the
-    state before it to burn_in + i * spacing.  So each step is run()'s
+    state ends a flow.run whose config holds the state before it: the
+    burn-in runs the shape built on the (n, size) grid from 0 to burn_in
+    (with no burn-in that grid is the first state), and run i the state
+    before it to burn_in + i * spacing.  So each step is run()'s
     own, the smaller of stable_dt and the time left, and each state lands
     on its time.  The trace sums the runs' steps and RHS evaluations and
     spans their step sizes.  A run that ends early raises (NonConvex,
@@ -158,8 +160,7 @@ def uniform_trace(
     grid, t0, grids, runs = shape.build(n, size), 0.0, [], []
     for i, t in enumerate(times):
         if i or burn_in > 0.0:
-            cfg = FlowConfig(n=n, size=size, law=law, shape=grid, t0=t0, t_end=t, stride=10**9)
-            runs.append(_completed(run(cfg)))
+            runs.append(_completed(run(FlowConfig(grid, law, t0=t0, t_end=t, stride=10**9))))
             grid = runs[-1].grids[-1]
         grids.append(grid)
         t0 = t
@@ -559,11 +560,7 @@ def oracle_suite() -> list:
     """Round flows against the closed-form radius at t = 2, relative error."""
     t_end = 2.0
     configs = [
-        FlowConfig(
-            n=n, size=size, law=SpeedLaw.power(-1.0, -b),
-            shape=InitialShape("round", R0=1.0),
-            t_end=t_end, stride=10**9,
-        )
+        FlowConfig(round_grid(n, 1.0, size), SpeedLaw.power(-1.0, -b), t_end, stride=10**9)
         for n, b, size in ORACLE_CASES
     ]
     reports = []

@@ -11,6 +11,7 @@ import pytest
 
 from gcf.cli import main as cli_main
 from gcf.flow import FlowConfig, InitialShape, run
+from gcf.geometry import round_grid
 from gcf.harnack import monitor
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import (
@@ -48,8 +49,8 @@ def test_criterion_2_equality_case(n, b, size):
     R0 = 1e-3
     t_start = self_similar_start_time(R0, n, b)
     cfg = FlowConfig(
-        n=n, size=size, law=SpeedLaw.power(-1.0, -b),
-        shape=InitialShape("round", R0), t_end=2.0, t0=t_start, stride=400,
+        grid=round_grid(n, R0, size), law=SpeedLaw.power(-1.0, -b),
+        t_end=2.0, t0=t_start, stride=400,
     )
     trace = run(cfg)
     assert trace.reason == "completed"
@@ -87,7 +88,7 @@ def test_criterion_3_harnack_property_on_perturbed_circles():
     worst_margin_rel = np.inf
     worst_lhs_rel = -np.inf
     configs = [
-        FlowConfig(n=1, size=256, law=HALF, shape=shape, t_end=2.0, stride=40)
+        FlowConfig(grid=shape.build(1, 256), law=HALF, t_end=2.0, stride=40)
         for shape in _perturbed_shapes(20, rng)
     ]
     for trace in run(configs):

@@ -13,8 +13,8 @@ import pytest
 
 from gcf import cli
 from gcf.cli import _atomic_write, _harnack_csv, main
-from gcf.flow import FlowConfig, InitialShape, run
-from gcf.geometry import derive_state
+from gcf.flow import FlowConfig, run
+from gcf.geometry import derive_state, fourier_grid, round_grid
 from gcf.harnack import monitor
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import IdentityReport
@@ -54,8 +54,7 @@ def test_run_writes_trace_and_meta(tmp_path):
     assert meta["law_mapping"]["paper_b"] == pytest.approx(0.5)
     assert meta["termination_reason"] == "completed"
     trace = run(FlowConfig(
-        n=1, size=64, law=SpeedLaw.power(-1.0, -0.5), shape=InitialShape("round", 1.0),
-        t_end=2.0, stride=100,
+        grid=round_grid(1, 1.0, 64), law=SpeedLaw.power(-1.0, -0.5), t_end=2.0, stride=100,
     ))
     assert (meta["steps"], meta["dt_min"], meta["dt_max"]) == (
         trace.steps, trace.dt_min, trace.dt_max
@@ -131,12 +130,17 @@ def test_run_rejects_nonconvex_initial(tmp_path):
         [],
         ["run", "--enforce-hypotheses"],
         ["run", "--config", "c.json", "--out", "o", "--enforce-hypotheses"],
+        ["verify", "--suite", "nonsense"],
     ],
-    ids=["unknown", "no-options", "none", "run-enforce-hypotheses", "run-unknown-option"],
+    ids=[
+        "unknown", "no-options", "none", "run-enforce-hypotheses", "run-unknown-option",
+        "verify-unknown-suite",
+    ],
 )
 def test_a_bad_command_line_exits_2_with_a_usage_error(argv, capsys):
-    # argparse's required subcommand and options end the parse before any
-    # dispatch, with one stderr line and no usage text
+    # argparse's required subcommand and options, and the choices of
+    # --suite, end the parse before any dispatch, with one stderr line and
+    # no usage text
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -230,10 +234,6 @@ def test_verify_out_empty_is_the_working_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--suite", "speedlaw", "--out", ""]) == 0
     assert (tmp_path / "report.csv").is_file()
-
-
-def test_verify_unknown_suite():
-    assert main(["verify", "--suite", "nonsense"]) == 2
 
 
 @pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
@@ -529,8 +529,8 @@ def test_sweep_tuples_match_solo_runs(tmp_path):
     out = run_sweep(tmp_path, "s", SWEEP_TUPLES)
     for i, tup in enumerate(SWEEP_TUPLES):
         cfg = FlowConfig(
-            n=tup["n"], size=32, law=SpeedLaw.power(-1.0, -tup["b"]),
-            shape=InitialShape("fourier", 1.0, tuple(map(tuple, tup["shape"]["modes"]))),
+            grid=fourier_grid(tup["n"], 1.0, tuple(map(tuple, tup["shape"]["modes"])), 32),
+            law=SpeedLaw.power(-1.0, -tup["b"]),
             t_end=0.5, stride=2,
         )
         trace = run(cfg)
@@ -685,8 +685,7 @@ def harnack_csv_row_by_row(table):
     ids=["n1-power", "n2-power", "n1-exp"],
 )
 def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end):
-    trace = run(FlowConfig(n=n, size=size, law=law,
-                           shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
+    trace = run(FlowConfig(grid=fourier_grid(n, 1.0, ((2, 0.02),), size), law=law,
                            t_end=t_end, stride=3))
     text = "".join(cli._trace_csv(trace))
     assert text == trace_csv_row_by_row(trace)

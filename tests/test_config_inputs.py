@@ -4,9 +4,11 @@ A small valid `gcf run` document has one field replaced by an arbitrary
 JSON value.  Either reading it raises one of cli.CONFIG_ERRORS, and
 `gcf run` on it exits 2 with one line on stderr; or it reads as a flow
 config that keeps the document's integers and law kind, read each float
-field from a JSON number, and has finite times.  Under `gcf harnack --enforce-hypotheses` the same documents exit
-2 or 4 with one line on stderr (4 only with n = 1 or 2), or read as a
-config whose law meets the Harnack-bound hypotheses.  `run` is replaced
+field from a JSON number, has finite times, and starts from the grid the
+document's shape gives, bit for bit.  An accepted wavenumber is an
+integral JSON number.  Under `gcf harnack --enforce-hypotheses` the same
+documents exit 2 or 4 with one line on stderr (4 only with n = 1 or 2),
+or read as a config whose law meets the Harnack-bound hypotheses.  `run` is replaced
 by a stub that fails the test, so no accepted document steps a flow; the
 integers drawn keep every accepted grid at 256 nodes or fewer.
 
@@ -30,6 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcf import cli
+from gcf.geometry import fourier_grid, round_grid
 from gcf.speedlaw import theorem_hypotheses
 
 DOC = {
@@ -101,6 +104,8 @@ def gcf_command(doc, *command):
 @given(st.sampled_from(PATHS), JSON)
 @example(("time", "t_end"), math.inf)
 @example(("n",), 1.5)
+@example(("n",), 0)
+@example(("n",), 3)
 @example(("grid", "N"), 32.7)
 @example(("output", "stride"), 2.5)
 @example(("initial", "modes", 0, 0), 2.5)
@@ -117,8 +122,9 @@ def test_a_config_field_of_any_json_value(path, value):
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         return
-    assert type(cfg.n) is int and cfg.n == doc["n"]
-    assert type(cfg.size) is int and cfg.size == doc["grid"].get("N", 256) <= 256
+    n, size = doc["n"], doc["grid"].get("N", 256)
+    assert type(cfg.grid.n) is int and cfg.grid.n == n
+    assert type(cfg.grid.size) is int and cfg.grid.size == size <= 256
     assert type(cfg.stride) is int and cfg.stride == doc["output"].get("stride", 1)
     assert cfg.law.kind == doc["speed"].get("kind", "power")
     assert math.isfinite(cfg.t0) and math.isfinite(cfg.t_end)
@@ -126,11 +132,20 @@ def test_a_config_field_of_any_json_value(path, value):
     floats = [doc["time"]["t_end"], doc["time"].get("t0", 0.0), doc["initial"].get("R0", 1.0)]
     if cfg.law.is_power:
         floats += [doc["speed"]["a"], doc["speed"]["beta"]]
-    if cfg.shape.kind == "fourier":
-        assert [k for k, _ in cfg.shape.modes] == [k for k, _ in doc["initial"].get("modes", [])]
-        assert all(type(k) is int for k, _ in cfg.shape.modes)
-        floats += [a for _, a in doc["initial"].get("modes", [])]
+    modes = doc["initial"].get("modes", [])
+    fourier = doc["initial"].get("type", "circle") == "fourier"
+    if fourier:
+        # every accepted wavenumber is an integral number, not a bool
+        assert all(is_number(k) and k == int(k) for k, _ in modes), modes
+        floats += [a for _, a in modes]
     assert all(map(is_number, floats)), floats
+    # the initial grid is the document's shape, bit for bit
+    R0 = float(doc["initial"].get("R0", 1.0))
+    if fourier:
+        want = fourier_grid(int(n), R0, [(int(k), float(a)) for k, a in modes], int(size))
+    else:
+        want = round_grid(int(n), R0, int(size))
+    assert cfg.grid.values.tobytes() == want.values.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,7 +161,7 @@ def test_enforced_hypotheses_on_a_config_field_of_any_json_value(path, value):
         cfg = cli._flow_config_from_doc(doc)
     except cli.CONFIG_ERRORS:
         cfg = None
-    if cfg is not None and theorem_hypotheses(cfg.law, cfg.n):
+    if cfg is not None and theorem_hypotheses(cfg.law, cfg.grid.n):
         return
     code, err = gcf_command(doc, "harnack", "--enforce-hypotheses")
     assert err.count("\n") == 1, err

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcf import flow
-from gcf.flow import FlowConfig, InitialShape, run
+from gcf.flow import FlowConfig, run
 from gcf.geometry import FlatLayout, fourier_grid, radii_and_K, row_layout
 from gcf.speedlaw import FlatLaws, SpeedLaw
 
@@ -112,16 +112,16 @@ def test_flat_rk4_equals_each_grid_alone(rows, one_dt, scales):
 
 def test_run_leaves_the_error_state_unchanged(monkeypatch):
     completed = FlowConfig(
-        n=2, size=16, law=SpeedLaw.power(-1.0, -0.25),
-        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.05,
+        grid=fourier_grid(2, 1.0, ((2, 0.02),), 16), law=SpeedLaw.power(-1.0, -0.25),
+        t_end=0.05,
     )
     # a contracting flow that loses convexity in a step above RK4's
     # stability limit (see test_flow.EARLY_ENDS); the short completed flow
     # completes at that step bound too
     monkeypatch.setattr(flow, "SAFETY", 1.5)
     nonconvex = FlowConfig(
-        n=1, size=32, law=SpeedLaw.power(1.0, 1.1700967619904363),
-        shape=InitialShape("fourier", 1.0, ((5, 0.017207980635981685),)),
+        grid=fourier_grid(1, 1.0, ((5, 0.017207980635981685),), 32),
+        law=SpeedLaw.power(1.0, 1.1700967619904363),
         t_end=3.0, stride=7,
     )
     before = np.geterr()

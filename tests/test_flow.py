@@ -67,8 +67,8 @@ def test_stored_spacing_of_fewer_than_two_states_is_none():
 )
 def test_run_matches_round_oracle(n, size, b):
     cfg = FlowConfig(
-        n=n, size=size, law=SpeedLaw.power(-1.0, -b),
-        shape=InitialShape("round", 1.0), t_end=2.0, stride=10**9,
+        grid=round_grid(n, 1.0, size), law=SpeedLaw.power(-1.0, -b),
+        t_end=2.0, stride=10**9,
     )
     trace = run(cfg)
     assert trace.reason == "completed"
@@ -78,8 +78,7 @@ def test_run_matches_round_oracle(n, size, b):
 
 def test_round_stays_round_along_trace():
     cfg = FlowConfig(
-        n=1, size=64, law=HALF, shape=InitialShape("round", 1.0),
-        t_end=2.0, stride=50,
+        grid=round_grid(1, 1.0, 64), law=HALF, t_end=2.0, stride=50,
     )
     trace = run(cfg)
     for g in trace.grids:
@@ -88,8 +87,7 @@ def test_round_stays_round_along_trace():
 
 def test_times_strictly_increasing_and_grids_convex():
     cfg = FlowConfig(
-        n=1, size=64, law=HALF,
-        shape=InitialShape("fourier", 1.0, ((3, 0.05),)),
+        grid=fourier_grid(1, 1.0, ((3, 0.05),), 64), law=HALF,
         t_end=1.0, stride=20,
     )
     trace = run(cfg)
@@ -110,8 +108,7 @@ def test_comparison_principle_on_rounds():
 
 def test_expanding_flow_increases_support_everywhere():
     cfg = FlowConfig(
-        n=1, size=64, law=HALF,
-        shape=InitialShape("fourier", 1.0, ((4, 0.03),)),
+        grid=fourier_grid(1, 1.0, ((4, 0.03),), 64), law=HALF,
         t_end=0.5, stride=10,
     )
     trace = run(cfg)
@@ -121,8 +118,7 @@ def test_expanding_flow_increases_support_everywhere():
 
 def test_perturbed_circle_rounds_out():
     cfg = FlowConfig(
-        n=1, size=128, law=HALF,
-        shape=InitialShape("fourier", 1.0, ((3, 0.05),)),
+        grid=fourier_grid(1, 1.0, ((3, 0.05),), 128), law=HALF,
         t_end=2.0, stride=25,
     )
     trace = run(cfg)
@@ -163,8 +159,7 @@ def _noise_growth(n, size, b):
     value, on a circle with 1e-8 node noise."""
     rng = np.random.default_rng(1)
     grid = SupportGrid(n, 1.0 + 1e-8 * rng.standard_normal(size))
-    trace = run(FlowConfig(n=n, size=size, law=SpeedLaw.power(-1.0, -b), shape=grid,
-                           t_end=0.2, stride=10**9))
+    trace = run(FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), t_end=0.2, stride=10**9))
     first, last = (np.max(np.abs(np.diff(g.values, 4))) for g in trace.grids)
     return last / first
 
@@ -208,15 +203,14 @@ def _sentinel_growth(trace):
     return max(map(_sentinel, trace.grids[1:])) / _sentinel(trace.grids[0])
 
 
-def _sentinel_config(n, size, b, shape):
-    return FlowConfig(n=n, size=size, law=SpeedLaw.power(-1.0, -b), shape=shape,
-                      t_end=0.5, stride=25)
+def _sentinel_config(b, grid):
+    return FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), t_end=0.5, stride=25)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_noise_sentinel_falls_on_smooth_expanding_flows(seed):
     rng = np.random.default_rng(seed)
-    traces = run([_sentinel_config(n, size, b, random_convex_grid(n, size, rng))
+    traces = run([_sentinel_config(b, random_convex_grid(n, size, rng))
                   for n, size, b in SENTINEL_CASES])
     for trace in traces:
         assert trace.reason == "completed"
@@ -231,7 +225,7 @@ def test_noise_sentinel_sees_a_step_above_the_stability_limit(monkeypatch):
     def noisy_circle(n, size):
         return SupportGrid(n, 1.0 + 1e-6 * np.random.default_rng(1).standard_normal(size))
 
-    configs = [_sentinel_config(n, size, b, noisy_circle(n, size))
+    configs = [_sentinel_config(b, noisy_circle(n, size))
                for n, size, b in ((1, 256, 0.9), (2, 128, 0.45))]
     for trace in run(configs):
         assert trace.reason == "completed"
@@ -242,24 +236,16 @@ def test_config_validation():
     inf, nan = float("inf"), float("nan")
     for times in ({"t_end": 0.0}, {"t_end": inf}, {"t_end": nan}, {"t_end": 1.0, "t0": nan}):
         with pytest.raises(InvalidConfig):
-            FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0), **times)
+            FlowConfig(grid=round_grid(1, 1.0, 64), law=HALF, **times)
     with pytest.raises(InvalidConfig):
         FlowConfig(
-            n=1, size=64, law=HALF,
-            shape=InitialShape("fourier", 1.0, ((4, 0.2),)),  # nonconvex
-            t_end=1.0,
+            grid=fourier_grid(1, 1.0, ((4, 0.2),), 64),  # nonconvex
+            law=HALF, t_end=1.0,
         )
     with pytest.raises(InvalidConfig, match="b < 1/n"):
         FlowConfig(
-            n=2, size=32, law=SpeedLaw.power(-1.0, -0.9),
-            shape=InitialShape("round", 1.0), t_end=1.0,
+            grid=round_grid(2, 1.0, 32), law=SpeedLaw.power(-1.0, -0.9), t_end=1.0,
         )
-    for n, size in ((1, 32), (2, 64)):  # a start grid of another (n, size)
-        with pytest.raises(InvalidConfig, match="initial grid"):
-            FlowConfig(
-                n=n, size=size, law=SpeedLaw.power(-1.0, -0.25),
-                shape=round_grid(2, 1.0, 32), t_end=1.0,
-            )
 
 
 # Contracting laws (speed -K^beta) that end a run early: (safety, beta,
@@ -284,8 +270,8 @@ def _early_end(early, monkeypatch) -> FlowConfig:
     if safety is not None:
         monkeypatch.setattr(flow, "SAFETY", safety)
     return FlowConfig(
-        n=1, size=32, law=SpeedLaw.power(1.0, beta),
-        shape=InitialShape("fourier", 1.0, modes), t_end=t_end, stride=7,
+        grid=fourier_grid(1, 1.0, modes, 32), law=SpeedLaw.power(1.0, beta),
+        t_end=t_end, stride=7,
     )
 
 
@@ -315,8 +301,8 @@ def test_each_accepted_state_derived_once(monkeypatch):
     curvature = FlatLayout.curvature
     monkeypatch.setattr(FlatLayout, "curvature", counting)
     cfg = FlowConfig(
-        n=2, size=32, law=SpeedLaw.power(-1.0, -0.25),
-        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=0.5, stride=1,
+        grid=fourier_grid(2, 1.0, ((2, 0.02),), 32), law=SpeedLaw.power(-1.0, -0.25),
+        t_end=0.5, stride=1,
     )
     assert len(calls) == 1  # the initial state, checked by the config
     trace = run(cfg)
@@ -337,16 +323,15 @@ def _mixed_configs(seed):
     for j in range(9):
         n = 2 if j % 4 == 3 else 1
         mode = (int(rng.integers(2, 5)), float(rng.uniform(0.005, 0.03)))
+        size = (32, 48)[j % 2] if n == 1 else (16, 24)[j % 3 % 2]
         configs.append(FlowConfig(
-            n=n, size=(32, 48)[j % 2] if n == 1 else (16, 24)[j % 3 % 2],
+            grid=fourier_grid(n, 1.0, (mode,), size),
             law=SpeedLaw.power(-1.0, -float(rng.uniform(0.1, 0.9 / n))),
-            shape=InitialShape("fourier", 1.0, (mode,)),
             t_end=float(rng.uniform(0.05, 0.4)),
             stride=int(rng.integers(1, 25)),
         ))
     configs.append(FlowConfig(
-        n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
-        t_end=0.3, stride=13,
+        grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, t_end=0.3, stride=13,
     ))
     return configs
 
@@ -377,8 +362,8 @@ def test_exponential_ensemble_traces_equal_solo_runs():
     # rows of mixed n and size under the exponential law, stepped together
     configs = [
         FlowConfig(
-            n=n, size=size, law=SpeedLaw.exponential(),
-            shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=t_end, stride=stride,
+            grid=fourier_grid(n, 1.0, ((2, 0.02),), size), law=SpeedLaw.exponential(),
+            t_end=t_end, stride=stride,
         )
         for n, size, t_end, stride in ((2, 16, 0.05, 4), (1, 32, 0.04, 3), (1, 48, 0.03, 5))
     ]
@@ -391,7 +376,7 @@ def test_exponential_ensemble_traces_equal_solo_runs():
 def test_a_list_that_mixes_law_kinds_raises_before_any_step(monkeypatch):
     power, exp = (
         FlowConfig(
-            n=1, size=32, law=law, shape=InitialShape("fourier", 1.0, ((3, 0.02),)), t_end=0.1,
+            grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=law, t_end=0.1,
         )
         for law in (HALF, SpeedLaw.exponential())
     )
@@ -412,9 +397,8 @@ def test_a_list_that_mixes_law_kinds_raises_before_any_step(monkeypatch):
 def test_a_config_with_no_time_to_step_still_counts_for_the_law_kind():
     # t_end - t0 = 4e-16 is below run()'s stop tolerance, so this config
     # takes no step; its law kind must still be checked
-    power = FlowConfig(n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
-                       t_end=0.1)
-    idle = FlowConfig(n=1, size=32, law=SpeedLaw.exponential(), shape=InitialShape(),
+    power = FlowConfig(grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, t_end=0.1)
+    idle = FlowConfig(grid=round_grid(1, 1.0, 32), law=SpeedLaw.exponential(),
                       t0=1.0, t_end=1.0 + 4e-16)
     assert run(idle).steps == 0
     for configs in ([power, idle], [idle, power]):
@@ -428,8 +412,8 @@ def test_fast_power_exponent_rows_equal_their_solo_runs(beta):
     # for which np.power has a scalar path besides its element-wise loop
     def cfg(b):
         return FlowConfig(
-            n=1, size=64, law=SpeedLaw.power(1.0, b),
-            shape=InitialShape("fourier", 1.0, ((3, 0.01),)), t_end=0.1, stride=5,
+            grid=fourier_grid(1, 1.0, ((3, 0.01),), 64), law=SpeedLaw.power(1.0, b),
+            t_end=0.1, stride=5,
         )
 
     configs = [cfg(beta), cfg(1.3), cfg(beta)]
@@ -443,9 +427,9 @@ def test_fast_power_exponent_rows_equal_their_solo_runs(beta):
 def test_a_huge_round_body_steps_its_remaining_time_silently():
     # K**2 underflows to 0 at R0 = 1e200, so the step bound is infinite
     cfg = FlowConfig(
-        n=1, size=32, law=HALF, shape=InitialShape("round", 1e200), t_end=1.0,
+        grid=round_grid(1, 1e200, 32), law=HALF, t_end=1.0,
     )
-    assert flow.stable_dt(cfg.build_grid(), HALF) == math.inf
+    assert flow.stable_dt(cfg.grid, HALF) == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = run(cfg)
@@ -462,10 +446,10 @@ F1_OVERFLOWS = [(-0.9, 1e200), (-0.95, 1e160)]
 @pytest.mark.parametrize("beta,R0", F1_OVERFLOWS, ids=["nan-lambda", "inf-lambda"])
 def test_a_huge_round_body_whose_f1_overflows_steps_its_remaining_time(beta, R0):
     law = SpeedLaw.power(-1.0, beta)
-    huge = FlowConfig(n=1, size=64, law=law, shape=InitialShape("round", R0), t_end=1.0)
+    huge = FlowConfig(grid=round_grid(1, R0, 64), law=law, t_end=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound = stable_dt(huge.build_grid(), law)
+        bound = stable_dt(huge.grid, law)
         trace = run(huge)
         configs = _mixed_configs(2)[:4]
         configs.insert(1, huge)
@@ -481,8 +465,8 @@ def test_a_huge_round_body_whose_f1_overflows_steps_its_remaining_time(beta, R0)
 def test_a_bound_the_clock_cannot_carry_ends_dt_underflow():
     # at t = 1e5 half an ulp of t is 7.3e-12, so the bound of a contracting
     # circle of radius 1e-4 stops moving t while it is still above DT_FLOOR
-    cfg = FlowConfig(n=1, size=32, law=SpeedLaw.power(1.0, 1.0),
-                     shape=InitialShape("round", 1e-4), t0=1e5, t_end=1e5 + 1.0, stride=1)
+    cfg = FlowConfig(grid=round_grid(1, 1e-4, 32), law=SpeedLaw.power(1.0, 1.0),
+                     t0=1e5, t_end=1e5 + 1.0, stride=1)
     trace = run(cfg)
     assert trace.reason == "dt_underflow" and trace.steps > 0
     assert len(trace.times) == trace.steps + 1
@@ -493,10 +477,10 @@ def test_a_lambda_beyond_the_float_range_still_ends_dt_underflow():
     # f1(K) * K*K overflows for K = 1e11 and a contracting K**27: lambda is
     # beyond the float range, so the bound is 0, formed again or not
     law = SpeedLaw.power(1.0, 27.0)
-    cfg = FlowConfig(n=1, size=32, law=law, shape=InitialShape("round", 1e-11), t_end=1.0)
+    cfg = FlowConfig(grid=round_grid(1, 1e-11, 32), law=law, t_end=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert stable_dt(cfg.build_grid(), law) == 0.0
+        assert stable_dt(cfg.grid, law) == 0.0
         trace = run(cfg)
     assert (trace.reason, trace.steps, trace.times) == ("dt_underflow", 0, [0.0])
 
@@ -505,11 +489,11 @@ def test_a_lambda_beyond_the_float_range_still_ends_dt_underflow():
 def test_ensemble_row_ends_early_as_alone(early, monkeypatch):
     ending = _early_end(early, monkeypatch)  # every row steps at the case's safety
     configs = _mixed_configs(5)[:8]  # n=1 at sizes 32 and 48, n=2 at 16 and 24
-    assert {(c.n, c.size) for c in configs} == {(1, 32), (1, 48), (2, 16), (2, 24)}
+    assert {(c.grid.n, c.grid.size) for c in configs} == {(1, 32), (1, 48), (2, 16), (2, 24)}
     configs.insert(2, ending)
     configs.append(FlowConfig(  # a row that runs on past the failure
-        n=1, size=64, law=HALF,
-        shape=InitialShape("fourier", 1.0, ((2, 0.02),)), t_end=1.0, stride=10,
+        grid=fourier_grid(1, 1.0, ((2, 0.02),), 64), law=HALF,
+        t_end=1.0, stride=10,
     ))
     layouts = []
 
@@ -561,7 +545,7 @@ def test_a_failed_check_ends_the_row_as_its_own_step_does(case, monkeypatch):
     safety, law, shape, t_end, parts, exc_type, message, reason = case
     if safety is not None:
         monkeypatch.setattr(flow, "SAFETY", safety)
-    ending = FlowConfig(n=1, size=32, law=law, shape=shape, t_end=t_end, stride=7)
+    ending = FlowConfig(grid=shape.build(1, 32), law=law, t_end=t_end, stride=7)
     configs = _mixed_configs(5)[:8]  # n=1 at sizes 32 and 48, n=2 at 16 and 24
     configs.insert(2, ending)
     raised, failed_parts = [], []
@@ -603,8 +587,8 @@ def test_one_joint_step_per_step_of_the_longest_row(monkeypatch):
     # the five laws of the round oracle, at n=1 and n=2, step as one batch
     configs = [
         FlowConfig(
-            n=n, size=32 if n == 1 else 16, law=SpeedLaw.power(-1.0, -b),
-            shape=InitialShape("round", 1.0), t_end=2.0, stride=10**9,
+            grid=round_grid(n, 1.0, 32 if n == 1 else 16), law=SpeedLaw.power(-1.0, -b),
+            t_end=2.0, stride=10**9,
         )
         for n, b, _ in ORACLE_CASES
     ]
@@ -718,8 +702,7 @@ def test_rk4_step_equals_reference(n, size, kind):
 
 def test_trace_records_steps_and_dt_range():
     trace = run(FlowConfig(
-        n=1, size=32, law=HALF, shape=InitialShape("fourier", 1.0, ((3, 0.02),)),
-        t_end=0.3, stride=1,
+        grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, t_end=0.3, stride=1,
     ))
     assert trace.steps == len(trace.times) - 1 > 1
     steps = np.diff(trace.times)

@@ -152,8 +152,7 @@ def test_p_tensor_matches_embedding_oracle_assembly():
 def test_monitor_columns_equal_the_speed_fields_functions(n, size, law, t_end):
     # monitor builds its columns from the same functions of one SpeedFields
     # per state that a caller would use, so they agree bit for bit
-    cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
-                     t_end=t_end, stride=3)
+    cfg = FlowConfig(grid=fourier_grid(n, 1.0, ((2, 0.02),), size), law=law, t_end=t_end, stride=3)
     trace = run(cfg)
     table = monitor(trace)
     assert len(table.t) == len(trace) - 2 >= 3
@@ -164,8 +163,7 @@ def test_monitor_columns_equal_the_speed_fields_functions(n, size, law, t_end):
 
 
 def test_monitor_requires_three_states():
-    cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0),
-                     t_end=1.0, stride=10**9)
+    cfg = FlowConfig(grid=round_grid(1, 1.0, 64), law=HALF, t_end=1.0, stride=10**9)
     trace = run(cfg)
     assert len(trace) == 2
     with pytest.raises(InsufficientTrace):
@@ -174,8 +172,7 @@ def test_monitor_requires_three_states():
 
 def test_monitor_unit_circle_lhs_profile():
     # lhs_eq12 is identically -1/t along the unit-circle flow
-    cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("round", 1.0),
-                     t_end=2.0, stride=40)
+    cfg = FlowConfig(grid=round_grid(1, 1.0, 64), law=HALF, t_end=2.0, stride=40)
     trace = run(cfg)
     table = monitor(trace)
     assert len(table.t) >= 3
@@ -195,16 +192,14 @@ def test_monitor_two_time_derivative_estimates_agree_at_order_two():
 
 
 def test_monitor_lhs_eq12_nonpositive_on_perturbed_flow():
-    cfg = FlowConfig(n=1, size=128, law=HALF,
-                     shape=InitialShape("fourier", 1.0, ((3, 0.04),)),
+    cfg = FlowConfig(grid=fourier_grid(1, 1.0, ((3, 0.04),), 128), law=HALF,
                      t_end=1.0, stride=30)
     table = monitor(run(cfg))
     assert np.all(table.lhs_12 <= 1e-8)
 
 
 def test_monitor_margin_nonnegative_on_perturbed_flow():
-    cfg = FlowConfig(n=1, size=256, law=HALF,
-                     shape=InitialShape("fourier", 1.0, ((4, 0.03),)),
+    cfg = FlowConfig(grid=fourier_grid(1, 1.0, ((4, 0.03),), 256), law=HALF,
                      t_end=2.0, stride=40)
     summary = margin_summary(monitor(run(cfg)))
     assert summary.min_margin >= -1e-3 * summary.max_abs_P
@@ -276,7 +271,7 @@ EVERY_STATE_TIMES = (0.1, 0.2, 0.575, 0.7, 0.9, 1.0)
 def test_monitor_equals_the_per_state_loop(n, size, law, t_end, stride):
     modes = ((2, 0.02),)
     if stride > 1:
-        trace = run(FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, modes),
+        trace = run(FlowConfig(grid=fourier_grid(n, 1.0, modes, size), law=law,
                                t_end=t_end, stride=stride))
         assert trace.steps % stride != 0  # the final state is stored off the stride
     else:  # the shape grown by the unit circle's radius (1 + t/2)^2 at each time
@@ -315,8 +310,7 @@ def test_monitor_derives_its_states_as_one_stack(monkeypatch):
 
     monkeypatch.setattr(harnack, "derive_state", counting)
     monkeypatch.setattr(GeometryState, "d1", counting_d1)
-    cfg = FlowConfig(n=1, size=64, law=HALF, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
-                     t_end=0.5, stride=4)
+    cfg = FlowConfig(grid=fourier_grid(1, 1.0, ((2, 0.02),), 64), law=HALF, t_end=0.5, stride=4)
     trace = run(cfg)
     table = monitor(trace)
     assert len(calls) == 1 and list(calls[0]) == trace.grids
@@ -336,8 +330,7 @@ def test_monitor_derives_its_states_as_one_stack(monkeypatch):
 def test_margin_summary_equals_the_per_state_reduction(n, size, law, t_end):
     # the smallest margin and largest |trP| of each state's row, reduced
     # over the states in Python, as margin_summary did over per-state rows
-    cfg = FlowConfig(n=n, size=size, law=law, shape=InitialShape("fourier", 1.0, ((2, 0.02),)),
-                     t_end=t_end, stride=3)
+    cfg = FlowConfig(grid=fourier_grid(n, 1.0, ((2, 0.02),), size), law=law, t_end=t_end, stride=3)
     table = monitor(run(cfg))
     mm = min(float(np.min(row)) for row in table.margin)
     scale = max(float(np.max(np.abs(row))) for row in table.p_trace)

@@ -236,7 +236,7 @@ def test_uniform_trace_that_ends_after_stored_states_names_the_last_accepted_tim
     stored = uniform_trace(1, 32, CONTRACTING, FIVE_LOBES, spacing=0.1, n_stored=5)
     assert stored.times[-1] == 0.4
     rest = flow.run(flow.FlowConfig(
-        n=1, size=32, law=CONTRACTING, shape=stored.grids[-1], t0=0.4, t_end=0.5, stride=10**9,
+        grid=stored.grids[-1], law=CONTRACTING, t0=0.4, t_end=0.5, stride=10**9,
     ))
     t = rest.times[-1]
     assert rest.reason == "dt_underflow" and 0.4 < t < 0.5
