@@ -14,7 +14,7 @@ metric diag(r1**2, (r2 sin(phi))**2), second fundamental form
 diag(r1, r2 sin(phi)**2), K = 1/(r1 r2) and H = 1/r1 + 1/r2.
 
 Differentiation policy: the support function and the radii fields are
-differentiated with 4th-order stencils (periodic for n=1, parity
+differentiated with 4th-order stencils (periodic for n=1, even
 reflection across the poles for n=2), while fields derived from the radii
 (K, H, speed functions of K) carry exact chain-rule derivatives on top of
 those stencil values.  Purely algebraic relations between derived

@@ -19,7 +19,8 @@ Time derivatives here are material derivatives (following points of the
 hypersurface moving with normal speed).  The support parameterization
 differs from that by a tangential motion, so the finite-difference
 estimate over stored states adds the advective correction V * u', with
-V = f' K' / r1 the turning rate of the normal at a material point.
+V = f' K' / r1 (SpeedFields.v) the turning rate of the normal at a
+material point.
 
 The chain-rule policy of the geometry module makes the purely algebraic
 relations (trace of the tensor versus the direct trace formula, the
@@ -56,6 +57,7 @@ class SpeedFields(NamedTuple):
     box: np.ndarray       # h^-1-contracted covariant Hessian
     gradsq_h: np.ndarray  # |grad f|^2 in the h norm
     f1K: np.ndarray       # f'(K) * K
+    v: np.ndarray         # turning rate of the normal, f'(K) K' / r1
 
 
 def speed_fields(state: GeometryState, law: SpeedLaw) -> SpeedFields:
@@ -66,7 +68,7 @@ def speed_fields(state: GeometryState, law: SpeedLaw) -> SpeedFields:
     fpp = f2 * state.Kp**2 + f1 * state.Kpp
     hess = fpp - state.Gamma * fp
     box, gradsq_h = h_trace(state, hess, fp), h_norm_sq(state, fp)
-    return SpeedFields(state, law, f, f1, f2, fp, fpp, hess, box, gradsq_h, f1 * K)
+    return SpeedFields(state, law, f, f1, f2, fp, fpp, hess, box, gradsq_h, f1 * K, fp / state.r1)
 
 
 def dt_f_spatial(sf: SpeedFields) -> np.ndarray:
@@ -197,10 +199,9 @@ def monitor(trace: FlowTrace) -> HarnackTable:
         sf = speed_fields(st, law)
         u = -sf.f
         du = st.d1(u)
-        v = sf.fp / st.r1  # turning rate of the normal at a material point
         mid = slice(1, -1)
         steps = [q - p for p, q in zip(times, times[1:])]
-        dt_u_fd = _central_dt(u[:-2], u[mid], u[2:], steps[:-1], steps[1:]) + (v * du)[mid]
+        dt_u_fd = _central_dt(u[:-2], u[mid], u[2:], steps[:-1], steps[1:]) + (sf.v * du)[mid]
         dt_u_spatial = -dt_f_spatial(sf)[mid]
         gsq_h = h_norm_sq(st, du)[mid]
         p_tr = P_trace(sf)[mid]

@@ -6,9 +6,10 @@ where smooth axisymmetric fields extend evenly across the poles and fields
 odd under the mirror (anything carrying a single polar derivative or a
 lone sin factor) extend oddly.  A periodic extension ignores the parity.
 
-The 4th-order d1 and d2 are the workhorses; the 2nd-order d1_o2 and d2_o2
-exist so the verification oracles differentiate through an independent
-code path.
+The 4th-order d1 and d2 are the workhorses; they differentiate the even
+fields of the production path, so they take no parity.  The 2nd-order
+d1_o2 and d2_o2 take one: they exist so the verification oracles
+differentiate through an independent code path, odd fields included.
 
 Every stencil works along the last axis, so a (B, N) array of B grids is
 differentiated row by row with the same arithmetic as a single (N,) grid.
@@ -89,32 +90,14 @@ def _correlate(weights, e, div):
     return out[..., :-4]
 
 
-def d1_extended(e: np.ndarray, div) -> np.ndarray:
-    """4th-order first derivative of extended values e, divided by div = 12*dx.
-
-    div is a float, or one divisor per flat output (e.size - 4 of them).
-    Returns e.size - 4 flat outputs for a 1-D e, else the outputs as e's
-    shape less 4 along the last axis.
-    """
-    return _correlate(D1_REVERSED, e, div)
+def d1(u: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
+    """4th-order first derivative of an even field."""
+    return _correlate(D1_REVERSED, extend(u, periodic), 12.0 * dx)
 
 
-def d2_extended(e: np.ndarray, div) -> np.ndarray:
-    """4th-order second derivative of extended values e, divided by div = 12*dx*dx.
-
-    div is a float, or one divisor per flat output, as in d1_extended.
-    """
-    return _correlate(D2_REVERSED, e, div)
-
-
-def d1(u: np.ndarray, dx: float, periodic: bool, parity: str = "even") -> np.ndarray:
-    """4th-order first derivative."""
-    return d1_extended(extend(u, periodic, parity), 12.0 * dx)
-
-
-def d2(u: np.ndarray, dx: float, periodic: bool, parity: str = "even") -> np.ndarray:
-    """4th-order second derivative."""
-    return d2_extended(extend(u, periodic, parity), 12.0 * dx * dx)
+def d2(u: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
+    """4th-order second derivative of an even field."""
+    return _correlate(D2_REVERSED, extend(u, periodic), 12.0 * dx * dx)
 
 
 def d1_o2(u: np.ndarray, dx: float, periodic: bool, parity: str = "even") -> np.ndarray:
@@ -130,10 +113,11 @@ def d2_o2(u: np.ndarray, dx: float, periodic: bool, parity: str = "even") -> np.
 
 
 # The 4th-order second derivative on each topology, under the names that
-# perfbench/kernels.py times.
+# perfbench/kernels.py times; it calls d2_reflect with the parity "even",
+# so d2_reflect keeps the parity that d2 does not take.
 def d2_periodic(u: np.ndarray, dx: float) -> np.ndarray:
     return d2(u, dx, True)
 
 
 def d2_reflect(u: np.ndarray, dx: float, parity: str = "even") -> np.ndarray:
-    return d2(u, dx, False, parity)
+    return _correlate(D2_REVERSED, extend(u, False, parity), 12.0 * dx * dx)

@@ -7,13 +7,15 @@ assemblies for the geometric identities use an independent set of
 2nd-order stencils so they cannot inherit an error from the 4th-order
 production stencils.
 
-Suites come in two flavors.  Residual checks at a single state or trace
-return IdentityReport rows with the measured residual per resolution; a
-report's convergence order is estimated from that ladder itself (given at
-least three resolutions), so a ladder supplies only its resolutions and
-residuals.  Closed-form checks (round solutions, power-law identities)
-carry absolute tolerances.  The pointwise geometric identities are
-assembled once for both n: n picks the stencils' topology and the parities.
+Suites come in two flavors.  Residual checks take their whole ladder (a
+trace of stored states, a coarse-to-fine sequence of grids, or a family
+of (state, law) cases) and build each IdentityReport once, with the
+measured residual per resolution; a report's convergence order is
+estimated from that ladder itself (given at least three resolutions), so
+a ladder supplies only its resolutions and residuals.  Closed-form checks
+(round solutions, power-law identities) carry absolute tolerances.  The
+pointwise geometric identities are assembled once for both n: n picks the
+stencils' topology and the parities.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from . import stencils
 from .errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
 from .flow import REASONS, FlowConfig, FlowTrace, InitialShape, run
 from .geometry import (
-    GeometryState,
     SupportGrid,
     box_op,
     derive_state,
@@ -245,7 +246,7 @@ def _evolution_parts(sf: SpeedFields, which: str):
     quantity at the middle state, given its speed fields sf."""
     st, law = sf.state, sf.law
     n = st.n
-    V = sf.fp / st.r1
+    V = sf.v
     Vp = sf.fpp / st.r1 - sf.fp * st.r1p / st.r1**2
     if which == "g":
         extract = [lambda s: s.r1**2]
@@ -314,7 +315,6 @@ def check_P_evolution(trace: FlowTrace) -> IdentityReport:
     ladder, law = _ladder_states(trace), trace.law
     st = ladder.states[ladder.mid]
     sf = speed_fields(st, law)
-    V = sf.fp / st.r1
     p_mid = P_trace(sf)
     dP = st.d1(p_mid)
     c = 1.0 + sf.f2 * st.K / sf.f1
@@ -324,7 +324,7 @@ def check_P_evolution(trace: FlowTrace) -> IdentityReport:
     beta_prime_vals = sf.f * alpha_fn(law, st.K) / st.K
     group = (st.H * beta_vals - beta_prime_vals / (sf.f * sf.f1) * sf.gradsq_h) * p_mid
     rhs = sf.f1K * box_p + 2.0 * c * grad_f_p + P_norm_sq_h(sf) + c * p_mid**2 + group
-    part = (lambda s: P_trace(speed_fields(s, law)), V * dP, rhs)
+    part = (lambda s: P_trace(speed_fields(s, law)), sf.v * dP, rhs)
     return _ladder_report("evolve-P", [part], ladder, 1e-4, (1.7, 2.3), relative=True)
 
 
@@ -332,20 +332,20 @@ def check_P_evolution(trace: FlowTrace) -> IdentityReport:
 # pointwise geometric identities, assembled with independent 2nd-order stencils
 
 
-def check_identities(grid: SupportGrid) -> list:
-    """Residuals of the embedding Hessian, the derivative of the normal,
-    and the divergence-free curvature tensor at a single grid.
+def _identity_residuals(grid: SupportGrid) -> tuple:
+    """The largest |lhs - rhs| of the embedding Hessian, the derivative of
+    the normal and the divergence-free curvature tensor at one grid; a NaN
+    stays NaN and so fails.
 
     Each identity's sides are assembled from the embedded positions and
     the geometry state with 2nd-order stencils, once for both n: periodic
     for n=1; for n=2 reflected at the poles, odd for the distance from the
     axis and even for the height.  n=2 adds the azimuthal rows of the
     embedding Hessian.  For n=1 the divergence identity collapses to the
-    definitional curvature relation and is reported with no order window.
+    definitional curvature relation.
     """
     state = derive_state(grid)
     n, dx = grid.n, grid.spacing
-    window = (1.7, 99.0)  # the order window of an identity's grid-size ladder
     d1 = lambda u, parity: stencils.d1_o2(u, dx, n == 1, parity)
     d2 = lambda u, parity: stencils.d2_o2(u, dx, n == 1, parity)
     parities = ("odd", "even")  # distance from the axis, height (n=2 only)
@@ -369,7 +369,6 @@ def check_identities(grid: SupportGrid) -> list:
     if n == 1:
         # n=1 divergence of K h^-1 reduces to the definitional K = 1/r.
         div = d1(state.K, "even") + d1(state.r1, "even") * state.K / state.r1
-        div_window = None
     else:
         # Divergence of K h^-1 in conservation form, weighted by sqrt(det g)
         # so the residual stays uniformly second order up to the poles.
@@ -379,37 +378,30 @@ def check_identities(grid: SupportGrid) -> list:
         gam_phph = d1(state.r1, "even") / state.r1
         gam_phps = -rho * Fp[:, 0] / state.r1**2
         div = d1(sqrtg * t_phph, "odd") + sqrtg * (gam_phph * t_phph + gam_phps * t_psps)
-        div_window = window
 
     def worst(pairs):
-        """The largest |lhs - rhs| over an identity's (lhs, rhs) rows; a NaN
-        stays NaN and so fails."""
         return float(np.max([np.max(np.abs(lhs - rhs)) for lhs, rhs in pairs]))
 
-    return [
-        IdentityReport("hessian-embedding", (dx,), (worst(hess),), 1e-2, order_window=window),
-        IdentityReport("weingarten", (dx,), (worst(weingarten),), 1e-2, order_window=window),
-        IdentityReport(
-            "curvature-divergence", (dx,), (float(np.max(np.abs(div))),), 1e-2,
-            order_window=div_window,
-        ),
-    ]
+    return worst(hess), worst(weingarten), float(np.max(np.abs(div)))
 
 
-def identity_convergence(make_grid, sizes) -> list:
-    """Run check_identities over a grid-size ladder and merge the rows.
+def check_identities(grids) -> list:
+    """Grid-refinement ladders of the pointwise geometric identities (see
+    _identity_residuals) over grids, a coarse-to-fine sequence of grids of
+    one n; the resolutions are the grid spacings.
 
-    make_grid maps a size to a SupportGrid; sizes go coarse to fine.  Each
-    merged row keeps the order window of its check_identities report.
+    Each ladder is checked against the absolute tolerance 1e-2 and the
+    order window (1.7, 99.0), except the n=1 curvature-divergence, which
+    collapses to the definitional K = 1/r and has no order window.
     """
-    per_size = [check_identities(make_grid(s)) for s in sizes]
+    window = (1.7, 99.0)
+    windows = (window, window, None if grids[0].n == 1 else window)
+    names = ("hessian-embedding", "weingarten", "curvature-divergence")
+    ladders = zip(*(_identity_residuals(grid) for grid in grids))
+    spacings = tuple(grid.spacing for grid in grids)
     return [
-        replace(
-            rep,
-            resolutions=tuple(r[i].resolutions[0] for r in per_size),
-            residuals=tuple(r[i].residuals[0] for r in per_size),
-        )
-        for i, rep in enumerate(per_size[0])
+        IdentityReport(name, spacings, residuals, 1e-2, order_window=w)
+        for name, residuals, w in zip(names, ladders, windows)
     ]
 
 
@@ -417,40 +409,48 @@ def identity_convergence(make_grid, sizes) -> list:
 # algebraic expansions of the Harnack tensor
 
 
-def check_P_expansion(state: GeometryState, law: SpeedLaw) -> list:
-    """Squared-trace expansion and, for n=1, the tensor-norm expansion.
+def check_P_expansion(cases) -> list:
+    """Squared-trace expansion and, for n=1, the tensor-norm expansion, over
+    a family of (state, law) cases.
 
-    These are pure algebra at one state, so the residuals sit at rounding
-    level when the identities are implemented correctly, and each is
-    checked against the absolute tolerance 1e-10.
+    These are pure algebra at each state, so the residuals sit at rounding
+    level when the identities are implemented correctly.  Each identity's
+    residual is the largest over the cases it applies to, reduced with
+    np.max, so a NaN stays NaN and fails; it is checked against the
+    absolute tolerance 1e-10.  The reports are sorted by name, each with
+    the single resolution 0.0.
     """
-    sf = speed_fields(state, law)
-    p_tr = P_trace(sf)
-    w = sf.gradsq_h / sf.f1K
-    fH = sf.f * state.H
-    expansion = (
-        sf.box**2
-        + w**2
-        + fH**2
-        - 2.0 * sf.box * w
-        + 2.0 * fH * sf.box
-        - 2.0 * fH * w
-    )
-    differences = {"p-square-expansion": expansion - p_tr**2}
-    if state.n == 1:
-        r, hess, grad_h_cov = state.r1, sf.hess, -state.r1p
-        t1 = hess**2 / r**2
-        t2 = sf.fp**2 * grad_h_cov**2 / r**4
-        t3 = sf.f**2 / r**2
-        t4 = -2.0 * grad_h_cov * sf.fp * hess / r**3
-        t5 = 2.0 * sf.f * hess / r**2
-        t6 = -2.0 * sf.f * state.Hp * sf.fp / r
-        p_norm = P_norm_sq_h(sf)
-        differences["p-tensor-norm-terms"] = t1 + t2 + t3 + t4 + t5 + t6 - p_norm
-        differences["p-norm-trace-square"] = p_norm - p_tr**2
+    residuals = {}
+    for state, law in cases:
+        sf = speed_fields(state, law)
+        p_tr = P_trace(sf)
+        w = sf.gradsq_h / sf.f1K
+        fH = sf.f * state.H
+        expansion = (
+            sf.box**2
+            + w**2
+            + fH**2
+            - 2.0 * sf.box * w
+            + 2.0 * fH * sf.box
+            - 2.0 * fH * w
+        )
+        differences = {"p-square-expansion": expansion - p_tr**2}
+        if state.n == 1:
+            r, hess, grad_h_cov = state.r1, sf.hess, -state.r1p
+            t1 = hess**2 / r**2
+            t2 = sf.fp**2 * grad_h_cov**2 / r**4
+            t3 = sf.f**2 / r**2
+            t4 = -2.0 * grad_h_cov * sf.fp * hess / r**3
+            t5 = 2.0 * sf.f * hess / r**2
+            t6 = -2.0 * sf.f * state.Hp * sf.fp / r
+            p_norm = P_norm_sq_h(sf)
+            differences["p-tensor-norm-terms"] = t1 + t2 + t3 + t4 + t5 + t6 - p_norm
+            differences["p-norm-trace-square"] = p_norm - p_tr**2
+        for name, d in differences.items():
+            residuals.setdefault(name, []).append(np.max(np.abs(d)))
     return [
-        IdentityReport(name, (float(state.dx),), (float(np.max(np.abs(d))),), tolerance=1e-10)
-        for name, d in differences.items()
+        IdentityReport(name, (0.0,), (float(np.max(res)),), tolerance=1e-10)
+        for name, res in sorted(residuals.items())
     ]
 
 
@@ -597,14 +597,10 @@ def evolution_suite() -> list:
 def identity_suite() -> list:
     """Grid-refinement ladders for the pointwise geometric identities."""
     shape = _perturbed_circle_shape(amp=0.05)
-    reports = identity_convergence(
-        lambda s: shape.build(1, s), sizes=(64, 128, 256)
-    )
-    ellipsoid = lambda s: _ellipsoid_grid(1.0, 1.3, s)
+    reports = check_identities([shape.build(1, s) for s in (64, 128, 256)])
+    ellipsoids = [_ellipsoid_grid(1.0, 1.3, s) for s in (32, 64, 128)]
     reports += [
-        rep
-        for rep in identity_convergence(ellipsoid, sizes=(32, 64, 128))
-        if rep.identity == "curvature-divergence"
+        rep for rep in check_identities(ellipsoids) if rep.identity == "curvature-divergence"
     ]
     return reports
 
@@ -620,18 +616,14 @@ def pexpand_suite() -> list:
     states; each row's residual is the largest over the states, reduced with
     np.max, so a NaN stays NaN and fails."""
     rng = np.random.default_rng(20240)
-    residuals = {}
+    cases = []
     for i in range(10):
         n = 1 if i % 5 < 3 else 2
         size = 256 if n == 1 else 128
         grid = random_convex_grid(n, size, rng)
         law = SpeedLaw.power(-1.0, -0.5 if n == 1 else -0.25)
-        for rep in check_P_expansion(derive_state(grid), law):
-            residuals.setdefault(rep.identity, []).append(rep.finest_residual)
-    return [
-        IdentityReport(name, (0.0,), (float(np.max(res)),), tolerance=1e-10)
-        for name, res in sorted(residuals.items())
-    ]
+        cases.append((derive_state(grid), law))
+    return check_P_expansion(cases)
 
 
 def pevol_suite() -> list:

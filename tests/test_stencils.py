@@ -80,12 +80,12 @@ def odd(fn):
 
 
 def on(topology, fn):
-    """fn on one topology, taking (u, dx) and optionally a parity; named
-    d1_periodic for fn = d1, d1_reflect_o2 for fn = d1_o2, and so on."""
+    """fn on one topology, taking (u, dx) and, if fn takes one, a parity;
+    named d1_periodic for fn = d1, d1_reflect_o2 for fn = d1_o2, and so on."""
     periodic = topology == "periodic"
 
-    def bound(u, dx, parity="even"):
-        return fn(u, dx, periodic, parity)
+    def bound(u, dx, *parity):
+        return fn(u, dx, periodic, *parity)
 
     head, _, order = fn.__name__.partition("_")
     bound.__name__ = "_".join(filter(None, (head, topology, order)))
@@ -93,25 +93,34 @@ def on(topology, fn):
 
 
 # The derivatives of a flat layout (geometry.FlatLayout): one gathered
-# extension, shared by d1 and d2, with the divisor given.
+# extension, shared by d1 and d2, correlated by the stencils' one helper
+# with the divisor given.
 def gathered(u, periodic):
     return u[..., stencils.ghost_index(u.shape[-1], periodic)]
 
 
+def correlated_d1(e, div):
+    return stencils._correlate(stencils.D1_REVERSED, e, div)
+
+
+def correlated_d2(e, div):
+    return stencils._correlate(stencils.D2_REVERSED, e, div)
+
+
 def shared_d1(u, dx):
-    return stencils.d1_extended(gathered(u, False), 12.0 * dx)
+    return correlated_d1(gathered(u, False), 12.0 * dx)
 
 
 def shared_d2(u, dx):
-    return stencils.d2_extended(gathered(u, False), 12.0 * dx * dx)
+    return correlated_d2(gathered(u, False), 12.0 * dx * dx)
 
 
 def gathered_d1_periodic(u, dx):
-    return stencils.d1_extended(gathered(u, True), 12.0 * dx)
+    return correlated_d1(gathered(u, True), 12.0 * dx)
 
 
 def gathered_d2_periodic(u, dx):
-    return stencils.d2_extended(gathered(u, True), 12.0 * dx * dx)
+    return correlated_d2(gathered(u, True), 12.0 * dx * dx)
 
 
 # perfbench/kernels.py times the 4th-order d2 under these two names
@@ -130,8 +139,6 @@ PAIRS = [
 REFLECT_PAIRS = [
     (on("reflect", stencils.d1), mirror_d1),
     (on("reflect", stencils.d2), mirror_d2),
-    (odd(on("reflect", stencils.d1)), odd(mirror_d1)),
-    (odd(on("reflect", stencils.d2)), odd(mirror_d2)),
     (on("reflect", stencils.d1_o2), mirror_d1_o2),
     (on("reflect", stencils.d2_o2), mirror_d2_o2),
     (odd(on("reflect", stencils.d1_o2)), odd(mirror_d1_o2)),
@@ -177,9 +184,11 @@ def test_reflect_stencils_reject_an_unknown_parity():
     message = "parity must be 'even' or 'odd', got 'mixed'"
     with pytest.raises(ValueError, match=message):
         stencils.extend(np.ones(16), False, "mixed")
-    for fn in (stencils.d1, stencils.d2, stencils.d1_o2, stencils.d2_o2):
+    for fn in (stencils.d1_o2, stencils.d2_o2):
         with pytest.raises(ValueError, match=message):
             fn(np.ones(16), 0.1, False, "mixed")
+    with pytest.raises(ValueError, match=message):
+        stencils.d2_reflect(np.ones(16), 0.1, "mixed")
 
 
 def test_a_periodic_extension_ignores_parity():
@@ -254,8 +263,8 @@ def test_flat_stencils_equal_the_textbook_forms_bit_for_bit(data, count, per_out
     div = (data.draw(hnp.arrays(np.float64, count - 4, elements=DIVISORS)) if per_output
            else data.draw(DIVISORS))
     before = e.copy()
-    assert_same_bits(stencils.d1_extended(e, div), textbook_d1(e, div))
-    assert_same_bits(stencils.d2_extended(e, div), textbook_d2(e, div))
+    assert_same_bits(correlated_d1(e, div), textbook_d1(e, div))
+    assert_same_bits(correlated_d2(e, div), textbook_d2(e, div))
     assert np.array_equal(e, before)
 
 
@@ -266,7 +275,7 @@ def test_stacked_stencils_equal_the_textbook_forms_bit_for_bit(data, rows, size,
     # a flat divisor has one entry per flat output, straddling ones included
     div = (data.draw(hnp.arrays(np.float64, e.size - 4, elements=DIVISORS)) if per_output
            else data.draw(DIVISORS))
-    for fn, textbook in ((stencils.d1_extended, textbook_d1), (stencils.d2_extended, textbook_d2)):
+    for fn, textbook in ((correlated_d1, textbook_d1), (correlated_d2, textbook_d2)):
         got = fn(e, div)
         assert got.shape == (rows, size)
         want = np.empty(e.size)

@@ -178,15 +178,17 @@ def test_untested_lines_lists_the_lines_no_call_ran(tmp_path):
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         module.sign(1)
-        module.in_a_thread()  # the thread runs sign's last line
+        module.in_a_thread()  # only the thread runs sign's last line
     finally:
         tracer.stop()
     assert sys.gettrace() is before
-    assert tracer.unrun() == [(path, 21), (path, 22)]
+    # the main thread alone is traced, so sign's last line is listed
+    assert tracer.unrun() == [(path, 10), (path, 21), (path, 22)]
     assert tool.report(tracer, root=tmp_path) == [
+        "pkg/sample.py:10: return -1",
         "pkg/sample.py:21: return max(x,",
         "pkg/sample.py:22: 1)",
-        "2 line(s) of pkg not run",
+        "3 line(s) of pkg not run",
     ]
 
 
@@ -235,10 +237,10 @@ def _report_after(tmp_path, calls):
 
 def test_untested_lines_fails_a_run_whose_report_lists_a_line(tmp_path):
     # without sign(1), its `return 1` is listed and the run fails
-    lines, status = _report_after(tmp_path, [])
+    lines, status = _report_after(tmp_path, [-1])
     assert lines == ["pkg/sample.py:9: return 1", "1 line(s) of pkg not run"]
     assert status == 1
-    lines, status = _report_after(tmp_path, [1])
+    lines, status = _report_after(tmp_path, [1, -1])
     assert lines == ["0 line(s) of pkg not run"]
     assert status == 0
 

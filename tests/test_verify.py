@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from gcf import flow, harnack, stencils, verify
 from gcf.errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
@@ -18,7 +20,6 @@ from gcf.verify import (
     check_P_expansion,
     estimate_order,
     hessian_oracle,
-    identity_convergence,
     pevol_suite,
     pexpand_suite,
     random_convex_grid,
@@ -98,7 +99,7 @@ def test_hessian_oracle_matches_christoffel_route():
 
 @pytest.mark.parametrize("n,size", [(1, 256), (2, 128)], ids=["n1", "n2"])
 def test_identities_round_circle_residuals_small(n, size):
-    reps = {r.identity: r for r in check_identities(round_grid(n, 1.0, size))}
+    reps = {r.identity: r for r in check_identities([round_grid(n, 1.0, size)])}
     assert reps["hessian-embedding"].finest_residual <= 1e-4
     assert reps["weingarten"].finest_residual <= 1e-4
     # the n=1 divergence identity is degenerate: no order window
@@ -107,7 +108,7 @@ def test_identities_round_circle_residuals_small(n, size):
 
 def test_a_replaced_ladder_reports_its_own_order():
     shape = InitialShape("fourier", 1.0, ((3, 0.05),))
-    rep = identity_convergence(lambda s: shape.build(1, s), sizes=(64, 128, 256))[0]
+    rep = check_identities([shape.build(1, s) for s in (64, 128, 256)])[0]
     assert rep.identity == "hessian-embedding" and rep.order_window == (1.7, 99.0)
     assert rep.order == estimate_order(rep.resolutions, rep.residuals) >= 1.7
     assert rep.passed
@@ -119,7 +120,7 @@ def test_a_replaced_ladder_reports_its_own_order():
 
 def test_identities_converge_second_order_on_perturbed_circle():
     shape = InitialShape("fourier", 1.0, ((3, 0.05),))
-    reps = identity_convergence(lambda s: shape.build(1, s), sizes=(64, 128, 256))
+    reps = check_identities([shape.build(1, s) for s in (64, 128, 256)])
     for rep in reps:
         if rep.order_window is None:
             continue
@@ -132,7 +133,7 @@ def test_divergence_identity_converges_on_ellipsoid():
         from gcf.geometry import SupportGrid
         return SupportGrid(2, np.sqrt(np.sin(phi) ** 2 + 1.3**2 * np.cos(phi) ** 2))
 
-    reps = identity_convergence(ellipsoid, sizes=(32, 64, 128))
+    reps = check_identities([ellipsoid(s) for s in (32, 64, 128)])
     rep = {r.identity: r for r in reps}["curvature-divergence"]
     assert rep.order is not None and rep.order >= 1.7, rep
     assert rep.residuals[0] > rep.residuals[-1]
@@ -140,9 +141,32 @@ def test_divergence_identity_converges_on_ellipsoid():
 
 def test_identities_converge_on_axisymmetric_surface():
     shape = InitialShape("fourier", 1.0, ((2, 0.04),))
-    reps = identity_convergence(lambda s: shape.build(2, s), sizes=(32, 64, 128))
+    reps = check_identities([shape.build(2, s) for s in (32, 64, 128)])
     for rep in reps:
         assert rep.order is not None and rep.order >= 1.7, rep
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=15, deadline=None)
+@given(hst.sampled_from((1, 2)), hst.integers(0, 2**32 - 1), hst.integers(1, 3))
+def test_a_ladder_reports_each_grids_own_residuals_bit_for_bit(n, seed, rungs):
+    # one random convex shape on a grid-size ladder, coarse to fine: each
+    # rung of each report is, bit for bit, the residual of that grid alone
+    base = 32 if n == 1 else 16
+    grids = [random_convex_grid(n, base * 2**k, np.random.default_rng(seed)) for k in range(rungs)]
+    reports = check_identities(grids)
+    alone = [check_identities([grid]) for grid in grids]
+    assert [rep.identity for rep in reports] == [rep.identity for rep in alone[0]] == [
+        "hessian-embedding", "weingarten", "curvature-divergence"
+    ]
+    for i, rep in enumerate(reports):
+        assert rep.resolutions == tuple(grid.spacing for grid in grids)
+        assert _bits(rep.residuals) == _bits([reps[i].finest_residual for reps in alone])
+        assert rep.tolerance == 1e-2
+        assert rep.order_window == (None if n == 1 and i == 2 else (1.7, 99.0))
 
 
 # --- evolution residuals -------------------------------------------------------
@@ -312,7 +336,7 @@ def test_a_nan_in_a_stencil_fails_every_pointwise_identity(monkeypatch):
         return out
 
     monkeypatch.setattr(stencils, "d1_o2", with_nan)
-    reports = check_identities(round_grid(1, 1.0, 64))
+    reports = check_identities([round_grid(1, 1.0, 64)])
     assert [rep.identity for rep in reports] == [
         "hessian-embedding", "weingarten", "curvature-divergence"
     ]
@@ -445,7 +469,7 @@ def test_p_checks_evaluate_speed_fields_once_per_state(monkeypatch):
     for n, size, law in ((1, 128, HALF), (2, 64, SpeedLaw.power(-1.0, -0.25))):
         st = derive_state(random_convex_grid(n, size, rng))
         calls.clear()
-        check_P_expansion(st, law)
+        check_P_expansion([(st, law)])
         assert len(calls) == 1 and calls[0] is st
     tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=9)
     calls.clear()
@@ -463,7 +487,7 @@ def test_p_checks_evaluate_speed_fields_once_per_state(monkeypatch):
 def test_p_expansion_round_states():
     for n, law in ((1, HALF), (2, SpeedLaw.power(-1.0, -0.25))):
         st = derive_state(round_grid(n, 1.5, 64))
-        for rep in check_P_expansion(st, law):
+        for rep in check_P_expansion([(st, law)]):
             assert rep.finest_residual <= 1e-12, rep
 
 
@@ -473,8 +497,33 @@ def test_p_expansion_random_states():
         n = 1 if i % 2 == 0 else 2
         st = derive_state(random_convex_grid(n, 128, rng))
         law = HALF if n == 1 else SpeedLaw.power(-1.0, -0.25)
-        for rep in check_P_expansion(st, law):
+        for rep in check_P_expansion([(st, law)]):
             assert rep.finest_residual <= 1e-10, rep
+
+
+@settings(max_examples=15, deadline=None)
+@given(hst.lists(hst.sampled_from((1, 2)), min_size=1, max_size=5), hst.integers(0, 2**32 - 1))
+def test_p_expansion_of_a_family_is_the_max_over_its_one_case_families(ns, seed):
+    rng = np.random.default_rng(seed)
+    laws = {1: HALF, 2: SpeedLaw.power(-1.0, -0.25)}
+    cases = [(derive_state(random_convex_grid(n, 64, rng)), laws[n]) for n in ns]
+    alone = {}
+    for case in cases:
+        for rep in check_P_expansion([case]):
+            alone.setdefault(rep.identity, []).append(rep.finest_residual)
+        if case[0].n == 1:  # a case's residual is its largest over the nodes
+            sf = speed_fields(*case)
+            worst = np.max(np.abs(harnack.P_norm_sq_h(sf) - P_trace(sf) ** 2))
+            assert _bits([alone["p-norm-trace-square"][-1]]) == _bits([worst])
+    reports = check_P_expansion(cases)
+    assert [rep.identity for rep in reports] == sorted(alone)
+    for rep in reports:
+        assert rep.resolutions == (0.0,) and rep.tolerance == 1e-10
+        assert _bits(rep.residuals) == _bits([max(alone[rep.identity])])
+    # the tensor-norm expansions apply to n=1 states only
+    n2_cases = [case for case in cases if case[0].n == 2]
+    if n2_cases:
+        assert [rep.identity for rep in check_P_expansion(n2_cases)] == ["p-square-expansion"]
 
 
 # --- random convex states -----------------------------------------------------

@@ -3,9 +3,9 @@
     PYTHONPATH=src:tools python -m pytest -q -p untested_lines
 
 A pytest plugin that needs nothing beyond the standard library.  When
-pytest configures it, it turns a line tracer on with sys.settrace, and
-with threading.settrace for the threads that tests start (such as a
-sweep's thread pool).  After the test summary it prints every line of the
+pytest configures it, it turns a line tracer on with sys.settrace, for
+the main thread only: src/gcf starts no threads, and a line that only a
+thread runs is listed.  After the test summary it prints every line of the
 *.py files of src/gcf that can execute but never did, as
 `path:line: source`, then their count.  The lines that can execute are
 those of each file's compiled code objects (co_lines): blank lines,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import ast
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,24 +56,21 @@ def script_lines(source: str) -> set:
 class LineTracer:
     """The lines run in the *.py files under one directory, while started.
 
-    start() installs the tracer for this thread and for threads started
-    later; stop() puts back the trace functions that were there before.
+    start() installs the tracer for this thread; stop() puts back the trace
+    function that was there before.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory).resolve()
         self.run = {}  # resolved path -> numbers of the lines run
         self._files = {}  # co_filename -> that set, or None outside the directory
-        self._lock = threading.Lock()  # traced threads may meet a new file at once
         self._before = None
 
     def _lines_of(self, filename: str):
         if filename not in self._files:
-            with self._lock:
-                if filename not in self._files:
-                    path = Path(filename).resolve()
-                    inside = self.directory in path.parents and path.suffix == ".py"
-                    self._files[filename] = self.run.setdefault(path, set()) if inside else None
+            path = Path(filename).resolve()
+            inside = self.directory in path.parents and path.suffix == ".py"
+            self._files[filename] = self.run.setdefault(path, set()) if inside else None
         return self._files[filename]
 
     def _trace(self, frame, event, arg):
@@ -91,13 +87,11 @@ class LineTracer:
         return local
 
     def start(self) -> None:
-        self._before = sys.gettrace(), threading.gettrace()
-        threading.settrace(self._trace)
+        self._before = sys.gettrace()
         sys.settrace(self._trace)
 
     def stop(self) -> None:
-        sys.settrace(self._before[0])
-        threading.settrace(self._before[1])
+        sys.settrace(self._before)
 
     def unrun(self) -> list:
         """(path, line number) of each executable line not run, sorted."""
