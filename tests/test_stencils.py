@@ -115,6 +115,18 @@ def shared_d2(u, dx):
     return correlated_d2(gathered(u, False), 12.0 * dx * dx)
 
 
+# The 4th-order weights on a field mirrored with a given parity, through
+# extend and the stencils' one helper: d2_reflect's odd path, and the d1
+# that an odd field would take.  Named as the odd rows of the 4th-order d1
+# and d2 were when those took a parity.
+def reflected_d1(u, dx, parity):
+    return correlated_d1(stencils.extend(u, False, parity), 12.0 * dx)
+
+
+def reflected_d2(u, dx, parity):
+    return correlated_d2(stencils.extend(u, False, parity), 12.0 * dx * dx)
+
+
 def gathered_d1_periodic(u, dx):
     return correlated_d1(gathered(u, True), 12.0 * dx)
 
@@ -139,6 +151,8 @@ PAIRS = [
 REFLECT_PAIRS = [
     (on("reflect", stencils.d1), mirror_d1),
     (on("reflect", stencils.d2), mirror_d2),
+    (odd(named(reflected_d1, "d1_reflect")), odd(mirror_d1)),
+    (odd(named(reflected_d2, "d2_reflect")), odd(mirror_d2)),
     (on("reflect", stencils.d1_o2), mirror_d1_o2),
     (on("reflect", stencils.d2_o2), mirror_d2_o2),
     (odd(on("reflect", stencils.d1_o2)), odd(mirror_d1_o2)),
