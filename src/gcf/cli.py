@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .errors import GcfError, InsufficientTrace, InvalidConfig
 from .flow import FlowConfig, InitialShape, run
+from .fmt17 import ARGS, PIECES, g17
 from .geometry import mean_curvature
 from .harnack import MarginSummary, margin_summary, monitor
 from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
@@ -218,10 +219,37 @@ def _meta(doc: dict, wall: float, trace, command: str, **extra) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# Both CSV writers format a state's rows with one % over a template of its
-# rows.  What a row holds besides its %.17g values (the time, the node index
-# and angle, the bound) is text in the template: the per-node part is
-# formatted once per trace, and the time and bound once per state.
+# Both CSV writers format a block of states at a time: fmt17.g17 turns the
+# block's floats into the int arguments of % pieces, and each state's rows
+# are one % over a template of their cells.  What a row holds besides its
+# floats (the time, the node index and angle, the bound) is text in the
+# template: the per-node part is formatted once per trace, and the time and
+# bound once per state.  A block holds at most _BLOCK_VALUES floats (or one
+# state), which bounds what the writers hold at once: about 200 bytes a float.
+_FIELDS = np.array(["," + piece for piece in PIECES], dtype=object)
+_BLOCK_VALUES = 8192
+
+
+def _state_chunks(heads, texts, values, width):
+    """Text chunks, one per state, of rows of width float fields.
+
+    Row j of state i is texts[i]'s time, heads[j], and the row's fields,
+    with texts[i]'s second text before the last field.  values(i, j) gives
+    the floats of states i to j - 1 as a (j - i, len(heads), width) array.
+    """
+    size = len(heads) * width  # floats per state
+    step = max(1, _BLOCK_VALUES // size)
+    cells = np.empty((step, len(heads), width + 4), dtype=object)
+    cells[:, :, 1], cells[:, :, -1] = heads, "\n"
+    for i in range(0, len(texts), step):
+        block = texts[i:i + step]
+        codes, args = g17(values(i, i + len(block)))
+        fields = _FIELDS[codes].reshape(len(block), len(heads), width)
+        cells[:len(block), :, 2:-3], cells[:len(block), :, -2] = fields[..., :-1], fields[..., -1]
+        ends = np.cumsum(ARGS[codes])[size - 1::size].tolist()
+        for state, (t, mid), start, end in zip(cells, block, [0, *ends], ends):
+            state[:, 0], state[:, -3] = t, mid
+            yield "".join(state.ravel().tolist()) % tuple(args[start:end])
 
 
 def _trace_csv(trace):
@@ -230,26 +258,28 @@ def _trace_csv(trace):
         yield "t,node_index,angle,h,r,K,H\n"
     else:
         yield "t,node_index,angle,h,r1,r2,K,H\n"
-    values = ",%.17g" * (trace.n + 3) + "\n"  # h, the radii, K and H
-    angles = trace.grids[0].angles.tolist()
-    tails = [",%d,%s%s" % (i, _fmt(a), values) for i, a in enumerate(angles)]
-    for t, grid in zip(trace.times, trace.grids):
+
+    def columns(grid):  # h, the radii, K and H
         radii, K = grid.curvature()
-        cols = np.stack((grid.values, *radii, K, mean_curvature(radii, K)), axis=-1)
-        t = _fmt(t)
-        yield (t + t.join(tails)) % tuple(cols.ravel().tolist())
+        return np.stack((grid.values, *radii, K, mean_curvature(radii, K)), axis=-1)
+
+    heads = [",%d,%s" % (i, _fmt(a)) for i, a in enumerate(trace.grids[0].angles.tolist())]
+    texts = [(_fmt(t), "") for t in trace.times]
+    yield from _state_chunks(
+        heads, texts, lambda i, j: np.stack([columns(g) for g in trace.grids[i:j]]), trace.n + 3
+    )
 
 
 def _harnack_csv(table):
     """harnack.csv of a monitor table as text chunks, one per monitored state."""
     yield "t,node_index,u,dt_u_spatial,dt_u_fd,grad_sq_h,lhs_eq12,P_trace,bound_eq316,margin\n"
-    heads = [",%d%s," % (i, ",%.17g" * 6) for i in range(table.u.shape[1])]
     cols = (table.u, table.dt_u_spatial, table.dt_u_fd, table.grad_sq_h, table.lhs_12,
             table.p_trace, table.margin)
-    for i, (t, bound) in enumerate(zip(table.t.tolist(), table.bound.tolist())):
-        t, tail = _fmt(t), _fmt(bound) + ",%.17g\n"
-        template = t + (tail + t).join(heads) + tail
-        yield template % tuple(np.stack([c[i] for c in cols], axis=-1).ravel().tolist())
+    heads = [",%d" % i for i in range(table.u.shape[1])]
+    texts = [(_fmt(t), "," + _fmt(b)) for t, b in zip(table.t.tolist(), table.bound.tolist())]
+    yield from _state_chunks(
+        heads, texts, lambda i, j: np.stack([c[i:j] for c in cols], axis=-1), len(cols)
+    )
 
 
 def _report_csv(reports) -> str:

@@ -83,10 +83,14 @@ class SupportGrid:
 
     @property
     def angles(self) -> np.ndarray:
-        m = self.size
-        if self.n == 1:
-            return 2.0 * np.pi * np.arange(m) / m
-        return (np.arange(m) + 0.5) * np.pi / m
+        return self.node_angles(self.n, self.size)
+
+    @staticmethod
+    def node_angles(n: int, size: int) -> np.ndarray:
+        """The angles theta_i or phi_j of the nodes of an (n, size) grid."""
+        if n == 1:
+            return 2.0 * np.pi * np.arange(size) / size
+        return (np.arange(size) + 0.5) * np.pi / size
 
     @property
     def spacing(self) -> float:
@@ -150,7 +154,7 @@ def fourier_grid(n: int, base_radius: float, modes, size: int) -> SupportGrid:
 
 @functools.lru_cache(maxsize=32)
 def _polar_cot(size: int) -> np.ndarray:
-    phi = (np.arange(size) + 0.5) * np.pi / size
+    phi = SupportGrid.node_angles(2, size)
     cot = np.cos(phi) / np.sin(phi)
     cot.flags.writeable = False
     return cot

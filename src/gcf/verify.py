@@ -134,10 +134,8 @@ def estimate_order(resolutions, residuals) -> float | None:
 
 
 def uniform_trace(
-    n: int,
-    size: int,
+    grid: SupportGrid,
     law: SpeedLaw,
-    shape: InitialShape,
     spacing: float,
     n_stored: int,
     burn_in: float = 0.0,
@@ -148,17 +146,17 @@ def uniform_trace(
     of the high harmonics before storing begins; residual checks centered
     on the stored window then see only the slow dynamics.  Every stored
     state ends a flow.run whose config holds the state before it: the
-    burn-in runs the shape built on the (n, size) grid from 0 to burn_in
-    (with no burn-in that grid is the first state), and run i the state
-    before it to burn_in + i * spacing.  So each step is run()'s
-    own, the smaller of stable_dt and the time left, and each state lands
-    on its time.  The trace sums the runs' steps and RHS evaluations and
-    spans their step sizes.  A run that ends early raises (NonConvex,
-    OriginOutside, or InsufficientTrace on a step underflow) instead of
-    returning a partial trace.
+    burn-in runs the initial grid from 0 to burn_in (with no burn-in that
+    grid is the first state), and run i the state before it to
+    burn_in + i * spacing.  So each step is run()'s own, the smaller of
+    stable_dt and the time left, and each state lands on its time.  The
+    trace sums the runs' steps and RHS evaluations and spans their step
+    sizes.  A run that ends early raises (NonConvex, OriginOutside, or
+    InsufficientTrace on a step underflow) instead of returning a partial
+    trace.
     """
     times = [burn_in + i * spacing for i in range(n_stored)]
-    grid, t0, grids, runs = shape.build(n, size), 0.0, [], []
+    t0, grids, runs = 0.0, [], []
     for i, t in enumerate(times):
         if i or burn_in > 0.0:
             runs.append(_completed(run(FlowConfig(grid, law, t0=t0, t_end=t, stride=10**9))))
@@ -167,7 +165,7 @@ def uniform_trace(
         t0 = t
     stepped = [r for r in runs if r.steps]
     return FlowTrace(
-        n=n, law=law, times=times, grids=grids,
+        n=grid.n, law=law, times=times, grids=grids,
         steps=sum(r.steps for r in runs), rhs_evals=sum(r.rhs_evals for r in runs),
         dt_min=min((r.dt_min for r in stepped), default=None),
         dt_max=max((r.dt_max for r in stepped), default=None),
@@ -589,7 +587,7 @@ def evolution_suite() -> list:
     """
     law = SpeedLaw.power(-1.0, -0.5)
     trace = uniform_trace(
-        1, 512, law, _perturbed_circle_shape(), spacing=1e-3, n_stored=9, burn_in=0.1
+        _perturbed_circle_shape().build(1, 512), law, spacing=1e-3, n_stored=9, burn_in=0.1
     )
     return check_evolution(trace)
 
@@ -606,7 +604,7 @@ def identity_suite() -> list:
 
 
 def _ellipsoid_grid(a: float, c: float, size: int) -> SupportGrid:
-    phi = (np.arange(size) + 0.5) * np.pi / size
+    phi = SupportGrid.node_angles(2, size)
     h = np.sqrt(a**2 * np.sin(phi) ** 2 + c**2 * np.cos(phi) ** 2)
     return SupportGrid(2, h)
 
@@ -636,10 +634,10 @@ def pevol_suite() -> list:
     measured time-truncation residual.
     """
     law = SpeedLaw.power(-1.0, -0.5)
-    shape = InitialShape("fourier", R0=1.0, modes=((2, 0.01),))
-    trace = uniform_trace(1, 128, law, shape, spacing=8e-3, n_stored=9, burn_in=0.25)
+    grid = InitialShape("fourier", R0=1.0, modes=((2, 0.01),)).build(1, 128)
+    trace = uniform_trace(grid, law, spacing=8e-3, n_stored=9, burn_in=0.25)
     exp_law = SpeedLaw.exponential()
-    exp_trace = uniform_trace(1, 128, exp_law, shape, spacing=1e-3, n_stored=9, burn_in=0.02)
+    exp_trace = uniform_trace(grid, exp_law, spacing=1e-3, n_stored=9, burn_in=0.02)
     return [
         check_P_evolution(trace),
         replace(check_P_evolution(exp_trace), identity="evolve-P-exp"),

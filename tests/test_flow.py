@@ -99,7 +99,8 @@ def test_times_strictly_increasing_and_grids_convex():
 
 def test_comparison_principle_on_rounds():
     # uniformly spaced stored states, so stored times align
-    tr_a, tr_b = (uniform_trace(1, 32, HALF, InitialShape("round", R0), spacing=0.1, n_stored=11)
+    tr_a, tr_b = (uniform_trace(InitialShape("round", R0).build(1, 32), HALF, spacing=0.1,
+                                n_stored=11)
                   for R0 in (1.0, 1.1))
     assert tr_a.times == tr_b.times
     for ga, gb in zip(tr_a.grids, tr_b.grids):

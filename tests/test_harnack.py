@@ -183,7 +183,7 @@ def test_monitor_unit_circle_lhs_profile():
 def test_monitor_two_time_derivative_estimates_agree_at_order_two():
     diffs = []
     for spacing in (4e-3, 2e-3, 1e-3):
-        tr = uniform_trace(1, 512, HALF, InitialShape("fourier", 1.0, ((3, 0.03),)),
+        tr = uniform_trace(InitialShape("fourier", 1.0, ((3, 0.03),)).build(1, 512), HALF,
                            spacing=spacing, n_stored=3, burn_in=0.05)
         table = monitor(tr)
         diffs.append(float(np.max(np.abs(table.dt_u_spatial[0] - table.dt_u_fd[0]))))
@@ -208,7 +208,7 @@ def test_monitor_margin_nonnegative_on_perturbed_flow():
 def test_monitor_outside_hypotheses_emits_raw_trace_quantities():
     # exponential law: no bound claim, but the tensor trace is still emitted
     law = SpeedLaw.exponential()
-    tr = uniform_trace(1, 128, law, InitialShape("fourier", 1.0, ((2, 0.02),)),
+    tr = uniform_trace(InitialShape("fourier", 1.0, ((2, 0.02),)).build(1, 128), law,
                        spacing=5e-4, n_stored=3)
     table = monitor(tr)
     assert np.isnan(table.bound[0])

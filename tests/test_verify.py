@@ -173,7 +173,7 @@ def test_a_ladder_reports_each_grids_own_residuals_bit_for_bit(n, seed, rungs):
 
 
 def test_uniform_trace_spacing_and_count():
-    tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=5)
+    tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=5)
     assert len(tr) == 5
     assert tr.stored_spacing == pytest.approx(1e-3, rel=1e-12)
 
@@ -216,7 +216,7 @@ GENTLE = InitialShape("fourier", 1.0, ((2, 0.01),))
     ],
 )
 def test_uniform_trace_equals_step_loop(n, size, law, shape, spacing, n_stored, burn_in):
-    tr = uniform_trace(n, size, law, shape, spacing, n_stored, burn_in)
+    tr = uniform_trace(shape.build(n, size), law, spacing, n_stored, burn_in)
     times, grids, dts = reference_uniform_trace(n, size, law, shape, spacing, n_stored, burn_in)
     assert tr.reason == "completed"
     assert tr.times == times == [burn_in + i * spacing for i in range(n_stored)]
@@ -251,13 +251,13 @@ def test_uniform_trace_raises_when_the_flow_ends_early(
     if error is NonConvex:  # steps at test_flow.EARLY_ENDS's nonconvex safety
         monkeypatch.setattr(flow, "SAFETY", 1.5)
     with pytest.raises(error, match="ended early"):
-        uniform_trace(1, 32, law, shape, spacing=spacing, n_stored=7, burn_in=burn_in)
+        uniform_trace(shape.build(1, 32), law, spacing=spacing, n_stored=7, burn_in=burn_in)
 
 
 def test_uniform_trace_that_ends_after_stored_states_names_the_last_accepted_time():
     # stored states at 0, 0.1, ..., 0.4 complete; the step bound then
     # underflows before 0.5, at a time that is no stored time
-    stored = uniform_trace(1, 32, CONTRACTING, FIVE_LOBES, spacing=0.1, n_stored=5)
+    stored = uniform_trace(FIVE_LOBES.build(1, 32), CONTRACTING, spacing=0.1, n_stored=5)
     assert stored.times[-1] == 0.4
     rest = flow.run(flow.FlowConfig(
         grid=stored.grids[-1], law=CONTRACTING, t0=0.4, t_end=0.5, stride=10**9,
@@ -265,7 +265,7 @@ def test_uniform_trace_that_ends_after_stored_states_names_the_last_accepted_tim
     t = rest.times[-1]
     assert rest.reason == "dt_underflow" and 0.4 < t < 0.5
     with pytest.raises(InsufficientTrace) as info:
-        uniform_trace(1, 32, CONTRACTING, FIVE_LOBES, spacing=0.1, n_stored=7)
+        uniform_trace(FIVE_LOBES.build(1, 32), CONTRACTING, spacing=0.1, n_stored=7)
     assert str(info.value) == f"flow ended early at t = {t!r}: dt_underflow"
 
 
@@ -273,7 +273,7 @@ def test_check_evolution_round_circle_values():
     # on rounds: the speed field is linear in t for b=1/2, so its residual
     # is at integrator level; the metric residual follows the predicted
     # third-derivative constant d^3(R^2)/dt^3 / 6 = (1 + t/2)/2
-    tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=9)
+    tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=9)
     reps = {r.identity: r for r in check_evolution(tr)}
     assert reps["evolve-f"].finest_residual <= 1e-9
     t_mid = tr.times[len(tr) // 2]
@@ -285,7 +285,7 @@ def test_check_evolution_round_circle_values():
 
 def test_check_evolution_perturbed_orders():
     tr = uniform_trace(
-        1, 512, HALF, InitialShape("fourier", 1.0, ((3, 0.02), (2, 0.01))),
+        InitialShape("fourier", 1.0, ((3, 0.02), (2, 0.01))).build(1, 512), HALF,
         spacing=1e-3, n_stored=9, burn_in=0.1,
     )
     for rep in check_evolution(tr):
@@ -297,8 +297,8 @@ def test_check_evolution_n2_sphere_perturbed():
     # spacing large enough that time truncation dominates the pole-cell
     # spatial floor of the azimuthal-radius derivative bundle
     tr = uniform_trace(
-        2, 256, SpeedLaw.power(-1.0, -0.25),
-        InitialShape("fourier", 1.0, ((2, 0.02),)),
+        InitialShape("fourier", 1.0, ((2, 0.02),)).build(2, 256),
+        SpeedLaw.power(-1.0, -0.25),
         spacing=2e-2, n_stored=9, burn_in=0.1,
     )
     for rep in check_evolution(tr):
@@ -306,20 +306,20 @@ def test_check_evolution_n2_sphere_perturbed():
 
 
 def test_check_evolution_guards():
-    tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=3)
+    tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=3)
     reps = [r for r in check_evolution(tr) if r.identity == "evolve-f"]
     assert reps[0].order is None  # single spacing, no order claim
     tr.times[-1] += 1e-6  # break uniformity
     with pytest.raises(InsufficientTrace):
         check_evolution(tr)
-    two = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=2)
+    two = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=2)
     with pytest.raises(InsufficientTrace, match="need at least 3 stored states"):
         check_evolution(two)
 
 
 def test_ladder_residual_nan_fails():
     # a NaN residual in any component must not fold away into a PASS
-    tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=3)
+    tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=3)
     parts = [(lambda s: s.r1, 0.0, np.nan), (lambda s: s.r1, 0.0, 0.0)]
     rep = _ladder_report("nan", parts, _ladder_states(tr), 1.0, None)
     assert np.isnan(rep.finest_residual)
@@ -386,7 +386,7 @@ def test_a_nan_in_one_power_law_fails_the_speedlaw_suite(monkeypatch):
 
 
 def test_p_evolution_round_circle():
-    tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=9)
+    tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=9)
     rep = check_P_evolution(tr)
     assert rep.finest_residual <= 1e-6
     assert 1.7 <= rep.order <= 2.3
@@ -396,7 +396,7 @@ def test_p_evolution_self_similar_rate():
     # along the self-similar solution the trace is -2/t, so its time
     # derivative is 2/t^2; check the stored-state central difference
     R0 = 0.25
-    tr = uniform_trace(1, 64, HALF, InitialShape("round", R0), spacing=1e-3, n_stored=3)
+    tr = uniform_trace(InitialShape("round", R0).build(1, 64), HALF, spacing=1e-3, n_stored=3)
     states = [derive_state(g) for g in tr.grids]
     p = [float(P_trace(speed_fields(s, HALF))[0]) for s in states]
     dP = (p[2] - p[0]) / (2e-3)
@@ -408,7 +408,7 @@ def test_p_evolution_self_similar_rate():
 
 def test_p_evolution_perturbed_order_and_relative_residual():
     tr = uniform_trace(
-        1, 128, HALF, InitialShape("fourier", 1.0, ((2, 0.01),)),
+        InitialShape("fourier", 1.0, ((2, 0.01),)).build(1, 128), HALF,
         spacing=8e-3, n_stored=9, burn_in=0.25,
     )
     rep = check_P_evolution(tr)
@@ -432,7 +432,7 @@ def test_p_evolution_structural_group_vanishes_for_power_laws():
 def test_p_evolution_exponential_control_law():
     law = SpeedLaw.exponential()
     tr = uniform_trace(
-        1, 128, law, InitialShape("fourier", 1.0, ((2, 0.01),)),
+        InitialShape("fourier", 1.0, ((2, 0.01),)).build(1, 128), law,
         spacing=1e-3, n_stored=9, burn_in=0.02,
     )
     rep = check_P_evolution(tr)
@@ -441,7 +441,7 @@ def test_p_evolution_exponential_control_law():
 
 
 def test_p_evolution_requires_curve_trace():
-    tr = uniform_trace(2, 64, SpeedLaw.power(-1.0, -0.25), InitialShape("round", 1.0),
+    tr = uniform_trace(InitialShape("round", 1.0).build(2, 64), SpeedLaw.power(-1.0, -0.25),
                        spacing=1e-3, n_stored=3)
     with pytest.raises(ValueError):
         check_P_evolution(tr)
@@ -471,7 +471,7 @@ def test_p_checks_evaluate_speed_fields_once_per_state(monkeypatch):
         calls.clear()
         check_P_expansion([(st, law)])
         assert len(calls) == 1 and calls[0] is st
-    tr = uniform_trace(1, 64, HALF, InitialShape("round", 1.0), spacing=1e-3, n_stored=9)
+    tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=9)
     calls.clear()
     check_P_evolution(tr)
     # the middle state, then each state of the (4, 2, 1) ladder around it
