@@ -8,7 +8,7 @@ an int into text several times faster than a float into 17 digits.
 
 The 17 significant digits D and the decimal exponent X of a value come
 from s = |x| * 10**(16 - X) in long double, with 10**k read from its
-decimal string (correctly rounded, and exact for |k| <= 27).  A value
+decimal string (correctly rounded, and exact for 0 <= k <= 27).  A value
 takes FALLBACK, the piece "%.17g" with the value itself as its argument,
 where s lies within its rounding error of a tie, where D falls outside
 [1e16, 1e17), or where |x| lies outside [1e-280, 1e280] (zeros,
@@ -39,9 +39,11 @@ ARGS = _TAKES.sum(axis=1)  # the number of arguments of each piece
 
 _K = 300  # 10**k for -_K <= k <= _K
 _POW = np.array([np.longdouble(f"1e{k}") for k in range(-_K, _K + 1)])
-# the largest error of s: one rounding if 10**k is exact, two if not
+# the largest error of s: one rounding if 10**k is exact (0 <= k <= 27, as
+# 5**27 < 2**64 and 10**-k is no binary fraction), two if not
 _EPS = float(np.finfo(np.longdouble).eps)
-_MARGIN = np.where(np.abs(np.arange(-_K, _K + 1)) <= 27, 1e17 * _EPS / 2, 1e17 * _EPS)
+_k = np.arange(-_K, _K + 1)
+_MARGIN = np.where((_k >= 0) & (_k <= 27), 1e17 * _EPS / 2, 1e17 * _EPS)
 _TEN = 10 ** np.arange(18, dtype=np.int64)
 
 

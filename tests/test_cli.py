@@ -14,7 +14,7 @@ import pytest
 from gcf import cli
 from gcf.cli import _atomic_write, _harnack_csv, main
 from gcf.flow import FlowConfig, run
-from gcf.geometry import derive_state, fourier_grid, mean_curvature, round_grid
+from gcf.geometry import derive_state, fourier_grid, round_grid
 from gcf.harnack import monitor
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import IdentityReport
@@ -684,64 +684,29 @@ def harnack_csv_row_by_row(table):
     ],
     ids=["n1-power", "n2-power", "n1-exp"],
 )
-def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end):
+def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end, monkeypatch):
     trace = run(FlowConfig(grid=fourier_grid(n, 1.0, ((2, 0.02),), size), law=law,
                            t_end=t_end, stride=3))
-    text = "".join(cli._trace_csv(trace))
-    assert text == trace_csv_row_by_row(trace)
-    if n == 1:  # the H column repeats K
-        rows = [line.split(",") for line in text.splitlines()[1:]]
-        assert all(r[5] == r[6] for r in rows)
     table = monitor(trace)
-    text = "".join(_harnack_csv(table))
-    assert text == harnack_csv_row_by_row(table)
-    # lhs_eq12 and bound_eq316 are NaN outside the -K^(-b) form
-    assert ("nan" in text) == (not law.is_power)
-
-
-def trace_csv_per_state(trace):
-    # trace.csv's chunks as they were written one %.17g template per state,
-    # kept as the reference for the writers' blocks of int fields
-    header = "t,node_index,angle,h,r,K,H\n" if trace.n == 1 else "t,node_index,angle,h,r1,r2,K,H\n"
-    chunks = [header]
-    values = ",%.17g" * (trace.n + 3) + "\n"
-    angles = trace.grids[0].angles.tolist()
-    tails = [",%d,%s%s" % (i, "%.17g" % a, values) for i, a in enumerate(angles)]
-    for t, grid in zip(trace.times, trace.grids):
-        radii, K = grid.curvature()
-        cols = np.stack((grid.values, *radii, K, mean_curvature(radii, K)), axis=-1)
-        t = "%.17g" % t
-        chunks.append((t + t.join(tails)) % tuple(cols.ravel().tolist()))
-    return chunks
-
-
-def harnack_csv_per_state(table):
-    # harnack.csv's chunks as they were written one %.17g template per state
-    chunks = ["t,node_index,u,dt_u_spatial,dt_u_fd,grad_sq_h,lhs_eq12,P_trace,bound_eq316,margin\n"]
-    heads = [",%d%s," % (i, ",%.17g" * 6) for i in range(table.u.shape[1])]
-    cols = (table.u, table.dt_u_spatial, table.dt_u_fd, table.grad_sq_h, table.lhs_12,
-            table.p_trace, table.margin)
-    for i, (t, bound) in enumerate(zip(table.t.tolist(), table.bound.tolist())):
-        t, tail = "%.17g" % t, "%.17g" % bound + ",%.17g\n"
-        template = t + (tail + t).join(heads) + tail
-        chunks.append(template % tuple(np.stack([c[i] for c in cols], axis=-1).ravel().tolist()))
-    return chunks
-
-
-@pytest.mark.parametrize("n,size", [(1, 64), (2, 32)], ids=["n1", "n2"])
-def test_csv_writers_in_blocks_equal_the_per_state_formatter(n, size, monkeypatch):
-    trace = run(FlowConfig(grid=fourier_grid(n, 1.0, ((2, 0.02),), size),
-                           law=SpeedLaw.power(-1.0, -0.5 / n), t_end=0.5, stride=3))
-    table = monitor(trace)
-    # blocks of 3 harnack states and 5 (n=1) or 4 (n=2) trace states, none of
-    # which divides the state count, so each writer ends on a short block
-    monkeypatch.setattr(cli, "_BLOCK_VALUES", 3 * size * 7)
-    assert all(len(trace) % states for states in (3, 21 // (n + 3)))
-    assert list(cli._trace_csv(trace)) == trace_csv_per_state(trace)
-    assert list(_harnack_csv(table)) == harnack_csv_per_state(table)
-    # a state wider than a block is a block of its own
-    monkeypatch.setattr(cli, "_BLOCK_VALUES", 1)
-    assert list(_harnack_csv(table)) == harnack_csv_per_state(table)
+    # blocks of 3 harnack states and 21 // (n + 3) trace states, none of which
+    # divides the state count, so each writer ends on a short block; then a
+    # block narrower than one state, which holds that state alone
+    assert len(table.t) % 3 and len(trace) % (21 // (n + 3))
+    for block in (cli._BLOCK_VALUES, 3 * size * 7, 1):
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+        chunks = list(cli._trace_csv(trace))
+        assert len(chunks) == 1 + len(trace)  # a header, then one chunk per state
+        text = "".join(chunks)
+        assert text == trace_csv_row_by_row(trace)
+        if n == 1:  # the H column repeats K
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+            assert all(r[5] == r[6] for r in rows)
+        chunks = list(_harnack_csv(table))
+        assert len(chunks) == 1 + len(table.t)
+        text = "".join(chunks)
+        assert text == harnack_csv_row_by_row(table)
+        # lhs_eq12 and bound_eq316 are NaN outside the -K^(-b) form
+        assert ("nan" in text) == (not law.is_power)
 
 
 def test_meta_records_phase_wall_times(tmp_path):

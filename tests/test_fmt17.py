@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,16 +33,21 @@ def neighbours(x: float, ulps: int = 2) -> list:
     return out
 
 
-# Values within 2e-4 of a rounding tie in their 17th digit, where the
+# Values within 4e-4 of a rounding tie in their 17th digit, where the
 # long-double product falls on the wrong side of the tie, so that only the
-# error margin sends them to '%.17g'.  The first six scale by an exact power
-# of ten (|16 - X| <= 27), the others by a rounded one.
+# error margin sends them to '%.17g'.  Each scales by a rounded power of ten
+# (16 - X < 0 or 16 - X > 27).
 NEAR_TIES = [
     -5.495800740729257e+22, -3.5823837098419906e+39, 6.734515888729821e+36,
     -1.6206318365618332e+22, 6.691151952087813e+39, -7.011155499057734e+22,
     -6.098126294834458e-47, -1.4730151169092866e+47, -6.704430021881686e+43,
     -9.762487239820992e+53, 6.875067768197039e-38, -6.20990190772994e-34,
 ]
+# Values with X = 43, scaled by 10**-27, whose product lies 7.8e-3 from the
+# tie on the wrong side: beyond the one-rounding margin 1e17 * eps / 2 of
+# an exact power, inside the two-rounding margin of a rounded one.  A search
+# of X = 17..43 found such values at X = 43 alone.
+ROUNDED_POWER_TIES = [9.85688813637609e+43, 9.795156066516265e+43, 9.909904344284252e+43]
 # Where %g switches layout or the 17 digits gain or lose a decade: 10**k and
 # its neighbours for every k a double reaches, the fixed/scientific switches
 # at X = -5/-4 and X = 16/17, the 1e16 and 1e17 ends of the 17-digit range,
@@ -50,7 +57,8 @@ EDGES = sorted(
     | {v for x in (1e-4, 1e-5, 9.99995e-5, 1e16, 1e17, 99999999999999984.0, 2.0**53,
                    0.5, 1.0, 123.0, 1e-280, 1e280, 2.2250738585072014e-308)
        for v in neighbours(x)}
-    | {0.0, 5e-324, 1.7976931348623157e308, float("inf"), float("nan"), *NEAR_TIES}
+    | {0.0, 5e-324, 1.7976931348623157e308, float("inf"), float("nan"), *NEAR_TIES,
+       *ROUNDED_POWER_TIES}
 )
 
 
@@ -82,6 +90,16 @@ def test_typical_values_take_the_int_pieces():
     codes, _ = g17(values)
     assert np.mean(codes == FALLBACK) < 0.03
     assert render(values) == reference(values)
+
+
+def test_the_one_rounding_margin_goes_with_an_exact_power_alone():
+    # a power of ten that long double rounds adds a second rounding to s
+    eps = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+    one_rounding = fmt17._MARGIN < fmt17._MARGIN.max()
+    for k, p, one in zip(range(-fmt17._K, fmt17._K + 1), fmt17._POW, one_rounding):
+        error = abs(Fraction(*p.as_integer_ratio()) / Fraction(10) ** k - 1)
+        assert error <= eps / 2  # correctly rounded
+        assert error == 0 or not one
 
 
 def test_every_value_falls_back_when_no_rounding_is_certain(monkeypatch):
