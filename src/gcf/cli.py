@@ -37,7 +37,7 @@ from . import __version__
 from .errors import GcfError, InsufficientTrace, InvalidConfig
 from .flow import FlowConfig, InitialShape, run
 from .fmt17 import ARGS, PIECES, g17
-from .geometry import mean_curvature
+from .geometry import mean_curvature, stack_grids
 from .harnack import MarginSummary, margin_summary, monitor
 from .speedlaw import SpeedLaw, expanding_b, theorem_hypotheses
 from .verify import SUITES
@@ -259,15 +259,13 @@ def _trace_csv(trace):
     else:
         yield "t,node_index,angle,h,r1,r2,K,H\n"
 
-    def columns(grid):  # h, the radii, K and H
-        radii, K = grid.curvature()
-        return np.stack((grid.values, *radii, K, mean_curvature(radii, K)), axis=-1)
+    def columns(i, j):  # h, the radii, K and H of states i to j - 1
+        h, radii, K = stack_grids(trace.grids[i:j])
+        return np.stack((h, *radii, K, mean_curvature(radii, K)), axis=-1)
 
     heads = [",%d,%s" % (i, _fmt(a)) for i, a in enumerate(trace.grids[0].angles.tolist())]
     texts = [(_fmt(t), "") for t in trace.times]
-    yield from _state_chunks(
-        heads, texts, lambda i, j: np.stack([columns(g) for g in trace.grids[i:j]]), trace.n + 3
-    )
+    yield from _state_chunks(heads, texts, columns, trace.n + 3)
 
 
 def _harnack_csv(table):

@@ -6,6 +6,8 @@ directions: equally spaced angles on the circle of normals for curves
 Everything else (principal curvature radii, Gaussian curvature K, mean
 curvature H, metric and second fundamental form in the normal-angle
 parameterization, embedded positions and outward normals) derives from h.
+derive_state forms the intrinsic fields; embedding forms the positions and
+normals, which only the verification oracles read.
 
 For n=1 the curvature radius is r = h'' + h, the metric is g = r**2, the
 second fundamental form is r, and K = H = 1/r.  For n=2 the radii are
@@ -308,7 +310,7 @@ def row_layout(n: int, size: int, dx: float) -> FlatLayout:
 class GeometryState:
     """All pointwise geometry derived from one support grid, or a stack.
 
-    Radii, curvatures, the embedding, and the chain-rule derivative bundle
+    Radii, curvatures and the chain-rule derivative bundle
     (first angular derivatives of the radii, K and H, and the second one of
     K) used by downstream fields.  For n=1, r2 and the azimuthal entries are None.
     A stacked state (see derive_state) holds S grids as (S, N) rows; d1,
@@ -328,11 +330,6 @@ class GeometryState:
     H: np.ndarray
     Hp: np.ndarray
     Gamma: np.ndarray  # Christoffel of the meridian/angular coordinate
-    # Embedding.  n=1: points of the plane curve, F = h*nu + h'*tau, and the
-    # outward unit normals.  n=2: meridian-plane points (distance from the
-    # axis, height) and the normal's meridian components (sin(phi), cos(phi)).
-    positions: np.ndarray
-    normals: np.ndarray
     sinphi: np.ndarray | None
     cosphi: np.ndarray | None
     cot: np.ndarray | None
@@ -374,28 +371,25 @@ def derive_state(grid) -> GeometryState:
 
     grid is one SupportGrid, or a sequence of S grids of one (n, size).
     A sequence gives one stacked state: every per-node field is an (S, N)
-    array whose row s is that of derive_state(grid[s]), bit for bit, and
-    positions are (S, N, 2); angles, normals and the polar factors, which
-    depend on the node alone, stay (N,) and (N, 2).
+    array whose row s is that of derive_state(grid[s]), bit for bit; angles
+    and the polar factors, which depend on the node alone, stay (N,).
 
     Raises NonConvex if any curvature radius falls below the strict
     positivity floor, OriginOutside if any support value is non-positive
     (already enforced by the grid itself).  The radii and K are the grids'
-    cached curvature().  One body serves both n and both shapes: hp, r1p
-    and r1pp come from the stencils on the grid's topology (periodic for
-    n=1, reflected for n=2); only Kp, Kpp, Hp and the embedding are formed
-    per n.
+    cached curvature().  One body serves both n and both shapes: r1p and
+    r1pp come from the stencils on the grid's topology (periodic for n=1,
+    reflected for n=2); only Kp, Kpp and Hp are formed per n.
     """
     if isinstance(grid, SupportGrid):
-        first, h = grid, grid.values
+        first = grid
         radii, K = grid.curvature()
     else:
         first = grid[0]
-        h, radii, K = stack_grids(grid)
+        _, radii, K = stack_grids(grid)
     n, dx, ang = first.n, first.spacing, first.angles
     H = mean_curvature(radii, K)
     r1, periodic = radii[0], n == 1
-    hp = stencils.d1(h, dx, periodic)
     r1p = stencils.d1(r1, dx, periodic)
     r1pp = stencils.d2(r1, dx, periodic)
 
@@ -404,14 +398,10 @@ def derive_state(grid) -> GeometryState:
         Kp = -r1p / r1**2
         Kpp = -r1pp / r1**2 + 2.0 * r1p**2 / r1**3
         Hp = Kp
-        cos_t, sin_t = np.cos(ang), np.sin(ang)
-        normals = np.stack([cos_t, sin_t], axis=-1)
-        tangents = np.stack([-sin_t, cos_t], axis=-1)
-        positions = h[..., None] * normals + hp[..., None] * tangents
     else:
         r2 = radii[1]
         sin_p, cos_p = np.sin(ang), np.cos(ang)
-        cot = _polar_cot(h.shape[-1])
+        cot = _polar_cot(first.size)
         # Closed forms below keep every pole-singular factor analytic.
         r2p = (r1 - r2) * cot
         r2pp = (r1p - r2p) * cot - (r1 - r2) / sin_p**2
@@ -419,18 +409,33 @@ def derive_state(grid) -> GeometryState:
         Kp = -K * L1
         Kpp = -Kp * L1 - K * (r1pp / r1 - (r1p / r1) ** 2 + r2pp / r2 - (r2p / r2) ** 2)
         Hp = -r1p / r1**2 - r2p / r2**2
-        # Meridian-plane embedding: distance from axis and height.
-        rho = h * sin_p + hp * cos_p
-        z = h * cos_p - hp * sin_p
-        positions = np.stack([rho, z], axis=-1)
-        normals = np.stack([sin_p, cos_p], axis=-1)
     return GeometryState(
         n=n, angles=ang, dx=dx,
         r1=r1, r2=r2, r1p=r1p, r2p=r2p,
         K=K, Kp=Kp, Kpp=Kpp, H=H, Hp=Hp, Gamma=r1p / r1,
-        positions=positions, normals=normals,
         sinphi=sin_p, cosphi=cos_p, cot=cot,
     )
+
+
+def embedding(grid: SupportGrid) -> tuple:
+    """(positions, normals) of the hypersurface of one support grid, each (N, 2).
+
+    n=1: points of the plane curve, F = h*nu + h'*tau, and the outward unit
+    normals.  n=2: meridian-plane points (distance from the axis, height)
+    and the normal's meridian components (sin(phi), cos(phi)).  h' comes
+    from the 4th-order stencil on the grid's topology.
+    """
+    h, ang = grid.values, grid.angles
+    hp = stencils.d1(h, grid.spacing, grid.n == 1)
+    if grid.n == 1:
+        cos_t, sin_t = np.cos(ang), np.sin(ang)
+        normals = np.stack([cos_t, sin_t], axis=-1)
+        tangents = np.stack([-sin_t, cos_t], axis=-1)
+        return h[:, None] * normals + hp[:, None] * tangents, normals
+    sin_p, cos_p = np.sin(ang), np.cos(ang)
+    rho = h * sin_p + hp * cos_p
+    z = h * cos_p - hp * sin_p
+    return np.stack([rho, z], axis=-1), np.stack([sin_p, cos_p], axis=-1)
 
 
 def require_convex(radii: np.ndarray) -> None:

@@ -12,17 +12,21 @@ trace of stored states, a coarse-to-fine sequence of grids, or a family
 of (state, law) cases) and build each IdentityReport once, with the
 measured residual per resolution; a report's convergence order is
 estimated from that ladder itself (given at least three resolutions), so
-a ladder supplies only its resolutions and residuals.  Closed-form checks
-(round solutions, power-law identities) carry absolute tolerances.  The
-pointwise geometric identities are assembled once for both n: n picks the
-stencils' topology and the parities.
+a ladder supplies only its resolutions and residuals.  Every evolution
+check on a trace is one call of _ladder, the one time-ladder path: the
+check gives it a table of parts per identity (_evolution_parts for g, h,
+f and H, _P_parts for the Harnack-tensor trace), formed once from the
+middle state's speed fields, and _ladder derives the ladder's states and
+builds the reports.  Closed-form checks (round solutions, power-law
+identities) carry absolute tolerances.  The pointwise geometric
+identities are assembled once for both n: n picks the stencils' topology
+and the parities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .geometry import (
     SupportGrid,
     box_op,
     derive_state,
+    embedding,
     fourier_grid,
     laplace_beltrami,
     round_grid,
@@ -181,20 +186,23 @@ def _completed(trace: FlowTrace) -> FlowTrace:
     raise error(f"flow ended early at t = {trace.times[-1]!r}: {trace.reason}")
 
 
-class _Ladder(NamedTuple):
-    """Where a residual ladder sits on a trace of uniformly spaced states:
-    the middle stored index, the offsets (4, 2, 1) around it as far as the
-    trace allows, the stored spacing, and the derived states at mid and at
-    mid -+ each offset, keyed by stored index."""
+def _ladder(trace: FlowTrace, families, tolerance: float, relative=False) -> list:
+    """Central-time-difference residual ladders of evolution equations, one
+    IdentityReport per identity, against tolerance and the order window
+    [1.7, 2.3] of central differences.
 
-    states: dict
-    mid: int
-    ks: list
-    base: float
-
-
-def _ladder_states(trace: FlowTrace) -> _Ladder:
-    """The ladder of a trace; raises InsufficientTrace if it has none."""
+    The ladder sits at the middle stored state of a trace of uniformly
+    spaced states (raises InsufficientTrace otherwise, or with fewer than 3
+    states), with spacings k * base for k in (4, 2, 1) as far as the trace
+    allows, base the stored spacing.  The states at mid and mid -+ k are
+    derived in index order, then the middle state's speed fields sf.
+    families(sf) maps each identity to its parts, one (extract, corr, rhs)
+    per component: extract maps a state to the field, corr is the advection
+    term and rhs the right-hand side at the middle state.  At each spacing
+    an identity's residual is the largest over its components and nodes; a
+    NaN residual stays NaN and so fails.  A relative report's scale is the
+    largest left-hand side seen; any other's is 1.0.
+    """
     if len(trace) < 3:
         raise InsufficientTrace("need at least 3 stored states")
     base = trace.stored_spacing
@@ -203,78 +211,48 @@ def _ladder_states(trace: FlowTrace) -> _Ladder:
     mid = len(trace) // 2
     ks = [k for k in (4, 2, 1) if k <= min(mid, len(trace) - 1 - mid)]
     needed = sorted({mid} | {mid + s * k for k in ks for s in (-1, 1)})
-    return _Ladder({j: derive_state(trace.grids[j]) for j in needed}, mid, ks, base)
+    states = {j: derive_state(trace.grids[j]) for j in needed}
+    spacings = tuple(k * base for k in ks)
+    reports = []
+    for identity, parts in families(speed_fields(states[mid], trace.law)).items():
+        residuals, scales = [], []
+        for k, dt in zip(ks, spacings):
+            res = []
+            for extract, corr, rhs in parts:
+                lhs = (extract(states[mid + k]) - extract(states[mid - k])) / (2.0 * dt) + corr
+                res.append(np.max(np.abs(lhs - rhs)))
+                scales.append(np.max(np.abs(lhs)))
+            residuals.append(float(np.max(res)))
+        reports.append(IdentityReport(
+            identity, spacings, tuple(residuals), tolerance,
+            order_window=(1.7, 2.3), scale=float(np.max(scales)) if relative else 1.0,
+        ))
+    return reports
 
 
-def _ladder_report(
-    identity: str, parts, ladder: _Ladder, tolerance: float, order_window, relative=False
-) -> IdentityReport:
-    """Central-time-difference residuals of one evolution equation.
-
-    parts holds one (extract, corr, rhs) per component: extract maps a
-    state to the field, corr is the advection term and rhs the right-hand
-    side at the middle state.  At each spacing of the ladder the residual
-    is the largest over all components and nodes; a NaN residual stays NaN
-    and so fails.  A relative report's scale is the largest left-hand side
-    seen; any other's is 1.0.
-    """
-    states, mid, ks, base = ladder
-    spacings, residuals, scales = [], [], []
-    for k in ks:
-        dt = k * base
-        res = []
-        for extract, corr, rhs in parts:
-            lhs = (extract(states[mid + k]) - extract(states[mid - k])) / (2.0 * dt) + corr
-            res.append(np.max(np.abs(lhs - rhs)))
-            scales.append(np.max(np.abs(lhs)))
-        spacings.append(dt)
-        residuals.append(float(np.max(res)))
-    return IdentityReport(
-        identity=identity,
-        resolutions=tuple(spacings),
-        residuals=tuple(residuals),
-        tolerance=tolerance,
-        order_window=order_window,
-        scale=float(np.max(scales)) if relative else 1.0,
-    )
-
-
-def _evolution_parts(sf: SpeedFields, which: str):
-    """The (extract, corr, rhs) parts of the evolution equation of one
-    quantity at the middle state, given its speed fields sf."""
+def _evolution_parts(sf: SpeedFields) -> dict:
+    """The (extract, corr, rhs) parts of the evolution equations of g, h, f
+    and H at the middle state, given its speed fields sf."""
     st, law = sf.state, sf.law
-    n = st.n
     V = sf.v
     Vp = sf.fpp / st.r1 - sf.fp * st.r1p / st.r1**2
-    if which == "g":
-        extract = [lambda s: s.r1**2]
-        corr = [V * 2.0 * st.r1 * st.r1p + 2.0 * st.r1**2 * Vp]
-        rhs = [-2.0 * sf.f * st.r1]
-        if n == 2:
-            rho = st.r2 * st.sinphi
-            extract.append(lambda s: (s.r2 * s.sinphi) ** 2)
-            corr.append(V * 2.0 * rho * (st.r1 * st.cosphi))
-            rhs.append(-2.0 * sf.f * st.r2 * st.sinphi**2)
-    elif which == "h":
-        extract = [lambda s: s.r1]
-        corr = [V * st.r1p + 2.0 * st.r1 * Vp]
-        rhs = [sf.hess - sf.f]
-        if n == 2:
-            sin2 = st.sinphi**2
-            extract.append(lambda s: s.r2 * s.sinphi**2)
-            corr.append(V * (st.r2p * sin2 + 2.0 * st.r2 * st.sinphi * st.cosphi))
-            hess_psi = (st.r2 * st.sinphi * st.cosphi / st.r1) * sf.fp
-            rhs.append(hess_psi - sf.f * sin2)
-    elif which == "f":
-        extract = [lambda s: law.f(s.K)]
-        corr = [V * sf.fp]
-        rhs = [dt_f_spatial(sf)]
-    else:  # "H"
-        extract = [lambda s: s.H]
-        corr = [V * st.Hp]
-        ksq = 1.0 / st.r1**2 if n == 1 else 1.0 / st.r1**2 + 1.0 / st.r2**2
-        rhs = [laplace_beltrami(st, sf.f) + sf.f * ksq]
-    return list(zip(extract, corr, rhs))
+    ksq = 1.0 / st.r1**2 if st.n == 1 else 1.0 / st.r1**2 + 1.0 / st.r2**2
+    parts = {
+        "evolve-g": [(lambda s: s.r1**2, V * 2.0 * st.r1 * st.r1p + 2.0 * st.r1**2 * Vp,
+                      -2.0 * sf.f * st.r1)],
+        "evolve-h": [(lambda s: s.r1, V * st.r1p + 2.0 * st.r1 * Vp, sf.hess - sf.f)],
+        "evolve-f": [(lambda s: law.f(s.K), V * sf.fp, dt_f_spatial(sf))],
+        "evolve-H": [(lambda s: s.H, V * st.Hp, laplace_beltrami(st, sf.f) + sf.f * ksq)],
+    }
+    if st.n == 2:
+        rho, sin2 = st.r2 * st.sinphi, st.sinphi**2
+        parts["evolve-g"].append((lambda s: (s.r2 * s.sinphi) ** 2,
+                                  V * 2.0 * rho * (st.r1 * st.cosphi), -2.0 * sf.f * st.r2 * sin2))
+        hess_psi = (st.r2 * st.sinphi * st.cosphi / st.r1) * sf.fp
+        parts["evolve-h"].append((lambda s: s.r2 * s.sinphi**2,
+                                  V * (st.r2p * sin2 + 2.0 * st.r2 * st.sinphi * st.cosphi),
+                                  hess_psi - sf.f * sin2))
+    return parts
 
 
 def check_evolution(trace: FlowTrace) -> list:
@@ -290,12 +268,23 @@ def check_evolution(trace: FlowTrace) -> list:
     outweighs it (a stored spacing near 2e-2) they cannot show a time
     order.  No suite runs this check at n=2.
     """
-    ladder = _ladder_states(trace)
-    sf = speed_fields(ladder.states[ladder.mid], trace.law)
-    return [
-        _ladder_report(f"evolve-{q}", _evolution_parts(sf, q), ladder, 1e-5, (1.7, 2.3))
-        for q in ("g", "h", "f", "H")
-    ]
+    return _ladder(trace, _evolution_parts, 1e-5)
+
+
+def _P_parts(sf: SpeedFields) -> dict:
+    """The (extract, corr, rhs) part of the evolution equation of the
+    Harnack-tensor trace at the middle state, given its speed fields sf."""
+    st, law = sf.state, sf.law
+    p_mid = P_trace(sf)
+    dP = st.d1(p_mid)
+    c = 1.0 + sf.f2 * st.K / sf.f1
+    box_p = box_op(st, p_mid)
+    grad_f_p = sf.fp * dP / st.r1
+    beta_vals = beta_fn(law, st.K)
+    beta_prime_vals = sf.f * alpha_fn(law, st.K) / st.K
+    group = (st.H * beta_vals - beta_prime_vals / (sf.f * sf.f1) * sf.gradsq_h) * p_mid
+    rhs = sf.f1K * box_p + 2.0 * c * grad_f_p + P_norm_sq_h(sf) + c * p_mid**2 + group
+    return {"evolve-P": [(lambda s: P_trace(speed_fields(s, law)), sf.v * dP, rhs)]}
 
 
 def check_P_evolution(trace: FlowTrace) -> IdentityReport:
@@ -310,20 +299,7 @@ def check_P_evolution(trace: FlowTrace) -> IdentityReport:
     """
     if trace.n != 1:
         raise ValueError("the trace-evolution residual is implemented for n=1")
-    ladder, law = _ladder_states(trace), trace.law
-    st = ladder.states[ladder.mid]
-    sf = speed_fields(st, law)
-    p_mid = P_trace(sf)
-    dP = st.d1(p_mid)
-    c = 1.0 + sf.f2 * st.K / sf.f1
-    box_p = box_op(st, p_mid)
-    grad_f_p = sf.fp * dP / st.r1
-    beta_vals = beta_fn(law, st.K)
-    beta_prime_vals = sf.f * alpha_fn(law, st.K) / st.K
-    group = (st.H * beta_vals - beta_prime_vals / (sf.f * sf.f1) * sf.gradsq_h) * p_mid
-    rhs = sf.f1K * box_p + 2.0 * c * grad_f_p + P_norm_sq_h(sf) + c * p_mid**2 + group
-    part = (lambda s: P_trace(speed_fields(s, law)), sf.v * dP, rhs)
-    return _ladder_report("evolve-P", [part], ladder, 1e-4, (1.7, 2.3), relative=True)
+    return _ladder(trace, _P_parts, 1e-4, relative=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +323,7 @@ def _identity_residuals(grid: SupportGrid) -> tuple:
     d1 = lambda u, parity: stencils.d1_o2(u, dx, n == 1, parity)
     d2 = lambda u, parity: stencils.d2_o2(u, dx, n == 1, parity)
     parities = ("odd", "even")  # distance from the axis, height (n=2 only)
-    F, nu = state.positions, state.normals
+    F, nu = embedding(grid)
     Fp = np.stack([d1(F[:, c], parities[c]) for c in (0, 1)], axis=1)
     g_emb = Fp[:, 0] ** 2 + Fp[:, 1] ** 2
     gamma = d1(g_emb, "even") / (2.0 * g_emb)
@@ -467,8 +443,7 @@ def hessian_oracle(grid: SupportGrid, u: np.ndarray) -> np.ndarray:
     +1 neighbours of each node are the ghost-cell rule's, through
     stencils.extend on the grid's topology.
     """
-    state = derive_state(grid)
-    F = state.positions
+    F, _ = embedding(grid)
     # For n=2, continue through the poles along the meridian great arc: the
     # mirror image across the axis (odd distance from the axis, even height)
     # carries the same field value.

@@ -12,8 +12,7 @@ from gcf.geometry import box_op, derive_state, fourier_grid, round_grid
 from gcf.harnack import P_trace, speed_fields
 from gcf.speedlaw import SpeedLaw
 from gcf.verify import (
-    _ladder_report,
-    _ladder_states,
+    _ladder,
     check_evolution,
     check_identities,
     check_P_evolution,
@@ -318,12 +317,21 @@ def test_check_evolution_guards():
 
 
 def test_ladder_residual_nan_fails():
-    # a NaN residual in any component must not fold away into a PASS
+    # a NaN residual in any component must not fold away into a PASS, nor
+    # reach another identity of the same family: on a round circle r = h,
+    # so dr/dt = -f holds up to the time truncation
     tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=3)
-    parts = [(lambda s: s.r1, 0.0, np.nan), (lambda s: s.r1, 0.0, 0.0)]
-    rep = _ladder_report("nan", parts, _ladder_states(tr), 1.0, None)
+
+    def families(sf):
+        return {
+            "nan": [(lambda s: s.r1, 0.0, np.nan), (lambda s: s.r1, 0.0, 0.0)],
+            "round": [(lambda s: s.r1, 0.0, -sf.f)],
+        }
+
+    rep, other = _ladder(tr, families, 1.0)
     assert np.isnan(rep.finest_residual)
     assert not rep.passed
+    assert other.identity == "round" and np.isfinite(other.finest_residual) and other.passed
 
 
 def test_a_nan_in_a_stencil_fails_every_pointwise_identity(monkeypatch):
@@ -475,7 +483,7 @@ def test_p_checks_evaluate_speed_fields_once_per_state(monkeypatch):
     calls.clear()
     check_P_evolution(tr)
     # the middle state, then each state of the (4, 2, 1) ladder around it
-    assert len(calls) == len({id(s) for s in calls}) == 1 + 2 * len(_ladder_states(tr).ks)
+    assert len(calls) == len({id(s) for s in calls}) == 1 + 2 * 3  # the (4, 2, 1) ladder
     calls.clear()
     pexpand_suite()
     assert len(calls) == 10
