@@ -260,8 +260,9 @@ def _trace_csv(trace):
         yield "t,node_index,angle,h,r1,r2,K,H\n"
 
     def columns(i, j):  # h, the radii, K and H of states i to j - 1
-        h, radii, K = stack_grids(trace.grids[i:j])
-        return np.stack((h, *radii, K, mean_curvature(radii, K)), axis=-1)
+        grids = trace.grids[i:j]
+        radii, K = stack_grids(grids)
+        return np.stack(([g.values for g in grids], *radii, K, mean_curvature(radii)), axis=-1)
 
     heads = [",%d,%s" % (i, _fmt(a)) for i, a in enumerate(trace.grids[0].angles.tolist())]
     texts = [(_fmt(t), "") for t in trace.times]
@@ -399,9 +400,7 @@ def _sweep_row(index: int, tup) -> dict:
         "b": fields.get("b"),
         "shape": shape.get("type", "circle") if isinstance(shape, dict) else "",
         "status": "ok",
-        "min_margin": float("nan"),
-        "min_margin_rel": float("nan"),
-        "max_abs_P": float("nan"),
+        **dict.fromkeys(MarginSummary._fields, float("nan")),
     }
 
 

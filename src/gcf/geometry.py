@@ -342,28 +342,24 @@ class GeometryState:
 
 
 def stack_grids(grids) -> tuple:
-    """(values, radii, K) of grids of one (n, size), stacked as (S, N) rows.
+    """(radii, K) of grids of one (n, size), stacked as (S, N) rows.
 
-    radii and K are each grid's checked curvature(), so nothing is
-    derived again for grids that already hold it.
+    They are each grid's checked curvature(), so nothing is derived again
+    for grids that already hold it; the support values are not stacked.
     """
     first = grids[0]
     if any((g.n, g.size) != (first.n, first.size) for g in grids):
         raise ValueError("stacked grids must share their dimension and size")
-    curv = [g.curvature() for g in grids]
-    return (
-        np.stack([g.values for g in grids]),
-        tuple(np.stack(r) for r in zip(*(radii for radii, _ in curv))),
-        np.stack([K for _, K in curv]),
-    )
+    radii, K = zip(*(g.curvature() for g in grids))
+    return tuple(np.stack(r) for r in zip(*radii)), np.stack(K)
 
 
-def mean_curvature(radii: tuple, K: np.ndarray) -> np.ndarray:
-    """H from the radii and K: K itself for n=1, 1/r1 + 1/r2 for n=2."""
-    if len(radii) == 1:
-        return K
-    r1, r2 = radii
-    return 1.0 / r1 + 1.0 / r2
+def mean_curvature(radii: tuple) -> np.ndarray:
+    """H = the sum of 1/r over the radii: 1/r for n=1, 1/r1 + 1/r2 for n=2.
+
+    At n=1 this is K bit for bit, since K is formed as 1.0 / r there.
+    """
+    return sum(1.0 / r for r in radii)
 
 
 def derive_state(grid) -> GeometryState:
@@ -386,9 +382,9 @@ def derive_state(grid) -> GeometryState:
         radii, K = grid.curvature()
     else:
         first = grid[0]
-        _, radii, K = stack_grids(grid)
+        radii, K = stack_grids(grid)
     n, dx, ang = first.n, first.spacing, first.angles
-    H = mean_curvature(radii, K)
+    H = mean_curvature(radii)
     r1, periodic = radii[0], n == 1
     r1p = stencils.d1(r1, dx, periodic)
     r1pp = stencils.d2(r1, dx, periodic)

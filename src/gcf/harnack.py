@@ -85,18 +85,17 @@ def P_tensor(sf: SpeedFields) -> np.ndarray:
 
     n=1: the single theta-theta component, shape (N,).
     n=2 axisymmetric: diagonal (phi-phi, psi-psi) components, shape (M, 2).
+    The meridian component p11 is one formula for both n; -r1' is the
+    covariant derivative of the second fundamental form's component h11.
     """
     state = sf.state
+    r1 = state.r1
+    # the last term is the metric contraction f g^11 h11 h11 (g^11 = 1/r1**2, h11 = r1)
+    p11 = sf.hess - (1.0 / r1) * (-state.r1p) * sf.fp + sf.f * (1.0 / r1**2) * r1 * r1
     if state.n == 1:
-        r = state.r1
-        grad_h_cov = -state.r1p  # covariant derivative of the sff component
-        term2 = -(1.0 / r) * grad_h_cov * sf.fp
-        term3 = sf.f * (1.0 / r**2) * r * r
-        return sf.hess + term2 + term3
+        return p11
 
-    r1, r2 = state.r1, state.r2
     sin2 = state.sinphi**2
-    p11 = sf.hess - (1.0 / r1) * (-state.r1p) * sf.fp + sf.f
     hess_psi = (state.r2 * state.sinphi * state.cosphi / r1) * sf.fp
     grad_h_psi_cov = -state.r2p * sin2
     p22 = hess_psi - (1.0 / r1) * grad_h_psi_cov * sf.fp + sf.f * sin2

@@ -13,11 +13,14 @@ of (state, law) cases) and build each IdentityReport once, with the
 measured residual per resolution; a report's convergence order is
 estimated from that ladder itself (given at least three resolutions), so
 a ladder supplies only its resolutions and residuals.  Every evolution
-check on a trace is one call of _ladder, the one time-ladder path: the
-check gives it a table of parts per identity (_evolution_parts for g, h,
-f and H, _P_parts for the Harnack-tensor trace), formed once from the
-middle state's speed fields, and _ladder derives the ladder's states and
-builds the reports.  Closed-form checks (round solutions, power-law
+check on a trace is one call of _ladder, the one time-ladder path: it
+derives the ladder's window of stored states as one stacked state and
+evaluates its speed fields once, as harnack.monitor does; the check's
+table of parts per identity (_evolution_parts for g, h, f and H, _P_parts
+for the Harnack-tensor trace) holds each component's field, advection
+term and right-hand side as arrays over that stack, and _ladder forms
+every spacing's central difference at the middle row and builds the
+reports.  Closed-form checks (round solutions, power-law
 identities) carry absolute tolerances.  The pointwise geometric
 identities are assembled once for both n: n picks the stencils' topology
 and the parities.
@@ -194,14 +197,16 @@ def _ladder(trace: FlowTrace, families, tolerance: float, relative=False) -> lis
     The ladder sits at the middle stored state of a trace of uniformly
     spaced states (raises InsufficientTrace otherwise, or with fewer than 3
     states), with spacings k * base for k in (4, 2, 1) as far as the trace
-    allows, base the stored spacing.  The states at mid and mid -+ k are
-    derived in index order, then the middle state's speed fields sf.
-    families(sf) maps each identity to its parts, one (extract, corr, rhs)
-    per component: extract maps a state to the field, corr is the advection
-    term and rhs the right-hand side at the middle state.  At each spacing
-    an identity's residual is the largest over its components and nodes; a
-    NaN residual stays NaN and so fails.  A relative report's scale is the
-    largest left-hand side seen; any other's is 1.0.
+    allows, base the stored spacing.  The window of states within the
+    largest k of the middle one is derived as one stacked state, and its
+    speed fields sf are evaluated once.  families(sf) maps each identity
+    to its parts, one (field, corr, rhs) per component, each an array over
+    the stack: field is the differenced field, corr the advection term and
+    rhs the right-hand side, both read at the middle row.  Every spacing is
+    one row of the difference.  An identity's residual at a spacing is the
+    largest over its components and nodes; a NaN residual stays NaN and so
+    fails.  A relative report's scale is the largest left-hand side seen;
+    any other's is 1.0.
     """
     if len(trace) < 3:
         raise InsufficientTrace("need at least 3 stored states")
@@ -209,47 +214,44 @@ def _ladder(trace: FlowTrace, families, tolerance: float, relative=False) -> lis
     if base is None:
         raise InsufficientTrace("stored states are not uniformly spaced")
     mid = len(trace) // 2
-    ks = [k for k in (4, 2, 1) if k <= min(mid, len(trace) - 1 - mid)]
-    needed = sorted({mid} | {mid + s * k for k in ks for s in (-1, 1)})
-    states = {j: derive_state(trace.grids[j]) for j in needed}
-    spacings = tuple(k * base for k in ks)
+    ks = np.array([k for k in (4, 2, 1) if k <= min(mid, len(trace) - 1 - mid)])
+    m, spacings = ks[0], ks * base  # m: the middle row of the window
+    sf = speed_fields(derive_state(trace.grids[mid - m:mid + m + 1]), trace.law)
     reports = []
-    for identity, parts in families(speed_fields(states[mid], trace.law)).items():
+    for identity, parts in families(sf).items():
         residuals, scales = [], []
-        for k, dt in zip(ks, spacings):
-            res = []
-            for extract, corr, rhs in parts:
-                lhs = (extract(states[mid + k]) - extract(states[mid - k])) / (2.0 * dt) + corr
-                res.append(np.max(np.abs(lhs - rhs)))
-                scales.append(np.max(np.abs(lhs)))
-            residuals.append(float(np.max(res)))
+        for field, corr, rhs in parts:
+            lhs = (field[m + ks] - field[m - ks]) / (2.0 * spacings[:, None]) + corr[m]
+            residuals.append(np.max(np.abs(lhs - rhs[m]), axis=1))
+            scales.append(np.max(np.abs(lhs)))
         reports.append(IdentityReport(
-            identity, spacings, tuple(residuals), tolerance,
-            order_window=(1.7, 2.3), scale=float(np.max(scales)) if relative else 1.0,
+            identity, tuple(spacings.tolist()), tuple(np.max(residuals, axis=0).tolist()),
+            tolerance, order_window=(1.7, 2.3),
+            scale=float(np.max(scales)) if relative else 1.0,
         ))
     return reports
 
 
 def _evolution_parts(sf: SpeedFields) -> dict:
-    """The (extract, corr, rhs) parts of the evolution equations of g, h, f
-    and H at the middle state, given its speed fields sf."""
-    st, law = sf.state, sf.law
+    """The (field, corr, rhs) parts of the evolution equations of g, h, f
+    and H, given the speed fields sf of a stacked state."""
+    st = sf.state
     V = sf.v
     Vp = sf.fpp / st.r1 - sf.fp * st.r1p / st.r1**2
     ksq = 1.0 / st.r1**2 if st.n == 1 else 1.0 / st.r1**2 + 1.0 / st.r2**2
     parts = {
-        "evolve-g": [(lambda s: s.r1**2, V * 2.0 * st.r1 * st.r1p + 2.0 * st.r1**2 * Vp,
+        "evolve-g": [(st.r1**2, V * 2.0 * st.r1 * st.r1p + 2.0 * st.r1**2 * Vp,
                       -2.0 * sf.f * st.r1)],
-        "evolve-h": [(lambda s: s.r1, V * st.r1p + 2.0 * st.r1 * Vp, sf.hess - sf.f)],
-        "evolve-f": [(lambda s: law.f(s.K), V * sf.fp, dt_f_spatial(sf))],
-        "evolve-H": [(lambda s: s.H, V * st.Hp, laplace_beltrami(st, sf.f) + sf.f * ksq)],
+        "evolve-h": [(st.r1, V * st.r1p + 2.0 * st.r1 * Vp, sf.hess - sf.f)],
+        "evolve-f": [(sf.f, V * sf.fp, dt_f_spatial(sf))],
+        "evolve-H": [(st.H, V * st.Hp, laplace_beltrami(st, sf.f) + sf.f * ksq)],
     }
     if st.n == 2:
         rho, sin2 = st.r2 * st.sinphi, st.sinphi**2
-        parts["evolve-g"].append((lambda s: (s.r2 * s.sinphi) ** 2,
-                                  V * 2.0 * rho * (st.r1 * st.cosphi), -2.0 * sf.f * st.r2 * sin2))
+        parts["evolve-g"].append((rho**2, V * 2.0 * rho * (st.r1 * st.cosphi),
+                                  -2.0 * sf.f * st.r2 * sin2))
         hess_psi = (st.r2 * st.sinphi * st.cosphi / st.r1) * sf.fp
-        parts["evolve-h"].append((lambda s: s.r2 * s.sinphi**2,
+        parts["evolve-h"].append((st.r2 * sin2,
                                   V * (st.r2p * sin2 + 2.0 * st.r2 * st.sinphi * st.cosphi),
                                   hess_psi - sf.f * sin2))
     return parts
@@ -272,19 +274,19 @@ def check_evolution(trace: FlowTrace) -> list:
 
 
 def _P_parts(sf: SpeedFields) -> dict:
-    """The (extract, corr, rhs) part of the evolution equation of the
-    Harnack-tensor trace at the middle state, given its speed fields sf."""
+    """The (field, corr, rhs) part of the evolution equation of the
+    Harnack-tensor trace, given the speed fields sf of a stacked state."""
     st, law = sf.state, sf.law
-    p_mid = P_trace(sf)
-    dP = st.d1(p_mid)
+    p = P_trace(sf)
+    dP = st.d1(p)
     c = 1.0 + sf.f2 * st.K / sf.f1
-    box_p = box_op(st, p_mid)
+    box_p = box_op(st, p)
     grad_f_p = sf.fp * dP / st.r1
     beta_vals = beta_fn(law, st.K)
     beta_prime_vals = sf.f * alpha_fn(law, st.K) / st.K
-    group = (st.H * beta_vals - beta_prime_vals / (sf.f * sf.f1) * sf.gradsq_h) * p_mid
-    rhs = sf.f1K * box_p + 2.0 * c * grad_f_p + P_norm_sq_h(sf) + c * p_mid**2 + group
-    return {"evolve-P": [(lambda s: P_trace(speed_fields(s, law)), sf.v * dP, rhs)]}
+    group = (st.H * beta_vals - beta_prime_vals / (sf.f * sf.f1) * sf.gradsq_h) * p
+    rhs = sf.f1K * box_p + 2.0 * c * grad_f_p + P_norm_sq_h(sf) + c * p**2 + group
+    return {"evolve-P": [(p, sf.v * dP, rhs)]}
 
 
 def check_P_evolution(trace: FlowTrace) -> IdentityReport:

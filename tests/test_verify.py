@@ -168,6 +168,53 @@ def test_a_ladder_reports_each_grids_own_residuals_bit_for_bit(n, seed, rungs):
         assert rep.order_window == (None if n == 1 and i == 2 else (1.7, 99.0))
 
 
+def _reference_ladder(trace, families):
+    """Each identity's (spacings, residuals, scale) by the per-state ladder:
+    every state of the (4, 2, 1) ladder derived alone, each field read
+    from its own state's parts, corr and rhs from the middle state's."""
+    base, mid = trace.stored_spacing, len(trace) // 2
+    ks = [k for k in (4, 2, 1) if k <= min(mid, len(trace) - 1 - mid)]
+    parts = {
+        j: families(speed_fields(derive_state(trace.grids[j]), trace.law))
+        for j in {mid} | {mid + s * k for k in ks for s in (-1, 1)}
+    }
+    reference = {}
+    for identity, middle in parts[mid].items():
+        residuals, scales = [], []
+        for k in ks:
+            res = []
+            for c, (_, corr, rhs) in enumerate(middle):
+                later, earlier = parts[mid + k][identity][c][0], parts[mid - k][identity][c][0]
+                lhs = (later - earlier) / (2.0 * (k * base)) + corr
+                res.append(np.max(np.abs(lhs - rhs)))
+                scales.append(np.max(np.abs(lhs)))
+            residuals.append(float(np.max(res)))
+        reference[identity] = (tuple(k * base for k in ks), residuals, float(np.max(scales)))
+    return reference
+
+
+@settings(max_examples=10, deadline=None)
+@given(hst.sampled_from((1, 2)), hst.integers(0, 2**32 - 1), hst.integers(3, 9), hst.booleans())
+def test_a_time_ladder_reports_each_states_own_residuals_bit_for_bit(n, seed, stored, exp):
+    # the stacked ladder of a random convex trace against the per-state
+    # reference, for check_evolution and, at n=1, check_P_evolution
+    size = 64 if n == 1 else 32
+    law = SpeedLaw.exponential() if exp else (HALF if n == 1 else QUARTER)
+    grid = random_convex_grid(n, size, np.random.default_rng(seed))
+    tr = uniform_trace(grid, law, spacing=1e-3, n_stored=stored, burn_in=1e-3)
+    checks = [(check_evolution(tr), verify._evolution_parts)]
+    if n == 1:
+        checks.append(([check_P_evolution(tr)], verify._P_parts))
+    for reports, families in checks:
+        reference = _reference_ladder(tr, families)
+        assert [rep.identity for rep in reports] == list(reference)
+        for rep in reports:
+            spacings, residuals, scale = reference[rep.identity]
+            assert _bits(rep.resolutions) == _bits(spacings)
+            assert _bits(rep.residuals) == _bits(residuals)
+            assert _bits([rep.scale]) == _bits([scale if rep.identity == "evolve-P" else 1.0])
+
+
 # --- evolution residuals -------------------------------------------------------
 
 
@@ -323,9 +370,11 @@ def test_ladder_residual_nan_fails():
     tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=3)
 
     def families(sf):
+        r = sf.state.r1
+        zero = np.zeros_like(r)
         return {
-            "nan": [(lambda s: s.r1, 0.0, np.nan), (lambda s: s.r1, 0.0, 0.0)],
-            "round": [(lambda s: s.r1, 0.0, -sf.f)],
+            "nan": [(r, zero, np.full_like(r, np.nan)), (r, zero, zero)],
+            "round": [(r, zero, -sf.f)],
         }
 
     rep, other = _ladder(tr, families, 1.0)
@@ -482,14 +531,14 @@ def test_p_checks_evaluate_speed_fields_once_per_state(monkeypatch):
     tr = uniform_trace(InitialShape("round", 1.0).build(1, 64), HALF, spacing=1e-3, n_stored=9)
     calls.clear()
     check_P_evolution(tr)
-    # the middle state, then each state of the (4, 2, 1) ladder around it
-    assert len(calls) == len({id(s) for s in calls}) == 1 + 2 * 3  # the (4, 2, 1) ladder
+    # once, on the stack of the (4, 2, 1) ladder's window around the middle state
+    assert len(calls) == 1 and calls[0].r1.shape == (9, 64)
     calls.clear()
     pexpand_suite()
     assert len(calls) == 10
     calls.clear()
     pevol_suite()
-    assert len(calls) == 14
+    assert len(calls) == 2
 
 
 def test_p_expansion_round_states():
