@@ -191,7 +191,7 @@ def _flow_config_from_doc(doc: dict) -> FlowConfig:
         grid = InitialShape(kind, R0=R0, modes=modes).build(n, size)
     except Exception as exc:
         raise InvalidConfig(f"initial shape is not admissible: {exc}") from exc
-    return FlowConfig(grid, law, t_end, t0, stride)
+    return FlowConfig(grid, law, (t_end,), t0, stride)
 
 
 def _meta(doc: dict, wall: float, trace, command: str, **extra) -> str:

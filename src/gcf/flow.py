@@ -20,6 +20,13 @@ built by its caller (from an InitialShape, say, or the last state of an
 earlier run), and reads the run's n and size from it, so SupportGrid's
 checks are the only checks of n and size.
 
+Where a run's states are stored is decided here alone.  A FlowConfig
+holds the increasing times after t0 that the run stores, the last being
+its end: each step is also at most the time left to the next of them,
+the run lands on each one exactly, and it stores the initial state, the
+state at each time, and every stride-th state in between.  So a trace
+with states at chosen times (verify.uniform_trace) is one run.
+
 Each step is held near the floor of the numpy calls it must make.  Each
 curvature derivation is one FlatLayout.curvature call, which writes its
 radii into a row of one radii buffer per step: three rows for the
@@ -103,20 +110,24 @@ class FlowConfig:
     grid is the initial state, such as the grid an InitialShape builds or
     the last state of an earlier run; the run's n and size are the grid's.
     It must be strictly convex and the law defined on its curvature.
-    run() steps it under stable_dt.
+    times is a non-empty tuple of increasing times after t0, the last one
+    finite: the run's end, t_end.  run() steps the grid from t0 under
+    stable_dt, lands on each time and stores its state there, and stores
+    every stride-th state besides.
     """
 
     grid: SupportGrid
     law: SpeedLaw
-    t_end: float
+    times: tuple
     t0: float = 0.0
     stride: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > self.t0 >= 0.0):
-            raise InvalidConfig(
-                f"need a finite t_end > t0 >= 0, got t0={self.t0}, t_end={self.t_end}"
-            )
+        ts = (self.t0, *self.times)  # a NaN fails a comparison, so it fails here
+        if not (self.times and math.isfinite(ts[-1]) and self.t0 >= 0.0
+                and all(a < b for a, b in zip(ts, ts[1:]))):
+            raise InvalidConfig(f"need increasing times up to a finite t_end > t0 >= 0, "
+                                f"got t0={self.t0}, times={self.times}")
         if self.stride < 1:
             raise InvalidConfig(f"stride must be >= 1, got {self.stride}")
         if self.law.is_power and not theorem_hypotheses(self.law, self.grid.n):
@@ -138,10 +149,8 @@ class FlowTrace:
     n and law are the run's own: everything that evaluates the law on the
     stored states (harnack.monitor, the verify checks) reads it here.
     steps counts the accepted RK4 steps; dt_min and dt_max bound their
-    sizes, and are None while no step has been accepted.  rhs_evals counts
-    the right-hand-side evaluations of every step attempted, 4 per RK4
-    step: those accepted and the one that failed, if one did.  A trace
-    does not depend on the ensemble its config ran in.
+    sizes, and are None while no step has been accepted.  A trace does not
+    depend on the ensemble its config ran in.
     """
 
     n: int
@@ -152,10 +161,15 @@ class FlowTrace:
     steps: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
-    rhs_evals: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def rhs_evals(self) -> int:
+        """The right-hand-side evaluations of every step attempted, 4 per
+        RK4 step: those accepted and the one that failed, if one did."""
+        return 4 * (self.steps + (self.reason in REASONS.values()))
 
     @property
     def stored_spacing(self) -> float | None:
@@ -314,15 +328,17 @@ def stable_dt(grid: SupportGrid, law: SpeedLaw) -> float:
 
 
 def run(config):
-    """Integrate the flow from the config's grid at t0 to t_end.
+    """Integrate the flow from the config's grid at t0 to its last time.
 
     The initial state is the config's grid as it is, its checked
     curvature included; the run's n and size are the grid's.  Each step
     is the smaller of stable_dt of the state it starts from and the time
-    left.  Stores the initial state, every stride-th state, and the final
-    state.  Loss of convexity, the origin leaving the body, or a dt
-    underflow terminates early: the last accepted state is stored and the
-    partial trace is returned with the reason recorded.
+    left to the config's next time.  Stores the initial state, the state
+    at each of the config's times, which the run's time is set to exactly
+    on reaching it, and every stride-th state in between; a state that
+    both select is stored once.  Loss of convexity, the origin leaving
+    the body, or a dt underflow terminates early: the last accepted state
+    is stored and the partial trace is returned with the reason recorded.
 
     Given a list of configs instead of one config, returns their traces in
     its order, stepping the configs together as one ensemble: their
@@ -330,14 +346,14 @@ def run(config):
     size, so one RK4 step updates every row.  The configs must share a law
     kind; a list that mixes power and exponential laws raises
     InvalidSpeedLaw before any step.  Each row keeps its own law columns,
-    step (the smaller of its own step bound and its remaining time), time,
-    step count, stored states and termination reason.  A row that
-    completes or ends early leaves the ensemble and the other rows run on;
-    so does a row whose step fails, which ends as its solo run would,
-    while the others keep the values that step computed for them.  Each
-    row is computed with the arithmetic of a solo run, so every trace
-    equals run(config) exactly, its step count, RHS evaluations and dt
-    range included.
+    step (the smaller of its own step bound and the time left to its next
+    time), time, step count, stored states and termination reason.  A row
+    that completes or ends early leaves the ensemble and the other rows
+    run on; so does a row whose step fails, which ends as its solo run
+    would, while the others keep the values that step computed for them.
+    Each row is computed with the arithmetic of a solo run, so every
+    trace equals run(config) exactly, its step count, RHS evaluations and
+    dt range included.
 
     numpy's floating-point warnings are off for the whole time loop (see
     _rk4); the caller's error state is restored on return, as on an
@@ -364,8 +380,7 @@ def run(config):
                     break
             h, r, K, failures = _rk4(batch.law, batch.layout, batch.h, batch.K, batch.dt())
             for j, exc in enumerate(failures or ()):
-                if exc is not None:  # the row ends, its failed step counted
-                    batch.rows[j].trace.rhs_evals += 4
+                if exc is not None:  # the row ends; its reason counts the failed step
                     batch.rows[j].end(REASONS[type(exc)], batch.grid(j))
             batch.h, batch.r, batch.K = h, r, K
             for j, row in enumerate(batch.rows):
@@ -377,7 +392,12 @@ def run(config):
 
 class _Row:
     """One config in an ensemble: its time, next step and trace (which
-    counts its steps), and whether it still runs."""
+    counts its steps), and whether it still runs.
+
+    target is the config's next time, times[k], and stop its stop value:
+    a step that takes the time to stop or past it has reached the target,
+    within a relative 1e-14 of the time.
+    """
 
     def __init__(self, cfg: FlowConfig):
         self.cfg = cfg
@@ -385,9 +405,14 @@ class _Row:
         self.dx = cfg.grid.spacing
         self.scale = SAFETY * self.dx * self.dx
         self.t, self.dt = cfg.t0, None
-        self.t_end, self.stride = cfg.t_end, cfg.stride
-        self.t_stop = cfg.t_end - 1e-14 * max(1.0, cfg.t_end)
-        self.running = self.t < self.t_stop
+        self.times, self.stride = cfg.times, cfg.stride
+        self.aim(0)
+        self.running = self.t < self.stop
+
+    def aim(self, k: int) -> None:
+        """Make times[k] the row's target."""
+        self.k, self.target = k, self.times[k]
+        self.stop = self.target - 1e-14 * max(1.0, self.target)
 
     def plan(self, bound: float) -> bool:
         """Set the next step from the row's step bound; False if it underflows.
@@ -395,28 +420,38 @@ class _Row:
         A bound underflows below DT_FLOOR, or when adding it to the row's
         time leaves the time unchanged (from t = 2**14 on, a bound above
         DT_FLOOR can be below half an ulp of t).  The step is the smaller of
-        the bound and the time left, so an infinite bound steps the time left.
+        the bound and the time left to the target, so an infinite bound
+        steps the time left.
         """
         if bound < DT_FLOOR or not self.t + bound > self.t:
             return False
-        left = self.t_end - self.t
+        left = self.target - self.t
         self.dt = left if left < bound else bound  # min(bound, left)
         return True
 
     def advance(self) -> bool:
-        """Count one accepted step; whether its state is to be stored."""
+        """Count one accepted step; whether its state is to be stored.
+
+        A step that reaches the target sets the time to it exactly, as a
+        run restarted at t0 = target would start, and aims at the next
+        time; the row stops after its last one.  Such a state is stored,
+        as is every stride-th.
+        """
         dt, trace = self.dt, self.trace
         self.t += dt
-        self.running = self.t < self.t_stop
         trace.steps = i = trace.steps + 1
-        trace.rhs_evals += 4
         if i == 1:
             trace.dt_min = trace.dt_max = dt
         elif dt < trace.dt_min:
             trace.dt_min = dt
         elif dt > trace.dt_max:
             trace.dt_max = dt
-        return i % self.stride == 0 or not self.running
+        if self.t < self.stop:
+            return i % self.stride == 0
+        self.t, self.running = self.target, self.k + 1 < len(self.times)
+        if self.running:
+            self.aim(self.k + 1)
+        return True
 
     def store(self, grid: SupportGrid) -> None:
         self.trace.times.append(self.t)

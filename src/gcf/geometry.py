@@ -375,7 +375,7 @@ def derive_state(grid) -> GeometryState:
     (already enforced by the grid itself).  The radii and K are the grids'
     cached curvature().  One body serves both n and both shapes: r1p and
     r1pp come from the stencils on the grid's topology (periodic for n=1,
-    reflected for n=2); only Kp, Kpp and Hp are formed per n.
+    reflected for n=2); only Kp, Kpp, H and Hp are formed per n.
     """
     if isinstance(grid, SupportGrid):
         first = grid
@@ -384,7 +384,6 @@ def derive_state(grid) -> GeometryState:
         first = grid[0]
         radii, K = stack_grids(grid)
     n, dx, ang = first.n, first.spacing, first.angles
-    H = mean_curvature(radii)
     r1, periodic = radii[0], n == 1
     r1p = stencils.d1(r1, dx, periodic)
     r1pp = stencils.d2(r1, dx, periodic)
@@ -393,7 +392,9 @@ def derive_state(grid) -> GeometryState:
         r2 = r2p = sin_p = cos_p = cot = None
         Kp = -r1p / r1**2
         Kpp = -r1pp / r1**2 + 2.0 * r1p**2 / r1**3
-        Hp = Kp
+        # H is mean_curvature(radii) bit for bit, K being 1.0 / r1; the two
+        # fields share one array, which nothing writes in place
+        H, Hp = K, Kp
     else:
         r2 = radii[1]
         sin_p, cos_p = np.sin(ang), np.cos(ang)
@@ -404,7 +405,7 @@ def derive_state(grid) -> GeometryState:
         L1 = r1p / r1 + r2p / r2
         Kp = -K * L1
         Kpp = -Kp * L1 - K * (r1pp / r1 - (r1p / r1) ** 2 + r2pp / r2 - (r2p / r2) ** 2)
-        Hp = -r1p / r1**2 - r2p / r2**2
+        H, Hp = mean_curvature(radii), -r1p / r1**2 - r2p / r2**2
     return GeometryState(
         n=n, angles=ang, dx=dx,
         r1=r1, r2=r2, r1p=r1p, r2p=r2p,

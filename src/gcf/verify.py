@@ -20,10 +20,11 @@ table of parts per identity (_evolution_parts for g, h, f and H, _P_parts
 for the Harnack-tensor trace) holds each component's field, advection
 term and right-hand side as arrays over that stack, and _ladder forms
 every spacing's central difference at the middle row and builds the
-reports.  Closed-form checks (round solutions, power-law
-identities) carry absolute tolerances.  The pointwise geometric
-identities are assembled once for both n: n picks the stencils' topology
-and the parities.
+reports.  A time ladder's trace is one flow.run (uniform_trace) whose
+config's times are the stored times, so flow alone places its states.
+Closed-form checks (round solutions, power-law identities) carry
+absolute tolerances.  The pointwise geometric identities are assembled
+once for both n: n picks the stencils' topology and the parities.
 """
 
 from __future__ import annotations
@@ -152,32 +153,22 @@ def uniform_trace(
 
     An optional burn-in phase integrates past the fast startup transients
     of the high harmonics before storing begins; residual checks centered
-    on the stored window then see only the slow dynamics.  Every stored
-    state ends a flow.run whose config holds the state before it: the
-    burn-in runs the initial grid from 0 to burn_in (with no burn-in that
-    grid is the first state), and run i the state before it to
-    burn_in + i * spacing.  So each step is run()'s own, the smaller of
-    stable_dt and the time left, and each state lands on its time.  The
-    trace sums the runs' steps and RHS evaluations and spans their step
-    sizes.  A run that ends early raises (NonConvex, OriginOutside, or
-    InsufficientTrace on a step underflow) instead of returning a partial
-    trace.
+    on the stored window then see only the slow dynamics.  The trace is
+    one flow.run whose config's times are burn_in + i * spacing, and which
+    lands on each of them exactly (see flow.run): with a burn-in it runs
+    the initial grid from 0 and drops that grid from the trace, and with
+    none that grid is the first stored state, at t0 = 0.  So each step is
+    run()'s own, the smaller of stable_dt and the time left to the next
+    stored time.  With no burn-in, n_stored = 1 leaves the run no time
+    and raises InvalidConfig.  A run that ends early raises (NonConvex,
+    OriginOutside, or InsufficientTrace on a step underflow) instead of
+    returning a partial trace.
     """
-    times = [burn_in + i * spacing for i in range(n_stored)]
-    t0, grids, runs = 0.0, [], []
-    for i, t in enumerate(times):
-        if i or burn_in > 0.0:
-            runs.append(_completed(run(FlowConfig(grid, law, t0=t0, t_end=t, stride=10**9))))
-            grid = runs[-1].grids[-1]
-        grids.append(grid)
-        t0 = t
-    stepped = [r for r in runs if r.steps]
-    return FlowTrace(
-        n=grid.n, law=law, times=times, grids=grids,
-        steps=sum(r.steps for r in runs), rhs_evals=sum(r.rhs_evals for r in runs),
-        dt_min=min((r.dt_min for r in stepped), default=None),
-        dt_max=max((r.dt_max for r in stepped), default=None),
-    )
+    times = tuple(burn_in + i * spacing for i in range(n_stored))
+    burn = burn_in > 0.0  # t0 is 0 with a burn-in, else burn_in, the first time
+    trace = _completed(run(FlowConfig(grid, law, times[not burn:], min(burn_in, 0.0), 10**9)))
+    del trace.times[:burn], trace.grids[:burn]  # with a burn-in, the initial grid
+    return trace
 
 
 def _completed(trace: FlowTrace) -> FlowTrace:
@@ -535,7 +526,7 @@ def oracle_suite() -> list:
     """Round flows against the closed-form radius at t = 2, relative error."""
     t_end = 2.0
     configs = [
-        FlowConfig(round_grid(n, 1.0, size), SpeedLaw.power(-1.0, -b), t_end, stride=10**9)
+        FlowConfig(round_grid(n, 1.0, size), SpeedLaw.power(-1.0, -b), (t_end,), stride=10**9)
         for n, b, size in ORACLE_CASES
     ]
     reports = []

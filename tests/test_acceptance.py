@@ -50,7 +50,7 @@ def test_criterion_2_equality_case(n, b, size):
     t_start = self_similar_start_time(R0, n, b)
     cfg = FlowConfig(
         grid=round_grid(n, R0, size), law=SpeedLaw.power(-1.0, -b),
-        t_end=2.0, t0=t_start, stride=400,
+        times=(2.0,), t0=t_start, stride=400,
     )
     trace = run(cfg)
     assert trace.reason == "completed"
@@ -88,7 +88,7 @@ def test_criterion_3_harnack_property_on_perturbed_circles():
     worst_margin_rel = np.inf
     worst_lhs_rel = -np.inf
     configs = [
-        FlowConfig(grid=shape.build(1, 256), law=HALF, t_end=2.0, stride=40)
+        FlowConfig(grid=shape.build(1, 256), law=HALF, times=(2.0,), stride=40)
         for shape in _perturbed_shapes(20, rng)
     ]
     for trace in run(configs):

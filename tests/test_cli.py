@@ -54,7 +54,7 @@ def test_run_writes_trace_and_meta(tmp_path):
     assert meta["law_mapping"]["paper_b"] == pytest.approx(0.5)
     assert meta["termination_reason"] == "completed"
     trace = run(FlowConfig(
-        grid=round_grid(1, 1.0, 64), law=SpeedLaw.power(-1.0, -0.5), t_end=2.0, stride=100,
+        grid=round_grid(1, 1.0, 64), law=SpeedLaw.power(-1.0, -0.5), times=(2.0,), stride=100,
     ))
     assert (meta["steps"], meta["dt_min"], meta["dt_max"]) == (
         trace.steps, trace.dt_min, trace.dt_max
@@ -531,7 +531,7 @@ def test_sweep_tuples_match_solo_runs(tmp_path):
         cfg = FlowConfig(
             grid=fourier_grid(tup["n"], 1.0, tuple(map(tuple, tup["shape"]["modes"])), 32),
             law=SpeedLaw.power(-1.0, -tup["b"]),
-            t_end=0.5, stride=2,
+            times=(0.5,), stride=2,
         )
         trace = run(cfg)
         solo = "".join(_harnack_csv(monitor(trace)))
@@ -686,7 +686,7 @@ def harnack_csv_row_by_row(table):
 )
 def test_csv_writers_equal_the_row_by_row_formatter(n, size, law, t_end, monkeypatch):
     trace = run(FlowConfig(grid=fourier_grid(n, 1.0, ((2, 0.02),), size), law=law,
-                           t_end=t_end, stride=3))
+                           times=(t_end,), stride=3))
     table = monitor(trace)
     # blocks of 3 harnack states and 21 // (n + 3) trace states, none of which
     # divides the state count, so each writer ends on a short block; then a

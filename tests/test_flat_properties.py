@@ -113,7 +113,7 @@ def test_flat_rk4_equals_each_grid_alone(rows, one_dt, scales):
 def test_run_leaves_the_error_state_unchanged(monkeypatch):
     completed = FlowConfig(
         grid=fourier_grid(2, 1.0, ((2, 0.02),), 16), law=SpeedLaw.power(-1.0, -0.25),
-        t_end=0.05,
+        times=(0.05,),
     )
     # a contracting flow that loses convexity in a step above RK4's
     # stability limit (see test_flow.EARLY_ENDS); the short completed flow
@@ -122,7 +122,7 @@ def test_run_leaves_the_error_state_unchanged(monkeypatch):
     nonconvex = FlowConfig(
         grid=fourier_grid(1, 1.0, ((5, 0.017207980635981685),), 32),
         law=SpeedLaw.power(1.0, 1.1700967619904363),
-        t_end=3.0, stride=7,
+        times=(3.0,), stride=7,
     )
     before = np.geterr()
     with np.errstate(divide="raise", over="warn", under="print", invalid="ignore"):

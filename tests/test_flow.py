@@ -68,7 +68,7 @@ def test_stored_spacing_of_fewer_than_two_states_is_none():
 def test_run_matches_round_oracle(n, size, b):
     cfg = FlowConfig(
         grid=round_grid(n, 1.0, size), law=SpeedLaw.power(-1.0, -b),
-        t_end=2.0, stride=10**9,
+        times=(2.0,), stride=10**9,
     )
     trace = run(cfg)
     assert trace.reason == "completed"
@@ -78,7 +78,7 @@ def test_run_matches_round_oracle(n, size, b):
 
 def test_round_stays_round_along_trace():
     cfg = FlowConfig(
-        grid=round_grid(1, 1.0, 64), law=HALF, t_end=2.0, stride=50,
+        grid=round_grid(1, 1.0, 64), law=HALF, times=(2.0,), stride=50,
     )
     trace = run(cfg)
     for g in trace.grids:
@@ -88,7 +88,7 @@ def test_round_stays_round_along_trace():
 def test_times_strictly_increasing_and_grids_convex():
     cfg = FlowConfig(
         grid=fourier_grid(1, 1.0, ((3, 0.05),), 64), law=HALF,
-        t_end=1.0, stride=20,
+        times=(1.0,), stride=20,
     )
     trace = run(cfg)
     t = np.asarray(trace.times)
@@ -110,7 +110,7 @@ def test_comparison_principle_on_rounds():
 def test_expanding_flow_increases_support_everywhere():
     cfg = FlowConfig(
         grid=fourier_grid(1, 1.0, ((4, 0.03),), 64), law=HALF,
-        t_end=0.5, stride=10,
+        times=(0.5,), stride=10,
     )
     trace = run(cfg)
     for g0, g1 in zip(trace.grids, trace.grids[1:]):
@@ -120,7 +120,7 @@ def test_expanding_flow_increases_support_everywhere():
 def test_perturbed_circle_rounds_out():
     cfg = FlowConfig(
         grid=fourier_grid(1, 1.0, ((3, 0.05),), 128), law=HALF,
-        t_end=2.0, stride=25,
+        times=(2.0,), stride=25,
     )
     trace = run(cfg)
     ratios = []
@@ -160,7 +160,7 @@ def _noise_growth(n, size, b):
     value, on a circle with 1e-8 node noise."""
     rng = np.random.default_rng(1)
     grid = SupportGrid(n, 1.0 + 1e-8 * rng.standard_normal(size))
-    trace = run(FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), t_end=0.2, stride=10**9))
+    trace = run(FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), times=(0.2,), stride=10**9))
     first, last = (np.max(np.abs(np.diff(g.values, 4))) for g in trace.grids)
     return last / first
 
@@ -205,7 +205,7 @@ def _sentinel_growth(trace):
 
 
 def _sentinel_config(b, grid):
-    return FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), t_end=0.5, stride=25)
+    return FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), times=(0.5,), stride=25)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -235,17 +235,22 @@ def test_noise_sentinel_sees_a_step_above_the_stability_limit(monkeypatch):
 
 def test_config_validation():
     inf, nan = float("inf"), float("nan")
-    for times in ({"t_end": 0.0}, {"t_end": inf}, {"t_end": nan}, {"t_end": 1.0, "t0": nan}):
-        with pytest.raises(InvalidConfig):
+    for times in (
+        {"times": (0.0,)}, {"times": (inf,)}, {"times": (nan,)}, {"times": (1.0,), "t0": nan},
+        {"times": ()}, {"times": (0.5, 0.5)}, {"times": (0.5, 0.2, 1.0)},
+        {"times": (0.5, 1.0), "t0": 0.5}, {"times": (0.5, 1.0), "t0": 0.7},
+        {"times": (0.2, nan, 1.0)}, {"times": (0.2, 0.5, inf)},
+    ):
+        with pytest.raises(InvalidConfig, match="finite t_end"):
             FlowConfig(grid=round_grid(1, 1.0, 64), law=HALF, **times)
     with pytest.raises(InvalidConfig):
         FlowConfig(
             grid=fourier_grid(1, 1.0, ((4, 0.2),), 64),  # nonconvex
-            law=HALF, t_end=1.0,
+            law=HALF, times=(1.0,),
         )
     with pytest.raises(InvalidConfig, match="b < 1/n"):
         FlowConfig(
-            grid=round_grid(2, 1.0, 32), law=SpeedLaw.power(-1.0, -0.9), t_end=1.0,
+            grid=round_grid(2, 1.0, 32), law=SpeedLaw.power(-1.0, -0.9), times=(1.0,),
         )
 
 
@@ -272,7 +277,7 @@ def _early_end(early, monkeypatch) -> FlowConfig:
         monkeypatch.setattr(flow, "SAFETY", safety)
     return FlowConfig(
         grid=fourier_grid(1, 1.0, modes, 32), law=SpeedLaw.power(1.0, beta),
-        t_end=t_end, stride=7,
+        times=(t_end,), stride=7,
     )
 
 
@@ -303,7 +308,7 @@ def test_each_accepted_state_derived_once(monkeypatch):
     monkeypatch.setattr(FlatLayout, "curvature", counting)
     cfg = FlowConfig(
         grid=fourier_grid(2, 1.0, ((2, 0.02),), 32), law=SpeedLaw.power(-1.0, -0.25),
-        t_end=0.5, stride=1,
+        times=(0.5,), stride=1,
     )
     assert len(calls) == 1  # the initial state, checked by the config
     trace = run(cfg)
@@ -328,11 +333,11 @@ def _mixed_configs(seed):
         configs.append(FlowConfig(
             grid=fourier_grid(n, 1.0, (mode,), size),
             law=SpeedLaw.power(-1.0, -float(rng.uniform(0.1, 0.9 / n))),
-            t_end=float(rng.uniform(0.05, 0.4)),
+            times=(float(rng.uniform(0.05, 0.4)),),
             stride=int(rng.integers(1, 25)),
         ))
     configs.append(FlowConfig(
-        grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, t_end=0.3, stride=13,
+        grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, times=(0.3,), stride=13,
     ))
     return configs
 
@@ -364,7 +369,7 @@ def test_exponential_ensemble_traces_equal_solo_runs():
     configs = [
         FlowConfig(
             grid=fourier_grid(n, 1.0, ((2, 0.02),), size), law=SpeedLaw.exponential(),
-            t_end=t_end, stride=stride,
+            times=(t_end,), stride=stride,
         )
         for n, size, t_end, stride in ((2, 16, 0.05, 4), (1, 32, 0.04, 3), (1, 48, 0.03, 5))
     ]
@@ -374,10 +379,72 @@ def test_exponential_ensemble_traces_equal_solo_runs():
         assert_same_trace(trace, run(cfg))
 
 
+def chained_trace(cfg: FlowConfig):
+    """cfg's trace as a chain of solo runs, one per time of cfg, and the
+    chain's RHS evaluations.
+
+    Run i steps the last state of run i - 1 from cfg.times[i - 1] (from
+    cfg.t0 for the first run) to cfg.times[i], storing every state, and
+    its last state is taken at cfg.times[i] exactly.  The chain keeps the
+    initial state, the last state of each run and every state whose step
+    count over the chain is a multiple of cfg.stride, sums the runs'
+    steps and RHS evaluations, spans their step sizes, and ends at the
+    first run that ends early, with its reason.
+    """
+    grid, t0 = cfg.grid, cfg.t0
+    ref, rhs_evals = FlowTrace(n=grid.n, law=cfg.law, times=[t0], grids=[grid]), 0
+    for t in cfg.times:
+        part = run(FlowConfig(grid, cfg.law, (t,), t0, stride=1))
+        if part.reason == "completed":
+            part.times[-1] = t
+        for k in range(1, part.steps + 1):
+            if (ref.steps + k) % cfg.stride == 0 or k == part.steps:
+                ref.times.append(part.times[k])
+                ref.grids.append(part.grids[k])
+        if part.steps:
+            ref.dt_min = min(part.dt_min, ref.dt_min or math.inf)
+            ref.dt_max = max(part.dt_max, ref.dt_max or 0.0)
+        ref.steps += part.steps
+        rhs_evals += part.rhs_evals
+        if part.reason != "completed":
+            ref.reason = part.reason
+            break
+        grid, t0 = part.grids[-1], t
+    return ref, rhs_evals
+
+
+def test_rows_with_their_own_times_equal_their_chains_of_solo_runs():
+    # one ensemble of n=1 and n=2 rows, each with its own stored times: the
+    # first also stores every 7th state between them, and the last (the
+    # contracting off-centre circle of EARLY_ENDS) leaves the origin outside
+    # after its third time
+    configs = [
+        FlowConfig(grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF,
+                   times=(0.05, 0.1, 0.3), stride=7),
+        FlowConfig(grid=fourier_grid(2, 1.0, ((2, 0.02),), 16),
+                   law=SpeedLaw.power(-1.0, -0.25), times=(0.02, 0.05, 0.06), stride=10**9),
+        FlowConfig(grid=fourier_grid(2, 1.0, ((2, 0.01),), 24),
+                   law=SpeedLaw.power(-1.0, -0.4), t0=0.5, times=(0.54,), stride=3),
+        FlowConfig(grid=fourier_grid(1, 1.0, ((1, 0.5),), 32), law=SpeedLaw.power(1.0, 1.0),
+                   times=(0.1, 0.2, 0.3, 1.0), stride=10**9),
+    ]
+    traces = run(configs)
+    assert len(traces[0]) > len(configs[0].times) + 1  # stored between its times
+    assert traces[3].reason == "origin_outside" and traces[3].times[1:4] == [0.1, 0.2, 0.3]
+    for cfg, trace in zip(configs, traces):
+        ref, rhs_evals = chained_trace(cfg)
+        assert trace.reason == ref.reason and trace.times == ref.times
+        assert (trace.steps, trace.rhs_evals) == (ref.steps, rhs_evals)
+        assert (trace.dt_min, trace.dt_max) == (ref.dt_min, ref.dt_max)
+        assert len(trace.grids) == len(ref.grids)
+        for got, want in zip(trace.grids, ref.grids):
+            assert np.array_equal(got.values, want.values)
+
+
 def test_a_list_that_mixes_law_kinds_raises_before_any_step(monkeypatch):
     power, exp = (
         FlowConfig(
-            grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=law, t_end=0.1,
+            grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=law, times=(0.1,),
         )
         for law in (HALF, SpeedLaw.exponential())
     )
@@ -398,9 +465,9 @@ def test_a_list_that_mixes_law_kinds_raises_before_any_step(monkeypatch):
 def test_a_config_with_no_time_to_step_still_counts_for_the_law_kind():
     # t_end - t0 = 4e-16 is below run()'s stop tolerance, so this config
     # takes no step; its law kind must still be checked
-    power = FlowConfig(grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, t_end=0.1)
+    power = FlowConfig(grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, times=(0.1,))
     idle = FlowConfig(grid=round_grid(1, 1.0, 32), law=SpeedLaw.exponential(),
-                      t0=1.0, t_end=1.0 + 4e-16)
+                      t0=1.0, times=(1.0 + 4e-16,))
     assert run(idle).steps == 0
     for configs in ([power, idle], [idle, power]):
         with pytest.raises(InvalidSpeedLaw, match="one kind"):
@@ -414,7 +481,7 @@ def test_fast_power_exponent_rows_equal_their_solo_runs(beta):
     def cfg(b):
         return FlowConfig(
             grid=fourier_grid(1, 1.0, ((3, 0.01),), 64), law=SpeedLaw.power(1.0, b),
-            t_end=0.1, stride=5,
+            times=(0.1,), stride=5,
         )
 
     configs = [cfg(beta), cfg(1.3), cfg(beta)]
@@ -428,7 +495,7 @@ def test_fast_power_exponent_rows_equal_their_solo_runs(beta):
 def test_a_huge_round_body_steps_its_remaining_time_silently():
     # K**2 underflows to 0 at R0 = 1e200, so the step bound is infinite
     cfg = FlowConfig(
-        grid=round_grid(1, 1e200, 32), law=HALF, t_end=1.0,
+        grid=round_grid(1, 1e200, 32), law=HALF, times=(1.0,),
     )
     assert flow.stable_dt(cfg.grid, HALF) == math.inf
     with warnings.catch_warnings():
@@ -447,7 +514,7 @@ F1_OVERFLOWS = [(-0.9, 1e200), (-0.95, 1e160)]
 @pytest.mark.parametrize("beta,R0", F1_OVERFLOWS, ids=["nan-lambda", "inf-lambda"])
 def test_a_huge_round_body_whose_f1_overflows_steps_its_remaining_time(beta, R0):
     law = SpeedLaw.power(-1.0, beta)
-    huge = FlowConfig(grid=round_grid(1, R0, 64), law=law, t_end=1.0)
+    huge = FlowConfig(grid=round_grid(1, R0, 64), law=law, times=(1.0,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bound = stable_dt(huge.grid, law)
@@ -467,7 +534,7 @@ def test_a_bound_the_clock_cannot_carry_ends_dt_underflow():
     # at t = 1e5 half an ulp of t is 7.3e-12, so the bound of a contracting
     # circle of radius 1e-4 stops moving t while it is still above DT_FLOOR
     cfg = FlowConfig(grid=round_grid(1, 1e-4, 32), law=SpeedLaw.power(1.0, 1.0),
-                     t0=1e5, t_end=1e5 + 1.0, stride=1)
+                     t0=1e5, times=(1e5 + 1.0,), stride=1)
     trace = run(cfg)
     assert trace.reason == "dt_underflow" and trace.steps > 0
     assert len(trace.times) == trace.steps + 1
@@ -478,7 +545,7 @@ def test_a_lambda_beyond_the_float_range_still_ends_dt_underflow():
     # f1(K) * K*K overflows for K = 1e11 and a contracting K**27: lambda is
     # beyond the float range, so the bound is 0, formed again or not
     law = SpeedLaw.power(1.0, 27.0)
-    cfg = FlowConfig(grid=round_grid(1, 1e-11, 32), law=law, t_end=1.0)
+    cfg = FlowConfig(grid=round_grid(1, 1e-11, 32), law=law, times=(1.0,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert stable_dt(cfg.grid, law) == 0.0
@@ -494,7 +561,7 @@ def test_ensemble_row_ends_early_as_alone(early, monkeypatch):
     configs.insert(2, ending)
     configs.append(FlowConfig(  # a row that runs on past the failure
         grid=fourier_grid(1, 1.0, ((2, 0.02),), 64), law=HALF,
-        t_end=1.0, stride=10,
+        times=(1.0,), stride=10,
     ))
     layouts = []
 
@@ -546,7 +613,7 @@ def test_a_failed_check_ends_the_row_as_its_own_step_does(case, monkeypatch):
     safety, law, shape, t_end, parts, exc_type, message, reason = case
     if safety is not None:
         monkeypatch.setattr(flow, "SAFETY", safety)
-    ending = FlowConfig(grid=shape.build(1, 32), law=law, t_end=t_end, stride=7)
+    ending = FlowConfig(grid=shape.build(1, 32), law=law, times=(t_end,), stride=7)
     configs = _mixed_configs(5)[:8]  # n=1 at sizes 32 and 48, n=2 at 16 and 24
     configs.insert(2, ending)
     raised, failed_parts = [], []
@@ -589,7 +656,7 @@ def test_one_joint_step_per_step_of_the_longest_row(monkeypatch):
     configs = [
         FlowConfig(
             grid=round_grid(n, 1.0, 32 if n == 1 else 16), law=SpeedLaw.power(-1.0, -b),
-            t_end=2.0, stride=10**9,
+            times=(2.0,), stride=10**9,
         )
         for n, b, _ in ORACLE_CASES
     ]
@@ -703,7 +770,7 @@ def test_rk4_step_equals_reference(n, size, kind):
 
 def test_trace_records_steps_and_dt_range():
     trace = run(FlowConfig(
-        grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, t_end=0.3, stride=1,
+        grid=fourier_grid(1, 1.0, ((3, 0.02),), 32), law=HALF, times=(0.3,), stride=1,
     ))
     assert trace.steps == len(trace.times) - 1 > 1
     steps = np.diff(trace.times)

@@ -46,7 +46,7 @@ def test_harnack_inequality_on_random_convex_data(seed, nb, size_index):
     n, b = nb
     size = SIZES[n][size_index]
     grid = random_convex_grid(n, size, np.random.default_rng(seed))
-    trace = run(FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), t_end=0.5, stride=1))
+    trace = run(FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), times=(0.5,), stride=1))
     if len(trace) < 3:  # too few steps to monitor
         return
     summary = margin_summary(monitor(trace))
@@ -59,7 +59,7 @@ def test_round_shapes_stay_round(nb, size_index, R0):
     n, b = nb
     size = SIZES[n][size_index]
     trace = run(FlowConfig(grid=round_grid(n, R0, size), law=SpeedLaw.power(-1.0, -b),
-                           t_end=0.5, stride=10**9))
+                           times=(0.5,), stride=10**9))
     h = trace.grids[-1].values
     spread = (np.max(h) - np.min(h)) / np.mean(h)
     assert spread <= 8 * np.finfo(float).eps, spread
@@ -75,7 +75,7 @@ def test_comparison_principle_on_random_convex_data(seed, nb, size_index, delta,
     lower = random_convex_grid(n, size, np.random.default_rng(seed))
     upper = SupportGrid(n, (1.0 + delta) * lower.values if scaled else lower.values + delta)
     law = SpeedLaw.power(-1.0, -b)
-    traces = run([FlowConfig(grid=grid, law=law, t_end=0.3, stride=10**9)
+    traces = run([FlowConfig(grid=grid, law=law, times=(0.3,), stride=10**9)
                   for grid in (lower, upper)])
     assert [trace.reason for trace in traces] == ["completed", "completed"]
     gap = traces[1].grids[-1].values - traces[0].grids[-1].values
@@ -91,7 +91,7 @@ def test_every_step_sits_under_the_step_bound(flows):
     for seed, (n, b), size_index in flows:
         size = SIZES[n][size_index]
         grid = random_convex_grid(n, size, np.random.default_rng(seed))
-        configs.append(FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), t_end=0.1, stride=1))
+        configs.append(FlowConfig(grid=grid, law=SpeedLaw.power(-1.0, -b), times=(0.1,), stride=1))
     traces = [run(configs[0])] if len(configs) == 1 else run(configs)
     for trace in traces:
         assert trace.steps == len(trace) - 1

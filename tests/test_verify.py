@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from gcf import flow, harnack, stencils, verify
-from gcf.errors import BadExponent, InsufficientTrace, NonConvex, OriginOutside
+from gcf.errors import BadExponent, InsufficientTrace, InvalidConfig, NonConvex, OriginOutside
 from gcf.flow import InitialShape, stable_dt, step
 from gcf.geometry import box_op, derive_state, fourier_grid, round_grid
 from gcf.harnack import P_trace, speed_fields
@@ -273,6 +273,26 @@ def test_uniform_trace_equals_step_loop(n, size, law, shape, spacing, n_stored, 
         assert np.array_equal(got.values, ref.values)
 
 
+@pytest.mark.parametrize("burn_in", [0.0, 0.1])
+def test_uniform_trace_is_one_run(burn_in, monkeypatch):
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return flow.run(config)
+
+    monkeypatch.setattr(verify, "run", counting)
+    tr = uniform_trace(PERTURBED.build(1, 64), HALF, spacing=1e-3, n_stored=5, burn_in=burn_in)
+    assert len(calls) == 1 and len(tr) == 5
+    # with no burn-in the initial grid is the first stored state
+    assert calls[0].times == tuple(tr.times[1:] if burn_in == 0.0 else tr.times)
+
+
+def test_uniform_trace_with_one_state_and_no_burn_in_has_no_time_to_run():
+    with pytest.raises(InvalidConfig, match="finite t_end"):
+        uniform_trace(PERTURBED.build(1, 64), HALF, spacing=1e-3, n_stored=1)
+
+
 # contracting power-law flows of tests/test_flow.py that end early
 CONTRACTING = SpeedLaw.power(1.0, 1.1700967619904363)
 FIVE_LOBES = InitialShape("fourier", 1.0, ((5, 0.017207980635981685),))
@@ -306,7 +326,7 @@ def test_uniform_trace_that_ends_after_stored_states_names_the_last_accepted_tim
     stored = uniform_trace(FIVE_LOBES.build(1, 32), CONTRACTING, spacing=0.1, n_stored=5)
     assert stored.times[-1] == 0.4
     rest = flow.run(flow.FlowConfig(
-        grid=stored.grids[-1], law=CONTRACTING, t0=0.4, t_end=0.5, stride=10**9,
+        grid=stored.grids[-1], law=CONTRACTING, t0=0.4, times=(0.5,), stride=10**9,
     ))
     t = rest.times[-1]
     assert rest.reason == "dt_underflow" and 0.4 < t < 0.5

@@ -5,10 +5,10 @@ runs writes.
 
 Runs, in-process through `gcf.cli.main` and from the `src/` of this
 checkout, the benchmark's surface-dense and sweep-mixed configs for the
-seed (generated by `perfbench/workloads.build`), the five fixed configs
+seed (generated by `perfbench/workloads.build`), the six fixed configs
 of FIXED, and the six verification suites with `--out`, all under
 OUT_DIR; each run must exit 0, or with the code FIXED gives it.  That is
-36 CSVs and 26 meta.json files (one per run and per completed sweep
+38 CSVs and 27 meta.json files (one per run and per completed sweep
 tuple).  A CSV's digest is that of its bytes; a meta.json's is that of
 its JSON without the timing keys (TIMING_KEYS), so it covers the steps,
 the RHS evaluations and the dt range.  Prints one `sha256  path` line per
@@ -43,9 +43,10 @@ from gcf.cli import main as gcf_main  # noqa: E402
 # bound_eq316 columns are NaN; a contracting circle centred off the origin
 # that shrinks past it (exit 3) under `gcf run` and under `gcf harnack`,
 # whose partial trace.csv and meta.json record the failed step (harnack
-# also monitors the states stored before it); and a round n=1 `gcf
-# harnack` whose stride stores only its first and last states (exit 2,
-# after writing trace.csv and meta.json).
+# also monitors the states stored before it); a round n=1 `gcf harnack`
+# whose stride stores only its first and last states (exit 2, after
+# writing trace.csv and meta.json); and a round n=1 `gcf harnack` whose
+# clock starts away from 0, at t0 = 2, the circle's self-similar time.
 _SHAPE = {"type": "fourier", "R0": 1.0, "modes": [[3, 0.02], [2, 0.01]]}
 _EARLY_END = {
     "n": 1, "speed": {"a": 1, "beta": 1}, "grid": {"N": 32},
@@ -67,6 +68,11 @@ FIXED = {
         "n": 1, "speed": {"a": -1.0, "beta": -0.5}, "grid": {"N": 64},
         "initial": {"type": "circle", "R0": 1.0}, "time": {"t_end": 0.5},
         "output": {"stride": 100000},
+    }),
+    "harnack-self-similar": ("harnack", 0, {
+        "n": 1, "speed": {"a": -1.0, "beta": -0.5}, "grid": {"N": 64},
+        "initial": {"type": "circle", "R0": 1.0}, "time": {"t0": 2.0, "t_end": 2.5},
+        "output": {"stride": 5},
     }),
 }
 
