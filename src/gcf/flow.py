@@ -336,9 +336,11 @@ def run(config):
     left to the config's next time.  Stores the initial state, the state
     at each of the config's times, which the run's time is set to exactly
     on reaching it, and every stride-th state in between; a state that
-    both select is stored once.  Loss of convexity, the origin leaving
-    the body, or a dt underflow terminates early: the last accepted state
-    is stored and the partial trace is returned with the reason recorded.
+    both select is stored once, and a time within a relative 1e-14 of the
+    time already reached is passed over.  Loss of convexity, the origin
+    leaving the body, or a dt underflow terminates early: the last
+    accepted state is stored and the partial trace is returned with the
+    reason recorded.
 
     Given a list of configs instead of one config, returns their traces in
     its order, stepping the configs together as one ensemble: their
@@ -396,7 +398,8 @@ class _Row:
 
     target is the config's next time, times[k], and stop its stop value:
     a step that takes the time to stop or past it has reached the target,
-    within a relative 1e-14 of the time.
+    within a relative 1e-14 of the time.  A time whose stop value the row's
+    time already reaches is passed over, at the start as after a target.
     """
 
     def __init__(self, cfg: FlowConfig):
@@ -407,12 +410,16 @@ class _Row:
         self.t, self.dt = cfg.t0, None
         self.times, self.stride = cfg.times, cfg.stride
         self.aim(0)
-        self.running = self.t < self.stop
 
     def aim(self, k: int) -> None:
-        """Make times[k] the row's target."""
-        self.k, self.target = k, self.times[k]
-        self.stop = self.target - 1e-14 * max(1.0, self.target)
+        """Make the first of times[k:] whose stop value the row's time is
+        short of the row's target; the row stops if there is none."""
+        for k in range(k, len(self.times)):
+            self.k, self.target = k, self.times[k]
+            self.stop = self.target - 1e-14 * max(1.0, self.target)
+            if self.t < self.stop:
+                break
+        self.running = self.t < self.stop
 
     def plan(self, bound: float) -> bool:
         """Set the next step from the row's step bound; False if it underflows.
@@ -448,9 +455,8 @@ class _Row:
             trace.dt_max = dt
         if self.t < self.stop:
             return i % self.stride == 0
-        self.t, self.running = self.target, self.k + 1 < len(self.times)
-        if self.running:
-            self.aim(self.k + 1)
+        self.t = self.target
+        self.aim(self.k + 1)
         return True
 
     def store(self, grid: SupportGrid) -> None:

@@ -1,10 +1,12 @@
 """Python's '%.17g' of many floats at once, as int fields of % pieces.
 
 g17(values) gives each value a code into PIECES, a table of % templates
-of one to three %d fields, and the flat list of the arguments that those
-pieces take in turn.  So ''.join(PIECES[c] for c in codes) % tuple(args)
-equals ''.join('%.17g' % x for x in values), byte for byte, and % turns
-an int into text several times faster than a float into 17 digits.
+of one to three plain %d fields, and the flat list of the arguments that
+those pieces take in turn.  So ''.join(PIECES[c] for c in codes) %
+tuple(args) equals ''.join('%.17g' % x for x in values), byte for byte,
+and % turns an int into text several times faster than a float into 17
+digits.  A piece holds the leading zeros of its value's fraction as text,
+as % writes a zero-padded %0wd field much more slowly than a plain %d.
 
 The 17 significant digits D and the decimal exponent X of a value come
 from s = |x| * 10**(16 - X) in long double, with 10**k read from its
@@ -22,19 +24,22 @@ import numpy as np
 
 # The layout of %g: fixed notation for -4 <= X <= 16, scientific otherwise,
 # trailing zeros of the fraction stripped, and no "." when none is left.
-# A piece of each kind for each width w, the fraction digits it prints.
-WIDTHS = 21
-_KINDS = (
-    lambda w: f"%d.%0{w}d" if w else "%d",  # fixed, |x| >= 1
-    lambda w: f"0.%0{w}d",  # fixed, |x| < 1
-    lambda w: f"%d.%0{w}de%+03d" if w else "%de%+03d",  # scientific
-)
-# code = 63 * (x < 0) + WIDTHS * kind + w, and FALLBACK = 126
-PIECES = [sign + piece(w) for sign in ("", "-") for piece in _KINDS for w in range(WIDTHS)]
-PIECES.append("%.17g")
+# A piece of each kind for each z, the fraction's leading zeros plus one (0
+# where there is no fraction): the zeros are text in the piece, so that the
+# fraction's own digits print through a plain %d, which % writes much faster
+# than a zero-padded %0wd.
+WIDTHS = 17  # z <= 16
+_KINDS = (("%d", ""), ("0", ""), ("%d", "e%+03d"))  # fixed |x| >= 1, fixed |x| < 1, scientific
+# code = WIDTHS * (3 * (x < 0) + kind) + z, and FALLBACK = 102
+_CODES = [(sign, kind, z) for sign in ("", "-") for kind in range(3) for z in range(WIDTHS)]
+PIECES = [sign + _KINDS[kind][0] + ("." + "0" * (z - 1) + "%d" if z else "") + _KINDS[kind][1]
+          for sign, kind, z in _CODES] + ["%.17g"]
 FALLBACK = len(PIECES) - 1
-# which of a value's (lead digits, fraction digits, exponent) each piece takes
-_TAKES = np.array([(p.lstrip("-")[:2] in ("%d", "%."), "%0" in p, "e%" in p) for p in PIECES])
+# which of a value's (lead digits, fraction digits, exponent) each piece
+# takes, and a fourth column none takes, so that a piece's row is one uint32
+_TAKES = np.array([(kind != 1, z > 0, kind == 2, False) for _, kind, z in _CODES]
+                  + [(True, False, False, False)])
+_ROWS = _TAKES.view(np.uint32).ravel()
 ARGS = _TAKES.sum(axis=1)  # the number of arguments of each piece
 
 _K = 300  # 10**k for -_K <= k <= _K
@@ -45,6 +50,13 @@ _EPS = float(np.finfo(np.longdouble).eps)
 _k = np.arange(-_K, _K + 1)
 _MARGIN = np.where((_k >= 0) & (_k <= 27), 1e17 * _EPS / 2, 1e17 * _EPS)
 _TEN = 10 ** np.arange(18, dtype=np.int64)
+# By X + _K: the fraction digits F (fixed notation puts X + 1 digits, none
+# if X < 0, before them), 10**F (10**17 where no digit is before them) and
+# WIDTHS times the kind.
+_FIXED = (_k >= -4) & (_k <= 16)
+_F = np.where(_FIXED, 16 - _k, 16)
+_UNIT = _TEN[np.minimum(_F, 17)]
+_KIND = WIDTHS * np.where(_FIXED, _k < 0, 2)
 
 
 def g17(values) -> tuple:
@@ -72,28 +84,32 @@ def g17(values) -> tuple:
     del a, low, high
     fast &= (D >= 10**16) & (D < 10**17)
 
-    # F fraction digits; fixed notation puts X + 1 digits (none if X < 0) before them
-    fixed = (X >= -4) & (X <= 16)
-    F = np.where(fixed, 16 - X, 16)
-    lead, fraction = np.divmod(D, _TEN[np.minimum(F, 17)])
+    j = X + _K
+    lead, fraction = np.divmod(D, _UNIT[j])
     del D
-    zeros = np.zeros_like(fraction)  # trailing zeros of the fraction, all F if it is 0
-    some = np.flatnonzero(fraction % 10 == 0)
-    f, z, rest = fraction[some], zeros[some], np.empty_like(some)
+    # z, the fraction's leading zeros plus one, or 0 where it is 0
+    z = np.where(fraction > 0, _F[j] + 1 - np.searchsorted(_TEN, fraction, side="right"), 0)
+    # strip the fraction's trailing zeros (numpy divides by a scalar far
+    # faster than it takes a remainder)
+    some = np.flatnonzero(fraction // 10 * 10 == fraction)
+    f, q, rest = fraction[some], np.empty_like(some), np.empty_like(some)
     whole = np.empty(x.size, dtype=bool)[:some.size]
     for p in (16, 8, 4, 2, 1):
-        np.equal(np.remainder(f, _TEN[p], out=rest), 0, out=whole)
-        np.floor_divide(f, _TEN[p], out=f, where=whole)
-        np.add(z, p, out=z, where=whole)
-    fraction[some], zeros[some] = f, np.minimum(z, F[some])
-    codes = np.where(fast, 63 * (x < 0) + WIDTHS * np.where(fixed, X < 0, 2) + F - zeros, FALLBACK)
-    args = np.stack((lead, fraction, X), axis=-1)[_TAKES[codes]]
-    del fixed, F, zeros, lead, fraction, X
-    if not fast.all():  # a fallback's one argument is its value
-        counts = ARGS[codes]
-        args = args.astype(object)
-        np.copyto(args, np.repeat(x, counts), where=np.repeat(~fast, counts))
-    return codes, args.tolist()
+        np.floor_divide(f, _TEN[p], out=q)
+        np.equal(np.multiply(q, _TEN[p], out=rest), f, out=whole)
+        np.copyto(f, q, where=whole)
+    fraction[some] = f
+    codes = np.where(fast, z + _KIND[j] + 3 * WIDTHS * (x < 0), FALLBACK)
+    args = np.compress(_ROWS[codes].view(bool), np.stack((lead, fraction, X, X), axis=-1))
+    del j, z, lead, fraction, X
+    args = args.tolist()
+    if not fast.all():  # a fallback's one argument, its last, is its value
+        ends, xs, slow = memoryview(np.cumsum(ARGS[codes])), memoryview(x), (~fast).tobytes()
+        i = slow.find(1)
+        while i >= 0:
+            args[ends[i] - 1] = xs[i]
+            i = slow.find(1, i + 1)
+    return codes, args
 
 
 def _digits(a, X):

@@ -474,6 +474,31 @@ def test_a_config_with_no_time_to_step_still_counts_for_the_law_kind():
             run(configs)
 
 
+def assert_same_trace(got, want):
+    """Two traces equal bit for bit: times, values, steps and dt range."""
+    assert got.reason == want.reason and got.times == want.times
+    assert (got.steps, got.rhs_evals) == (want.steps, want.rhs_evals)
+    assert (got.dt_min, got.dt_max) == (want.dt_min, want.dt_max)
+    assert len(got.grids) == len(want.grids)
+    for g, w in zip(got.grids, want.grids):
+        assert np.array_equal(g.values, w.values)
+
+
+def test_a_first_time_within_the_stop_tolerance_of_t0_is_passed_over():
+    # 1 + 4e-16 lies within the relative 1e-14 stop tolerance of t0 = 1, so
+    # the run steps on to 2 as if that were its only time
+    grid, law = round_grid(1, 1.0, 32), SpeedLaw.power(-1.0, -0.5)
+    got = run(FlowConfig(grid=grid, law=law, times=(1.0 + 4e-16, 2.0), t0=1.0))
+    assert got.steps > 0 and got.times[-1] == 2.0
+    assert_same_trace(got, run(FlowConfig(grid=grid, law=law, times=(2.0,), t0=1.0)))
+
+
+def test_a_time_within_the_stop_tolerance_of_the_last_one_is_passed_over():
+    grid, law = round_grid(1, 1.0, 32), SpeedLaw.power(-1.0, -0.5)
+    got = run(FlowConfig(grid=grid, law=law, times=(1.5, 1.5 * (1 + 4e-16), 2.0), t0=1.0))
+    assert_same_trace(got, run(FlowConfig(grid=grid, law=law, times=(1.5, 2.0), t0=1.0)))
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0])
 def test_fast_power_exponent_rows_equal_their_solo_runs(beta):
     # beta 0.5 and 2 are f exponents, and beta - 1 = 0.5 and 2 f1 exponents,

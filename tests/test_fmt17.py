@@ -116,3 +116,41 @@ def test_every_value_falls_back_when_no_rounding_is_certain(monkeypatch):
 def test_any_shape_is_read_in_c_order(shape):
     values = np.arange(np.prod(shape), dtype=float).reshape(shape) / 7.0 - 1.0
     assert render(values) == reference(values.ravel())
+
+
+def leading_zero_values() -> list:
+    """Values whose fraction has 0 to 15 leading zeros: 1 + 1.234567e-k in
+    fixed decades (X = 0, 5, 12) and scientific ones (X = 40, -60), and
+    1.234567e-k for k = 1 to 4 (0.1 to 0.0001), each of either sign."""
+    values = [(1 + 1.234567 * 10.0**-k) * 10.0**X for k in range(1, 17) for X in (0, 5, 12, 40, -60)]
+    values += [1.234567 * 10.0**-k for k in range(1, 5)]
+    return values + [-v for v in values]
+
+
+def test_fractions_with_leading_zeros_match_percent_17g():
+    values = leading_zero_values()
+    assert render(values) == reference(values)
+    # every piece with a fraction is taken: z = 1..16 of the fixed |x| >= 1
+    # and the scientific kinds, z = 1..4 of fixed |x| < 1, in either sign
+    taken = {PIECES[c] for c in g17(np.array(values))[0].tolist()}
+    for kind, zs in ((0, range(1, 17)), (1, range(1, 5)), (2, range(1, 17))):
+        for sign in (0, 1):
+            assert {PIECES[fmt17.WIDTHS * (3 * sign + kind) + z] for z in zs} <= taken
+
+
+def test_no_piece_pads_its_fraction():
+    # the fraction's leading zeros are text in its piece, so that its digits
+    # print through a plain %d: % writes a zero-padded %0wd much more slowly
+    assert [p for p in PIECES if "%0" in p] == []
+
+
+@pytest.mark.parametrize("values", [
+    [float("nan"), 1.5, -2.5e30, 0.125, 0.0],  # first and last fall back
+    [-0.0, 1e300, -7.25e-300, float("inf")],  # all fall back
+    [5e-324, 3.5, -1.25e-7, 1e-300, 42.0, float("-inf")],  # after 2- and 3-argument pieces
+    [float("nan")],
+])
+def test_fallbacks_at_either_end_of_a_block(values):
+    codes, args = g17(np.array(values))
+    assert codes[0] == codes[-1] == FALLBACK
+    assert render(values) == reference(values)
